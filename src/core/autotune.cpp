@@ -1,0 +1,227 @@
+#include "core/autotune.hpp"
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <utility>
+#include <vector>
+
+#include "core/cpu_parallel.hpp"
+#include "core/workspace.hpp"
+#include "sparse/csr.hpp"
+#include "sparse/generators.hpp"
+
+namespace msptrsv::core {
+
+namespace {
+
+/// One level's share of a prediction: its rows and stored nonzeros.
+struct LevelLoad {
+  double rows = 0.0;
+  double nnz = 0.0;
+};
+
+std::vector<LevelLoad> level_loads(const sparse::LevelAnalysis& levels) {
+  std::vector<LevelLoad> out(static_cast<std::size_t>(levels.num_levels));
+  for (std::size_t l = 0; l < out.size(); ++l) {
+    for (offset_t p = levels.level_ptr[l]; p < levels.level_ptr[l + 1]; ++p) {
+      const index_t i = levels.order[static_cast<std::size_t>(p)];
+      out[l].rows += 1.0;
+      // Row i stores its in_degree(i) off-diagonals plus the diagonal.
+      out[l].nnz += levels.in_degree[static_cast<std::size_t>(i)] + 1.0;
+    }
+  }
+  return out;
+}
+
+/// The slowest party's gather time summed over levels: a w-party gang
+/// deals each level's rows round-robin, so a level lasts ceil(rows / w)
+/// of its average rows.
+double gang_work_ns(const std::vector<LevelLoad>& loads, double gather_ns,
+                    int width) {
+  double ns = 0.0;
+  for (const LevelLoad& l : loads) {
+    ns += std::ceil(l.rows / width) * (l.nnz / l.rows) * gather_ns;
+  }
+  return ns;
+}
+
+/// Flat level sets (cpu-levelset): every level pays one gang sync.
+double levelset_ns(const std::vector<LevelLoad>& loads,
+                   const sparse::HostCosts& costs, int width) {
+  return gang_work_ns(loads, costs.gather_ns_per_nnz, width) +
+         static_cast<double>(loads.size()) * costs.sync_ns(width);
+}
+
+/// The coarsened task graph (cpu-taskgraph, see sparse::coarsen_levels):
+/// a run of narrow levels is one sequential chain task, a wide level's
+/// block_rows-row blocks spread over the gang, and every chain and every
+/// wide level costs one hand-off.
+double taskgraph_ns(const std::vector<LevelLoad>& loads,
+                    const sparse::HostCosts& costs, int width,
+                    const sparse::CoarsenOptions& coarsen) {
+  double ns = 0.0;
+  bool in_chain = false;
+  for (const LevelLoad& l : loads) {
+    const double row_ns = l.nnz / l.rows * costs.gather_ns_per_nnz;
+    if (l.rows <= static_cast<double>(coarsen.narrow_width)) {
+      if (!in_chain) ns += costs.sync_ns(width);
+      in_chain = true;
+      ns += l.rows * row_ns;
+      continue;
+    }
+    in_chain = false;
+    const double block = static_cast<double>(coarsen.block_rows);
+    ns += std::ceil(std::ceil(l.rows / block) / width) *
+              std::min(l.rows, block) * row_ns +
+          costs.sync_ns(width);
+  }
+  return ns;
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Median wall time of `reps` calls of fn in ns, after one warm-up call
+/// (which also materializes a workspace's threads and scratch).
+template <typename F>
+double median_ns(int reps, F&& fn) {
+  fn();
+  std::vector<double> t(static_cast<std::size_t>(reps));
+  for (double& v : t) {
+    const auto t0 = Clock::now();
+    fn();
+    v = std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+  }
+  std::nth_element(t.begin(), t.begin() + reps / 2, t.end());
+  return t[static_cast<std::size_t>(reps / 2)];
+}
+
+/// Gang widths the calibration times: every width up to 8, then two per
+/// doubling (12, 16, 24, 32, ...), and the widest; the rest interpolate.
+bool timed_width(int w, int max_width) {
+  if (w <= 8 || w == max_width) return true;
+  int p = 8;
+  while (p * 2 <= w) p *= 2;
+  return w == p || w == p + p / 2;
+}
+
+/// Times the three host costs on the calibration factor, gang widths
+/// 2..max_width.
+sparse::HostCosts measure_host_costs(int max_width) {
+  // The calibration factor: the 7-point stencil's lower factor on a 16^3
+  // grid -- 4096 rows, 46 levels, ~15.6k nonzeros, cache resident. Its
+  // levels are tens to a few hundred rows, the regime where a barrier
+  // has to pay for itself.
+  const sparse::CscMatrix lower = sparse::gen_grid3d_lower(16, 16, 16);
+  const sparse::CsrMatrix rows = sparse::csr_from_csc(lower);
+  const sparse::LevelAnalysis levels =
+      sparse::analyze_levels(lower, /*validate=*/false);
+  const double nnz = static_cast<double>(lower.nnz());
+  const std::vector<value_t> b(static_cast<std::size_t>(lower.rows), 1.0);
+  std::vector<value_t> x(b.size());
+  constexpr int kReps = 9;
+
+  sparse::HostCosts costs;
+  costs.serial_ns_per_nnz =
+      median_ns(kReps, [&] { solve_lower_serial_pull(rows, b, 1, x); }) / nnz;
+  // The level-ordered gather with no sync at all: the whole level
+  // sequence as ONE chain task on one party.
+  const sparse::TaskGraph chain =
+      sparse::coarsen_levels(lower, levels, {levels.n, 0});
+  SolveWorkspace solo(1);
+  costs.gather_ns_per_nnz =
+      median_ns(kReps,
+                [&] {
+                  solve_lower_taskgraph_fused(chain, rows, b, 1, solo, x);
+                }) /
+      nnz;
+
+  // A real gang on the real level-set kernel: whatever the sweep costs
+  // beyond its slowest party's gather work is the per-level sync.
+  const std::vector<LevelLoad> loads = level_loads(levels);
+  costs.level_sync_ns.assign(
+      static_cast<std::size_t>(std::max(max_width, 1)) + 1, 0.0);
+  int prev = 0;  // last timed width
+  for (int w = 2; w <= max_width; ++w) {
+    if (!timed_width(w, max_width)) continue;
+    SolveWorkspace gang(w);
+    const double sweep = median_ns(kReps, [&] {
+      solve_lower_levelset_fused(rows, b, 1, levels, gang, x);
+    });
+    const double work = gang_work_ns(loads, costs.gather_ns_per_nnz, w);
+    costs.level_sync_ns[static_cast<std::size_t>(w)] =
+        std::max(0.0, (sweep - work) / levels.num_levels);
+    for (int v = prev + 1; prev >= 2 && v < w; ++v) {
+      const double f = static_cast<double>(v - prev) / (w - prev);
+      costs.level_sync_ns[static_cast<std::size_t>(v)] =
+          (1.0 - f) * costs.level_sync_ns[static_cast<std::size_t>(prev)] +
+          f * costs.level_sync_ns[static_cast<std::size_t>(w)];
+    }
+    prev = w;
+  }
+  return costs;
+}
+
+std::atomic<const sparse::HostCosts*> g_override{nullptr};
+
+}  // namespace
+
+const sparse::HostCosts& measured_host_costs() {
+  if (const sparse::HostCosts* o = g_override.load(std::memory_order_acquire)) {
+    return *o;
+  }
+  static const sparse::HostCosts costs =
+      measure_host_costs(resolve_cpu_threads(0));
+  return costs;
+}
+
+ScopedHostCosts::ScopedHostCosts(sparse::HostCosts costs)
+    : costs_(std::move(costs)),
+      previous_(g_override.exchange(&costs_, std::memory_order_acq_rel)) {}
+
+ScopedHostCosts::~ScopedHostCosts() {
+  g_override.store(previous_, std::memory_order_release);
+}
+
+TunedDecision autotune_decision(const sparse::LevelAnalysis& levels,
+                                const sparse::HostCosts& costs,
+                                int thread_budget) {
+  TunedDecision d;
+  d.autotuned = true;
+  d.backend = Backend::kSerial;
+  d.gang_width = 1;
+  const int widest = std::min(thread_budget, costs.max_width());
+  d.coarsen = sparse::resolve_coarsen_options({}, levels, costs, widest);
+  if (levels.n > 0 && widest >= 2) {
+    const std::vector<LevelLoad> loads = level_loads(levels);
+    // Serial's predicted time, discounted by the margin: the bar every
+    // parallel candidate has to clear.
+    double best_ns = static_cast<double>(levels.nnz) *
+                     costs.serial_ns_per_nnz / kParallelWinMargin;
+    for (int w = 2; w <= widest; ++w) {
+      const sparse::CoarsenOptions coarsen =
+          sparse::resolve_coarsen_options({}, levels, costs, w);
+      const double flat = levelset_ns(loads, costs, w);
+      if (flat < best_ns) {
+        best_ns = flat;
+        d.backend = Backend::kCpuLevelSet;
+        d.gang_width = w;
+        d.coarsen = coarsen;
+      }
+      const double graph = taskgraph_ns(loads, costs, w, coarsen);
+      if (graph < best_ns) {
+        best_ns = graph;
+        d.backend = Backend::kCpuTaskGraph;
+        d.gang_width = w;
+        d.coarsen = coarsen;
+      }
+    }
+  }
+  d.schedule = d.backend == Backend::kCpuTaskGraph ? 1 : 0;
+  d.features =
+      sparse::schedule_features(levels, levels.nnz, d.coarsen.narrow_width);
+  return d;
+}
+
+}  // namespace msptrsv::core

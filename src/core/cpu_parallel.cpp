@@ -1,5 +1,6 @@
 #include "core/cpu_parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -117,6 +118,41 @@ inline void gather_and_solve_interleaved(const sparse::CsrMatrix& rows,
   for (std::size_t r = 0; r < k; ++r) {
     xi[r] = (bi[r] - acc[r]) / diag;
   }
+}
+
+// ---- The serial backend: one natural-order pull sweep ----------------------
+
+/// Solves kBlock right-hand sides (column-major, column q of the block at
+/// b/x + q*n) in one ascending-row sweep. Each row gathers its
+/// dependencies in ascending column order into register accumulators
+/// that start at zero, then divides -- the exact operation sequence of
+/// gather_and_solve, so the bits match every parallel kernel.
+template <int kBlock>
+bool serial_pull_block(const sparse::CsrMatrix& rows, const value_t* b,
+                       value_t* x, std::size_t n, const CancelToken* cancel) {
+  // One clock read per ~4096 rows keeps the budget check invisible next
+  // to the gather work.
+  constexpr std::size_t kCancelStride = 4096;
+  const offset_t* row_ptr = rows.row_ptr.data();
+  const index_t* col_idx = rows.col_idx.data();
+  const value_t* val = rows.val.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cancel != nullptr && i % kCancelStride == 0 && cancel->cancelled()) {
+      return false;
+    }
+    // The diagonal terminates row i of a solvable lower factor.
+    const offset_t diag = row_ptr[i + 1] - 1;
+    value_t acc[kBlock] = {};
+    for (offset_t e = row_ptr[i]; e < diag; ++e) {
+      const std::size_t c = static_cast<std::size_t>(col_idx[e]);
+      const value_t lv = val[e];
+      for (int q = 0; q < kBlock; ++q) acc[q] += lv * x[q * n + c];
+    }
+    for (int q = 0; q < kBlock; ++q) {
+      x[q * n + i] = (b[q * n + i] - acc[q]) / val[diag];
+    }
+  }
+  return true;
 }
 
 // ---- Scheduling drivers, shared by both layouts ----------------------------
@@ -388,6 +424,42 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
 }
 
 }  // namespace
+
+bool solve_lower_serial_pull(const sparse::CsrMatrix& row_form,
+                             std::span<const value_t> b, index_t num_rhs,
+                             std::span<value_t> x, const CancelToken* cancel) {
+  const std::size_t n = static_cast<std::size_t>(row_form.rows);
+  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
+  MSPTRSV_REQUIRE(b.size() == n * static_cast<std::size_t>(num_rhs) &&
+                      x.size() == b.size(),
+                  "batch must be column-major n x num_rhs");
+  // Column blocks of up to four rhs, one full sweep each: four independent
+  // accumulator chains hide the add latency, and the row structure is
+  // streamed once per block instead of once per rhs.
+  constexpr index_t kMaxBlock = 4;
+  for (index_t r0 = 0; r0 < num_rhs; r0 += kMaxBlock) {
+    const std::size_t off = static_cast<std::size_t>(r0) * n;
+    const value_t* bb = b.data() + off;
+    value_t* xb = x.data() + off;
+    bool done = false;
+    switch (std::min(kMaxBlock, num_rhs - r0)) {
+      case 1:
+        done = serial_pull_block<1>(row_form, bb, xb, n, cancel);
+        break;
+      case 2:
+        done = serial_pull_block<2>(row_form, bb, xb, n, cancel);
+        break;
+      case 3:
+        done = serial_pull_block<3>(row_form, bb, xb, n, cancel);
+        break;
+      default:
+        done = serial_pull_block<4>(row_form, bb, xb, n, cancel);
+        break;
+    }
+    if (!done) return false;
+  }
+  return true;
+}
 
 bool solve_lower_taskgraph_fused(const sparse::TaskGraph& graph,
                                  const sparse::CsrMatrix& row_form,

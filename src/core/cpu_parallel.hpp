@@ -1,8 +1,10 @@
-// Real multi-threaded host backends.
+// Real host backends: the serial pull sweep and the multi-threaded
+// schedules.
 //
-// These are genuinely parallel implementations (std::thread + atomics), not
-// simulations: they validate the two parallelization strategies of
-// Section II under true races and feed the micro-benchmarks.
+// The parallel ones are genuinely parallel implementations (std::thread +
+// atomics), not simulations: they validate the two parallelization
+// strategies of Section II under true races and feed the
+// micro-benchmarks.
 //
 //  * level-set: one barrier per level, components of a level split across
 //    threads (Naumov's strategy);
@@ -22,7 +24,9 @@
 // traffic is the sync-free per-edge delivery increment, and that is paid
 // once per edge per BATCH. A pleasant corollary: the per-rhs summation
 // order is the ascending-column row order, independent of thread count and
-// of the batch width, so fused and looped results agree bit-for-bit.
+// of the batch width, so fused and looped results agree bit-for-bit -- and
+// the serial backend, the same gather swept once in natural row order on
+// one party, agrees with all of them.
 //
 // The fused kernels solve all `num_rhs` right-hand sides of a batch in one
 // dependency resolution and one sweep over the structure, with the
@@ -49,6 +53,19 @@
 #include "sparse/task_graph.hpp"
 
 namespace msptrsv::core {
+
+/// The serial backend: one pull sweep over the row form in ascending row
+/// order, each row gathered in ascending column order from zero -- the
+/// same per-row arithmetic as every parallel kernel below, so serial,
+/// cpu-levelset, cpu-syncfree and cpu-taskgraph agree bit for bit. A
+/// batch runs in column blocks of up to four rhs, one sweep per block
+/// with register accumulators. `b`/`x` are column-major n x num_rhs.
+/// `cancel` (may be null) is checked every few thousand rows; returns
+/// false -- `x` partially written -- when it fires.
+bool solve_lower_serial_pull(const sparse::CsrMatrix& row_form,
+                             std::span<const value_t> b, index_t num_rhs,
+                             std::span<value_t> x,
+                             const CancelToken* cancel = nullptr);
 
 /// Fused level-set forward substitution for `num_rhs` right-hand sides.
 /// `row_form` is the CSR view of the lower factor

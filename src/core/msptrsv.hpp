@@ -20,6 +20,7 @@
 //   // one-shot: core::SolveResult r1 = core::solve(L, b, opt);
 #pragma once
 
+#include "core/autotune.hpp"
 #include "core/cpu_parallel.hpp"
 #include "core/levelset.hpp"
 #include "core/mg_engine.hpp"

@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/autotune.hpp"
 #include "core/comm_nvshmem.hpp"
 #include "core/comm_unified.hpp"
 #include "core/cpu_parallel.hpp"
@@ -35,21 +36,6 @@ double seconds_since(steady_clock::time_point t0) {
 double us_since(steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(steady_clock::now() - t0)
       .count();
-}
-
-/// Structural reversal U(i,j) -> L(n-1-i, n-1-j) without the throwing
-/// validation of reverse_upper_to_lower: the plan diagnoses the result
-/// through the status channel instead.
-sparse::CscMatrix reverse_upper_unchecked(const sparse::CscMatrix& upper) {
-  const index_t n = upper.rows;
-  sparse::CooMatrix coo;
-  coo.rows = coo.cols = n;
-  for (index_t j = 0; j < upper.cols; ++j) {
-    for (offset_t k = upper.col_ptr[j]; k < upper.col_ptr[j + 1]; ++k) {
-      coo.add(n - 1 - upper.row_idx[k], n - 1 - j, upper.val[k]);
-    }
-  }
-  return sparse::csc_from_coo(std::move(coo));
 }
 
 /// What a fired token means for the caller: a passed deadline is the
@@ -101,51 +87,18 @@ bool backend_is_host_parallel(Backend b) {
          b == Backend::kCpuTaskGraph;
 }
 
-/// The analyze-time schedule autotuner. Inputs are purely structural
-/// (level-width histogram, chain-run lengths, nnz/row), so the decision
-/// is deterministic for a matrix + thread budget and can be persisted.
-/// The rules follow the cost model the coarsener itself uses:
-///  * no level ever exceeds the narrow threshold -> there is nothing for
-///    a gang to win anywhere; solve serially (gang width 1);
-///  * mostly narrow levels with real depth -> the flat schedule pays a
-///    gang synchronization per (nearly empty) level; run the coarsened
-///    task graph, whose chain fusion collapses those syncs;
-///  * otherwise -> wide levels amortize their barrier; flat level sets.
-/// Every candidate is bit-for-bit identical, so the tuner can only cost
-/// or save time, never change results.
-TunedDecision autotune_decision(const sparse::CscMatrix& lower,
-                                const sparse::LevelAnalysis& levels,
-                                int requested_threads) {
-  TunedDecision d;
-  d.autotuned = true;
-  d.coarsen = sparse::resolve_coarsen_options({}, levels);
-  d.features =
-      sparse::schedule_features(levels, lower.nnz(), d.coarsen.narrow_width);
-  const sparse::ScheduleFeatures& f = d.features;
-  const int hw = resolve_cpu_threads(requested_threads);
-  if (lower.rows <= 256 ||
-      (f.max_level_width <= d.coarsen.narrow_width &&
-       f.avg_level_width < 2.0)) {
-    // Tiny system, or a pure chain with no exploitable width anywhere:
-    // every parallel schedule only adds claim/barrier overhead.
-    d.backend = Backend::kSerial;
-    d.gang_width = 1;
-  } else if (f.narrow_level_fraction >= 0.5 && f.num_levels >= 64) {
-    d.backend = Backend::kCpuTaskGraph;
-    // Ready tasks at any instant are bounded by the widest level's block
-    // count (chains serialize); one spare party overlaps claim latency.
-    const double blocks = static_cast<double>(f.max_level_width) /
-                          static_cast<double>(d.coarsen.block_rows);
-    d.gang_width = std::clamp(static_cast<int>(blocks) + 2, 2, hw);
-  } else {
-    d.backend = Backend::kCpuLevelSet;
-    // A gang wider than the average level leaves parties idle at every
-    // barrier; clamp to the structural parallelism.
-    d.gang_width =
-        std::clamp(static_cast<int>(f.avg_level_width + 0.5), 2, hw);
-  }
-  d.schedule = d.backend == Backend::kCpuTaskGraph ? 1 : 0;
-  return d;
+/// The host backends that solve through the row-form gather view: serial
+/// (the natural-order pull sweep) and every host-parallel schedule.
+bool backend_uses_row_form(Backend b) {
+  return b == Backend::kSerial || backend_is_host_parallel(b);
+}
+
+/// Coarsening thresholds for a cpu-taskgraph plan that has no pinned
+/// ones: the narrow cut this process's measured costs give its gang.
+sparse::CoarsenOptions measured_coarsening(const sparse::LevelAnalysis& levels,
+                                           int cpu_threads) {
+  return sparse::resolve_coarsen_options({}, levels, measured_host_costs(),
+                                         resolve_cpu_threads(cpu_threads));
 }
 
 }  // namespace
@@ -242,7 +195,8 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
     sparse::LevelAnalysis levels =
         sparse::analyze_levels(lower, /*validate=*/false);
     TunedDecision tuned =
-        autotune_decision(lower, levels, options.cpu_threads);
+        autotune_decision(levels, measured_host_costs(),
+                          resolve_cpu_threads(options.cpu_threads));
     st->options.backend = tuned.backend;
     st->options.cpu_threads = tuned.gang_width;
     st->snapshot.tuned = tuned;
@@ -297,26 +251,29 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
                     "unrecognized backend enumerator");
   }
 
-  // Host-parallel backends solve on plan-owned persistent workspaces
-  // (parked threads, reusable scratch) and gather through a row-form view
-  // of the factor, both built here once. The pool is lazy: workspaces
-  // (and their threads) materialize on first solve, one per concurrent
-  // caller.
-  if (backend_is_host_parallel(options.backend)) {
+  // Every host backend gathers through a row-form view of the factor,
+  // built here once. It snapshots the values, so update_values rebuilds
+  // it and a borrowed plan does not see in-place value edits.
+  if (backend_uses_row_form(options.backend)) {
     st->snapshot.row_form = sparse::csr_from_csc(lower);
     apply_numa_hints(options, st->snapshot);
+  }
+  // Host-parallel backends solve on plan-owned persistent workspaces
+  // (parked threads, reusable scratch). The pool is lazy: workspaces (and
+  // their threads) materialize on first solve, one per concurrent caller.
+  if (backend_is_host_parallel(options.backend)) {
     if (options.backend == Backend::kCpuTaskGraph) {
       // Every cpu-taskgraph plan carries a tuned record, autotuned or not:
       // the coarsening thresholds in it are what the load path rebuilds
-      // the graph from (the sync-cost measurement behind the defaults is
-      // per-process and must not be re-derived on another machine).
+      // the graph from (the measured costs behind them are per-process
+      // and must not be re-derived on another machine).
       if (!st->snapshot.tuned.has_value()) {
         TunedDecision tuned;
         tuned.backend = Backend::kCpuTaskGraph;
         tuned.schedule = 1;
         tuned.gang_width = options.cpu_threads;
         tuned.coarsen =
-            sparse::resolve_coarsen_options({}, *st->snapshot.levels);
+            measured_coarsening(*st->snapshot.levels, options.cpu_threads);
         tuned.features = sparse::schedule_features(
             *st->snapshot.levels, lower.nnz(), tuned.coarsen.narrow_width);
         st->snapshot.tuned = tuned;
@@ -400,7 +357,7 @@ Expected<SolverPlan> SolverPlan::analyze_upper(sparse::CscMatrix upper,
   const auto t0 = steady_clock::now();
   auto st = std::make_shared<State>();
   st->options = std::move(options);
-  st->storage = reverse_upper_unchecked(upper);
+  st->storage = reverse_upper_to_lower_prevalidated(upper);
   st->lower = &st->storage;
   Expected<std::shared_ptr<State>> built = analyze_state(std::move(st));
   if (!built.ok()) return Expected<SolverPlan>(built.error());
@@ -456,32 +413,13 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
       static_cast<std::size_t>(lower.rows) * static_cast<std::size_t>(num_rhs);
   switch (st.options.backend) {
     case Backend::kSerial: {
-      const auto t0 = steady_clock::now();
       out.x.resize(total);
-      if (interleave) {
-        // The serial backend has no workspace; per-batch vectors stand in
-        // for the panels (steady-state serial batches are rare enough
-        // that an owned panel cache is not worth a workspace pool).
-        std::vector<value_t> panel_b(total);
-        std::vector<value_t> panel_x(total);
-        pack_interleaved(b, lower.rows, num_rhs, panel_b.data());
-        scratch.pack_us += us_since(t0);
-        const auto tk = steady_clock::now();
-        if (!solve_lower_serial_fused_interleaved(lower, panel_b.data(),
-                                                  num_rhs, cancel,
-                                                  panel_x.data())) {
-          return cancel_error(*cancel);
-        }
-        scratch.kernel_us += us_since(tk);
-        const auto tu = steady_clock::now();
-        unpack_interleaved(panel_x.data(), lower.rows, num_rhs, out.x);
-        scratch.unpack_us += us_since(tu);
-      } else if (!solve_lower_serial_fused(lower, b, num_rhs, cancel,
-                                           out.x)) {
+      const auto t0 = steady_clock::now();
+      if (!solve_lower_serial_pull(*st.snapshot.row_form, b, num_rhs, out.x,
+                                   cancel)) {
         return cancel_error(*cancel);
-      } else {
-        scratch.kernel_us += us_since(t0);
       }
+      scratch.kernel_us += us_since(t0);
       out.wall_seconds = seconds_since(t0);
       out.report.solver_name = backend_name(st.options.backend);
       out.report.machine_name = "host";
@@ -777,9 +715,9 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
     return Expected<bool>(
         SolveStatus::kInvalidOptions,
         "update_values requires an owning plan; a borrowed plan reads the "
-        "caller's matrix -- update its values in place instead (host-parallel "
-        "backends snapshot values into the row form at analysis, re-analyze "
-        "there)");
+        "caller's matrix -- update its values in place instead (every host "
+        "backend, serial included, snapshots values into the row form at "
+        "analysis: re-analyze there)");
   }
   const offset_t nnz = st.storage.nnz();
   if (values.size() != static_cast<std::size_t>(nnz)) {
@@ -1086,34 +1024,41 @@ Expected<SolverPlan> SolverPlan::restore(
     snap.partition = partition_for(options, n);
   }
 
-  // Row-form view for the host-parallel gather: lean (v2) blobs do not
-  // carry it, so rebuild it from the resolved factor -- one O(nnz)
-  // transpose, the same memory-speed pass analyze pays. Fat blobs (v1,
-  // or v2 written with include_row_form) keep their stored copy; the
-  // borrowed value-refresh above already re-synced it when needed.
-  if (n > 0 && backend_is_host_parallel(options.backend) &&
+  // Row-form view for the host gather: lean (v2+) blobs do not carry it,
+  // nor do serial plans in any older blob, so rebuild it from the
+  // resolved factor -- one O(nnz) transpose, the same memory-speed pass
+  // analyze pays. Fat blobs (v1, or v2 written with include_row_form)
+  // keep their stored copy; the borrowed value-refresh above already
+  // re-synced it when needed.
+  if (n > 0 && backend_uses_row_form(options.backend) &&
       !snap.row_form.has_value()) {
     snap.row_form = sparse::csr_from_csc(*st->lower);
   }
 
   // The task DAG is never serialized (like the lean row form): rebuild it
   // from the stored levels under the PERSISTED coarsening thresholds --
-  // the defaults embed a per-process sync-cost measurement, and the graph
-  // the plan runs must be the graph the analysis chose.
+  // they came from the analyzing process's measured costs, and the graph
+  // the plan runs must be the graph the analysis chose. Only a record
+  // without them falls back to this process's costs.
   if (n > 0 && options.backend == Backend::kCpuTaskGraph) {
-    const sparse::CoarsenOptions coarsen =
+    sparse::CoarsenOptions coarsen =
         snap.tuned.has_value() ? snap.tuned->coarsen : sparse::CoarsenOptions{};
+    if (coarsen.narrow_width == 0) {
+      coarsen.narrow_width =
+          measured_coarsening(*snap.levels, options.cpu_threads).narrow_width;
+    }
     snap.tasks = sparse::coarsen_levels(*st->lower, *snap.levels, coarsen);
   }
 
-  // RHS layout: explicit options win; otherwise trust the stored resolved
-  // value; v1 blobs (which deserialize as kAuto) re-resolve by backend,
-  // which reproduces exactly what v1-era plans did implicitly.
-  if (options.rhs_layout != RhsLayout::kAuto) {
-    snap.rhs_layout = resolve_rhs_layout(options.rhs_layout, options.backend);
-  } else if (snap.rhs_layout == RhsLayout::kAuto) {
-    snap.rhs_layout = resolve_rhs_layout(RhsLayout::kAuto, options.backend);
-  }
+  // RHS layout: explicit options win; otherwise the stored resolved value;
+  // v1 blobs (which deserialize as kAuto) re-resolve by backend. Either
+  // way the value passes through resolution again, which clamps layouts a
+  // backend no longer runs (an interleaved serial plan from an older blob
+  // solves column-major).
+  snap.rhs_layout = resolve_rhs_layout(
+      options.rhs_layout != RhsLayout::kAuto ? options.rhs_layout
+                                             : snap.rhs_layout,
+      options.backend);
 
   apply_numa_hints(options, snap);
 

@@ -85,6 +85,8 @@ class SolverPlan {
   /// to `lower`, which must outlive the plan (the cuSPARSE handle
   /// contract). Use when the factor is large and already owned elsewhere;
   /// the one-shot core::solve wrappers use this for their throwaway plans.
+  /// The host backends (serial included) still copy the VALUES into their
+  /// row form here, so later in-place edits of `lower` need a re-analysis.
   static Expected<SolverPlan> analyze_borrowed(const sparse::CscMatrix& lower,
                                                SolveOptions options);
 
@@ -135,10 +137,11 @@ class SolverPlan {
   /// mapping internally). Rejects kShapeMismatch when values.size() !=
   /// nnz, kSingularDiagonal (before mutating) when a new diagonal entry
   /// is zero, and kInvalidOptions on borrowed plans -- a borrowed plan
-  /// reads the caller's matrix, so update it in place instead (except on
-  /// the host-parallel backends, which snapshot values into the cached
-  /// row form at analysis: re-analyze there). NOT safe concurrently with
-  /// solve()/solve_batch(); values are shared by every copy of this plan.
+  /// reads the caller's matrix, so update it in place instead on the
+  /// simulated backends; every host backend, serial included, snapshots
+  /// values into the cached row form at analysis: re-analyze there. NOT
+  /// safe concurrently with solve()/solve_batch(); values are shared by
+  /// every copy of this plan.
   Expected<bool> update_values(std::span<const value_t> values);
 
   /// As the span overload, but sparsity-checks `m` against the cached

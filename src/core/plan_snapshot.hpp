@@ -46,10 +46,12 @@ struct TunedDecision {
   /// Chosen gang width (SolveOptions::cpu_threads semantics; 0 = hw).
   int gang_width = 0;
   /// Coarsening thresholds the task graph was (or would be) built with.
-  /// Pinned in the blob: the per-process sync-cost measurement may differ
-  /// on the loading machine, and the rebuilt graph must be THIS one.
+  /// Pinned in the blob: the per-process host-cost measurement may
+  /// differ on the loading machine, and the rebuilt graph must be THIS
+  /// one.
   sparse::CoarsenOptions coarsen;
-  /// Structural features the decision was made from (observability).
+  /// Structural features of the factor at the recorded narrow cut
+  /// (observability).
   sparse::ScheduleFeatures features;
 };
 

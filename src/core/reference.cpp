@@ -38,31 +38,16 @@ std::vector<value_t> solve_lower_serial_prevalidated(
 std::vector<value_t> solve_lower_serial_fused(const sparse::CscMatrix& lower,
                                               std::span<const value_t> b,
                                               index_t num_rhs) {
-  std::vector<value_t> x(static_cast<std::size_t>(lower.rows) *
-                         static_cast<std::size_t>(num_rhs));
-  solve_lower_serial_fused(lower, b, num_rhs, nullptr, x);
-  return x;
-}
-
-bool solve_lower_serial_fused(const sparse::CscMatrix& lower,
-                              std::span<const value_t> b, index_t num_rhs,
-                              const CancelToken* cancel,
-                              std::span<value_t> x) {
   const index_t n = lower.rows;
   const std::size_t un = static_cast<std::size_t>(n);
   const std::size_t k = static_cast<std::size_t>(num_rhs);
-  MSPTRSV_REQUIRE(num_rhs >= 1 && b.size() == un * k && x.size() == b.size(),
+  MSPTRSV_REQUIRE(num_rhs >= 1 && b.size() == un * k,
                   "batch must be column-major n x num_rhs");
-  // Check stride: one clock read per ~4096 components keeps the budget
-  // check invisible next to the gather work.
-  constexpr index_t kCancelStride = 4096;
+  std::vector<value_t> x(un * k);
   // Component-major accumulators keep the per-component RHS sweep
   // contiguous (and vectorizable: no atomics on the serial path).
   std::vector<value_t> left_sum(un * k, 0.0);
   for (index_t i = 0; i < n; ++i) {
-    if (cancel != nullptr && (i % kCancelStride) == 0 && cancel->cancelled()) {
-      return false;
-    }
     const offset_t d = lower.col_ptr[i];
     const value_t diag = lower.val[d];
     value_t* acc = left_sum.data() + static_cast<std::size_t>(i) * k;
@@ -79,46 +64,7 @@ bool solve_lower_serial_fused(const sparse::CscMatrix& lower,
       }
     }
   }
-  return true;
-}
-
-bool solve_lower_serial_fused_interleaved(const sparse::CscMatrix& lower,
-                                          const value_t* b, index_t num_rhs,
-                                          const CancelToken* cancel,
-                                          value_t* x) {
-  const index_t n = lower.rows;
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  constexpr index_t kCancelStride = 4096;
-  // The accumulators were already component-major in the column-major
-  // sweep; with the panels interleaved too, EVERY loop below is
-  // unit-stride and the compiler's vectorizer (plus omp simd) gets
-  // straight-line contiguous arithmetic.
-  std::vector<value_t> left_sum(static_cast<std::size_t>(n) * k, 0.0);
-  for (index_t i = 0; i < n; ++i) {
-    if (cancel != nullptr && (i % kCancelStride) == 0 && cancel->cancelled()) {
-      return false;
-    }
-    const offset_t d = lower.col_ptr[i];
-    const value_t diag = lower.val[d];
-    const value_t* acc = left_sum.data() + static_cast<std::size_t>(i) * k;
-    const value_t* bi = b + static_cast<std::size_t>(i) * k;
-    value_t* xi = x + static_cast<std::size_t>(i) * k;
-#pragma omp simd
-    for (std::size_t r = 0; r < k; ++r) {
-      xi[r] = (bi[r] - acc[r]) / diag;
-    }
-    for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
-      const value_t lv = lower.val[e];
-      value_t* dep =
-          left_sum.data() + static_cast<std::size_t>(lower.row_idx[e]) * k;
-#pragma omp simd
-      for (std::size_t r = 0; r < k; ++r) {
-        dep[r] += lv * xi[r];
-      }
-    }
-  }
-  return true;
+  return x;
 }
 
 void pack_interleaved(std::span<const value_t> column_major, index_t n,
@@ -148,7 +94,8 @@ void unpack_interleaved(const value_t* panel, index_t n, index_t num_rhs,
 
 std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,
                                         std::span<const value_t> b) {
-  MSPTRSV_REQUIRE(upper.is_square(), "triangular solve requires a square matrix");
+  MSPTRSV_REQUIRE(upper.is_square(),
+                  "triangular solve requires a square matrix");
   MSPTRSV_REQUIRE(sparse::is_upper_triangular(upper),
                   "solve_upper_serial expects an upper-triangular matrix");
   MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(upper.rows),
@@ -175,18 +122,36 @@ std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,
 }
 
 sparse::CscMatrix reverse_upper_to_lower(const sparse::CscMatrix& upper) {
+  MSPTRSV_REQUIRE(upper.is_square(), "triangular solve requires a square matrix");
+  upper.validate();
   MSPTRSV_REQUIRE(sparse::is_upper_triangular(upper),
                   "reverse_upper_to_lower expects an upper-triangular matrix");
-  const index_t n = upper.rows;
-  sparse::CooMatrix coo;
-  coo.rows = coo.cols = n;
-  for (index_t j = 0; j < upper.cols; ++j) {
-    for (offset_t k = upper.col_ptr[j]; k < upper.col_ptr[j + 1]; ++k) {
-      coo.add(n - 1 - upper.row_idx[k], n - 1 - j, upper.val[k]);
-    }
-  }
-  sparse::CscMatrix lower = sparse::csc_from_coo(std::move(coo));
+  sparse::CscMatrix lower = reverse_upper_to_lower_prevalidated(upper);
   sparse::require_solvable_lower(lower);
+  return lower;
+}
+
+sparse::CscMatrix reverse_upper_to_lower_prevalidated(
+    const sparse::CscMatrix& upper) {
+  const index_t n = upper.rows;
+  sparse::CscMatrix lower;
+  lower.rows = lower.cols = n;
+  lower.col_ptr.resize(static_cast<std::size_t>(n) + 1);
+  lower.row_idx.resize(upper.row_idx.size());
+  lower.val.resize(upper.val.size());
+  // Upper column j, its rows mirrored (i -> n-1-i) and walked backwards,
+  // is lower column n-1-j -- already sorted, so no COO round trip.
+  lower.col_ptr[0] = 0;
+  offset_t out = 0;
+  for (index_t c = 0; c < n; ++c) {
+    const index_t j = n - 1 - c;
+    for (offset_t k = upper.col_ptr[j + 1]; k-- > upper.col_ptr[j];) {
+      lower.row_idx[static_cast<std::size_t>(out)] = n - 1 - upper.row_idx[k];
+      lower.val[static_cast<std::size_t>(out)] = upper.val[k];
+      ++out;
+    }
+    lower.col_ptr[static_cast<std::size_t>(c) + 1] = out;
+  }
   return lower;
 }
 

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "core/cancel.hpp"
 #include "sparse/csc.hpp"
 
 namespace msptrsv::core {
@@ -25,32 +24,12 @@ std::vector<value_t> solve_lower_serial_prevalidated(
 /// all `num_rhs` right-hand sides (`b` column-major n x num_rhs, result in
 /// the same layout). For each rhs the floating-point operation order is
 /// identical to solve_lower_serial_prevalidated, so fused and looped
-/// execution agree bit-for-bit. No input validation (plan path).
+/// execution agree bit-for-bit. No input validation. The simulated
+/// gpu-levelset backend's numeric pass; the serial plan backend runs the
+/// pull sweep instead (solve_lower_serial_pull in cpu_parallel.hpp).
 std::vector<value_t> solve_lower_serial_fused(const sparse::CscMatrix& lower,
                                               std::span<const value_t> b,
                                               index_t num_rhs);
-
-/// Cancellable form of the fused serial sweep: writes into `x` (sized
-/// n*num_rhs by the caller) and checks `cancel` every few thousand
-/// components. Returns false -- with `x` partially written, contents
-/// unspecified -- when the token fires mid-solve. `cancel` may be null.
-bool solve_lower_serial_fused(const sparse::CscMatrix& lower,
-                              std::span<const value_t> b, index_t num_rhs,
-                              const CancelToken* cancel,
-                              std::span<value_t> x);
-
-/// Interleaved-panel form of the fused serial sweep: `b` and `x` are
-/// component-major n x num_rhs panels (entry i of rhs r at [i*num_rhs + r],
-/// see RhsLayout::kInterleaved in solver.hpp), so every inner loop --
-/// accumulator read, solve, fan-out update -- is unit-stride over the RHS
-/// dimension. The per-rhs floating-point operation ORDER is identical to
-/// the column-major sweep above, so the two layouts (and looped single
-/// solves) agree bit-for-bit; only the addresses differ. Same cancel
-/// contract as the column-major form.
-bool solve_lower_serial_fused_interleaved(const sparse::CscMatrix& lower,
-                                          const value_t* b, index_t num_rhs,
-                                          const CancelToken* cancel,
-                                          value_t* x);
 
 /// Transposes a column-major n x num_rhs batch (entry i of rhs r at
 /// [r*n + i]) into a component-major panel ([i*num_rhs + r]). The one
@@ -71,8 +50,18 @@ std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,
 /// Reduction of Ux = b to the lower-triangular form every parallel backend
 /// consumes: reverse-order both dimensions (L'(i,j) = U(n-1-i, n-1-j)),
 /// solve L'x' = b', undo the reversal. Exposed so callers can run backward
-/// substitution through any multi-GPU backend.
+/// substitution through any multi-GPU backend. Throws PreconditionError
+/// unless `upper` is a valid upper-triangular CSC matrix whose reversal
+/// is solvable.
 sparse::CscMatrix reverse_upper_to_lower(const sparse::CscMatrix& upper);
+
+/// The same reversal with no validation, one O(nnz) pass: `upper` must
+/// be square, upper triangular, with sorted unique rows per column
+/// (CscMatrix::validate); the result then has sorted columns too.
+/// SolverPlan::analyze_upper diagnoses its input through the status
+/// channel first and calls this.
+sparse::CscMatrix reverse_upper_to_lower_prevalidated(
+    const sparse::CscMatrix& upper);
 
 /// Reverses a vector (the rhs/solution transform that pairs with
 /// reverse_upper_to_lower).

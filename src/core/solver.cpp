@@ -30,20 +30,20 @@ std::string rhs_layout_name(RhsLayout layout) {
 }
 
 RhsLayout resolve_rhs_layout(RhsLayout requested, Backend backend) {
-  // The simulated backends have no panel path: their numeric pass is the
-  // serial reference and their cost is an event simulation, so an
-  // interleaved request is clamped rather than rejected.
-  if (is_simulated(backend)) return RhsLayout::kColumnMajor;
+  // Only the parallel host kernels have a panel path. The simulated
+  // backends' numeric pass is the serial reference and their cost an
+  // event simulation; the serial backend's pull sweep already keeps a
+  // block of up to four rhs in registers, so a panel would only add the
+  // pack/unpack transposes. An interleaved request on any of them is
+  // clamped rather than rejected.
+  if (is_simulated(backend) || backend == Backend::kSerial) {
+    return RhsLayout::kColumnMajor;
+  }
   if (requested != RhsLayout::kAuto) return requested;
-  // Auto: interleave only where the panel pays for its transposes -- the
-  // PULL-based parallel host kernels, whose per-dependency gather reads a
-  // k-vector per nonzero (strided by n in column-major, one contiguous
-  // axpy interleaved). The serial sweep is PUSH-based with component-major
-  // accumulators already, so its hot fan-out loop is unit-stride in either
-  // layout and the pack/unpack would be pure overhead (measured ~2x at 16
-  // RHS); it stays column-major unless explicitly asked.
-  return backend == Backend::kSerial ? RhsLayout::kColumnMajor
-                                     : RhsLayout::kInterleaved;
+  // Auto: interleave, where the panel pays for its transposes -- the
+  // per-dependency gather reads a k-vector per nonzero (strided by n in
+  // column-major, one contiguous axpy interleaved).
+  return RhsLayout::kInterleaved;
 }
 
 bool is_simulated(Backend b) {

@@ -2,7 +2,8 @@
 //
 // Backends map one-to-one onto the design points of the paper's Fig. 7
 // plus the host baselines:
-//   kSerial         Algorithm 1 (host reference)
+//   kSerial         natural-order pull sweep on the host (Algorithm 1's
+//                   arithmetic, gathered per row)
 //   kCpuLevelSet    real-thread level-set (Naumov on the host)
 //   kCpuSyncFree    real-thread sync-free (Liu on the host)
 //   kCpuTaskGraph   real-thread coarsened task DAG (chain-fused levels)
@@ -48,10 +49,10 @@ enum class Backend {
 /// the layout only selects what the kernels iterate over internally.
 enum class RhsLayout : std::uint8_t {
   /// Resolved at analyze time: interleaved for the parallel host
-  /// backends (their pull-based per-dependency gather runs over the RHS
-  /// dimension), column-major for the serial sweep (push-based, already
-  /// unit-stride; see resolve_rhs_layout) and the simulated backends.
-  /// The resolved choice is persisted in the plan snapshot.
+  /// backends (their per-dependency gather runs over the RHS dimension),
+  /// column-major for the serial pull sweep (it blocks up to four rhs in
+  /// registers instead; see resolve_rhs_layout) and the simulated
+  /// backends. The resolved choice is persisted in the plan snapshot.
   kAuto = 0,
   /// Kernels read b/x column-major directly: entry i of rhs r at
   /// [r*n + i]. Zero transposition cost, but the per-component inner RHS
@@ -70,9 +71,8 @@ enum class RhsLayout : std::uint8_t {
 /// Human-readable layout name ("auto" / "column-major" / "interleaved").
 std::string rhs_layout_name(RhsLayout layout);
 
-/// Resolves kAuto against a backend (parallel host backends interleave;
-/// the serial sweep and the simulated backends stay column-major) and
-/// clamps an explicit kInterleaved request on a simulated backend back to
+/// Resolves kAuto against a backend (parallel host backends interleave)
+/// and clamps every request on the serial and simulated backends to
 /// kColumnMajor (those kernels have no panel path). Never returns kAuto.
 RhsLayout resolve_rhs_layout(RhsLayout requested, Backend backend);
 
@@ -132,10 +132,12 @@ struct SolveOptions {
   /// test per solve).
   double time_budget = 0.0;
   /// Analyze-time schedule autotuner (registry preset "auto"): the
-  /// symbolic phase extracts structural features from the level analysis
-  /// (level-width histogram, chain-run lengths, nnz/row), picks the host
-  /// backend + schedule (flat levels vs coarsened task graph) + gang
-  /// width, and OVERWRITES `backend`/`cpu_threads` with the decision.
+  /// symbolic phase predicts the k = 1 solve time of serial, flat levels
+  /// and the coarsened task graph at every gang width from the level
+  /// structure and host costs measured once per process (core/autotune),
+  /// keeps serial unless a parallel schedule wins by a fixed margin, and
+  /// OVERWRITES `backend`/`cpu_threads` with the decision. `cpu_threads`
+  /// is the thread budget going in; a budget of one is always serial.
   /// The choice and its features are recorded in the plan snapshot
   /// (SolverPlan::tuned()) and persist through v3 plan blobs; loading a
   /// blob with autotune set adopts the stored decision instead of

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <optional>
 #include <utility>
@@ -29,7 +30,8 @@ struct SolveServer::Connection {
   std::thread reader;
   std::thread pump;
 
-  /// Solve replies in flight: the reader submits, the pump completes.
+  /// Replies in flight, answered strictly in arrival order: the reader
+  /// submits, the pump completes.
   struct Pending {
     std::uint64_t request_id = 0;
     std::future<service::SolveService::Reply> reply;
@@ -38,6 +40,10 @@ struct SolveServer::Connection {
     /// thread-local context of its own.
     support::trace::TraceId trace_id{};
     std::uint64_t parent_span = 0;
+    /// Set instead of `reply` for a control answer that must observe
+    /// everything the pump did for EARLIER requests (a trace dump sees
+    /// their reply spans): encoded by the pump when its turn comes.
+    std::function<std::vector<std::uint8_t>()> deferred;
   };
   std::mutex pump_mutex;
   std::condition_variable pump_cv;
@@ -236,6 +242,10 @@ void SolveServer::pump_loop(const std::shared_ptr<Connection>& conn) {
       }
       next = std::move(conn->pump_queue.front());
       conn->pump_queue.pop_front();
+    }
+    if (next.deferred) {
+      write_reply(*conn, next.deferred());
+      continue;
     }
     service::SolveService::Reply reply = next.reply.get();
     if (reply.ok()) {
@@ -482,7 +492,7 @@ void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   {
     std::lock_guard<std::mutex> lock(conn.pump_mutex);
     conn.pump_queue.push_back({head.request_id, std::move(reply),
-                               frame.trace_id, submit.parent_span});
+                               frame.trace_id, submit.parent_span, {}});
   }
   conn.pump_cv.notify_one();
 }
@@ -498,22 +508,34 @@ void SolveServer::handle_trace_dump(Connection& conn, FrameHead& head) {
   }
   // Served even when span recording is compiled out or disarmed: the
   // reply is then an empty trace document, which a stitching router
-  // treats the same as "this shard saw nothing".
-  TraceDumpOkFrame ok;
-  ok.request_id = head.request_id;
-  if (!frame.value().filter.empty()) {
-    support::trace::TraceId id{};
-    (void)support::trace::trace_id_parse(frame.value().filter, &id);
-    ok.json = support::trace::trace_collect_json(id);
-  } else {
-    ok.json = support::trace::trace_collect_json();
+  // treats the same as "this shard saw nothing". Answered by the pump,
+  // FIFO behind this connection's earlier solves: the pump records each
+  // solve's net.reply span after flushing it, so a dump requested after
+  // a reply arrived must not be collected before that span exists.
+  auto collect = [request_id = head.request_id,
+                  filter = std::move(frame.value().filter),
+                  include_slow = frame.value().include_slow] {
+    TraceDumpOkFrame ok;
+    ok.request_id = request_id;
+    if (!filter.empty()) {
+      support::trace::TraceId id{};
+      (void)support::trace::trace_id_parse(filter, &id);
+      ok.json = support::trace::trace_collect_json(id);
+    } else {
+      ok.json = support::trace::trace_collect_json();
+    }
+    ok.slow_json = include_slow ? support::trace::trace_slow_json()
+                                : std::string("{\"traceEvents\":[]}");
+    return encode_trace_dump_ok(ok);
+  };
+  {
+    std::lock_guard<std::mutex> lock(conn.pump_mutex);
+    Connection::Pending pending;
+    pending.request_id = head.request_id;
+    pending.deferred = std::move(collect);
+    conn.pump_queue.push_back(std::move(pending));
   }
-  if (frame.value().include_slow) {
-    ok.slow_json = support::trace::trace_slow_json();
-  } else {
-    ok.slow_json = "{\"traceEvents\":[]}";
-  }
-  write_reply(conn, encode_trace_dump_ok(ok));
+  conn.pump_cv.notify_one();
 }
 
 void SolveServer::handle_stats(Connection& conn, FrameHead& head) {

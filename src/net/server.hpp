@@ -3,12 +3,14 @@
 //
 // Threading model, per connection:
 //  * a READER thread decodes frames and dispatches them. Control frames
-//    (hello, open, stats, drain) are answered inline; solve frames are
-//    submitted to the service and their futures queued to...
+//    (hello, open, stats, drain, ping) are answered inline; solve frames
+//    are submitted to the service and their futures queued to...
 //  * ...a COMPLETION-PUMP thread, which waits each future out in FIFO
 //    order and writes the reply. Pipelined solves therefore never block
 //    the reader: a client can keep dozens of request ids in flight and
 //    the connection stays responsive to control traffic throughout.
+//    Trace dumps queue to the pump too, so a dump asked for after a
+//    reply arrived always contains that reply's span.
 //  * all writes to one socket are serialized by a per-connection mutex
 //    (the pump and the reader both reply).
 //

@@ -1,72 +1,52 @@
 #include "sparse/task_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 
 #include "support/contracts.hpp"
 
 namespace msptrsv::sparse {
 
-namespace {
-
-/// Estimated microseconds to solve one row for one rhs: a handful of
-/// gather flops plus a divide against cached structure. Used only to set
-/// the narrow/wide boundary, so an order of magnitude is plenty.
-double estimated_row_us(double nnz_per_row) {
-  return 0.002 + 0.001 * nnz_per_row;
+double HostCosts::sync_ns(int width) const {
+  if (width < 2 || level_sync_ns.size() < 3) return 0.0;
+  return level_sync_ns[static_cast<std::size_t>(std::min(width, max_width()))];
 }
 
-double measure_sync_overhead_once() {
-  using clock = std::chrono::steady_clock;
-  // A barrier wave (or a delivery hand-off) is a burst of contended
-  // read-modify-writes on one line; time that traffic directly instead of
-  // spinning up threads inside the analysis path. 4096 round-trips keep
-  // the measurement above clock granularity on any plausible machine.
-  constexpr int kOps = 4096;
-  std::atomic<std::uint64_t> line{0};
-  const auto t0 = clock::now();
-  for (int i = 0; i < kOps; ++i) line.fetch_add(1, std::memory_order_acq_rel);
-  const double us =
-      std::chrono::duration<double, std::micro>(clock::now() - t0).count();
-  // A gang sync is ~two waves of this traffic per party; 4 parties is the
-  // reference shape. Clamp to a sane band: sub-0.1us would under-fuse on a
-  // machine whose clock lied, >50us would fuse everything everywhere.
-  const double per_op = us / kOps;
-  return std::clamp(per_op * 8.0 * 100.0, 0.1, 50.0);
+namespace {
+
+index_t structural_block_rows(const LevelAnalysis& levels) {
+  // Target ~256 KB of gathered structure per block task (row pointers,
+  // column indices, values, and the solution entries it writes).
+  const double nnz_per_row =
+      levels.n == 0 ? 1.0
+                    : static_cast<double>(levels.nnz) /
+                          static_cast<double>(levels.n);
+  const double bytes_per_row =
+      nnz_per_row * (sizeof(value_t) + sizeof(index_t)) + 3 * sizeof(value_t);
+  const double rows = 256.0 * 1024.0 / std::max(1.0, bytes_per_row);
+  return static_cast<index_t>(std::clamp(rows, 64.0, 1048576.0));
 }
 
 }  // namespace
 
-double measured_sync_overhead_us() {
-  static const double us = measure_sync_overhead_once();
-  return us;
-}
-
 CoarsenOptions resolve_coarsen_options(CoarsenOptions opts,
-                                       const LevelAnalysis& levels) {
+                                       const LevelAnalysis& levels,
+                                       const HostCosts& costs, int gang_width) {
   if (opts.narrow_width == 0) {
     const double nnz_per_row =
         levels.n == 0 ? 1.0
                       : static_cast<double>(levels.nnz) /
                             static_cast<double>(levels.n);
-    // A level is narrow when a gang would spend more time synchronizing
-    // than solving it: width * row_work <= sync_cost.
-    const double w = measured_sync_overhead_us() / estimated_row_us(nnz_per_row);
+    const double row_ns = std::max(1e-3, nnz_per_row * costs.gather_ns_per_nnz);
+    // A one-party gang gains nothing from any level: fuse as much as the
+    // ceiling allows.
+    const double w =
+        gang_width < 2
+            ? 64.0
+            : costs.sync_ns(gang_width) /
+                  (row_ns * (1.0 - 1.0 / static_cast<double>(gang_width)));
     opts.narrow_width = static_cast<index_t>(std::clamp(w, 2.0, 64.0));
   }
-  if (opts.block_rows == 0) {
-    // Target ~256 KB of gathered structure per block task (row pointers,
-    // column indices, values, and the solution entries it writes).
-    const double nnz_per_row =
-        levels.n == 0 ? 1.0
-                      : static_cast<double>(levels.nnz) /
-                            static_cast<double>(levels.n);
-    const double bytes_per_row =
-        nnz_per_row * (sizeof(value_t) + sizeof(index_t)) + 3 * sizeof(value_t);
-    const double rows = 256.0 * 1024.0 / std::max(1.0, bytes_per_row);
-    opts.block_rows = static_cast<index_t>(std::clamp(rows, 64.0, 1048576.0));
-  }
+  if (opts.block_rows == 0) opts.block_rows = structural_block_rows(levels);
   return opts;
 }
 
@@ -74,7 +54,9 @@ TaskGraph coarsen_levels(const CscMatrix& lower, const LevelAnalysis& levels,
                          CoarsenOptions opts) {
   MSPTRSV_REQUIRE(lower.rows == levels.n,
                   "level analysis belongs to a different matrix");
-  opts = resolve_coarsen_options(opts, levels);
+  MSPTRSV_REQUIRE(opts.narrow_width > 0,
+                  "coarsen_levels needs a resolved narrow_width");
+  if (opts.block_rows == 0) opts.block_rows = structural_block_rows(levels);
 
   TaskGraph g;
   g.n = levels.n;

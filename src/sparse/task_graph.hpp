@@ -24,10 +24,10 @@
 // order IS a topological order (the property test pins this down).
 //
 // The pass is structure-only (no values), deterministic in its inputs, and
-// costs O(n + nnz). The thresholds default from a per-process sync-cost
-// measurement (measured_sync_overhead_us) so they track the machine; every
-// caller that must rebuild an IDENTICAL graph later (plan blobs) pins them
-// explicitly through CoarsenOptions.
+// costs O(n + nnz). The narrow threshold comes from measured host costs
+// (HostCosts, timed once per process by core::measured_host_costs) so it
+// tracks the machine; every caller that must rebuild an IDENTICAL graph
+// later (plan blobs) pins it explicitly through CoarsenOptions.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +78,9 @@ struct TaskGraph {
   }
 };
 
-/// Coarsening thresholds. Zero means "derive from the cost model": a level
-/// is narrow when solving it costs less than a synchronization, and blocks
-/// target a fixed working-set size per task.
+/// Coarsening thresholds. Zero block_rows derives a cache-sized block
+/// from the structure; narrow_width must be resolved first (see
+/// resolve_coarsen_options).
 struct CoarsenOptions {
   /// Levels with population <= narrow_width fuse into chain tasks.
   index_t narrow_width = 0;
@@ -88,29 +88,52 @@ struct CoarsenOptions {
   index_t block_rows = 0;
 };
 
-/// Resolves zeroed CoarsenOptions fields against the cost model: the
-/// narrow threshold is the row count whose solve work (estimated from
-/// nnz/row) is dwarfed by one measured gang synchronization, and blocks
-/// size to ~a few hundred KB of gathered structure. Deterministic for
-/// fixed inputs within one process.
+/// Measured host execution costs, the inputs of every schedule decision:
+/// the autotuner's predicted solve times and the coarsener's narrow cut.
+/// Timed once per process on a fixed calibration factor
+/// (core::measured_host_costs); tests inject their own.
+struct HostCosts {
+  /// Serial pull sweep in natural row order, ns per stored nonzero (k = 1).
+  double serial_ns_per_nnz = 0.0;
+  /// The parallel kernels' level-ordered gather on one party, ns per
+  /// stored nonzero (k = 1).
+  double gather_ns_per_nnz = 0.0;
+  /// Effective cost of one level of a real gang at width w, in ns, at
+  /// index w (indices 0 and 1 unused): what a barrier costs with work
+  /// between barriers, so wake-ups and imbalance are in it.
+  std::vector<double> level_sync_ns;
+
+  /// Widest gang with a measured sync cost (1 when none was measured).
+  int max_width() const {
+    return level_sync_ns.size() < 3
+               ? 1
+               : static_cast<int>(level_sync_ns.size()) - 1;
+  }
+  /// Per-level sync at `width`, clamped into the measured range; 0 for a
+  /// one-party gang.
+  double sync_ns(int width) const;
+};
+
+/// Resolves zeroed CoarsenOptions fields. The narrow threshold is the
+/// widest level for which running it as part of a sequential chain
+/// (width * row_cost) is no dearer than running it on a `gang_width`
+/// gang (width * row_cost / gang_width + one level sync), with row_cost
+/// from the measured gather cost and the factor's nnz/row; clamped to
+/// [2, 64]. Blocks size to ~256 KB of gathered structure. Deterministic
+/// for fixed inputs.
 CoarsenOptions resolve_coarsen_options(CoarsenOptions opts,
-                                       const LevelAnalysis& levels);
+                                       const LevelAnalysis& levels,
+                                       const HostCosts& costs, int gang_width);
 
 /// Builds the coarsened task DAG for `lower` (the analyzed factor whose
-/// level sets `levels` describes). Zeroed option fields are resolved via
-/// resolve_coarsen_options first.
+/// level sets `levels` describes). Requires a positive narrow_width; a
+/// zero block_rows is resolved from the structure.
 TaskGraph coarsen_levels(const CscMatrix& lower, const LevelAnalysis& levels,
-                         CoarsenOptions opts = {});
-
-/// Per-process cost of one gang synchronization in microseconds, measured
-/// once on first use (a timed burst of contended atomic round-trips --
-/// the same traffic a barrier wave or a delivery hand-off pays). Falls
-/// back to a fixed estimate when the clock is too coarse to resolve it.
-double measured_sync_overhead_us();
+                         CoarsenOptions opts);
 
 /// Structural features of a level analysis, extracted once at analyze time
-/// for the schedule autotuner (and recorded in the plan blob with the
-/// decision they produced).
+/// and recorded in the plan blob next to the schedule decision, so a
+/// decision can be explained after the fact.
 struct ScheduleFeatures {
   double nnz_per_row = 0.0;
   index_t num_levels = 0;

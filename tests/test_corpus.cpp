@@ -15,7 +15,9 @@
 // The canonical seed files are regenerated (deterministically,
 // byte-identical) by the first test, so the corpus is self-healing and
 // reviewable; test_net's mutation fuzzer appends surviving mutants as
-// frame_ok_fuzz_*.bin, which land in the same replay.
+// frame_ok_fuzz_*.bin, which land in the same replay. blob_ok_legacy_*
+// files are NEVER regenerated: they are plans saved by an earlier
+// release, which must keep loading and solving to the same bits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -221,6 +223,62 @@ TEST(FuzzCorpus, EveryCorpusFileFailStopsOrDecodesAsNamed) {
   }
   // The seed corpus alone is this large; mutants only add to it.
   EXPECT_GE(replayed, 15u);
+}
+
+TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
+  // Saved before the serial backend became a pull sweep over the row
+  // form: a serial plan that asked for the interleaved layout, a serial
+  // upper plan, and an autotuned cpu-taskgraph plan. Serial plans never
+  // stored a row form; loading rebuilds it, and the interleaved request
+  // clamps to column-major. Every host backend shares one gather order,
+  // so each must solve to the bits of a fresh cpu-levelset/t1 plan.
+  struct Legacy {
+    const char* file;
+    const char* preset;
+  };
+  for (const Legacy& c :
+       {Legacy{"blob_ok_legacy_serial_interleaved_v3.bin", "serial"},
+        Legacy{"blob_ok_legacy_serial_upper_v3.bin", "serial"},
+        Legacy{"blob_ok_legacy_auto_taskgraph_v3.bin", "auto"}}) {
+    SCOPED_TRACE(c.file);
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(support::read_file(corpus_dir() + "/" + c.file, bytes));
+    const auto loaded = core::SolverPlan::deserialize(
+        bytes, core::registry::options_for(c.preset).value());
+    ASSERT_TRUE(loaded.ok()) << loaded.message();
+    if (loaded->options().backend == core::Backend::kSerial) {
+      EXPECT_EQ(loaded->rhs_layout(), core::RhsLayout::kColumnMajor);
+    }
+
+    // The reference solves the plan's internal lower form (the reversed
+    // factor for an upper plan) and undoes the reversal around it.
+    core::SolveOptions ref_opt =
+        core::registry::options_for("cpu-levelset").value();
+    ref_opt.cpu_threads = 1;
+    const auto ref = core::SolverPlan::analyze(loaded->factor(), ref_opt);
+    ASSERT_TRUE(ref.ok()) << ref.message();
+    const index_t n = loaded->rows();
+    const auto expected = [&](const std::vector<value_t>& b) {
+      if (!loaded->is_upper()) return ref->solve(b).value().x;
+      return core::reversed(ref->solve(core::reversed(b)).value().x);
+    };
+    std::vector<value_t> batch;
+    for (std::uint64_t j = 0; j < 3; ++j) {
+      const std::vector<value_t> b = sparse::gen_solution(n, 60 + j);
+      EXPECT_EQ(loaded->solve(b).value().x, expected(b)) << "rhs " << j;
+      batch.insert(batch.end(), b.begin(), b.end());
+    }
+    const std::vector<value_t> x = loaded->solve_batch(batch, 3).value().x;
+    for (std::size_t j = 0; j < 3; ++j) {
+      const std::size_t un = static_cast<std::size_t>(n);
+      const std::vector<value_t> bj(batch.begin() + j * un,
+                                    batch.begin() + (j + 1) * un);
+      EXPECT_EQ(std::vector<value_t>(x.begin() + j * un,
+                                     x.begin() + (j + 1) * un),
+                expected(bj))
+          << "batch column " << j;
+    }
+  }
 }
 
 }  // namespace

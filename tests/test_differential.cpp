@@ -6,13 +6,13 @@
 // {solve, solve_batch, update_values-then-solve} -- and holds the results
 // to two contracts at once:
 //
-//  * numerics: every configuration reproduces the serial reference to
-//    tight relative tolerance (the serial sweep is PUSH-based, so its
-//    summation order legitimately differs);
-//  * bits: the pull-based host-parallel backends (cpu-levelset,
-//    cpu-syncfree, cpu-taskgraph) gather in ascending-column row order BY
-//    CONSTRUCTION, independent of schedule, thread count, and layout --
-//    so all of them must agree bit for bit, across every configuration.
+//  * numerics: every configuration reproduces the serial backend to
+//    tight relative tolerance;
+//  * bits: every host backend -- the serial natural-order pull sweep and
+//    the parallel schedules alike -- gathers each row in ascending-column
+//    order from zero BY CONSTRUCTION, independent of schedule, thread
+//    count, and layout -- so all of them must agree bit for bit, across
+//    every configuration.
 //
 // A failing comparison dumps the matrix to a Matrix Market file next to
 // the test binary (name embeds the case tag and seed) so the exact
@@ -174,7 +174,7 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
       for (value_t& v : scaled.val) v *= 1.0 + 1.0 / 64.0;
 
       // Tolerance reference: serial. Bitwise reference: the narrowest
-      // pull-based configuration.
+      // parallel configuration.
       Config serial_ref{"serial", 1, RhsLayout::kColumnMajor};
       Config bits_ref{"cpu-levelset", 1, RhsLayout::kColumnMajor};
       const Results ref =
@@ -192,21 +192,19 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
                      factor);
         expect_close(r.updated, ref.updated, "update+solve", label, m, upper,
                      factor);
-        if (std::string(c.backend) != "serial") {
-          expect_bits(r.solve, gold.solve, "solve", label, m, upper, factor);
-          expect_bits(r.batch, gold.batch, "solve_batch", label, m, upper,
-                      factor);
-          expect_bits(r.updated, gold.updated, "update+solve", label, m,
-                      upper, factor);
-        }
+        expect_bits(r.solve, gold.solve, "solve", label, m, upper, factor);
+        expect_bits(r.batch, gold.batch, "solve_batch", label, m, upper,
+                    factor);
+        expect_bits(r.updated, gold.updated, "update+solve", label, m, upper,
+                    factor);
       }
     }
   }
 }
 
 TEST(Differential, SerialIsDeterministicAcrossLayouts) {
-  // The serial sweep has one summation order too: its column-major and
-  // (explicitly requested) interleaved paths must agree bit for bit.
+  // The serial sweep has no panel path: an explicit interleaved request
+  // is clamped to column-major and solves to the same bits.
   const sparse::CscMatrix l = sparse::gen_layered_dag(300, 24, 1600, 0.5, 3);
   std::vector<value_t> batch;
   for (index_t j = 0; j < kBatchRhs; ++j) {
@@ -221,6 +219,7 @@ TEST(Differential, SerialIsDeterministicAcrossLayouts) {
   const auto pc = core::SolverPlan::analyze(sparse::CscMatrix(l), col);
   const auto pi = core::SolverPlan::analyze(sparse::CscMatrix(l), inter);
   ASSERT_TRUE(pc.ok() && pi.ok());
+  EXPECT_EQ(pi->rhs_layout(), RhsLayout::kColumnMajor);
   EXPECT_EQ(pc->solve_batch(batch, kBatchRhs).value().x,
             pi->solve_batch(batch, kBatchRhs).value().x);
 }

@@ -57,8 +57,8 @@ TEST(RhsLayoutResolve, AutoPicksInterleavedOnlyForParallelHostBackends) {
             RhsLayout::kInterleaved);
   EXPECT_EQ(core::resolve_rhs_layout(RhsLayout::kAuto, Backend::kCpuSyncFree),
             RhsLayout::kInterleaved);
-  // The serial sweep is push-based and already unit-stride; auto leaves it
-  // column-major (interleaving it measured ~2x slower).
+  // The serial pull sweep keeps up to four rhs in registers instead of a
+  // panel; auto leaves it column-major.
   EXPECT_EQ(core::resolve_rhs_layout(RhsLayout::kAuto, Backend::kSerial),
             RhsLayout::kColumnMajor);
   EXPECT_EQ(core::resolve_rhs_layout(RhsLayout::kAuto, Backend::kMgUnified),
@@ -67,14 +67,18 @@ TEST(RhsLayoutResolve, AutoPicksInterleavedOnlyForParallelHostBackends) {
 
 TEST(RhsLayoutResolve, ExplicitRequestsHonoredOnHostClampedOnSim) {
   using core::Backend;
-  // Explicit beats auto on every host backend, serial included.
+  // Explicit beats auto on every parallel host backend.
   EXPECT_EQ(
-      core::resolve_rhs_layout(RhsLayout::kInterleaved, Backend::kSerial),
+      core::resolve_rhs_layout(RhsLayout::kInterleaved, Backend::kCpuLevelSet),
       RhsLayout::kInterleaved);
   EXPECT_EQ(
       core::resolve_rhs_layout(RhsLayout::kColumnMajor, Backend::kCpuSyncFree),
       RhsLayout::kColumnMajor);
-  // The simulated kernels have no panel path: clamped, not rejected.
+  // The serial sweep and the simulated kernels have no panel path:
+  // clamped, not rejected.
+  EXPECT_EQ(
+      core::resolve_rhs_layout(RhsLayout::kInterleaved, Backend::kSerial),
+      RhsLayout::kColumnMajor);
   EXPECT_EQ(
       core::resolve_rhs_layout(RhsLayout::kInterleaved, Backend::kGpuLevelSet),
       RhsLayout::kColumnMajor);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -140,17 +141,26 @@ TEST(PlanIo, AutotunedDecisionRoundTripsThroughTheBlob) {
   // plan, the same reader load() uses) reports the SAME backend /
   // schedule / gang choice instead of re-tuning, and the task graph
   // rebuilt from the pinned coarsening thresholds solves identically.
-  // Fans wider than the narrow-width ceiling (64) on every machine, so
-  // the decision is the same wherever this runs.
-  const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 120, 256, 2, 11);
-  const core::SolveOptions opt = core::registry::options_for("auto").value();
+  // Injected cheap-sync host costs and a 4-thread budget make the
+  // decision a parallel one, the same wherever this runs; the load below
+  // happens under different (default, measured) costs, as a fresh
+  // process would.
+  const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 120, 8192, 2, 11);
+  core::SolveOptions opt = core::registry::options_for("auto").value();
+  opt.cpu_threads = 4;
+  sparse::HostCosts cheap_sync;
+  cheap_sync.serial_ns_per_nnz = 1.0;
+  cheap_sync.gather_ns_per_nnz = 1.0;
+  cheap_sync.level_sync_ns = {0.0, 0.0, 100.0, 110.0, 120.0};
+  std::optional<core::ScopedHostCosts> costs(std::in_place, cheap_sync);
   const auto fresh = core::SolverPlan::analyze(l, opt);
+  costs.reset();
   ASSERT_TRUE(fresh.ok()) << fresh.message();
 
   const core::TunedDecision* td = fresh->tuned();
   ASSERT_NE(td, nullptr);
   EXPECT_TRUE(td->autotuned);
-  // Chain-heavy structure: the rules must land on the coarsened schedule.
+  // Chain-heavy structure: the tuner must land on the coarsened schedule.
   EXPECT_EQ(td->backend, core::Backend::kCpuTaskGraph);
   EXPECT_EQ(td->schedule, 1);
   EXPECT_GT(td->gang_width, 0);

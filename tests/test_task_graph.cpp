@@ -22,14 +22,27 @@
 namespace msptrsv::sparse {
 namespace {
 
-/// Runs every coarsener invariant against one matrix/options pair. `what`
-/// tags failures with the generating case so a seed sweep failure is
+/// Fixed host costs for resolving zeroed thresholds: the coarsener's
+/// narrow cut is a pure function of them, so the sweep is the same on
+/// every machine.
+HostCosts test_costs() {
+  HostCosts c;
+  c.serial_ns_per_nnz = 1.0;
+  c.gather_ns_per_nnz = 1.5;
+  c.level_sync_ns = {0.0, 0.0, 40.0, 60.0, 80.0};
+  return c;
+}
+
+/// Runs every coarsener invariant against one matrix/options pair (zeroed
+/// fields resolved under test_costs() for a 4-wide gang). `what` tags
+/// failures with the generating case so a seed sweep failure is
 /// reproducible in isolation.
 void check_invariants(const CscMatrix& lower, const CoarsenOptions& opts,
                       const std::string& what) {
   SCOPED_TRACE(what);
   const LevelAnalysis levels = analyze_levels(lower);
-  const TaskGraph g = coarsen_levels(lower, levels, opts);
+  const TaskGraph g = coarsen_levels(
+      lower, levels, resolve_coarsen_options(opts, levels, test_costs(), 4));
   const auto n = static_cast<std::size_t>(lower.rows);
 
   ASSERT_EQ(g.n, lower.rows);
@@ -180,7 +193,7 @@ CscMatrix matrix_for_case(int family, std::uint64_t seed) {
 
 TEST(TaskGraphProperties, InvariantsHoldAcross200SeededMatrices) {
   const CoarsenOptions kOptionGrid[] = {
-      {},            // cost-model defaults
+      {},            // resolved from the (fixed) host costs
       {1, 64},       // only width-1 levels fuse; small blocks
       {8, 16},       // aggressive fusion, tiny blocks (max cross-task edges)
       {1 << 20, 0},  // everything narrow: the whole matrix is one chain
@@ -226,16 +239,32 @@ TEST(TaskGraphProperties, WideLevelSplitsIntoBlocks) {
 TEST(TaskGraphProperties, ResolvedOptionsArePositiveAndStable) {
   const CscMatrix lower = gen_layered_dag(200, 20, 900, 0.5, 3);
   const LevelAnalysis levels = analyze_levels(lower);
-  const CoarsenOptions a = resolve_coarsen_options({}, levels);
-  const CoarsenOptions b = resolve_coarsen_options({}, levels);
+  const HostCosts costs = test_costs();
+  const CoarsenOptions a = resolve_coarsen_options({}, levels, costs, 4);
+  const CoarsenOptions b = resolve_coarsen_options({}, levels, costs, 4);
   EXPECT_GT(a.narrow_width, 0);
   EXPECT_GT(a.block_rows, 0);
-  // The sync measurement is per-process and cached: resolution must be
-  // deterministic within the process (plan blobs pin it across processes).
+  // Resolution is a pure function of the costs (measured once per
+  // process; plan blobs pin the result across processes).
   EXPECT_EQ(a.narrow_width, b.narrow_width);
   EXPECT_EQ(a.block_rows, b.block_rows);
+  // The narrow cut is the widest level that costs no more as part of a
+  // sequential chain than on the gang: width * row <= width * row / 4 +
+  // sync(4).
+  const double row_ns = static_cast<double>(levels.nnz) /
+                        static_cast<double>(levels.n) *
+                        costs.gather_ns_per_nnz;
+  EXPECT_EQ(a.narrow_width,
+            static_cast<index_t>(costs.sync_ns(4) / (row_ns * 0.75)));
+  // Dearer sync widens the cut; a one-party gang fuses up to the ceiling.
+  HostCosts dear = costs;
+  for (double& v : dear.level_sync_ns) v *= 4.0;
+  EXPECT_GT(resolve_coarsen_options({}, levels, dear, 4).narrow_width,
+            a.narrow_width);
+  EXPECT_EQ(resolve_coarsen_options({}, levels, costs, 1).narrow_width, 64);
   // Explicit fields pass through untouched.
-  const CoarsenOptions pinned = resolve_coarsen_options({7, 33}, levels);
+  const CoarsenOptions pinned =
+      resolve_coarsen_options({7, 33}, levels, costs, 4);
   EXPECT_EQ(pinned.narrow_width, 7);
   EXPECT_EQ(pinned.block_rows, 33);
 }
