@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/cpu_parallel.hpp"
+#include "core/row_form.hpp"
 #include "core/workspace.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 
 namespace msptrsv::core {
@@ -36,8 +36,8 @@ std::vector<LevelLoad> level_loads(const sparse::LevelAnalysis& levels) {
 }
 
 /// The slowest party's gather time summed over levels: a w-party gang
-/// deals each level's rows round-robin, so a level lasts ceil(rows / w)
-/// of its average rows.
+/// splits each level into w contiguous slices, so a level lasts
+/// ceil(rows / w) of its average rows.
 double gang_work_ns(const std::vector<LevelLoad>& loads, double gather_ns,
                     int width) {
   double ns = 0.0;
@@ -114,9 +114,14 @@ sparse::HostCosts measure_host_costs(int max_width) {
   // levels are tens to a few hundred rows, the regime where a barrier
   // has to pay for itself.
   const sparse::CscMatrix lower = sparse::gen_grid3d_lower(16, 16, 16);
-  const sparse::CsrMatrix rows = sparse::csr_from_csc(lower);
   const sparse::LevelAnalysis levels =
       sparse::analyze_levels(lower, /*validate=*/false);
+  // The two execution orders the plans store: serial's windowed level
+  // order and the parallel schedules' plain level order.
+  const RowForm serial_rows =
+      build_row_form(lower, serial_row_order(levels), /*mirrored=*/false);
+  const RowForm level_rows =
+      build_row_form(lower, levels.order, /*mirrored=*/false);
   const double nnz = static_cast<double>(lower.nnz());
   const std::vector<value_t> b(static_cast<std::size_t>(lower.rows), 1.0);
   std::vector<value_t> x(b.size());
@@ -124,7 +129,9 @@ sparse::HostCosts measure_host_costs(int max_width) {
 
   sparse::HostCosts costs;
   costs.serial_ns_per_nnz =
-      median_ns(kReps, [&] { solve_lower_serial_pull(rows, b, 1, x); }) / nnz;
+      median_ns(kReps,
+                [&] { solve_lower_serial_pull(serial_rows, b, 1, x); }) /
+      nnz;
   // The level-ordered gather with no sync at all: the whole level
   // sequence as ONE chain task on one party.
   const sparse::TaskGraph chain =
@@ -133,7 +140,8 @@ sparse::HostCosts measure_host_costs(int max_width) {
   costs.gather_ns_per_nnz =
       median_ns(kReps,
                 [&] {
-                  solve_lower_taskgraph_fused(chain, rows, b, 1, solo, x);
+                  solve_lower_taskgraph_fused(chain, level_rows, b, 1, solo,
+                                              x);
                 }) /
       nnz;
 
@@ -147,7 +155,7 @@ sparse::HostCosts measure_host_costs(int max_width) {
     if (!timed_width(w, max_width)) continue;
     SolveWorkspace gang(w);
     const double sweep = median_ns(kReps, [&] {
-      solve_lower_levelset_fused(rows, b, 1, levels, gang, x);
+      solve_lower_levelset_fused(level_rows, b, 1, levels, gang, x);
     });
     const double work = gang_work_ns(loads, costs.gather_ns_per_nnz, w);
     costs.level_sync_ns[static_cast<std::size_t>(w)] =

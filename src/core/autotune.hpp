@@ -3,15 +3,17 @@
 //
 // The decision follows the paper's rule that fine-grained synchronization
 // has to pay for itself. Three costs are timed ONCE per process on a
-// small fixed calibration factor (measured_host_costs): the serial pull
-// sweep's ns per nonzero, the parallel kernels' level-ordered gather's ns
-// per nonzero, and a real gang's effective per-level sync at each width
-// 2..hardware threads, timed with the kernel's own work between barriers
-// so wake-ups and imbalance are in it. From those and the factor's level
-// structure the tuner predicts the k = 1 solve time of serial, of flat
-// level sets and of the coarsened task graph at every gang width, and
-// keeps serial unless a parallel schedule is predicted to beat it by
-// kParallelWinMargin. A one-thread budget is always serial.
+// small fixed calibration factor (measured_host_costs), each over the
+// row form in the order its plans store it: the serial sweep's ns per
+// nonzero (windowed level order), the parallel kernels' level-ordered
+// gather's ns per nonzero, and a real gang's effective per-level sync at
+// each width 2..hardware threads, timed with the kernel's own work
+// between barriers so wake-ups and imbalance are in it. From those and
+// the factor's level structure the tuner predicts the k = 1 solve time
+// of serial, of flat level sets and of the coarsened task graph at every
+// gang width, and keeps serial unless a parallel schedule is predicted
+// to beat it by kParallelWinMargin. A one-thread budget is always
+// serial.
 //
 // autotune_decision is a pure function of (levels, costs, thread budget),
 // so tests pin every branch with injected costs; ScopedHostCosts swaps the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -65,92 +66,108 @@ AxpyFn axpy_kernel() {
   return fn;
 }
 
-// ---- Per-component gather-and-solve, one per layout ------------------------
+// ---- Per-position gather-and-solve, one per layout -------------------------
 
-/// Gathers component i's solution for every rhs by PULLING the final x
-/// entries of its dependencies through the row form (ascending column
-/// order: deterministic regardless of thread count or batch width). The
-/// diagonal terminates row i of a solvable lower factor. Column-major
-/// batch: the inner RHS loop strides by n.
-inline void gather_and_solve(const sparse::CsrMatrix& rows, index_t i,
-                             std::span<const value_t> b, std::size_t num_rhs,
-                             std::size_t n, value_t* acc,
-                             std::span<value_t> x) {
-  const offset_t rb = rows.row_ptr[static_cast<std::size_t>(i)];
-  const offset_t re = rows.row_ptr[static_cast<std::size_t>(i) + 1];
-  const value_t diag = rows.val[static_cast<std::size_t>(re - 1)];
-  for (std::size_t r = 0; r < num_rhs; ++r) acc[r] = 0.0;
-  for (offset_t e = rb; e < re - 1; ++e) {
-    const std::size_t c =
-        static_cast<std::size_t>(rows.col_idx[static_cast<std::size_t>(e)]);
-    const value_t lv = rows.val[static_cast<std::size_t>(e)];
-    for (std::size_t r = 0; r < num_rhs; ++r) {
-      acc[r] += lv * x[r * n + c];
-    }
+/// Plain-pointer view of a RowForm for the inner loops, so the compiler
+/// need not reload the vectors' internals after every x store.
+struct Rows {
+  const offset_t* row_ptr;
+  const index_t* col_idx;
+  const value_t* val;
+  const index_t* row_of;
+  explicit Rows(const RowForm& rf)
+      : row_ptr(rf.row_ptr.data()),
+        col_idx(rf.col_idx.data()),
+        val(rf.val.data()),
+        row_of(rf.row_of.data()) {}
+};
+
+/// Solves the row at position p for kBlock column-major rhs (column q of
+/// the block at b/x + q*n) by PULLING the final x entries of its
+/// dependencies: register accumulators start at zero and gather in the
+/// stored column order, then one divide per rhs. This is the one per-row
+/// operation sequence of every host kernel -- whatever the schedule,
+/// thread count or batch width -- so all of them agree bit for bit.
+template <std::size_t kBlock>
+inline void solve_block(const Rows& rows, std::size_t p, const value_t* b,
+                        value_t* x, std::size_t n) {
+  // The diagonal terminates every stored row.
+  const offset_t diag = rows.row_ptr[p + 1] - 1;
+  value_t acc[kBlock] = {};
+  for (offset_t e = rows.row_ptr[p]; e < diag; ++e) {
+    const std::size_t c = static_cast<std::size_t>(rows.col_idx[e]);
+    const value_t lv = rows.val[e];
+    for (std::size_t q = 0; q < kBlock; ++q) acc[q] += lv * x[q * n + c];
   }
-  for (std::size_t r = 0; r < num_rhs; ++r) {
-    x[r * n + static_cast<std::size_t>(i)] =
-        (b[r * n + static_cast<std::size_t>(i)] - acc[r]) / diag;
+  const std::size_t i = static_cast<std::size_t>(rows.row_of[p]);
+  const value_t d = rows.val[diag];
+  for (std::size_t q = 0; q < kBlock; ++q) {
+    x[q * n + i] = (b[q * n + i] - acc[q]) / d;
+  }
+}
+
+/// Position p for all k column-major rhs, in register blocks of up to
+/// four: one pass over the row's entries per block.
+inline void solve_position(const Rows& rows, std::size_t p, const value_t* b,
+                           value_t* x, std::size_t n, std::size_t k) {
+  std::size_t r = 0;
+  for (; r + 4 <= k; r += 4) solve_block<4>(rows, p, b + r * n, x + r * n, n);
+  switch (k - r) {
+    case 1:
+      solve_block<1>(rows, p, b + r * n, x + r * n, n);
+      break;
+    case 2:
+      solve_block<2>(rows, p, b + r * n, x + r * n, n);
+      break;
+    case 3:
+      solve_block<3>(rows, p, b + r * n, x + r * n, n);
+      break;
+    default:
+      break;
   }
 }
 
 /// Interleaved-panel variant: b and x are component-major n x k panels
 /// (entry i of rhs r at [i*k + r]), so the dependency read is ONE
-/// contiguous k-vector and the whole gather is the dispatched axpy. Same
-/// per-rhs operation order as the column-major form: ascending column
-/// gather, then one divide -- bit-for-bit identical results.
-inline void gather_and_solve_interleaved(const sparse::CsrMatrix& rows,
-                                         index_t i, const value_t* b,
-                                         std::size_t k, value_t* acc,
-                                         value_t* x, AxpyFn axpy) {
-  const offset_t rb = rows.row_ptr[static_cast<std::size_t>(i)];
-  const offset_t re = rows.row_ptr[static_cast<std::size_t>(i) + 1];
-  const value_t diag = rows.val[static_cast<std::size_t>(re - 1)];
+/// contiguous k-vector and the whole gather is the dispatched axpy into
+/// the party's accumulator. Same per-rhs operation order as the
+/// column-major form: bit-for-bit identical results.
+inline void solve_position_interleaved(const Rows& rows, std::size_t p,
+                                       const value_t* b, std::size_t k,
+                                       value_t* acc, value_t* x, AxpyFn axpy) {
+  const offset_t diag = rows.row_ptr[p + 1] - 1;
   for (std::size_t r = 0; r < k; ++r) acc[r] = 0.0;
-  for (offset_t e = rb; e < re - 1; ++e) {
-    const std::size_t c =
-        static_cast<std::size_t>(rows.col_idx[static_cast<std::size_t>(e)]);
-    axpy(acc, x + c * k, rows.val[static_cast<std::size_t>(e)], k);
+  for (offset_t e = rows.row_ptr[p]; e < diag; ++e) {
+    const std::size_t c = static_cast<std::size_t>(rows.col_idx[e]);
+    axpy(acc, x + c * k, rows.val[e], k);
   }
-  const value_t* bi = b + static_cast<std::size_t>(i) * k;
-  value_t* xi = x + static_cast<std::size_t>(i) * k;
+  const std::size_t i = static_cast<std::size_t>(rows.row_of[p]);
+  const value_t d = rows.val[diag];
+  const value_t* bi = b + i * k;
+  value_t* xi = x + i * k;
 #pragma omp simd
   for (std::size_t r = 0; r < k; ++r) {
-    xi[r] = (bi[r] - acc[r]) / diag;
+    xi[r] = (bi[r] - acc[r]) / d;
   }
 }
 
-// ---- The serial backend: one natural-order pull sweep ----------------------
+// ---- The serial backend: one front-to-back sweep over the positions ---------
 
-/// Solves kBlock right-hand sides (column-major, column q of the block at
-/// b/x + q*n) in one ascending-row sweep. Each row gathers its
-/// dependencies in ascending column order into register accumulators
-/// that start at zero, then divides -- the exact operation sequence of
-/// gather_and_solve, so the bits match every parallel kernel.
-template <int kBlock>
-bool serial_pull_block(const sparse::CsrMatrix& rows, const value_t* b,
-                       value_t* x, std::size_t n, const CancelToken* cancel) {
+/// Solves kBlock column-major rhs in one sweep over every position. The
+/// serial order puts each window's rows of one level side by side, so
+/// consecutive rows rarely depend on each other and the core overlaps
+/// their gathers and divides.
+template <std::size_t kBlock>
+bool serial_sweep(const Rows& rows, const value_t* b, value_t* x,
+                  std::size_t n, const CancelToken* cancel) {
   // One clock read per ~4096 rows keeps the budget check invisible next
   // to the gather work.
   constexpr std::size_t kCancelStride = 4096;
-  const offset_t* row_ptr = rows.row_ptr.data();
-  const index_t* col_idx = rows.col_idx.data();
-  const value_t* val = rows.val.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cancel != nullptr && i % kCancelStride == 0 && cancel->cancelled()) {
+  for (std::size_t p = 0; p < n; ++p) {
+    if (cancel != nullptr && p % kCancelStride == 0 && cancel->cancelled()) {
       return false;
     }
-    // The diagonal terminates row i of a solvable lower factor.
-    const offset_t diag = row_ptr[i + 1] - 1;
-    value_t acc[kBlock] = {};
-    for (offset_t e = row_ptr[i]; e < diag; ++e) {
-      const std::size_t c = static_cast<std::size_t>(col_idx[e]);
-      const value_t lv = val[e];
-      for (int q = 0; q < kBlock; ++q) acc[q] += lv * x[q * n + c];
-    }
-    for (int q = 0; q < kBlock; ++q) {
-      x[q * n + i] = (b[q * n + i] - acc[q]) / val[diag];
-    }
+    solve_block<kBlock>(rows, p, b, x, n);
   }
   return true;
 }
@@ -158,8 +175,10 @@ bool serial_pull_block(const sparse::CsrMatrix& rows, const value_t* b,
 // ---- Scheduling drivers, shared by both layouts ----------------------------
 //
 // The barrier/claim protocols and the abort machinery are layout-blind;
-// only the per-component body differs. solve_one(i, acc) must fully solve
-// component i for the whole batch using the thread-private accumulator.
+// only the per-position body differs. solve_one(p, acc) must fully solve
+// the row at position p for the whole batch using the thread-private
+// accumulator (the interleaved body's; the column-major body keeps its
+// accumulators in registers).
 
 template <typename SolveOne>
 bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
@@ -174,7 +193,7 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
   const std::size_t stride = ws.gather_stride();
 
   // `threads` is the ACTUAL party count of this run (a shared-pool gang
-  // may be narrower than the cap); the level stride and the barrier --
+  // may be narrower than the cap); the level slices and the barrier --
   // resized by run_parallel -- both follow it.
   //
   // Abort protocol: tid 0 checks the token AFTER its level work and
@@ -194,10 +213,14 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
           lead_trace ? support::trace::trace_now_ns() : 0;
       const offset_t begin = analysis.level_ptr[static_cast<std::size_t>(l)];
       const offset_t end = analysis.level_ptr[static_cast<std::size_t>(l) + 1];
-      for (offset_t p = begin + tid; p < end; p += threads) {
-        // Every dependency sits in an earlier level, already final behind
-        // the barrier; ONE barrier wave resolves the whole batch.
-        solve_one(analysis.order[static_cast<std::size_t>(p)], acc);
+      // Each party solves ONE contiguous slice of the level's positions:
+      // its rows' structure is one unit-stride stream. Every dependency
+      // sits in an earlier level, already final behind the barrier; ONE
+      // barrier wave resolves the whole batch.
+      const offset_t rows = end - begin;
+      const offset_t hi = begin + rows * (tid + 1) / threads;
+      for (offset_t p = begin + rows * tid / threads; p < hi; ++p) {
+        solve_one(p, acc);
       }
       if (tid == 0) {
         // Chaos seam: delay/pause here stretches the level without
@@ -212,7 +235,7 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
         support::trace::trace_emit_here(
             "kernel.level", lvl_t0, support::trace::trace_now_ns(), "level",
             static_cast<std::int64_t>(l), "rows",
-            static_cast<std::int64_t>(end - begin));
+            static_cast<std::int64_t>(rows));
       }
       if (abort.load(std::memory_order_relaxed)) return;
     }
@@ -222,6 +245,7 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
 
 template <typename SolveOne>
 bool drive_syncfree(const sparse::CscMatrix& lower,
+                    std::span<const index_t> order,
                     std::span<const index_t> in_degrees, index_t num_rhs,
                     SolveWorkspace& ws, const CancelToken* cancel,
                     SolveOne&& solve_one) {
@@ -235,9 +259,9 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
   value_t* scratch = ws.gather_scratch(num_rhs);
   const std::size_t stride = ws.gather_stride();
 
-  // Ascending work claiming: thread-safe and deadlock-free (see header) --
-  // and indifferent to the party count, so a shrunk shared-pool gang just
-  // claims more components per thread.
+  // Ascending position claiming: thread-safe and deadlock-free (see
+  // header) -- and indifferent to the party count, so a shrunk
+  // shared-pool gang just claims more positions per thread.
   //
   // Abort protocol: any thread that observes the token fired raises the
   // shared flag; claimants check it per claim and spinners on EVERY turn
@@ -264,8 +288,8 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
       }
     };
     for (;;) {
-      const index_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) {
+      const index_t p = next.fetch_add(1, std::memory_order_relaxed);
+      if (p >= n) {
         emit_sweep();
         return;
       }
@@ -283,6 +307,9 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
         emit_sweep();
         return;
       }
+      // Delivery counters and the fan-out speak the analyzed factor's
+      // row ids; the row form speaks positions.
+      const index_t i = order[static_cast<std::size_t>(p)];
       // Lock-wait phase: ONE spin per component per batch. The acquire
       // load pairs with the producers' delivery increments, making their
       // final x entries visible to the gather below.
@@ -304,7 +331,7 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
         }
         std::this_thread::yield();
       }
-      solve_one(i, acc);
+      solve_one(p, acc);
       ++claimed;
       // Delivery fan-out down column i: one increment per edge per batch
       // (the x stores above must be visible first, hence release).
@@ -397,12 +424,13 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
         }
         std::this_thread::yield();
       }
-      // The task body: rows in stored order (level order for chains --
-      // which is exactly what satisfies intra-task dependencies -- and a
-      // single level's independent rows for blocks).
+      // The task body: its range of level-ordered positions (level order
+      // for chains -- which is exactly what satisfies intra-task
+      // dependencies -- and a slice of one level's independent rows for
+      // blocks).
       for (offset_t p = graph.task_ptr[static_cast<std::size_t>(t)];
            p < graph.task_ptr[static_cast<std::size_t>(t) + 1]; ++p) {
-        solve_one(graph.task_rows[static_cast<std::size_t>(p)], acc);
+        solve_one(p, acc);
       }
       ++claimed;
       // Delivery fan-out to successor tasks: one increment per distinct
@@ -423,16 +451,25 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
   return true;
 }
 
+/// Shape checks shared by the column-major entry points.
+void require_batch(const RowForm& rows, std::span<const value_t> b,
+                   index_t num_rhs, std::span<const value_t> x) {
+  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
+  MSPTRSV_REQUIRE(
+      b.size() == static_cast<std::size_t>(rows.rows()) *
+                      static_cast<std::size_t>(num_rhs) &&
+          x.size() == b.size(),
+      "batch must be column-major n x num_rhs");
+}
+
 }  // namespace
 
-bool solve_lower_serial_pull(const sparse::CsrMatrix& row_form,
-                             std::span<const value_t> b, index_t num_rhs,
-                             std::span<value_t> x, const CancelToken* cancel) {
-  const std::size_t n = static_cast<std::size_t>(row_form.rows);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == n * static_cast<std::size_t>(num_rhs) &&
-                      x.size() == b.size(),
-                  "batch must be column-major n x num_rhs");
+bool solve_lower_serial_pull(const RowForm& rows, std::span<const value_t> b,
+                             index_t num_rhs, std::span<value_t> x,
+                             const CancelToken* cancel) {
+  require_batch(rows, b, num_rhs, x);
+  const std::size_t n = static_cast<std::size_t>(rows.rows());
+  const Rows view(rows);
   // Column blocks of up to four rhs, one full sweep each: four independent
   // accumulator chains hide the add latency, and the row structure is
   // streamed once per block instead of once per rhs.
@@ -444,16 +481,16 @@ bool solve_lower_serial_pull(const sparse::CsrMatrix& row_form,
     bool done = false;
     switch (std::min(kMaxBlock, num_rhs - r0)) {
       case 1:
-        done = serial_pull_block<1>(row_form, bb, xb, n, cancel);
+        done = serial_sweep<1>(view, bb, xb, n, cancel);
         break;
       case 2:
-        done = serial_pull_block<2>(row_form, bb, xb, n, cancel);
+        done = serial_sweep<2>(view, bb, xb, n, cancel);
         break;
       case 3:
-        done = serial_pull_block<3>(row_form, bb, xb, n, cancel);
+        done = serial_sweep<3>(view, bb, xb, n, cancel);
         break;
       default:
-        done = serial_pull_block<4>(row_form, bb, xb, n, cancel);
+        done = serial_sweep<4>(view, bb, xb, n, cancel);
         break;
     }
     if (!done) return false;
@@ -462,108 +499,114 @@ bool solve_lower_serial_pull(const sparse::CsrMatrix& row_form,
 }
 
 bool solve_lower_taskgraph_fused(const sparse::TaskGraph& graph,
-                                 const sparse::CsrMatrix& row_form,
+                                 const RowForm& rows,
                                  std::span<const value_t> b, index_t num_rhs,
                                  SolveWorkspace& ws, std::span<value_t> x,
                                  const CancelToken* cancel) {
-  const index_t n = row_form.rows;
-  const std::size_t un = static_cast<std::size_t>(n);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == un * static_cast<std::size_t>(num_rhs) &&
-                      x.size() == b.size(),
-                  "batch must be column-major n x num_rhs");
-  MSPTRSV_REQUIRE(graph.n == n, "task graph belongs to a different matrix");
+  require_batch(rows, b, num_rhs, x);
+  MSPTRSV_REQUIRE(graph.n == rows.rows(),
+                  "task graph belongs to a different matrix");
+  const std::size_t n = static_cast<std::size_t>(rows.rows());
   const std::size_t k = static_cast<std::size_t>(num_rhs);
+  const Rows view(rows);
   return drive_taskgraph(graph, num_rhs, ws, cancel,
-                         [&](index_t i, value_t* acc) {
-                           gather_and_solve(row_form, i, b, k, un, acc, x);
+                         [&](offset_t p, value_t*) {
+                           solve_position(view, static_cast<std::size_t>(p),
+                                          b.data(), x.data(), n, k);
                          });
 }
 
 bool solve_lower_taskgraph_fused_interleaved(
-    const sparse::TaskGraph& graph, const sparse::CsrMatrix& row_form,
-    const value_t* b, index_t num_rhs, SolveWorkspace& ws, value_t* x,
+    const sparse::TaskGraph& graph, const RowForm& rows, const value_t* b,
+    index_t num_rhs, SolveWorkspace& ws, value_t* x,
     const CancelToken* cancel) {
   MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(graph.n == row_form.rows,
+  MSPTRSV_REQUIRE(graph.n == rows.rows(),
                   "task graph belongs to a different matrix");
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const AxpyFn axpy = axpy_kernel();
+  const Rows view(rows);
   return drive_taskgraph(
-      graph, num_rhs, ws, cancel, [&](index_t i, value_t* acc) {
-        gather_and_solve_interleaved(row_form, i, b, k, acc, x, axpy);
+      graph, num_rhs, ws, cancel, [&](offset_t p, value_t* acc) {
+        solve_position_interleaved(view, static_cast<std::size_t>(p), b, k,
+                                   acc, x, axpy);
       });
 }
 
-bool solve_lower_levelset_fused(const sparse::CsrMatrix& row_form,
+bool solve_lower_levelset_fused(const RowForm& rows,
                                 std::span<const value_t> b, index_t num_rhs,
                                 const sparse::LevelAnalysis& analysis,
                                 SolveWorkspace& ws, std::span<value_t> x,
                                 const CancelToken* cancel) {
-  const index_t n = row_form.rows;
-  const std::size_t un = static_cast<std::size_t>(n);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == un * static_cast<std::size_t>(num_rhs) &&
-                      x.size() == b.size(),
-                  "batch must be column-major n x num_rhs");
-  MSPTRSV_REQUIRE(analysis.n == n, "analysis belongs to a different matrix");
+  require_batch(rows, b, num_rhs, x);
+  MSPTRSV_REQUIRE(analysis.n == rows.rows(),
+                  "analysis belongs to a different matrix");
+  const std::size_t n = static_cast<std::size_t>(rows.rows());
   const std::size_t k = static_cast<std::size_t>(num_rhs);
+  const Rows view(rows);
   return drive_levelset(analysis, num_rhs, ws, cancel,
-                        [&](index_t i, value_t* acc) {
-                          gather_and_solve(row_form, i, b, k, un, acc, x);
+                        [&](offset_t p, value_t*) {
+                          solve_position(view, static_cast<std::size_t>(p),
+                                         b.data(), x.data(), n, k);
                         });
 }
 
 bool solve_lower_levelset_fused_interleaved(
-    const sparse::CsrMatrix& row_form, const value_t* b, index_t num_rhs,
+    const RowForm& rows, const value_t* b, index_t num_rhs,
     const sparse::LevelAnalysis& analysis, SolveWorkspace& ws, value_t* x,
     const CancelToken* cancel) {
   MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(analysis.n == row_form.rows,
+  MSPTRSV_REQUIRE(analysis.n == rows.rows(),
                   "analysis belongs to a different matrix");
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const AxpyFn axpy = axpy_kernel();
+  const Rows view(rows);
   return drive_levelset(
-      analysis, num_rhs, ws, cancel, [&](index_t i, value_t* acc) {
-        gather_and_solve_interleaved(row_form, i, b, k, acc, x, axpy);
+      analysis, num_rhs, ws, cancel, [&](offset_t p, value_t* acc) {
+        solve_position_interleaved(view, static_cast<std::size_t>(p), b, k,
+                                   acc, x, axpy);
       });
 }
 
 bool solve_lower_syncfree_fused(const sparse::CscMatrix& lower,
-                                const sparse::CsrMatrix& row_form,
+                                const RowForm& rows,
+                                std::span<const index_t> order,
                                 std::span<const value_t> b, index_t num_rhs,
                                 std::span<const index_t> in_degrees,
                                 SolveWorkspace& ws, std::span<value_t> x,
                                 const CancelToken* cancel) {
-  const index_t n = lower.rows;
-  const std::size_t un = static_cast<std::size_t>(n);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == un * static_cast<std::size_t>(num_rhs) &&
-                      x.size() == b.size(),
-                  "batch must be column-major n x num_rhs");
-  MSPTRSV_REQUIRE(row_form.rows == n && in_degrees.size() == un,
-                  "row form / in-degrees sized for a different matrix");
+  require_batch(rows, b, num_rhs, x);
+  const std::size_t n = static_cast<std::size_t>(lower.rows);
+  MSPTRSV_REQUIRE(rows.rows() == lower.rows && order.size() == n &&
+                      in_degrees.size() == n,
+                  "row form / order / in-degrees sized for a different matrix");
   const std::size_t k = static_cast<std::size_t>(num_rhs);
-  return drive_syncfree(lower, in_degrees, num_rhs, ws, cancel,
-                        [&](index_t i, value_t* acc) {
-                          gather_and_solve(row_form, i, b, k, un, acc, x);
+  const Rows view(rows);
+  return drive_syncfree(lower, order, in_degrees, num_rhs, ws, cancel,
+                        [&](offset_t p, value_t*) {
+                          solve_position(view, static_cast<std::size_t>(p),
+                                         b.data(), x.data(), n, k);
                         });
 }
 
 bool solve_lower_syncfree_fused_interleaved(
-    const sparse::CscMatrix& lower, const sparse::CsrMatrix& row_form,
-    const value_t* b, index_t num_rhs, std::span<const index_t> in_degrees,
-    SolveWorkspace& ws, value_t* x, const CancelToken* cancel) {
-  const index_t n = lower.rows;
+    const sparse::CscMatrix& lower, const RowForm& rows,
+    std::span<const index_t> order, const value_t* b, index_t num_rhs,
+    std::span<const index_t> in_degrees, SolveWorkspace& ws, value_t* x,
+    const CancelToken* cancel) {
+  const std::size_t n = static_cast<std::size_t>(lower.rows);
   MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(row_form.rows == n &&
-                      in_degrees.size() == static_cast<std::size_t>(n),
-                  "row form / in-degrees sized for a different matrix");
+  MSPTRSV_REQUIRE(rows.rows() == lower.rows && order.size() == n &&
+                      in_degrees.size() == n,
+                  "row form / order / in-degrees sized for a different matrix");
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const AxpyFn axpy = axpy_kernel();
+  const Rows view(rows);
   return drive_syncfree(
-      lower, in_degrees, num_rhs, ws, cancel, [&](index_t i, value_t* acc) {
-        gather_and_solve_interleaved(row_form, i, b, k, acc, x, axpy);
+      lower, order, in_degrees, num_rhs, ws, cancel,
+      [&](offset_t p, value_t* acc) {
+        solve_position_interleaved(view, static_cast<std::size_t>(p), b, k,
+                                   acc, x, axpy);
       });
 }
 
@@ -574,7 +617,9 @@ std::vector<value_t> solve_lower_levelset_threads(
   if (!prevalidated) sparse::require_solvable_lower(lower);
   MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows),
                   "rhs length must match the matrix dimension");
-  const sparse::CsrMatrix rows = sparse::csr_from_csc(lower);
+  MSPTRSV_REQUIRE(analysis.n == lower.rows,
+                  "analysis belongs to a different matrix");
+  const RowForm rows = build_row_form(lower, analysis.order, false);
   SolveWorkspace ws(resolve_cpu_threads(num_threads));
   std::vector<value_t> x(static_cast<std::size_t>(lower.rows));
   solve_lower_levelset_fused(rows, b, 1, analysis, ws, x);
@@ -596,10 +641,14 @@ std::vector<value_t> solve_lower_syncfree_threads(
     std::span<const index_t> in_degrees, int num_threads) {
   MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows),
                   "rhs length must match the matrix dimension");
-  const sparse::CsrMatrix rows = sparse::csr_from_csc(lower);
+  // Natural row order is topological for a lower factor, so the one-shot
+  // form claims rows in it and needs no level analysis.
+  std::vector<index_t> order(static_cast<std::size_t>(lower.rows));
+  std::iota(order.begin(), order.end(), 0);
+  const RowForm rows = build_row_form(lower, order, false);
   SolveWorkspace ws(resolve_cpu_threads(num_threads));
   std::vector<value_t> x(static_cast<std::size_t>(lower.rows));
-  solve_lower_syncfree_fused(lower, rows, b, 1, in_degrees, ws, x);
+  solve_lower_syncfree_fused(lower, rows, order, b, 1, in_degrees, ws, x);
   return x;
 }
 

@@ -30,6 +30,7 @@
 #include "core/reference.hpp"
 #include "core/registry.hpp"
 #include "core/residual.hpp"
+#include "core/row_form.hpp"
 #include "core/solver.hpp"
 #include "core/status.hpp"
 #include "core/worker_pool.hpp"

@@ -13,8 +13,8 @@
 #include "core/mg_engine.hpp"
 #include "core/plan_snapshot.hpp"
 #include "core/reference.hpp"
+#include "core/row_form.hpp"
 #include "core/workspace.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/level_analysis.hpp"
 #include "sparse/serialize.hpp"
 #include "sparse/triangular.hpp"
@@ -61,10 +61,8 @@ Expected<SolveResult> cancel_error(const CancelToken& cancel) {
 /// socket's memory controllers serve an equal share of the gather
 /// traffic. No-op without a policy, on single-node machines, and on
 /// non-Linux builds (see support/numa.hpp).
-void apply_numa_hints(const SolveOptions& options, PlanSnapshot& snap) {
+void apply_numa_hints(const SolveOptions& options, RowForm& rf) {
   if (options.numa_policy == support::NumaPolicy::kNone) return;
-  if (!snap.row_form.has_value()) return;
-  sparse::CsrMatrix& rf = *snap.row_form;
   support::interleave_pages(rf.val.data(), rf.val.size() * sizeof(value_t));
   support::interleave_pages(rf.col_idx.data(),
                             rf.col_idx.size() * sizeof(index_t));
@@ -88,9 +86,65 @@ bool backend_is_host_parallel(Backend b) {
 }
 
 /// The host backends that solve through the row-form gather view: serial
-/// (the natural-order pull sweep) and every host-parallel schedule.
+/// and every host-parallel schedule. Each keeps its level analysis, the
+/// source of the row form's execution order.
 bool backend_uses_row_form(Backend b) {
   return b == Backend::kSerial || backend_is_host_parallel(b);
+}
+
+/// (Re)builds `snap`'s row form from `lower` in the order its backend
+/// executes: serial sweeps level order inside windows of consecutive rows
+/// (serial_row_order), the parallel schedules plain level order. An upper
+/// plan's form is mirrored into the caller's numbering.
+void build_plan_row_form(const SolveOptions& options,
+                         const sparse::CscMatrix& lower, PlanSnapshot& snap) {
+  const sparse::LevelAnalysis& levels = *snap.levels;
+  snap.row_form = options.backend == Backend::kSerial
+                      ? build_row_form(lower, serial_row_order(levels),
+                                       snap.upper)
+                      : build_row_form(lower, levels.order, snap.upper);
+  apply_numa_hints(options, *snap.row_form);
+}
+
+/// Reverses each length-n column of a column-major batch in place: the
+/// simulated engines solve an upper plan's reversed lower form.
+void reverse_columns(std::span<value_t> batch, std::size_t n) {
+  for (auto col = batch.begin(); col != batch.end(); col += n) {
+    std::reverse(col, col + static_cast<std::ptrdiff_t>(n));
+  }
+}
+
+/// One fused host-parallel kernel run over `snap`'s row form: `b`/`x` are
+/// column-major n x num_rhs, or component-major panels when `panel`.
+bool run_host_parallel(Backend backend, const PlanSnapshot& snap,
+                       const sparse::CscMatrix& lower, const value_t* b,
+                       index_t num_rhs, SolveWorkspace& ws, value_t* x,
+                       bool panel, const CancelToken* cancel) {
+  const RowForm& rows = *snap.row_form;
+  const sparse::LevelAnalysis& levels = *snap.levels;
+  const std::size_t total = static_cast<std::size_t>(rows.rows()) *
+                            static_cast<std::size_t>(num_rhs);
+  const std::span<const value_t> bs(b, total);
+  const std::span<value_t> xs(x, total);
+  switch (backend) {
+    case Backend::kCpuLevelSet:
+      return panel ? solve_lower_levelset_fused_interleaved(
+                         rows, b, num_rhs, levels, ws, x, cancel)
+                   : solve_lower_levelset_fused(rows, bs, num_rhs, levels, ws,
+                                                xs, cancel);
+    case Backend::kCpuSyncFree:
+      return panel ? solve_lower_syncfree_fused_interleaved(
+                         lower, rows, levels.order, b, num_rhs,
+                         snap.in_degrees, ws, x, cancel)
+                   : solve_lower_syncfree_fused(lower, rows, levels.order, bs,
+                                                num_rhs, snap.in_degrees, ws,
+                                                xs, cancel);
+    default:  // Backend::kCpuTaskGraph
+      return panel ? solve_lower_taskgraph_fused_interleaved(
+                         *snap.tasks, rows, b, num_rhs, ws, x, cancel)
+                   : solve_lower_taskgraph_fused(*snap.tasks, rows, bs,
+                                                 num_rhs, ws, xs, cancel);
+  }
 }
 
 /// Coarsening thresholds for a cpu-taskgraph plan that has no pinned
@@ -205,11 +259,9 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
     st->snapshot.backend = tuned.backend;
     st->snapshot.rhs_layout =
         resolve_rhs_layout(options.rhs_layout, tuned.backend);
-    // Hand the analysis forward instead of recomputing it in the switch.
-    if (tuned.backend == Backend::kCpuLevelSet ||
-        tuned.backend == Backend::kCpuTaskGraph) {
-      st->snapshot.levels = std::move(levels);
-    }
+    // Hand the analysis forward instead of recomputing it in the switch:
+    // every candidate is a host backend, and all of them keep it.
+    st->snapshot.levels = std::move(levels);
   }
 
   // Only the multi-GPU engines consume a partition; host/single-GPU plans
@@ -223,16 +275,17 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   // so the derived analyses skip their own validation pass.
   switch (options.backend) {
     case Backend::kSerial:
-      break;
     case Backend::kCpuLevelSet:
     case Backend::kCpuTaskGraph:
-      // The autotune path above may have handed its analysis forward.
+    case Backend::kCpuSyncFree:
+      // Every host backend executes in an order derived from the level
+      // analysis; the autotune path above may have handed it forward.
       if (!st->snapshot.levels.has_value()) {
         st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
       }
-      break;
-    case Backend::kCpuSyncFree:
-      st->snapshot.in_degrees = sparse::compute_in_degrees(lower, /*validate=*/false);
+      if (options.backend == Backend::kCpuSyncFree) {
+        st->snapshot.in_degrees = st->snapshot.levels->in_degree;
+      }
       break;
     case Backend::kGpuLevelSet:
       st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
@@ -251,12 +304,12 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
                     "unrecognized backend enumerator");
   }
 
-  // Every host backend gathers through a row-form view of the factor,
-  // built here once. It snapshots the values, so update_values rebuilds
-  // it and a borrowed plan does not see in-place value edits.
+  // Every host backend gathers through a row form of the factor, stored
+  // in its execution order and built here once. It snapshots the values,
+  // so update_values rebuilds it and a borrowed plan does not see
+  // in-place value edits.
   if (backend_uses_row_form(options.backend)) {
-    st->snapshot.row_form = sparse::csr_from_csc(lower);
-    apply_numa_hints(options, st->snapshot);
+    build_plan_row_form(options, lower, st->snapshot);
   }
   // Host-parallel backends solve on plan-owned persistent workspaces
   // (parked threads, reusable scratch). The pool is lazy: workspaces (and
@@ -359,18 +412,19 @@ Expected<SolverPlan> SolverPlan::analyze_upper(sparse::CscMatrix upper,
   st->options = std::move(options);
   st->storage = reverse_upper_to_lower_prevalidated(upper);
   st->lower = &st->storage;
+  // Marked before the analysis: the host row form is built mirrored.
+  st->snapshot.upper = true;
   Expected<std::shared_ptr<State>> built = analyze_state(std::move(st));
   if (!built.ok()) return Expected<SolverPlan>(built.error());
   // The reversal is analysis-phase work: fold its wall time into the
-  // plan's one-time charge and mark the plan as an upper solve.
-  built.value()->snapshot.upper = true;
+  // plan's one-time charge.
   built.value()->analysis_seconds = seconds_since(t0);
   return SolverPlan(std::move(built.value()));
 }
 
-Expected<SolveResult> SolverPlan::run_batch_lower(
-    std::span<const value_t> b, index_t num_rhs,
-    const CancelToken* cancel) const {
+Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
+                                            index_t num_rhs,
+                                            const CancelToken* cancel) const {
   const State& st = *state_;
   const sparse::CscMatrix& lower = *st.lower;
   // Chaos seam: `delay` stretches a solve (the "hung shard" script);
@@ -409,8 +463,19 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
   // actually waits).
   const bool interleave =
       st.snapshot.rhs_layout == RhsLayout::kInterleaved && num_rhs > 1;
-  const std::size_t total =
-      static_cast<std::size_t>(lower.rows) * static_cast<std::size_t>(num_rhs);
+  const std::size_t n = static_cast<std::size_t>(lower.rows);
+  const std::size_t total = n * static_cast<std::size_t>(num_rhs);
+  // The host row form speaks the caller's numbering, so host backends
+  // solve upper plans in place. The simulated engines run the analyzed
+  // lower form -- the reversed factor of an upper plan -- so its vectors
+  // are mirrored around them.
+  const bool mirror = st.snapshot.upper && is_simulated(st.options.backend);
+  std::vector<value_t> mirrored_b;
+  if (mirror) {
+    mirrored_b.assign(b.begin(), b.end());
+    reverse_columns(mirrored_b, n);
+    b = mirrored_b;
+  }
   switch (st.options.backend) {
     case Backend::kSerial: {
       out.x.resize(total);
@@ -425,70 +490,8 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
       out.report.machine_name = "host";
       break;
     }
-    case Backend::kCpuLevelSet: {
-      WorkspacePool::Lease lease = st.workspaces->acquire();
-      out.x.resize(total);
-      const auto t0 = steady_clock::now();
-      bool done;
-      if (interleave) {
-        value_t* pb = lease.ws().panel_b(total);
-        value_t* px = lease.ws().panel_x(total);
-        pack_interleaved(b, lower.rows, num_rhs, pb);
-        scratch.pack_us += us_since(t0);
-        const auto tk = steady_clock::now();
-        done = solve_lower_levelset_fused_interleaved(
-            *st.snapshot.row_form, pb, num_rhs, *st.snapshot.levels,
-            lease.ws(), px, cancel);
-        scratch.kernel_us += us_since(tk);
-        if (done) {
-          const auto tu = steady_clock::now();
-          unpack_interleaved(px, lower.rows, num_rhs, out.x);
-          scratch.unpack_us += us_since(tu);
-        }
-      } else {
-        done = solve_lower_levelset_fused(*st.snapshot.row_form, b, num_rhs,
-                                          *st.snapshot.levels, lease.ws(),
-                                          out.x, cancel);
-        scratch.kernel_us += us_since(t0);
-      }
-      if (!done) return cancel_error(*cancel);
-      out.wall_seconds = seconds_since(t0);
-      out.report.solver_name = backend_name(st.options.backend);
-      out.report.machine_name = "host";
-      break;
-    }
-    case Backend::kCpuSyncFree: {
-      WorkspacePool::Lease lease = st.workspaces->acquire();
-      out.x.resize(total);
-      const auto t0 = steady_clock::now();
-      bool done;
-      if (interleave) {
-        value_t* pb = lease.ws().panel_b(total);
-        value_t* px = lease.ws().panel_x(total);
-        pack_interleaved(b, lower.rows, num_rhs, pb);
-        scratch.pack_us += us_since(t0);
-        const auto tk = steady_clock::now();
-        done = solve_lower_syncfree_fused_interleaved(
-            lower, *st.snapshot.row_form, pb, num_rhs, st.snapshot.in_degrees,
-            lease.ws(), px, cancel);
-        scratch.kernel_us += us_since(tk);
-        if (done) {
-          const auto tu = steady_clock::now();
-          unpack_interleaved(px, lower.rows, num_rhs, out.x);
-          scratch.unpack_us += us_since(tu);
-        }
-      } else {
-        done = solve_lower_syncfree_fused(lower, *st.snapshot.row_form, b,
-                                          num_rhs, st.snapshot.in_degrees,
-                                          lease.ws(), out.x, cancel);
-        scratch.kernel_us += us_since(t0);
-      }
-      if (!done) return cancel_error(*cancel);
-      out.wall_seconds = seconds_since(t0);
-      out.report.solver_name = backend_name(st.options.backend);
-      out.report.machine_name = "host";
-      break;
-    }
+    case Backend::kCpuLevelSet:
+    case Backend::kCpuSyncFree:
     case Backend::kCpuTaskGraph: {
       WorkspacePool::Lease lease = st.workspaces->acquire();
       out.x.resize(total);
@@ -500,9 +503,8 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
         pack_interleaved(b, lower.rows, num_rhs, pb);
         scratch.pack_us += us_since(t0);
         const auto tk = steady_clock::now();
-        done = solve_lower_taskgraph_fused_interleaved(
-            *st.snapshot.tasks, *st.snapshot.row_form, pb, num_rhs,
-            lease.ws(), px, cancel);
+        done = run_host_parallel(st.options.backend, st.snapshot, lower, pb,
+                                 num_rhs, lease.ws(), px, true, cancel);
         scratch.kernel_us += us_since(tk);
         if (done) {
           const auto tu = steady_clock::now();
@@ -510,9 +512,9 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
           scratch.unpack_us += us_since(tu);
         }
       } else {
-        done = solve_lower_taskgraph_fused(*st.snapshot.tasks,
-                                           *st.snapshot.row_form, b, num_rhs,
-                                           lease.ws(), out.x, cancel);
+        done = run_host_parallel(st.options.backend, st.snapshot, lower,
+                                 b.data(), num_rhs, lease.ws(), out.x.data(),
+                                 false, cancel);
         scratch.kernel_us += us_since(t0);
       }
       if (!done) return cancel_error(*cancel);
@@ -582,6 +584,7 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
       break;
     }
   }
+  if (mirror) reverse_columns(out.x, n);
   out.report.num_rhs = num_rhs;
   // A fused batch is one solve: its makespan is both the total and the
   // slowest-single-solve figure.
@@ -595,19 +598,6 @@ Expected<SolveResult> SolverPlan::run_batch_lower(
   out.phases.unpack_us = scratch.unpack_us;
   out.completed_ns = support::trace::trace_now_ns();
   return out;
-}
-
-Expected<SolveResult> SolverPlan::run_one(std::span<const value_t> b,
-                                          const CancelToken* cancel) const {
-  if (!state_->snapshot.upper) return run_batch_lower(b, 1, cancel);
-  // Backward substitution executes on the reversed factor; the O(n) vector
-  // transforms stay outside the timed regions (run_batch_lower times only
-  // the backend execution).
-  const std::vector<value_t> rb = reversed(b);
-  Expected<SolveResult> r = run_batch_lower(rb, 1, cancel);
-  if (!r.ok()) return r;
-  r.value().x = reversed(r.value().x);
-  return r;
 }
 
 CancelToken SolverPlan::effective_token(const CancelToken& cancel) const {
@@ -630,7 +620,7 @@ Expected<SolveResult> SolverPlan::solve(std::span<const value_t> b,
             " does not match the matrix dimension " + std::to_string(rows()));
   }
   const CancelToken tok = effective_token(cancel);
-  return run_one(b, tok.active() ? &tok : nullptr);
+  return run_batch(b, 1, tok.active() ? &tok : nullptr);
 }
 
 Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
@@ -666,8 +656,8 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
     SolveResult out;
     out.x.reserve(expected);
     for (index_t j = 0; j < num_rhs; ++j) {
-      Expected<SolveResult> r =
-          run_one(rhs.subspan(static_cast<std::size_t>(j) * n, n), cancel_ptr);
+      Expected<SolveResult> r = run_batch(
+          rhs.subspan(static_cast<std::size_t>(j) * n, n), 1, cancel_ptr);
       if (!r.ok()) return r;
       out.x.insert(out.x.end(), r.value().x.begin(), r.value().x.end());
       out.wall_seconds += r.value().wall_seconds;
@@ -685,28 +675,7 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
     return out;
   }
 
-  if (!state_->snapshot.upper) return run_batch_lower(rhs, num_rhs, cancel_ptr);
-
-  // Upper plans: per-column vector reversal in, solve the reversed-lower
-  // batch fused, reverse each solution column back. The O(n*k) transforms
-  // stay outside the timed region, like the single-solve path.
-  std::vector<value_t> rb(expected);
-  for (index_t j = 0; j < num_rhs; ++j) {
-    const std::size_t base = static_cast<std::size_t>(j) * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      rb[base + i] = rhs[base + (n - 1 - i)];
-    }
-  }
-  Expected<SolveResult> solved = run_batch_lower(rb, num_rhs, cancel_ptr);
-  if (!solved.ok()) return solved;
-  SolveResult out = std::move(solved.value());
-  for (index_t j = 0; j < num_rhs; ++j) {
-    const auto begin =
-        out.x.begin() + static_cast<std::ptrdiff_t>(j) *
-                            static_cast<std::ptrdiff_t>(n);
-    std::reverse(begin, begin + static_cast<std::ptrdiff_t>(n));
-  }
-  return out;
+  return run_batch(rhs, num_rhs, cancel_ptr);
 }
 
 Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
@@ -738,7 +707,9 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
       }
     }
     std::copy(values.begin(), values.end(), st.storage.val.begin());
-    if (st.snapshot.row_form) st.snapshot.row_form = sparse::csr_from_csc(st.storage);
+    if (st.snapshot.row_form) {
+      build_plan_row_form(st.options, st.storage, st.snapshot);
+    }
     return true;
   }
   // Upper plan: `values` follows the ORIGINAL upper factor's CSC order,
@@ -769,7 +740,9 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
     }
     base += count;
   }
-  if (st.snapshot.row_form) st.snapshot.row_form = sparse::csr_from_csc(st.storage);
+  if (st.snapshot.row_form) {
+    build_plan_row_form(st.options, st.storage, st.snapshot);
+  }
   return true;
 }
 
@@ -974,9 +947,8 @@ Expected<SolverPlan> SolverPlan::restore(
       return Result(SolveStatus::kBadSnapshot,
                     "snapshot lacks the in-degree state its backend needs");
     }
-    // The row form is NOT required of the blob: the lean v2 format omits
-    // it by design and it is rebuilt below from whichever factor the plan
-    // ends up solving against.
+    // The row form is NOT in the blob: it is rebuilt below, in execution
+    // order, from whichever factor the plan ends up solving against.
   }
 
   auto st = std::make_shared<State>();
@@ -1007,11 +979,6 @@ Expected<SolverPlan> SolverPlan::restore(
                             " in the supplied matrix (singular)");
         }
       }
-      // The cached row form snapshots VALUES; re-sync it from the
-      // caller's matrix (structure reuse, no re-analysis).
-      if (snap.row_form.has_value()) {
-        snap.row_form = sparse::csr_from_csc(*borrow);
-      }
     }
   } else {
     st->storage = std::move(parsed.factor);
@@ -1024,18 +991,32 @@ Expected<SolverPlan> SolverPlan::restore(
     snap.partition = partition_for(options, n);
   }
 
-  // Row-form view for the host gather: lean (v2+) blobs do not carry it,
-  // nor do serial plans in any older blob, so rebuild it from the
-  // resolved factor -- one O(nnz) transpose, the same memory-speed pass
-  // analyze pays. Fat blobs (v1, or v2 written with include_row_form)
-  // keep their stored copy; the borrowed value-refresh above already
-  // re-synced it when needed.
-  if (n > 0 && backend_uses_row_form(options.backend) &&
-      !snap.row_form.has_value()) {
-    snap.row_form = sparse::csr_from_csc(*st->lower);
+  // Host backends execute in an order derived from the level analysis.
+  // A stored order must be a topological order of a solvable factor --
+  // the row-form build relies on it, and an ascending claim over any
+  // other order would spin forever -- so check both in one pass over the
+  // structure instead of trusting the CRC alone. Blobs from before serial
+  // and sync-free plans kept levels lack them: validate the factor, then
+  // compute them. The row form is then rebuilt from the resolved factor
+  // (the borrowed matrix's values included) in execution order -- one
+  // O(nnz) scatter, the same pass analyze pays.
+  if (n > 0 && backend_uses_row_form(options.backend)) {
+    if (!snap.levels.has_value()) {
+      if (!sparse::diagnose_solvable_lower(*st->lower).solvable) {
+        return Result(SolveStatus::kBadSnapshot,
+                      "snapshot factor is not a solvable lower-triangular "
+                      "matrix");
+      }
+      snap.levels = sparse::analyze_levels(*st->lower, /*validate=*/false);
+    } else if (!is_topological_order(*st->lower, snap.levels->order)) {
+      return Result(SolveStatus::kBadSnapshot,
+                    "snapshot level order is not a topological order of a "
+                    "solvable factor");
+    }
+    build_plan_row_form(options, *st->lower, snap);
   }
 
-  // The task DAG is never serialized (like the lean row form): rebuild it
+  // The task DAG is never serialized (like the row form): rebuild it
   // from the stored levels under the PERSISTED coarsening thresholds --
   // they came from the analyzing process's measured costs, and the graph
   // the plan runs must be the graph the analysis chose. Only a record
@@ -1059,8 +1040,6 @@ Expected<SolverPlan> SolverPlan::restore(
       options.rhs_layout != RhsLayout::kAuto ? options.rhs_layout
                                              : snap.rhs_layout,
       options.backend);
-
-  apply_numa_hints(options, snap);
 
   // The sync-free host kernel SPINS on its delivery counters: in-degrees
   // that disagree with the factor would hang the worker threads, not just
@@ -1121,6 +1100,10 @@ const sparse::LevelAnalysis* SolverPlan::level_analysis() const {
   return state_->snapshot.levels ? &*state_->snapshot.levels : nullptr;
 }
 
+const RowForm* SolverPlan::row_form() const {
+  return state_->snapshot.row_form ? &*state_->snapshot.row_form : nullptr;
+}
+
 const TunedDecision* SolverPlan::tuned() const {
   return state_->snapshot.tuned ? &*state_->snapshot.tuned : nullptr;
 }
@@ -1167,11 +1150,11 @@ std::size_t SolverPlan::resident_bytes() const {
   if (snap.row_form.has_value()) {
     bytes += vector_bytes(snap.row_form->row_ptr) +
              vector_bytes(snap.row_form->col_idx) +
-             vector_bytes(snap.row_form->val);
+             vector_bytes(snap.row_form->val) +
+             vector_bytes(snap.row_form->row_of);
   }
   if (snap.tasks.has_value()) {
     bytes += vector_bytes(snap.tasks->task_ptr) +
-             vector_bytes(snap.tasks->task_rows) +
              vector_bytes(snap.tasks->kind) +
              vector_bytes(snap.tasks->task_of) +
              vector_bytes(snap.tasks->in_degree) +

@@ -67,6 +67,7 @@ struct TaskGraph;  // sparse/task_graph.hpp
 
 namespace msptrsv::core {
 
+struct RowForm;               // core/row_form.hpp
 struct SnapshotBlob;          // core/plan_snapshot.hpp
 struct SnapshotWriteOptions;  // core/plan_snapshot.hpp
 struct TunedDecision;         // core/plan_snapshot.hpp
@@ -91,9 +92,10 @@ class SolverPlan {
                                                SolveOptions options);
 
   /// Symbolic phase for an upper-triangular factor (backward substitution).
-  /// The reduction to lower form (reference.hpp) is performed HERE, once,
-  /// so repeated solves pay only an O(n) vector reversal -- and so the
-  /// transform never pollutes per-solve timings.
+  /// The reduction to lower form (reference.hpp) is performed HERE, once.
+  /// Host backends then solve in the caller's numbering through a
+  /// mirrored row form, with no per-solve vector reversal; the simulated
+  /// backends pay an O(n) reversal of each rhs and solution.
   static Expected<SolverPlan> analyze_upper(sparse::CscMatrix upper,
                                             SolveOptions options);
 
@@ -153,17 +155,17 @@ class SolverPlan {
 
   // ---- persistence ---------------------------------------------------------
   // The symbolic phase as a durable artifact: serialize() captures the
-  // analyzed factor plus the whole PlanSnapshot (levels, in-degrees, row
-  // form, comm sizing) into a versioned, endianness-tagged, CRC-guarded
-  // blob; the load paths restore it without re-running ANY analysis.
+  // analyzed factor plus the PlanSnapshot (levels, in-degrees, tuned
+  // decision, comm sizing) into a versioned, endianness-tagged,
+  // CRC-guarded blob; the load paths restore it without re-running ANY
+  // analysis.
 
   /// Sealed blob image of this plan (works on borrowed plans too -- the
   /// factor is read through the plan's view). Cheap relative to analysis:
-  /// one pass over the stored arrays. Since v2 the image is LEAN: the
-  /// row-form view is rebuilt at load instead of stored (it duplicates
-  /// every factor value). The overload takes explicit format knobs --
-  /// v1-format or fat images for compatibility tests and the restore-cost
-  /// bench.
+  /// one pass over the stored arrays. The image is LEAN: the row form is
+  /// rebuilt at load in execution order instead of stored (it duplicates
+  /// every factor value). The overload takes an explicit format version
+  /// for compatibility tests.
   Expected<std::vector<std::uint8_t>> serialize() const;
   Expected<std::vector<std::uint8_t>> serialize(
       SnapshotWriteOptions write_options) const;
@@ -190,7 +192,7 @@ class SolverPlan {
   /// against the CALLER's matrix (which must outlive the plan, the
   /// analyze_borrowed contract). The caller's matrix must hash-match the
   /// blob's recorded sparsity pattern (kBadSnapshot otherwise); its VALUES
-  /// may differ -- the cached row form is re-synced when they do. Only
+  /// may differ -- the row form is built from the caller's matrix. Only
   /// lower-triangular plans support borrowed loading (an upper plan's
   /// internal factor is the reversed form, which no caller owns).
   static Expected<SolverPlan> load_borrowed(const std::string& path,
@@ -218,8 +220,14 @@ class SolverPlan {
   sparse::Partition partition() const;
   /// Per-component in-degrees (empty for backends that do not use them).
   std::span<const index_t> in_degrees() const;
-  /// Level-set analysis (null for backends that do not use it).
+  /// Level-set analysis: present on every host plan (the source of its
+  /// row form's execution order) and on gpu-levelset plans; null
+  /// otherwise.
   const sparse::LevelAnalysis* level_analysis() const;
+  /// The host gather view, rows stored in execution order and the
+  /// caller's numbering (row_form.hpp); null for simulated backends and
+  /// empty plans.
+  const RowForm* row_form() const;
   /// The analyze-time schedule decision: present on every autotuned plan
   /// (SolveOptions::autotune / registry preset "auto") and on every
   /// cpu-taskgraph plan; null otherwise. Round-trips through v3 plan
@@ -279,14 +287,11 @@ class SolverPlan {
                                       const sparse::CscMatrix* borrow,
                                       std::chrono::steady_clock::time_point t0);
 
-  /// Fused execution of num_rhs rhs (column-major) on the lower factor.
-  /// `cancel` may be null (no checks); a fired token maps to
-  /// kDeadlineExceeded / kOverloaded.
-  Expected<SolveResult> run_batch_lower(std::span<const value_t> b,
-                                        index_t num_rhs,
-                                        const CancelToken* cancel) const;
-  Expected<SolveResult> run_one(std::span<const value_t> b,
-                                const CancelToken* cancel) const;
+  /// Fused execution of num_rhs rhs (column-major, caller numbering) for
+  /// lower and upper plans alike. `cancel` may be null (no checks); a
+  /// fired token maps to kDeadlineExceeded / kOverloaded.
+  Expected<SolveResult> run_batch(std::span<const value_t> b, index_t num_rhs,
+                                  const CancelToken* cancel) const;
   /// The caller-visible token composed with options().time_budget
   /// (earlier deadline wins); inert when neither is set.
   CancelToken effective_token(const CancelToken& cancel) const;

@@ -12,6 +12,8 @@ namespace {
 enum SectionFlags : std::uint32_t {
   kHasInDegrees = 1u << 0,
   kHasLevels = 1u << 1,
+  /// v1 and fat v2 streams: a natural-order CSR copy of the factor. No
+  /// writer emits it any more; the reader skips it.
   kHasRowForm = 1u << 2,
   /// v3+: the analyze-time tuned decision (autotuner choice + features +
   /// coarsening thresholds). Never set by v1/v2 streams.
@@ -96,29 +98,21 @@ std::vector<std::uint8_t> serialize_snapshot(const PlanSnapshot& snap,
 
   sparse::write_csc(w, factor);
 
-  // Lean by default since v2: the row form duplicates every factor value
-  // (it is csr_from_csc(factor), bit for bit), so storing it doubled the
-  // dominant payload for the host-parallel backends. The load path
-  // rebuilds it at memory speed; tests opt back in to exercise the fat
-  // read path.
-  const bool store_row_form =
-      snap.row_form.has_value() &&
-      (options.format_version == 1 || options.include_row_form);
-  // The tuned decision is a v3 section: older-format writes drop it (a
-  // v1/v2 reader would choke on an unknown flag bit).
+  // The row form is never stored: it duplicates every factor value, and
+  // its execution order is a function of the stored levels, so the load
+  // path rebuilds it. The tuned decision is a v3 section: older-format
+  // writes drop it (a v1/v2 reader would choke on an unknown flag bit).
   const bool store_tuned =
       snap.tuned.has_value() && options.format_version >= 3;
   std::uint32_t flags = 0;
   if (!snap.in_degrees.empty()) flags |= kHasInDegrees;
   if (snap.levels.has_value()) flags |= kHasLevels;
-  if (store_row_form) flags |= kHasRowForm;
   if (store_tuned) flags |= kHasTuned;
   w.write_u32(flags);
   if (flags & kHasInDegrees) {
     w.write_span(std::span<const index_t>(snap.in_degrees));
   }
   if (flags & kHasLevels) sparse::write_levels(w, *snap.levels);
-  if (flags & kHasRowForm) sparse::write_csr(w, *snap.row_form);
   if (flags & kHasTuned) write_tuned(w, *snap.tuned);
 
   return std::move(w).finish();
@@ -182,7 +176,10 @@ std::string deserialize_snapshot(std::span<const std::uint8_t> bytes,
     out.snapshot.in_degrees = r.read_vector<index_t>();
   }
   if (flags & kHasLevels) out.snapshot.levels = sparse::read_levels(r);
-  if (flags & kHasRowForm) out.snapshot.row_form = sparse::read_csr(r);
+  // An old blob's row form is in natural row order, not the execution
+  // order the kernels walk: parse it (the stream must stay well-formed)
+  // and drop it; the load path rebuilds the form.
+  if (flags & kHasRowForm) (void)sparse::read_csr(r);
   if (flags & kHasTuned) {
     TunedDecision d;
     const std::string err = read_tuned(r, d);
@@ -201,12 +198,6 @@ std::string deserialize_snapshot(std::span<const std::uint8_t> bytes,
   if (out.snapshot.levels.has_value() &&
       static_cast<std::size_t>(out.snapshot.levels->n) != n) {
     return "level-analysis section does not match the factor dimension";
-  }
-  if (out.snapshot.row_form.has_value() &&
-      (out.snapshot.row_form->rows != out.factor.rows ||
-       out.snapshot.row_form->cols != out.factor.cols ||
-       out.snapshot.row_form->nnz() != out.factor_nnz)) {
-    return "row-form section does not match the factor shape";
   }
   if (out.snapshot.tuned.has_value() &&
       out.snapshot.tuned->backend != out.snapshot.backend) {

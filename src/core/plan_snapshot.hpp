@@ -12,8 +12,10 @@
 // The partition is deliberately NOT serialized: it is a deterministic O(n)
 // function of (backend, n, num_gpus, tasks_per_gpu) -- partition_for --
 // and rebuilding it at load keeps the blob free of Partition's internal
-// layout. Everything expensive or branchy (levels, in-degrees, row form)
-// is stored verbatim and restored by memcpy-speed reads.
+// layout. The row form and the task graph are not serialized either: they
+// are O(nnz) functions of the factor and the stored levels. Everything
+// branchy (levels, in-degrees, the tuned decision) is stored verbatim and
+// restored by memcpy-speed reads.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "core/row_form.hpp"
 #include "core/solver.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/level_analysis.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/serialize.hpp"
@@ -61,23 +63,27 @@ struct PlanSnapshot {
   Backend backend = Backend::kSerial;
   int tasks_per_gpu = 1;
   int num_gpus = 1;
-  /// Built by analyze_upper: the factor is the REVERSED lower form and
-  /// solves apply the O(n) vector reversal around the kernel.
+  /// Built by analyze_upper: the factor is the REVERSED lower form. Host
+  /// backends solve it through the mirrored row form, in the caller's
+  /// numbering; only the simulated backends apply the O(n) vector
+  /// reversal around their engines.
   bool upper = false;
 
   /// Component-to-GPU distribution (multi-GPU backends; rebuilt at load).
   std::optional<sparse::Partition> partition;
   /// Per-component in-degrees (sync-free backends).
   std::vector<index_t> in_degrees;
-  /// Level-set analysis (level-scheduled backends).
+  /// Level-set analysis (every host backend, and gpu-levelset): the
+  /// source of the row form's execution order.
   std::optional<sparse::LevelAnalysis> levels;
-  /// CSR view of the factor for the host-parallel pull-based gather.
-  /// Carries values, so value refreshes rewrite it. NOT serialized by the
-  /// v2 lean format -- it is a deterministic O(nnz) transpose of the
-  /// factor (sparse::csr_from_csc) and storing it doubled the blob's
-  /// value payload; the load path rebuilds it. v1 blobs (and fat v2 ones
-  /// written for tests) still carry it and are honored.
-  std::optional<sparse::CsrMatrix> row_form;
+  /// The host backends' gather view, rows stored in the order the
+  /// backend executes them (serial_row_order for serial, level order
+  /// for the parallel schedules) in the caller's numbering. Carries
+  /// values, so value refreshes rebuild it. NEVER serialized: it is an
+  /// O(nnz) function of the factor and the levels, and the load path
+  /// rebuilds it. Row forms stored by v1 and fat v2 blobs are in natural
+  /// row order; the reader skips them.
+  std::optional<RowForm> row_form;
   /// The RESOLVED RhsLayout of the plan (never kAuto after analysis; see
   /// resolve_rhs_layout). Persisted by v2 blobs; v1 blobs deserialize it
   /// as kAuto and the load path re-resolves by backend -- which lands on
@@ -100,21 +106,18 @@ struct PlanSnapshot {
 /// On-disk format version of plan blobs. The reader accepts the current
 /// version AND every older one back to v1 -- a plan cache must outlive a
 /// binary upgrade; anything else is rejected (kBadSnapshot).
-/// v2: adds the rhs_layout byte, stops storing the row-form section.
+/// v2: adds the rhs_layout byte, stops storing the row-form section by
+///     default (no writer stores it any more; readers skip it).
 /// v3: adds the tuned-decision section (autotuner choice + features +
 ///     coarsening thresholds; the task graph itself is rebuilt at load).
 inline constexpr std::uint16_t kPlanBlobVersion = 3;
 
-/// Serialization knobs, defaulted to the production format. Tests and the
-/// bench use these to produce older-format and fat (row-form-carrying)
-/// blobs for the compatibility and restore-cost studies.
+/// Serialization knobs, defaulted to the production format. Tests use
+/// them to produce older-format blobs for the compatibility studies.
 struct SnapshotWriteOptions {
-  /// 1..kPlanBlobVersion. Version 1 writes the exact pre-v2 byte stream
-  /// (no layout byte, row form included when present); version 2 the
-  /// pre-v3 stream (no tuned section).
+  /// 1..kPlanBlobVersion. Version 1 writes the pre-v2 byte stream (no
+  /// layout byte); version 2 the pre-v3 stream (no tuned section).
   std::uint16_t format_version = kPlanBlobVersion;
-  /// v2+ only: force the row-form section in despite the lean default.
-  bool include_row_form = false;
 };
 
 /// Serializes `snap` plus the analyzed factor (and its structural hash)

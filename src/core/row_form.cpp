@@ -1,0 +1,128 @@
+#include "core/row_form.hpp"
+
+#include <bit>
+
+#include "support/contracts.hpp"
+
+namespace msptrsv::core {
+
+RowForm build_row_form(const sparse::CscMatrix& lower,
+                       std::span<const index_t> order, bool mirrored) {
+  const std::size_t n = static_cast<std::size_t>(lower.rows);
+  MSPTRSV_REQUIRE(order.size() == n, "row order must list every row once");
+  const index_t last = lower.rows - 1;
+  RowForm rf;
+  rf.row_ptr.resize(n + 1);
+  rf.row_of.resize(n);
+  rf.col_idx.resize(static_cast<std::size_t>(lower.nnz()));
+  rf.val.resize(rf.col_idx.size());
+
+  // next[i] first counts row i's entries (negated: a solvable row has at
+  // least its diagonal, so negative means "not yet placed"), then holds
+  // the slot its next entry goes to.
+  std::vector<offset_t> next(n, 0);
+  for (const index_t i : lower.row_idx) --next[static_cast<std::size_t>(i)];
+  rf.row_ptr[0] = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const index_t i = order[p];
+    MSPTRSV_REQUIRE(i >= 0 && i <= last, "row order names a missing row");
+    offset_t& slot = next[static_cast<std::size_t>(i)];
+    MSPTRSV_REQUIRE(slot < 0, "row order repeats a row");
+    rf.row_of[p] = mirrored ? last - i : i;
+    rf.row_ptr[p + 1] = rf.row_ptr[p] - slot;
+    slot = rf.row_ptr[p];
+  }
+  // Ascending columns land in ascending order within every row, and the
+  // diagonal (column i of row i) is the last column to reach row i.
+  for (index_t j = 0; j <= last; ++j) {
+    const index_t cj = mirrored ? last - j : j;
+    for (offset_t e = lower.col_ptr[static_cast<std::size_t>(j)];
+         e < lower.col_ptr[static_cast<std::size_t>(j) + 1]; ++e) {
+      const index_t i = lower.row_idx[static_cast<std::size_t>(e)];
+      const auto dst = static_cast<std::size_t>(
+          next[static_cast<std::size_t>(i)]++);
+      rf.col_idx[dst] = cj;
+      rf.val[dst] = lower.val[static_cast<std::size_t>(e)];
+    }
+  }
+  return rf;
+}
+
+index_t serial_window_rows(const sparse::LevelAnalysis& levels) {
+  constexpr int kMinShift = 8;  // 256-row windows
+  constexpr offset_t kMinRowsPerPair = 8;
+  const index_t n = levels.n;
+  for (int shift = kMinShift; (offset_t{1} << shift) < n; ++shift) {
+    // A level lists its rows in ascending id order, so each change of
+    // window along the list opens a new (window, level) pair.
+    // Stops counting once the window size can no longer qualify.
+    offset_t pairs = 0;
+    for (index_t l = 0; l < levels.num_levels && n >= kMinRowsPerPair * pairs;
+         ++l) {
+      index_t window = -1;
+      for (offset_t p = levels.level_ptr[static_cast<std::size_t>(l)];
+           p < levels.level_ptr[static_cast<std::size_t>(l) + 1]; ++p) {
+        const index_t w = levels.order[static_cast<std::size_t>(p)] >> shift;
+        pairs += w != window;
+        window = w;
+      }
+    }
+    if (n >= kMinRowsPerPair * pairs) return index_t{1} << shift;
+  }
+  return n;
+}
+
+std::vector<index_t> serial_row_order(const sparse::LevelAnalysis& levels) {
+  const index_t window = serial_window_rows(levels);
+  if (window >= levels.n) return levels.order;
+  // Window k holds rows [k*window, (k+1)*window) and so positions
+  // [k*window, ...): a stable bucket pass over the level order keeps
+  // level order inside every window.
+  const int shift = std::countr_zero(static_cast<unsigned>(window));
+  std::vector<offset_t> cursor(
+      static_cast<std::size_t>((levels.n + window - 1) >> shift));
+  for (std::size_t k = 0; k < cursor.size(); ++k) {
+    cursor[k] = static_cast<offset_t>(k) << shift;
+  }
+  std::vector<index_t> out(static_cast<std::size_t>(levels.n));
+  for (const index_t i : levels.order) {
+    offset_t& slot = cursor[static_cast<std::size_t>(i >> shift)];
+    out[static_cast<std::size_t>(slot++)] = i;
+  }
+  return out;
+}
+
+bool is_topological_order(const sparse::CscMatrix& lower,
+                          std::span<const index_t> order) {
+  const std::size_t n = static_cast<std::size_t>(lower.rows);
+  if (order.size() != n) return false;
+  std::vector<index_t> pos(n, -1);
+  for (std::size_t p = 0; p < n; ++p) {
+    const index_t i = order[p];
+    if (i < 0 || static_cast<std::size_t>(i) >= n ||
+        pos[static_cast<std::size_t>(i)] >= 0) {
+      return false;
+    }
+    pos[static_cast<std::size_t>(i)] = static_cast<index_t>(p);
+  }
+  // Column j leads with its diagonal, then lists the rows that depend on
+  // row j in strictly ascending order.
+  for (std::size_t j = 0; j < n; ++j) {
+    const offset_t b = lower.col_ptr[j];
+    const offset_t e = lower.col_ptr[j + 1];
+    if (b >= e || lower.row_idx[static_cast<std::size_t>(b)] !=
+                      static_cast<index_t>(j)) {
+      return false;
+    }
+    for (offset_t k = b + 1; k < e; ++k) {
+      const index_t i = lower.row_idx[static_cast<std::size_t>(k)];
+      if (i <= lower.row_idx[static_cast<std::size_t>(k) - 1] ||
+          pos[static_cast<std::size_t>(i)] <= pos[j]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace msptrsv::core

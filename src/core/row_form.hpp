@@ -1,0 +1,78 @@
+// The host kernels' gather view of an analyzed factor, stored in the order
+// its schedule executes.
+//
+// Every host backend solves a row by PULLING the final x entries of its
+// dependencies (cpu_parallel.hpp). The row form holds those rows at
+// POSITIONS: position p is the p-th row of a topological order, and a
+// kernel walks positions -- front to back on one party, or in level
+// slices / task ranges / ascending claims on a gang -- never row ids.
+// Storing the rows in execution order makes every sweep a unit-stride
+// stream through the structure, and lets the serial sweep put
+// independent rows next to each other so the core overlaps their divides
+// instead of waiting on x[i-1] every row.
+//
+// The form speaks the CALLER's numbering: row_of[p] and the column ids
+// are the caller's row ids. For an upper plan, whose analyzed factor is
+// the reversed lower form (reference.hpp), internal row i is caller row
+// n-1-i, so upper solves read b and write x directly, with no vector
+// reversal around the kernel. A row's entries keep the analyzed factor's
+// ascending internal-column order, diagonal last: the per-row operation
+// sequence -- and so every result bit -- is the same whatever the order
+// of the positions.
+#pragma once
+
+#include <span>
+#include <vector>
+
+#include "sparse/csc.hpp"
+#include "sparse/level_analysis.hpp"
+
+namespace msptrsv::core {
+
+struct RowForm {
+  /// Position p's entries occupy [row_ptr[p], row_ptr[p+1]); size n+1.
+  std::vector<offset_t> row_ptr;
+  /// Caller-numbered column of each entry, in the analyzed factor's
+  /// ascending internal-column order; the diagonal ends every row.
+  std::vector<index_t> col_idx;
+  std::vector<value_t> val;
+  /// row_of[p]: the caller-numbered row solved at position p.
+  std::vector<index_t> row_of;
+
+  index_t rows() const { return static_cast<index_t>(row_of.size()); }
+  offset_t nnz() const { return static_cast<offset_t>(col_idx.size()); }
+};
+
+/// Builds the row form of the solvable lower factor `lower` with its rows
+/// at the positions `order` lists (internal row ids; a permutation, and
+/// topological for any kernel to run on it). `mirrored` numbers rows and
+/// columns n-1-i in the caller's frame (upper plans). One counting pass
+/// and one scatter pass over the factor, O(n + nnz).
+RowForm build_row_form(const sparse::CscMatrix& lower,
+                       std::span<const index_t> order, bool mirrored);
+
+/// Rows per window of the serial sweep: the smallest power of two of at
+/// least 256 whose windows of consecutive rows hold, on average, at least
+/// 8 rows per (window, level) pair; the whole factor (levels.n) when none
+/// does. One linear pass over the level order per candidate.
+index_t serial_window_rows(const sparse::LevelAnalysis& levels);
+
+/// The serial sweep's execution order: the rows of each window of
+/// serial_window_rows consecutive rows, in level order (ascending id
+/// within a level). Rows of one level sit side by side, so the sweep
+/// overlaps their independent divides, and each window's slice of b and
+/// x stays in cache at any batch width. Topological whenever
+/// levels.order is.
+std::vector<index_t> serial_row_order(const sparse::LevelAnalysis& levels);
+
+/// True when `lower` has the structure of a solvable lower factor -- each
+/// column leads with its diagonal, then strictly ascending rows below it
+/// -- and `order` lists every row exactly once, each after all of its
+/// dependencies: what build_row_form and every host kernel's progress
+/// rest on. The load path checks stored level orders with it: an
+/// ascending claim over a non-topological order would spin forever.
+/// O(n + nnz).
+bool is_topological_order(const sparse::CscMatrix& lower,
+                          std::span<const index_t> order);
+
+}  // namespace msptrsv::core

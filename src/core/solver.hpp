@@ -2,7 +2,8 @@
 //
 // Backends map one-to-one onto the design points of the paper's Fig. 7
 // plus the host baselines:
-//   kSerial         natural-order pull sweep on the host (Algorithm 1's
+//   kSerial         one pull sweep on the host, level order inside
+//                   windows of consecutive rows (Algorithm 1's
 //                   arithmetic, gathered per row)
 //   kCpuLevelSet    real-thread level-set (Naumov on the host)
 //   kCpuSyncFree    real-thread sync-free (Liu on the host)

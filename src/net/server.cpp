@@ -75,9 +75,12 @@ Expected<bool> SolveServer::start() {
 
 void SolveServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // No new connections: closing the listener unblocks accept().
-  listener_.close();
+  // No new connections: shutting the listener down unblocks accept().
+  // The fd is released only after the acceptor has left accept() -- a
+  // close() racing it would reset the fd the acceptor is reading.
+  listener_.shutdown();
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
   // No new requests: half-close every read side. Readers fall out of
   // read_frame with a clean EOF, close their pump (which flushes every
   // queued reply -- the service answers all admitted work), and exit.

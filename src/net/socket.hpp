@@ -72,17 +72,23 @@ class ListenSocket {
   bool valid() const { return sock_.valid(); }
   std::uint16_t port() const { return port_; }
 
-  /// Blocks for the next connection. kNetworkError after close() -- the
+  /// Blocks for the next connection. kNetworkError after shutdown() -- the
   /// acceptor loop's exit signal.
   core::Expected<Socket> accept();
 
-  /// Unblocks any accept() in flight (they return kNetworkError). The
-  /// shutdown before the close is load-bearing: on Linux, close() alone
-  /// does NOT wake a thread already blocked in accept() -- shutdown()
-  /// does, making it fail with EINVAL.
-  void close() {
+  /// Unblocks any accept() in flight and fails every later one
+  /// (kNetworkError), leaving the fd open. On Linux, close() alone does
+  /// NOT wake a thread already blocked in accept() -- shutdown() does,
+  /// making it fail with EINVAL.
+  void shutdown() {
     sock_.shutdown_read();
     sock_.shutdown_write();
+  }
+
+  /// Shuts down and releases the fd. Resetting the fd races a concurrent
+  /// accept(): join the accepting thread after shutdown() and before this.
+  void close() {
+    shutdown();
     sock_.close();
   }
 

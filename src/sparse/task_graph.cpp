@@ -73,26 +73,19 @@ TaskGraph coarsen_levels(const CscMatrix& lower, const LevelAnalysis& levels,
   };
 
   // ---- Pass 1: carve the level sequence into tasks -------------------------
+  // Tasks are consecutive ranges of the level order, so a task is fully
+  // described by where it ends.
   g.task_ptr.reserve(16);
   g.task_ptr.push_back(0);
-  g.task_rows.reserve(static_cast<std::size_t>(g.n));
   g.task_of.assign(static_cast<std::size_t>(g.n), 0);
 
   index_t chain_levels = 0;  // levels absorbed by the open chain run
   const auto close_chain = [&](index_t end_level) {
     if (chain_levels == 0) return;
-    const index_t first = end_level - chain_levels;
     // One task for the whole run, rows in level order: the sequential
     // sweep satisfies every intra-run dependency (a row's predecessors
     // sit in strictly earlier levels).
-    for (index_t l = first; l < end_level; ++l) {
-      const offset_t b = levels.level_ptr[static_cast<std::size_t>(l)];
-      const offset_t e = levels.level_ptr[static_cast<std::size_t>(l) + 1];
-      for (offset_t p = b; p < e; ++p) {
-        g.task_rows.push_back(levels.order[static_cast<std::size_t>(p)]);
-      }
-    }
-    g.task_ptr.push_back(static_cast<offset_t>(g.task_rows.size()));
+    g.task_ptr.push_back(levels.level_ptr[static_cast<std::size_t>(end_level)]);
     g.kind.push_back(static_cast<std::uint8_t>(TaskKind::kChain));
     ++g.num_chain_tasks;
     g.levels_fused += chain_levels - 1;
@@ -110,11 +103,7 @@ TaskGraph coarsen_levels(const CscMatrix& lower, const LevelAnalysis& levels,
     const offset_t b = levels.level_ptr[static_cast<std::size_t>(l)];
     const offset_t e = levels.level_ptr[static_cast<std::size_t>(l) + 1];
     for (offset_t blk = b; blk < e; blk += opts.block_rows) {
-      const offset_t blk_end = std::min<offset_t>(blk + opts.block_rows, e);
-      for (offset_t p = blk; p < blk_end; ++p) {
-        g.task_rows.push_back(levels.order[static_cast<std::size_t>(p)]);
-      }
-      g.task_ptr.push_back(static_cast<offset_t>(g.task_rows.size()));
+      g.task_ptr.push_back(std::min<offset_t>(blk + opts.block_rows, e));
       g.kind.push_back(static_cast<std::uint8_t>(TaskKind::kBlock));
       ++g.num_block_tasks;
     }
@@ -125,7 +114,8 @@ TaskGraph coarsen_levels(const CscMatrix& lower, const LevelAnalysis& levels,
   for (index_t t = 0; t < g.num_tasks; ++t) {
     for (offset_t p = g.task_ptr[static_cast<std::size_t>(t)];
          p < g.task_ptr[static_cast<std::size_t>(t) + 1]; ++p) {
-      g.task_of[static_cast<std::size_t>(g.task_rows[static_cast<std::size_t>(p)])] = t;
+      const index_t i = levels.order[static_cast<std::size_t>(p)];
+      g.task_of[static_cast<std::size_t>(i)] = t;
     }
   }
 
@@ -140,7 +130,7 @@ TaskGraph coarsen_levels(const CscMatrix& lower, const LevelAnalysis& levels,
   for (index_t t = 0; t < g.num_tasks; ++t) {
     for (offset_t p = g.task_ptr[static_cast<std::size_t>(t)];
          p < g.task_ptr[static_cast<std::size_t>(t) + 1]; ++p) {
-      const index_t i = g.task_rows[static_cast<std::size_t>(p)];
+      const index_t i = levels.order[static_cast<std::size_t>(p)];
       for (offset_t e = lower.col_ptr[static_cast<std::size_t>(i)] + 1;
            e < lower.col_ptr[static_cast<std::size_t>(i) + 1]; ++e) {
         const index_t ts = g.task_of[static_cast<std::size_t>(

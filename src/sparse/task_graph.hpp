@@ -49,11 +49,12 @@ struct TaskGraph {
   index_t n = 0;
   index_t num_tasks = 0;
 
-  /// Rows of task t: task_rows[task_ptr[t] .. task_ptr[t+1]) in execution
-  /// order (level order for chains, ascending id within a block). Every
-  /// row appears exactly once across all tasks.
+  /// Task t runs the level-order positions [task_ptr[t], task_ptr[t+1])
+  /// -- rows levels.order[task_ptr[t] ..] of the analysis it was coarsened
+  /// from (level order for chains, one level's ascending ids for a
+  /// block). Tasks tile the positions in order, so every row appears
+  /// exactly once across all tasks.
   std::vector<offset_t> task_ptr;
-  std::vector<index_t> task_rows;
   /// TaskKind per task.
   std::vector<std::uint8_t> kind;
   /// task_of[row]: the task that solves the row.
@@ -93,7 +94,8 @@ struct CoarsenOptions {
 /// Timed once per process on a fixed calibration factor
 /// (core::measured_host_costs); tests inject their own.
 struct HostCosts {
-  /// Serial pull sweep in natural row order, ns per stored nonzero (k = 1).
+  /// Serial sweep over its windowed level order (core::serial_row_order),
+  /// ns per stored nonzero (k = 1).
   double serial_ns_per_nnz = 0.0;
   /// The parallel kernels' level-ordered gather on one party, ns per
   /// stored nonzero (k = 1).

@@ -121,7 +121,7 @@ TEST(FuzzCorpus, SeedCorpusIsRegeneratedDeterministically) {
   write_corpus("reject_bad_version.bin", bad_version);
 
   std::vector<std::uint8_t> bad_crc = hello;
-  bad_crc.back() ^= 0x01;
+  bad_crc[hello.size() - 1] ^= 0x01;
   write_corpus("reject_bad_crc.bin", bad_crc);
 
   std::vector<std::uint8_t> truncated(hello.begin(), hello.end() - 5);
@@ -229,17 +229,23 @@ TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
   // Saved before the serial backend became a pull sweep over the row
   // form: a serial plan that asked for the interleaved layout, a serial
   // upper plan, and an autotuned cpu-taskgraph plan. Serial plans never
-  // stored a row form; loading rebuilds it, and the interleaved request
-  // clamps to column-major. Every host backend shares one gather order,
-  // so each must solve to the bits of a fresh cpu-levelset/t1 plan.
+  // stored a row form or levels; loading rebuilds both, and the
+  // interleaved request clamps to column-major. Saved before row forms
+  // were stored in execution order: a fat v2 cpu-levelset upper plan
+  // whose stored row form is a natural-order CSR copy, which loading must
+  // skip. Every host backend shares one gather order, so each must solve
+  // to the bits of a fresh cpu-levelset/t1 plan.
   struct Legacy {
     const char* file;
     const char* preset;
+    bool fat;  // carries a stored row form
   };
   for (const Legacy& c :
-       {Legacy{"blob_ok_legacy_serial_interleaved_v3.bin", "serial"},
-        Legacy{"blob_ok_legacy_serial_upper_v3.bin", "serial"},
-        Legacy{"blob_ok_legacy_auto_taskgraph_v3.bin", "auto"}}) {
+       {Legacy{"blob_ok_legacy_serial_interleaved_v3.bin", "serial", false},
+        Legacy{"blob_ok_legacy_serial_upper_v3.bin", "serial", false},
+        Legacy{"blob_ok_legacy_auto_taskgraph_v3.bin", "auto", false},
+        Legacy{"blob_ok_legacy_fat_levelset_upper_v2.bin", "cpu-levelset",
+               true}}) {
     SCOPED_TRACE(c.file);
     std::vector<std::uint8_t> bytes;
     ASSERT_TRUE(support::read_file(corpus_dir() + "/" + c.file, bytes));
@@ -248,6 +254,13 @@ TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
     ASSERT_TRUE(loaded.ok()) << loaded.message();
     if (loaded->options().backend == core::Backend::kSerial) {
       EXPECT_EQ(loaded->rhs_layout(), core::RhsLayout::kColumnMajor);
+    }
+    if (c.fat) {
+      // The stored row form duplicates the factor's values; the lean
+      // re-save drops it.
+      EXPECT_GT(bytes.size(), loaded->serialize().value().size() +
+                                  loaded->factor().val.size() *
+                                      sizeof(value_t));
     }
 
     // The reference solves the plan's internal lower form (the reversed

@@ -3,16 +3,22 @@
 // One seeded sweep drives every host execution strategy through the same
 // inputs -- {lower, upper} x {serial, cpu-levelset, cpu-syncfree,
 // cpu-taskgraph} x {1, 4 threads} x {column-major, interleaved} x
-// {solve, solve_batch, update_values-then-solve} -- and holds the results
-// to two contracts at once:
+// {solve, solve_batch at 2, 3 and 5 rhs, save-then-load-then-solve,
+// update_values-then-solve} -- and holds the results to two contracts at
+// once:
 //
 //  * numerics: every configuration reproduces the serial backend to
 //    tight relative tolerance;
-//  * bits: every host backend -- the serial natural-order pull sweep and
-//    the parallel schedules alike -- gathers each row in ascending-column
-//    order from zero BY CONSTRUCTION, independent of schedule, thread
-//    count, and layout -- so all of them must agree bit for bit, across
-//    every configuration.
+//  * bits: every host backend -- the serial windowed sweep and the
+//    parallel schedules alike -- gathers each row in the analyzed
+//    factor's ascending-column order from zero BY CONSTRUCTION,
+//    independent of the order its rows execute in, thread count, and
+//    layout -- so all of them must agree bit for bit, across every
+//    configuration.
+//
+// The batch widths cover every column-major register block (1 to 4 rhs:
+// solve, then 2 and 3, then 5 = 4 + 1, a two-pass batch) and the panel
+// path at odd widths.
 //
 // A failing comparison dumps the matrix to a Matrix Market file next to
 // the test binary (name embeds the case tag and seed) so the exact
@@ -20,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,15 +87,29 @@ core::SolveOptions options_of(const Config& c) {
   return o;
 }
 
-/// The three results one configuration produces from one matrix. The
-/// update op runs LAST on its plan, so solve/batch see original values.
+/// Batch widths of the solve_batch op: with the single solve they hit
+/// every column-major register block (1-4 rhs) and a two-pass batch.
+constexpr index_t kBatchWidths[] = {2, 3, 5};
+constexpr index_t kMaxBatchRhs = 5;
+
+/// The results one configuration produces from one matrix. The update op
+/// runs LAST on its plan, so every other op sees original values.
 struct Results {
   std::vector<value_t> solve;
-  std::vector<value_t> batch;
+  /// One per kBatchWidths entry.
+  std::vector<std::vector<value_t>> batches;
+  /// The plan saved, restored, then solve + widest batch.
+  std::vector<value_t> loaded_solve;
+  std::vector<value_t> loaded_batch;
   std::vector<value_t> updated;
 };
 
-constexpr index_t kBatchRhs = 3;
+/// The first `width` columns of a column-major batch.
+std::span<const value_t> first_columns(const std::vector<value_t>& batch,
+                                       index_t n, index_t width) {
+  return std::span<const value_t>(batch).first(
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(width));
+}
 
 Results run_all_ops(const sparse::CscMatrix& factor, bool upper,
                     const core::SolveOptions& opt,
@@ -104,9 +125,18 @@ Results run_all_ops(const sparse::CscMatrix& factor, bool upper,
   const auto rs = plan->solve(b);
   EXPECT_TRUE(rs.ok()) << rs.message();
   r.solve = rs.value().x;
-  const auto rb = plan->solve_batch(batch, kBatchRhs);
-  EXPECT_TRUE(rb.ok()) << rb.message();
-  r.batch = rb.value().x;
+  for (const index_t width : kBatchWidths) {
+    const auto rb =
+        plan->solve_batch(first_columns(batch, factor.rows, width), width);
+    EXPECT_TRUE(rb.ok()) << rb.message();
+    r.batches.push_back(rb.value().x);
+  }
+  const auto blob = plan->serialize();
+  EXPECT_TRUE(blob.ok()) << blob.message();
+  const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
+  EXPECT_TRUE(loaded.ok()) << loaded.message();
+  r.loaded_solve = loaded->solve(b).value().x;
+  r.loaded_batch = loaded->solve_batch(batch, kMaxBatchRhs).value().x;
   const auto up = plan->update_values(scaled);
   EXPECT_TRUE(up.ok()) << up.message();
   const auto ru = plan->solve(b);
@@ -163,7 +193,7 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
       const std::vector<value_t> b = sparse::gen_rhs_for_solution(
           factor, sparse::gen_solution(n, m.seed + 1));
       std::vector<value_t> batch;
-      for (index_t j = 0; j < kBatchRhs; ++j) {
+      for (index_t j = 0; j < kMaxBatchRhs; ++j) {
         const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
             factor, sparse::gen_solution(n, m.seed + 10 + j));
         batch.insert(batch.end(), bj.begin(), bj.end());
@@ -181,6 +211,17 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
           run_all_ops(factor, upper, options_of(serial_ref), b, batch, scaled);
       const Results gold =
           run_all_ops(factor, upper, options_of(bits_ref), b, batch, scaled);
+      if (upper) {
+        // Host upper plans solve in the caller's numbering; their bits
+        // must be those of the analyzed reversed lower form solved in its
+        // own numbering around a vector reversal.
+        const auto mirror = core::SolverPlan::analyze(
+            core::reverse_upper_to_lower(factor), options_of(bits_ref));
+        ASSERT_TRUE(mirror.ok()) << mirror.message();
+        expect_bits(core::reversed(mirror->solve(core::reversed(b)).value().x),
+                    gold.solve, "solve (reversed lower form)",
+                    bits_ref.label(), m, upper, factor);
+      }
 
       for (const Config& c : sweep) {
         const std::string label = c.label();
@@ -188,13 +229,23 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
         const Results r =
             run_all_ops(factor, upper, options_of(c), b, batch, scaled);
         expect_close(r.solve, ref.solve, "solve", label, m, upper, factor);
-        expect_close(r.batch, ref.batch, "solve_batch", label, m, upper,
-                     factor);
         expect_close(r.updated, ref.updated, "update+solve", label, m, upper,
                      factor);
         expect_bits(r.solve, gold.solve, "solve", label, m, upper, factor);
-        expect_bits(r.batch, gold.batch, "solve_batch", label, m, upper,
-                    factor);
+        for (std::size_t w = 0; w < r.batches.size(); ++w) {
+          const std::string op =
+              "solve_batch/" + std::to_string(kBatchWidths[w]);
+          expect_close(r.batches[w], ref.batches[w], op.c_str(), label, m,
+                       upper, factor);
+          expect_bits(r.batches[w], gold.batches[w], op.c_str(), label, m,
+                      upper, factor);
+        }
+        // A restored plan rebuilds its row form in execution order and
+        // must solve exactly like the plan it was saved from.
+        expect_bits(r.loaded_solve, gold.solve, "load+solve", label, m,
+                    upper, factor);
+        expect_bits(r.loaded_batch, gold.batches.back(), "load+solve_batch",
+                    label, m, upper, factor);
         expect_bits(r.updated, gold.updated, "update+solve", label, m, upper,
                     factor);
       }
@@ -207,7 +258,7 @@ TEST(Differential, SerialIsDeterministicAcrossLayouts) {
   // is clamped to column-major and solves to the same bits.
   const sparse::CscMatrix l = sparse::gen_layered_dag(300, 24, 1600, 0.5, 3);
   std::vector<value_t> batch;
-  for (index_t j = 0; j < kBatchRhs; ++j) {
+  for (index_t j = 0; j < kMaxBatchRhs; ++j) {
     const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
         l, sparse::gen_solution(l.rows, 40 + static_cast<std::uint64_t>(j)));
     batch.insert(batch.end(), bj.begin(), bj.end());
@@ -220,8 +271,8 @@ TEST(Differential, SerialIsDeterministicAcrossLayouts) {
   const auto pi = core::SolverPlan::analyze(sparse::CscMatrix(l), inter);
   ASSERT_TRUE(pc.ok() && pi.ok());
   EXPECT_EQ(pi->rhs_layout(), RhsLayout::kColumnMajor);
-  EXPECT_EQ(pc->solve_batch(batch, kBatchRhs).value().x,
-            pi->solve_batch(batch, kBatchRhs).value().x);
+  EXPECT_EQ(pc->solve_batch(batch, kMaxBatchRhs).value().x,
+            pi->solve_batch(batch, kMaxBatchRhs).value().x);
 }
 
 }  // namespace

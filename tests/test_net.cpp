@@ -21,6 +21,7 @@
 // decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -587,13 +588,13 @@ TEST(NetLoopback, MalformedFramesFailStopTheConnectionNotTheProcess) {
   SolveServer server;
   ASSERT_TRUE(server.start().ok());
 
-  const auto with_prefix = [](std::vector<std::uint8_t> blob) {
+  const auto with_prefix = [](const std::vector<std::uint8_t>& blob) {
     const std::uint32_t len = static_cast<std::uint32_t>(blob.size());
-    std::vector<std::uint8_t> wire = {
-        static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
-        static_cast<std::uint8_t>(len >> 16),
-        static_cast<std::uint8_t>(len >> 24)};
-    wire.insert(wire.end(), blob.begin(), blob.end());
+    std::vector<std::uint8_t> wire(4 + blob.size());
+    for (std::size_t i = 0; i < 4; ++i) {
+      wire[i] = static_cast<std::uint8_t>(len >> (8 * i));
+    }
+    std::copy(blob.begin(), blob.end(), wire.begin() + 4);
     return wire;
   };
 
@@ -617,7 +618,12 @@ TEST(NetLoopback, MalformedFramesFailStopTheConnectionNotTheProcess) {
     expect_fail_stop(server, with_prefix(std::move(w).finish()));
   }
   // A REPLY frame sent to the server.
-  expect_fail_stop(server, net::encode_solve_ok({1, 0.0, {1.0}}));
+  {
+    net::SolveOkFrame reply;
+    reply.request_id = 1;
+    reply.x = {1.0};
+    expect_fail_stop(server, net::encode_solve_ok(reply));
+  }
   // Out-of-range priority in an otherwise valid solve frame.
   {
     support::BlobWriter w(net::kProtocolVersion);

@@ -6,6 +6,7 @@
 // SolveStatus::kBadSnapshot, never a crash or a silent misload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -230,7 +231,7 @@ TEST(PlanIo, EmptyPlanRoundTrips) {
   EXPECT_TRUE(loaded->solve({}).ok());
 }
 
-// ---- v2 layout field + lean/fat/v1 format compatibility --------------------
+// ---- v2 layout field + lean/v1 format compatibility ------------------------
 
 TEST(PlanIoLayout, RhsLayoutRoundTripsThroughTheBlob) {
   const sparse::CscMatrix l = test_matrix();
@@ -263,42 +264,51 @@ TEST(PlanIoLayout, RhsLayoutRoundTripsThroughTheBlob) {
   }
 }
 
-TEST(PlanIoLayout, LeanBlobIsSmallerAndLoadsBitForBit) {
-  // The v2 default omits the row form (it duplicates every factor value);
-  // the load path must rebuild it and solve exactly like the fat image.
+TEST(PlanIoLayout, BlobsCarryNoRowFormAndLoadBitForBit) {
+  // No format version stores the row form any more (it duplicates every
+  // factor value, and its execution order follows from the levels): every
+  // version's image parses without one, and the load path rebuilds it in
+  // execution order to solve exactly like the fresh plan, lower and upper.
   const sparse::CscMatrix l = test_matrix();
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
-    SCOPED_TRACE(key);
-    core::SolveOptions opt = core::registry::options_for(key).value();
-    opt.cpu_threads = 1;
-    const auto fresh = core::SolverPlan::analyze(l, opt);
-    ASSERT_TRUE(fresh.ok());
+  for (const char* key :
+       {"serial", "cpu-levelset", "cpu-syncfree", "cpu-taskgraph"}) {
+    for (const bool upper : {false, true}) {
+      SCOPED_TRACE(std::string(key) + (upper ? " upper" : " lower"));
+      core::SolveOptions opt = core::registry::options_for(key).value();
+      opt.cpu_threads = 1;
+      const auto fresh =
+          upper ? core::SolverPlan::analyze_upper(sparse::transpose(l), opt)
+                : core::SolverPlan::analyze(l, opt);
+      ASSERT_TRUE(fresh.ok()) << fresh.message();
+      ASSERT_NE(fresh->row_form(), nullptr);
+      const std::vector<value_t> b =
+          sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 21));
+      const std::vector<value_t> expect = fresh->solve(b).value().x;
 
-    const auto lean = fresh->serialize();
-    core::SnapshotWriteOptions fat_opts;
-    fat_opts.include_row_form = true;
-    const auto fat = fresh->serialize(fat_opts);
-    ASSERT_TRUE(lean.ok() && fat.ok());
-    EXPECT_LT(lean.value().size(), fat.value().size());
+      for (const std::uint16_t version : {1, 2, 3}) {
+        SCOPED_TRACE(version);
+        core::SnapshotWriteOptions w;
+        w.format_version = version;
+        const auto blob = fresh->serialize(w);
+        ASSERT_TRUE(blob.ok());
+        core::SnapshotBlob parsed;
+        ASSERT_EQ(core::deserialize_snapshot(blob.value(), parsed), "");
+        EXPECT_FALSE(parsed.snapshot.row_form.has_value());
 
-    const auto from_lean = core::SolverPlan::deserialize(lean.value(), opt);
-    const auto from_fat = core::SolverPlan::deserialize(fat.value(), opt);
-    ASSERT_TRUE(from_lean.ok()) << from_lean.message();
-    ASSERT_TRUE(from_fat.ok()) << from_fat.message();
-
-    const std::vector<value_t> b =
-        sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 21));
-    const std::vector<value_t> expect = fresh->solve(b).value().x;
-    EXPECT_EQ(from_lean->solve(b).value().x, expect);
-    EXPECT_EQ(from_fat->solve(b).value().x, expect);
+        const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
+        ASSERT_TRUE(loaded.ok()) << loaded.message();
+        ASSERT_NE(loaded->row_form(), nullptr);
+        EXPECT_EQ(loaded->row_form()->row_of, fresh->row_form()->row_of);
+        EXPECT_EQ(loaded->solve(b).value().x, expect);
+      }
+    }
   }
 }
 
 TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
   // A cache written by the previous binary must outlive the upgrade: the
-  // v1 stream (no layout byte, fat row form) loads, resolves its layout
-  // by backend exactly as v1-era plans did implicitly, and solves
-  // bit-for-bit.
+  // v1 stream (no layout byte) loads, resolves its layout by backend
+  // exactly as v1-era plans did implicitly, and solves bit-for-bit.
   const sparse::CscMatrix l = test_matrix();
   for (const char* key : {"cpu-levelset", "cpu-syncfree", "serial"}) {
     SCOPED_TRACE(key);
@@ -475,13 +485,51 @@ TEST(PlanIo, InDegreeDriftIsRejectedNotHung) {
   snap.num_gpus = opt.machine.num_gpus();
   snap.in_degrees = sparse::compute_in_degrees(l);
   snap.in_degrees[0] += 1;  // one undeliverable dependency
-  snap.row_form = sparse::csr_from_csc(l);
   const std::vector<std::uint8_t> blob = core::serialize_snapshot(snap, l);
 
   const auto r = core::SolverPlan::deserialize(blob, opt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
   EXPECT_NE(r.message().find("in-degree"), std::string::npos) << r.message();
+}
+
+TEST(PlanIo, NonTopologicalOrUnsolvableStateIsRejectedNotHung) {
+  // Host plans execute the stored level order: the sync-free gang claims
+  // its positions front to back, so a CRC-valid blob whose order puts a
+  // row before one of its dependencies would spin forever. The load must
+  // reject it -- and a level-less (older) blob whose factor is not a
+  // solvable lower factor -- instead of handing either to a solve.
+  const sparse::CscMatrix l = test_matrix();
+  core::SolveOptions opt = core::registry::options_for("cpu-syncfree").value();
+  opt.cpu_threads = 2;
+
+  core::PlanSnapshot snap;
+  snap.backend = core::Backend::kCpuSyncFree;
+  snap.tasks_per_gpu = opt.tasks_per_gpu;
+  snap.num_gpus = opt.machine.num_gpus();
+  snap.in_degrees = sparse::compute_in_degrees(l);
+  snap.levels = sparse::analyze_levels(l);
+  std::reverse(snap.levels->order.begin(), snap.levels->order.end());
+  const auto r =
+      core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
+  EXPECT_NE(r.message().find("topological"), std::string::npos)
+      << r.message();
+
+  // No levels, and column 1 lacks its diagonal.
+  sparse::CscMatrix broken = l;
+  broken.row_idx[static_cast<std::size_t>(broken.col_ptr[1])] = 0;
+  core::PlanSnapshot serial;
+  serial.backend = core::Backend::kSerial;
+  serial.tasks_per_gpu = opt.tasks_per_gpu;
+  serial.num_gpus = opt.machine.num_gpus();
+  const auto s = core::SolverPlan::deserialize(
+      core::serialize_snapshot(serial, broken),
+      core::registry::options_for("serial").value());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status(), core::SolveStatus::kBadSnapshot);
+  EXPECT_NE(s.message().find("solvable"), std::string::npos) << s.message();
 }
 
 TEST(PlanIo, BorrowedLoadOfUpperPlanIsRejected) {

@@ -50,15 +50,17 @@ void check_invariants(const CscMatrix& lower, const CoarsenOptions& opts,
   ASSERT_EQ(g.kind.size(), static_cast<std::size_t>(g.num_tasks));
   ASSERT_EQ(g.in_degree.size(), static_cast<std::size_t>(g.num_tasks));
   ASSERT_EQ(g.succ_ptr.size(), static_cast<std::size_t>(g.num_tasks) + 1);
-  ASSERT_EQ(g.task_rows.size(), n);
+  // Tasks tile the level order: task t runs levels.order[task_ptr[t] ..).
+  ASSERT_EQ(g.task_ptr.back(), static_cast<offset_t>(n));
   ASSERT_EQ(g.task_of.size(), n);
   EXPECT_EQ(g.num_chain_tasks + g.num_block_tasks, g.num_tasks);
   EXPECT_GE(g.levels_fused, 0);
   EXPECT_LT(g.levels_fused, std::max<index_t>(levels.num_levels, 1));
 
   // Exactly-once coverage: every row appears in exactly one task, and
-  // task_of agrees with the row lists. position[i] is the row's index in
-  // the flattened execution order, used for the intra-task order check.
+  // task_of agrees with the tasks' position ranges. position[i] is the
+  // row's index in the flattened execution order, used for the
+  // intra-task order check.
   std::vector<index_t> seen(n, 0);
   std::vector<offset_t> position(n, 0);
   for (index_t t = 0; t < g.num_tasks; ++t) {
@@ -66,7 +68,7 @@ void check_invariants(const CscMatrix& lower, const CoarsenOptions& opts,
     const offset_t end = g.task_ptr[static_cast<std::size_t>(t) + 1];
     ASSERT_LT(begin, end) << "empty task " << t;
     for (offset_t p = begin; p < end; ++p) {
-      const index_t row = g.task_rows[static_cast<std::size_t>(p)];
+      const index_t row = levels.order[static_cast<std::size_t>(p)];
       ASSERT_GE(row, 0);
       ASSERT_LT(row, lower.rows);
       ++seen[static_cast<std::size_t>(row)];
@@ -88,18 +90,18 @@ void check_invariants(const CscMatrix& lower, const CoarsenOptions& opts,
     const offset_t end = g.task_ptr[static_cast<std::size_t>(t) + 1];
     if (g.chain(t)) {
       for (offset_t p = begin + 1; p < end; ++p) {
-        const index_t prev = g.task_rows[static_cast<std::size_t>(p - 1)];
-        const index_t cur = g.task_rows[static_cast<std::size_t>(p)];
+        const index_t prev = levels.order[static_cast<std::size_t>(p - 1)];
+        const index_t cur = levels.order[static_cast<std::size_t>(p)];
         EXPECT_LE(levels.level_of[static_cast<std::size_t>(prev)],
                   levels.level_of[static_cast<std::size_t>(cur)])
             << "chain task " << t << " rows out of level order";
       }
     } else {
       const index_t l = levels.level_of[static_cast<std::size_t>(
-          g.task_rows[static_cast<std::size_t>(begin)])];
+          levels.order[static_cast<std::size_t>(begin)])];
       for (offset_t p = begin; p < end; ++p) {
         EXPECT_EQ(levels.level_of[static_cast<std::size_t>(
-                      g.task_rows[static_cast<std::size_t>(p)])],
+                      levels.order[static_cast<std::size_t>(p)])],
                   l)
             << "block task " << t << " spans levels";
       }
