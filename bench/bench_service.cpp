@@ -5,9 +5,10 @@
 //  * CLOSED loop -- every client submits one request and WAITS for the
 //    reply before the next (the latency-bound shape). The 1-client closed
 //    loop is the baseline the acceptance criterion compares against:
-//    multi-client throughput must beat it, because concurrent clients'
-//    same-plan requests coalesce into fused solve_batch calls while a
-//    lone client's never can.
+//    multi-client throughput must beat it, because concurrent clients
+//    use several dispatch slots at once, and once every slot is busy their
+//    same-plan requests coalesce into fused solve_batch calls -- a lone
+//    client's never can.
 //
 //  * OPEN loop -- clients fire submits without waiting (reaping futures in
 //    the background) until backpressure pushes back; kOverloaded replies
@@ -18,9 +19,10 @@
 //
 //  * PRIORITY SWEEP -- a high-priority closed-loop stream is measured
 //    twice: isolated, then mixed with a background flood on another
-//    tenant. Weighted deadline-aware ripening must keep the high class's
-//    p99 within 2x of its isolated p99 (the acceptance bound; checked
-//    with a small absolute noise floor).
+//    tenant. The weighted selection (high wins a freed dispatch slot at
+//    comparable wait) plus the urgent pool submit must keep the high
+//    class's p99 within 2x of its isolated p99 (the acceptance bound;
+//    checked with a small absolute noise floor).
 //
 //  * MANY TINY TENANTS -- one closed-loop client per tiny factor, run
 //    with cross-plan packing disabled and then enabled. Packing several
@@ -72,9 +74,6 @@ struct Workload {
 service::ServiceOptions service_options(index_t max_coalesce) {
   service::ServiceOptions opt;
   opt.max_coalesce = max_coalesce;
-  // Natural batching only: no artificial wait, so the 1-client closed
-  // loop is not penalized by a window it can never fill.
-  opt.coalesce_window = std::chrono::microseconds(0);
   opt.max_pending_rhs = 4096;
   return opt;
 }
@@ -218,9 +217,9 @@ double run_priority_point(const Workload& hi, const Workload& bg,
   service::ServiceOptions opt;
   opt.max_pending_rhs = 4096;
   opt.max_coalesce = 32;
-  // A real window so the background class actually coalesces (and so its
-  // scaled wait is visible); the high class never waits it out.
-  opt.coalesce_window = std::chrono::microseconds(200);
+  // The flood keeps every dispatch slot busy, so background requests
+  // coalesce; the high class competes for each freed slot at 16x the
+  // background weight and jumps the pool's task queue.
   service::SolveService svc(opt);
   const auto plan_hi = svc.plan_for(hi.lower, backend);
   const auto plan_bg = svc.plan_for(bg.lower, backend);
@@ -285,11 +284,9 @@ double run_tiny_tenants(const std::vector<Workload>& tenants,
                         service::ServiceStatsSnapshot* out_stats) {
   service::ServiceOptions opt;
   opt.max_pending_rhs = 4096;
-  // Natural batching only (window 0): while the dispatcher hands one
-  // tenant off, the others ripen, so the next pop finds several ripe
-  // groups -- exactly what packing turns into one dispatch. Identical for
-  // both arms so only packing differs.
-  opt.coalesce_window = std::chrono::microseconds(0);
+  // While every dispatch slot is busy the other tenants queue, so the
+  // next pop finds several small groups -- exactly what packing turns
+  // into one dispatch. Only packing differs between the two arms.
   opt.pack_max_groups = packing ? 8 : 1;
   opt.pack_narrow_width = 4;
   opt.pack_small_rows =
@@ -335,7 +332,7 @@ int main(int argc, char** argv) {
   support::CliParser cli(
       "Solve-service throughput: open vs closed loop over a client sweep "
       "(emits BENCH_service.json)");
-  cli.add_option("backend", "cpu-syncfree",
+  cli.add_option("backend", "auto",
                  "registry backend key served by the benchmark");
   cli.add_option("rows", "20000", "generated factor dimension");
   cli.add_option("seconds", "0.4", "measured seconds per point");

@@ -48,11 +48,10 @@ int main(int argc, char** argv) {
               kVersion, clients, requests, tenants, backend.c_str());
 
   // The server: ephemeral port, bounded admission so backpressure is
-  // reachable, 200us coalesce window.
+  // reachable.
   net::ServerOptions server_options;
   server_options.port = 0;
   server_options.service.max_pending_rhs = 512;
-  server_options.service.coalesce_window = std::chrono::microseconds(200);
   net::SolveServer server(server_options);
   const core::Expected<bool> started = server.start();
   if (!started.ok()) {

@@ -15,15 +15,18 @@
 namespace msptrsv::service {
 
 /// Scheduling class of a request. Order matters: smaller enum value =
-/// more urgent; kNumPriorities sizes every per-class stats array.
+/// more urgent; kNumPriorities sizes every per-class stats array. Classes
+/// differ only in selection weight when a dispatch slot frees (16/4/1,
+/// see request_queue.hpp) -- no class ever waits for company -- plus
+/// kHigh's urgent submit to the worker pool.
 enum class Priority : std::uint8_t {
-  /// Latency-sensitive: ripens immediately (coalesces only with what has
-  /// already accumulated) and wins selection at comparable wait.
+  /// Latency-sensitive: wins selection at comparable wait and jumps the
+  /// pool's task queue.
   kHigh = 0,
-  /// The default: one coalesce window, the PR 4 behavior.
+  /// The default.
   kNormal = 1,
-  /// Throughput traffic: waits a multiple of the window for maximal
-  /// fusion and yields to the classes above while they are fresh.
+  /// Throughput traffic: yields to the classes above while they are
+  /// fresh, and wins once it has waited the weight ratio longer.
   kBackground = 2,
 };
 inline constexpr std::size_t kNumPriorities = 3;
@@ -41,10 +44,10 @@ constexpr std::string_view to_string(Priority p) {
 struct SubmitOptions {
   Priority priority = Priority::kNormal;
   /// Relative SLO: the request should START executing within this much of
-  /// submit time. 0 = no deadline. A deadline pulls its group's ripening
-  /// forward (the dispatch happens early enough to make it); a request
-  /// that still starts late is shed with kDeadlineExceeded rather than
-  /// solved for a client that has already given up.
+  /// submit time. 0 = no deadline. The deadline only sheds: it does not
+  /// reorder the queue, and a request that starts late is answered with
+  /// kDeadlineExceeded rather than solved for a client that has already
+  /// given up.
   std::chrono::microseconds deadline{0};
   /// Request-scoped trace identity (all-zero = untraced) and the span the
   /// submitting side opened for this request: the dispatcher installs

@@ -6,10 +6,10 @@ namespace msptrsv::service {
 
 namespace {
 
-/// Selection weights of the weighted-wait rule: among ripe groups the
-/// dispatcher takes the largest (head wait) * weight. Higher classes win
-/// while waits are comparable; a lower class wins once it has waited the
-/// weight ratio longer -- bounded delay in both directions, so neither a
+/// Selection weights of the weighted-wait rule: the dispatcher takes the
+/// group with the largest (head wait) * weight. Higher classes win while
+/// waits are comparable; a lower class wins once it has waited the weight
+/// ratio longer -- bounded delay in both directions, so neither a
 /// background flood nor a high-priority stream can starve the other
 /// indefinitely (the aging bound the starvation test pins down).
 constexpr double kClassWeight[kNumPriorities] = {16.0, 4.0, 1.0};
@@ -23,7 +23,6 @@ RequestQueue::RequestQueue(QueueOptions options) : opt_([&] {
   o.max_width = std::max<index_t>(1, o.max_width);
   o.pack_max_groups = std::max<std::size_t>(1, o.pack_max_groups);
   o.pack_narrow_width = std::max<index_t>(1, o.pack_narrow_width);
-  o.background_window_scale = std::max(1.0, o.background_window_scale);
   return o;
 }()) {}
 
@@ -34,56 +33,17 @@ bool RequestQueue::push(SolveRequest r) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return false;
     Group& g = groups_[r.plan.state_id()];
-    if (g.requests.empty()) {
-      g.priority = r.priority;
-      g.earliest_deadline = r.deadline;
-    } else {
-      // A more urgent rider promotes the whole group (it dispatches with
-      // it anyway), and the earliest deadline governs the ripen pull.
-      g.priority = std::min(g.priority, r.priority);
-      g.earliest_deadline = std::min(g.earliest_deadline, r.deadline);
-    }
+    // A more urgent rider promotes the whole group (it dispatches with it
+    // anyway).
+    g.priority = g.requests.empty() ? r.priority
+                                    : std::min(g.priority, r.priority);
     g.width += k;
     g.requests.push_back(std::move(r));
     pending_rhs_ += static_cast<std::size_t>(k);
     pending_by_class_[cls] += static_cast<std::size_t>(k);
   }
-  // One notify covers both "new group may be ripe" and "an existing
-  // group's ripen time moved earlier" (promotion / deadline pull): the
-  // popper recomputes every ripen time on each wake.
   cv_.notify_one();
   return true;
-}
-
-RequestQueue::Clock::time_point RequestQueue::ripe_at_locked(
-    const Group& g) const {
-  if (stopping_) return Clock::time_point::min();           // drain mode
-  if (g.width >= opt_.max_width) return Clock::time_point::min();
-  const Clock::time_point head = g.requests.front().submitted;
-  Clock::time_point at;
-  switch (g.priority) {
-    case Priority::kHigh:
-      at = head;  // latency class: never waits for company
-      break;
-    case Priority::kBackground:
-      at = head + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double, std::micro>(
-                          static_cast<double>(opt_.window.count()) *
-                          opt_.background_window_scale));
-      break;
-    case Priority::kNormal:
-    default:
-      at = head + opt_.window;
-      break;
-  }
-  if (g.earliest_deadline != Clock::time_point::max()) {
-    // Deadline pull: dispatch early enough to START before the deadline,
-    // with one window of headroom for the pop -> execute handoff. (A
-    // deadline tighter than the window ripens the group immediately.)
-    const Clock::time_point pull = g.earliest_deadline - opt_.window;
-    at = std::min(at, pull);
-  }
-  return at;
 }
 
 bool RequestQueue::packable_locked(const Group& g) const {
@@ -113,74 +73,60 @@ std::vector<SolveRequest> RequestQueue::take_locked(const void* id, Group& g,
   if (g.requests.empty()) {
     groups_.erase(id);
   } else {
-    // Derived fields over the remainder (the popped head may have carried
-    // the promotion or the earliest deadline).
+    // The popped head may have carried the promotion.
     g.priority = Priority::kBackground;
-    g.earliest_deadline = Clock::time_point::max();
     for (const SolveRequest& r : g.requests) {
       g.priority = std::min(g.priority, r.priority);
-      g.earliest_deadline = std::min(g.earliest_deadline, r.deadline);
     }
   }
   return out;
 }
 
+bool RequestQueue::wait_for_work() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [&] { return !groups_.empty() || stopping_; });
+  return !groups_.empty();
+}
+
 PoppedDispatch RequestQueue::pop_dispatch() {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const Clock::time_point now = Clock::now();
-    const void* best = nullptr;
-    double best_score = -1.0;
-    Clock::time_point next_ripe = Clock::time_point::max();
-    for (const auto& [id, g] : groups_) {
-      const Clock::time_point at = ripe_at_locked(g);
-      if (at <= now) {
-        const double wait_us =
-            std::chrono::duration<double, std::micro>(
-                now - g.requests.front().submitted)
-                .count();
-        // +1us floor so a freshly-ripe high group still outranks a
-        // freshly-ripe background one at (near) zero wait.
-        const double score =
-            (wait_us + 1.0) * kClassWeight[class_of(g.priority)];
-        if (score > best_score) {
-          best_score = score;
-          best = id;
-        }
-      } else {
-        next_ripe = std::min(next_ripe, at);
-      }
-    }
-    if (best != nullptr) {
-      PoppedDispatch out;
-      Group& g = groups_.find(best)->second;
-      const bool pack = opt_.pack_max_groups > 1 && packable_locked(g);
-      out.groups.push_back(take_locked(best, g, opt_.max_width));
-      if (pack) {
-        // The winner is a small tenant: carry other ripe small tenants in
-        // the same dispatch (ids first -- take_locked erases map entries).
-        std::vector<const void*> riders;
-        for (const auto& [id, og] : groups_) {
-          if (out.groups.size() + riders.size() >= opt_.pack_max_groups)
-            break;
-          if (id == best) continue;  // best survives only on a partial pop
-          if (packable_locked(og) && ripe_at_locked(og) <= now)
-            riders.push_back(id);
-        }
-        for (const void* id : riders) {
-          Group& og = groups_.find(id)->second;
-          out.groups.push_back(take_locked(id, og, opt_.pack_narrow_width));
-        }
-      }
-      return out;
-    }
-    if (stopping_) return {};  // drained: the dispatcher's exit signal
-    if (next_ripe == Clock::time_point::max()) {
-      cv_.wait(lock);
-    } else {
-      cv_.wait_until(lock, next_ripe);
+  cv_.wait(lock, [&] { return !groups_.empty() || stopping_; });
+  if (groups_.empty()) return {};  // drained: the dispatcher's exit signal
+
+  const Clock::time_point now = Clock::now();
+  const void* best = nullptr;
+  double best_score = -1.0;
+  for (const auto& [id, g] : groups_) {
+    const double wait_us = std::chrono::duration<double, std::micro>(
+                               now - g.requests.front().submitted)
+                               .count();
+    // +1us floor so a fresh high group still outranks a fresh background
+    // one at (near) zero wait.
+    const double score = (wait_us + 1.0) * kClassWeight[class_of(g.priority)];
+    if (score > best_score) {
+      best_score = score;
+      best = id;
     }
   }
+  PoppedDispatch out;
+  Group& g = groups_.find(best)->second;
+  const bool pack = opt_.pack_max_groups > 1 && packable_locked(g);
+  out.groups.push_back(take_locked(best, g, opt_.max_width));
+  if (pack) {
+    // The winner is a small tenant: carry other small tenants in the same
+    // dispatch (ids first -- take_locked erases map entries).
+    std::vector<const void*> riders;
+    for (const auto& [id, og] : groups_) {
+      if (out.groups.size() + riders.size() >= opt_.pack_max_groups) break;
+      if (id == best) continue;  // best survives only on a partial pop
+      if (packable_locked(og)) riders.push_back(id);
+    }
+    for (const void* id : riders) {
+      Group& og = groups_.find(id)->second;
+      out.groups.push_back(take_locked(id, og, opt_.pack_narrow_width));
+    }
+  }
+  return out;
 }
 
 void RequestQueue::shutdown() {

@@ -1,37 +1,29 @@
-// Bounded, plan-grouped request queue with priority- and deadline-aware
-// time-window coalescing, and cross-plan packing of small tenants.
+// Plan-grouped request queue with priority-weighted selection and
+// cross-plan packing of small tenants.
 //
 // The queue is the service's batching AND scheduling point. Requests are
-// grouped by plan identity (SolverPlan::state_id()); a group becomes RIPE
-// when its pending width reaches the maximum fused batch, when its oldest
-// request has waited out its priority-scaled coalesce window, when a
-// member's deadline is close enough that waiting longer would miss it, or
-// at shutdown (drain). pop_batch() hands the dispatcher ONE dispatch --
-// usually up to max_width right-hand sides of one ripe group (whole
-// requests, never splitting one), which becomes a single fused solve_batch
-// call; when the ripe group is SMALL (few rows, few rhs), other ripe small
-// groups are PACKED into the same dispatch as sibling sub-batches so many
-// tiny tenants ride one gang claim instead of queueing one dispatch each.
+// grouped by plan identity (SolverPlan::state_id()), and every group is
+// poppable as soon as it holds a request: there is no time window. Width
+// comes from load instead. The service pops only while one of its
+// dispatch slots is free (solve_service.hpp), so requests that arrive
+// while every slot is busy pile up in their plan's group and leave
+// together. pop_dispatch() hands the dispatcher ONE dispatch -- usually up
+// to max_width right-hand sides of one group (whole requests, never
+// splitting one), which becomes a single fused solve_batch call; when the
+// chosen group is SMALL (few rows, few rhs), other small groups are PACKED
+// into the same dispatch as sibling sub-batches so many tiny tenants ride
+// one gang claim instead of queueing one dispatch each.
 //
-// Scheduling replaces PR 4's FIFO-across-plans rule with weighted
-// deadline-aware ripening:
-//
-//  * each priority class scales the coalesce window (kHigh ripens
-//    immediately -- latency traffic never waits for company it may not
-//    get; kBackground waits a multiple of the window -- throughput traffic
-//    trades latency for width);
-//  * among ripe groups the dispatcher takes the one with the largest
-//    priority-WEIGHTED head wait. Strictly higher classes win while waits
-//    are comparable, but a background group's score grows without bound as
-//    it waits, so a flood of one class can delay another by at most the
-//    weight ratio times its own service time -- starvation-free in both
-//    directions, by construction;
-//  * a request with a deadline pulls its group's ripen time forward to
-//    deadline minus one window of headroom, so an SLO'd request is
-//    dispatched while it can still make it. Requests that nevertheless
-//    START past their deadline are shed by the dispatcher with typed
-//    kDeadlineExceeded instead of being solved late (the shed decision
-//    lives in SolveService::execute, where execution start time is known).
+// Selection: the dispatcher takes the group with the largest
+// priority-WEIGHTED head wait (weights 16/4/1 for high/normal/background).
+// Higher classes win while waits are comparable, but a background group's
+// score grows without bound as it waits, so a flood of one class can delay
+// another by at most the weight ratio times its own service time --
+// starvation-free in both directions, by construction. Classes differ in
+// this weight only (and the service's urgent pool submit for kHigh).
+// Deadlines do not reorder anything here: a request that STARTS past its
+// deadline is shed by the service with typed kDeadlineExceeded instead of
+// being solved late (SolveService::execute_dispatch).
 //
 // Admission control does NOT live here: the service bounds OUTSTANDING rhs
 // (queued or executing), a strict superset of what this queue holds, so
@@ -78,15 +70,11 @@ struct SolveRequest {
 
 /// Scheduling configuration of one queue shard.
 struct QueueOptions {
-  /// Base coalesce window (Priority::kNormal's wait for company).
-  std::chrono::microseconds window{200};
   /// Widest fused dispatch, in rhs.
   index_t max_width = 32;
-  /// kBackground's window is window * background_window_scale.
-  double background_window_scale = 4.0;
-  /// Cross-plan packing: a ripe SMALL group (<= pack_small_rows rows and
+  /// Cross-plan packing: a SMALL group (<= pack_small_rows rows and
   /// <= pack_narrow_width pending rhs) may carry up to pack_max_groups - 1
-  /// other ripe small groups in its dispatch. 1 disables packing.
+  /// other small groups in its dispatch. 1 disables packing.
   std::size_t pack_max_groups = 8;
   index_t pack_narrow_width = 4;
   index_t pack_small_rows = 4096;
@@ -109,12 +97,17 @@ class RequestQueue {
   /// admission back).
   bool push(SolveRequest r);
 
-  /// Blocks until a group is ripe and pops one dispatch (see
-  /// PoppedDispatch). After shutdown() the windows stop applying (drain
-  /// mode).
+  /// Blocks until the queue holds a request (true) or is shut down and
+  /// empty (false). The service's dispatcher waits here BEFORE taking a
+  /// dispatch slot, so an idle shard never holds one.
+  bool wait_for_work();
+
+  /// Blocks until the queue holds a request and pops one dispatch (see
+  /// PoppedDispatch); returns an empty one once shut down and drained.
   PoppedDispatch pop_dispatch();
 
-  /// Stops admission and switches pop_dispatch to drain mode. Idempotent.
+  /// Stops admission; pop_dispatch keeps handing out what is queued.
+  /// Idempotent.
   void shutdown();
 
   /// Pending right-hand sides (the backpressure/depth gauge), total and
@@ -132,13 +125,9 @@ class RequestQueue {
     /// Most urgent class among members (a high-priority rider promotes
     /// the whole group: it will be dispatched with it anyway).
     Priority priority = Priority::kBackground;
-    /// Earliest member deadline (time_point::max() = none).
-    std::chrono::steady_clock::time_point earliest_deadline;
   };
   using Clock = std::chrono::steady_clock;
 
-  /// When the group ripens (<= now means ripe). Caller locks.
-  Clock::time_point ripe_at_locked(const Group& g) const;
   /// True when `g` qualifies for cross-plan packing (small plan, narrow
   /// pending width). Caller locks.
   bool packable_locked(const Group& g) const;

@@ -93,8 +93,8 @@ struct ServiceStatsSnapshot {
   std::uint64_t queue_depth = 0;
   std::uint64_t peak_queue_depth = 0;
   /// Submit-to-completion latency over the most recent completions (ring-
-  /// windowed, see file comment): the client-visible figure, coalesce-
-  /// window wait included.
+  /// windowed, see file comment): the client-visible figure, the wait for
+  /// a dispatch slot included.
   double p50_latency_us = 0.0;
   double p99_latency_us = 0.0;
   double max_latency_us = 0.0;

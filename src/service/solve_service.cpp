@@ -41,9 +41,7 @@ std::future<SolveService::Reply> ready_reply(SolveService::Reply reply) {
 
 QueueOptions queue_options(const ServiceOptions& o) {
   QueueOptions q;
-  q.window = o.coalesce_window;
   q.max_width = o.max_coalesce;
-  q.background_window_scale = o.background_window_scale;
   q.pack_max_groups = o.pack_max_groups;
   q.pack_narrow_width = o.pack_narrow_width;
   q.pack_small_rows = o.pack_small_rows;
@@ -57,7 +55,8 @@ SolveService::SolveService(ServiceOptions options)
       pool_(options.pool != nullptr ? options.pool
                                     : &core::SharedWorkerPool::instance()),
       cache_(options.cache),
-      stats_(options.stats_latency_ring) {
+      stats_(options.stats_latency_ring),
+      slot_limit_(pool_->threads()) {
   if (!options_.cache_dir.empty()) {
     cache_.set_disk_directory(options_.cache_dir);
   }
@@ -75,13 +74,15 @@ SolveService::SolveService(ServiceOptions options)
 }
 
 SolveService::~SolveService() {
-  // Stop admission, let each dispatcher drain whatever is queued on its
-  // shard (shutdown flips pop_dispatch to drain mode), then wait for
-  // every in-flight dispatch to answer its promises -- they run on the
-  // shared pool and reference this object.
+  // Stop admission and let each dispatcher hand out whatever is queued on
+  // its shard. Then wait for every dispatch task to give its slot back:
+  // the tasks run on the pool and reference this object up to and
+  // including release_slot(), which comes after every promise is answered
+  // -- so an empty slot count also means everything admitted is answered.
   for (auto& q : shards_) q->shutdown();
   for (std::thread& d : dispatchers_) d.join();
-  drain();
+  std::unique_lock<std::mutex> lock(slot_mutex_);
+  slot_cv_.wait(lock, [&] { return dispatches_in_flight_ == 0; });
 }
 
 std::size_t SolveService::shard_of(const void* state_id) const {
@@ -167,14 +168,24 @@ std::future<SolveService::Reply> SolveService::enqueue(
     }
   }
   const Priority priority = request.priority;
-  RequestQueue& shard = *shards_[shard_of(plan.state_id())];
-  if (admitted && !shard.push(std::move(request))) {
-    // Shutdown, the queue's only refusal: roll the admission back.
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    --unanswered_;
-    outstanding_rhs_ -= k;
-    pending_cv_.notify_all();
-    admitted = false;
+  const std::size_t cls = static_cast<std::size_t>(priority);
+  if (admitted) {
+    // Count the request as queued BEFORE push() makes it poppable: the
+    // dispatcher's decrement must never run first and wrap the unsigned
+    // depth gauges.
+    queued_rhs_.fetch_add(k, std::memory_order_relaxed);
+    queued_by_class_[cls].fetch_add(k, std::memory_order_relaxed);
+    RequestQueue& shard = *shards_[shard_of(plan.state_id())];
+    if (!shard.push(std::move(request))) {
+      // Shutdown, the queue's only refusal: roll the admission back.
+      queued_rhs_.fetch_sub(k, std::memory_order_relaxed);
+      queued_by_class_[cls].fetch_sub(k, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      --unanswered_;
+      outstanding_rhs_ -= k;
+      pending_cv_.notify_all();
+      admitted = false;
+    }
   }
   if (!admitted) {
     stats_.on_reject(static_cast<std::uint64_t>(num_rhs));
@@ -184,9 +195,6 @@ std::future<SolveService::Reply> SolveService::enqueue(
                   std::to_string(options_.max_pending_rhs) +
                   " pending rhs) or shutting down; retry later"));
   }
-  queued_rhs_.fetch_add(k, std::memory_order_relaxed);
-  queued_by_class_[static_cast<std::size_t>(priority)].fetch_add(
-      k, std::memory_order_relaxed);
   stats_.on_submit(priority, static_cast<std::uint64_t>(num_rhs));
   publish_depth();
   return future;
@@ -206,9 +214,29 @@ void SolveService::publish_depth() {
                         by_class);
 }
 
+void SolveService::acquire_slot() {
+  std::unique_lock<std::mutex> lock(slot_mutex_);
+  slot_cv_.wait(lock, [&] { return dispatches_in_flight_ < slot_limit_; });
+  ++dispatches_in_flight_;
+}
+
+void SolveService::release_slot() {
+  // Notify UNDER the lock: the destructor may tear the condition variable
+  // down the moment the count hits zero, so the notify must complete
+  // before the waiter can observe it.
+  std::lock_guard<std::mutex> lock(slot_mutex_);
+  --dispatches_in_flight_;
+  slot_cv_.notify_all();
+}
+
 void SolveService::dispatch_loop(std::size_t shard) {
   RequestQueue& queue = *shards_[shard];
-  for (;;) {
+  // Work-conserving: a slot is taken only once this shard has work (an
+  // idle shard holding one would starve a busy one), and the pop then
+  // takes whatever accumulated while every slot was busy -- that pile-up
+  // is the coalescing.
+  while (queue.wait_for_work()) {
+    acquire_slot();
     PoppedDispatch dispatch = queue.pop_dispatch();
     for (const std::vector<SolveRequest>& g : dispatch.groups) {
       for (const SolveRequest& r : g) {
@@ -219,7 +247,6 @@ void SolveService::dispatch_loop(std::size_t shard) {
       }
     }
     publish_depth();
-    if (dispatch.groups.empty()) return;  // shut down and drained
 
     // Hand the dispatch to the shared pool: per-thread deques + stealing
     // spread concurrent plans' batches across the machine, and the worker
@@ -235,7 +262,12 @@ void SolveService::dispatch_loop(std::size_t shard) {
       }
     }
     auto job = std::make_shared<PoppedDispatch>(std::move(dispatch));
-    pool_->submit([this, job] { execute_dispatch(*job); }, urgent);
+    pool_->submit(
+        [this, job] {
+          execute_dispatch(*job);
+          release_slot();
+        },
+        urgent);
   }
 }
 

@@ -5,7 +5,7 @@
 // into a server:
 //
 //   service::SolveService svc;                        // shared pool + cache
-//   auto plan = svc.plan_for(L, "cpu-syncfree");      // analyze-on-first-use
+//   auto plan = svc.plan_for(L, "auto");              // analyze-on-first-use
 //   auto fut  = svc.submit(*plan, b);                 // async, non-blocking
 //   auto slo  = svc.submit(*plan, b2,                 // SLO'd traffic
 //       {.priority = service::Priority::kHigh,
@@ -15,29 +15,35 @@
 //                                                     // kOverloaded /
 //                                                     // kDeadlineExceeded
 //
-//  * REQUEST COALESCING: same-plan requests arriving within a small window
-//    merge into ONE fused solve_batch call -- independent single-RHS
-//    traffic rides the 3-7x per-rhs fused path for free, and the result
-//    bits are exactly what sequential plan.solve calls would produce
-//    (the fused kernel's bit-for-bit guarantee from PR 2).
+//  * LOAD-DRIVEN COALESCING: the service keeps at most one dispatch in
+//    flight per worker of its dispatch pool (the dispatch SLOTS). A
+//    request that finds a slot free leaves at once -- nothing waits for
+//    company on an idle machine. Requests that arrive while every slot is
+//    busy pile up in their plan's group and leave as ONE fused
+//    solve_batch when a slot frees, so independent single-RHS traffic
+//    rides the 3-7x per-rhs fused path exactly when load makes it pay,
+//    and the result bits are exactly what sequential plan.solve calls
+//    would produce (the fused kernel's bit-for-bit guarantee).
 //  * PRIORITIES + DEADLINES: every submit carries a Priority class and an
-//    optional start-by deadline. Ripening is weighted and deadline-aware
-//    (see request_queue.hpp): high-priority groups dispatch first without
-//    waiting for company, background groups wait longer and fuse wider,
-//    and neither class can starve the other (bounded-delay aging).
+//    optional start-by deadline. When a slot frees, the dispatcher takes
+//    the group with the largest priority-weighted head wait (see
+//    request_queue.hpp): high-priority groups go first at comparable
+//    wait, and neither class can starve the other (bounded-delay aging).
 //    Requests that would start past their deadline are shed with typed
 //    kDeadlineExceeded instead of being solved for a client that already
 //    gave up.
-//  * CROSS-PLAN PACKING: ripe narrow solves from DIFFERENT small plans are
-//    packed into one pool dispatch and executed as sibling tasks on one
-//    claimed gang -- many tiny tenants ride one dispatch instead of
-//    queueing one each, which is what keeps occupancy up when no single
-//    tenant is wide enough to fill a gang. Bits are unchanged: each
-//    sub-batch still runs the plan's own fused solve_batch.
+//  * CROSS-PLAN PACKING: narrow solves from DIFFERENT small plans queued
+//    at the same pop are packed into one pool dispatch and executed as
+//    sibling tasks on one claimed gang -- many tiny tenants ride one
+//    dispatch instead of queueing one each, which is what keeps occupancy
+//    up when no single tenant is wide enough to fill a gang. Bits are
+//    unchanged: each sub-batch still runs the plan's own fused
+//    solve_batch.
 //  * SHARDED DISPATCH: plans hash onto ServiceOptions::dispatch_shards
 //    independent queue+dispatcher pairs, so the submit path scales past a
 //    single pop/hand-off thread. (Coalescing and packing are per-shard:
-//    same-plan requests always share a shard by construction.)
+//    same-plan requests always share a shard by construction. The
+//    dispatch slots are shared by all shards.)
 //  * SHARED EXECUTION: dispatches run as tasks on the process-wide
 //    core::SharedWorkerPool (per-thread deques, work stealing), every
 //    plan built through the service has use_shared_pool set, and gang
@@ -60,7 +66,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -87,17 +92,10 @@ struct ServiceOptions {
   std::size_t max_pending_rhs = 1024;
   /// Widest fused dispatch (rhs per solve_batch call).
   index_t max_coalesce = 32;
-  /// How long the first NORMAL-priority request of a group may wait for
-  /// company. kHigh never waits; kBackground waits
-  /// background_window_scale times this. 0 still coalesces whatever
-  /// accumulates while the dispatcher is busy.
-  std::chrono::microseconds coalesce_window{200};
-  /// kBackground's window multiplier (>= 1).
-  double background_window_scale = 4.0;
-  /// Cross-plan packing: a ripe SMALL group (<= pack_small_rows rows,
+  /// Cross-plan packing: a SMALL group (<= pack_small_rows rows,
   /// <= pack_narrow_width pending rhs) carries up to pack_max_groups - 1
-  /// other ripe small groups in its pool dispatch, executed as sibling
-  /// tasks on one claimed gang. 1 disables packing.
+  /// other small groups in its pool dispatch, executed as sibling tasks
+  /// on one claimed gang. 1 disables packing.
   std::size_t pack_max_groups = 8;
   index_t pack_narrow_width = 4;
   index_t pack_small_rows = 4096;
@@ -117,9 +115,11 @@ struct ServiceOptions {
   /// Optional blob directory for the cache (cross-process warm starts).
   std::string cache_dir;
   /// Pool the DISPATCH TASKS run on; null = the process-wide
-  /// SharedWorkerPool::instance(). A non-null pool MUST outlive the
-  /// service: a pool destroyed first abandons queued dispatches and the
-  /// service's drain/destructor would wait forever. Note the kernel gangs
+  /// SharedWorkerPool::instance(). Its threads() is the number of dispatch
+  /// slots: the dispatchers pop only while fewer dispatches than that are
+  /// in flight. A non-null pool MUST outlive the service: a pool
+  /// destroyed first abandons queued dispatches and the service's
+  /// drain/destructor would wait forever. Note the kernel gangs
   /// of served plans always claim from the process-wide instance
   /// (use_shared_pool is a plan-level option with no per-service pool
   /// plumbing), so a private pool here isolates dispatch scheduling, not
@@ -202,6 +202,10 @@ class SolveService {
   /// The queue shard serving `state_id` (same plan -> same shard, always).
   std::size_t shard_of(const void* state_id) const;
   void dispatch_loop(std::size_t shard);
+  /// Blocks until a dispatch slot is free and takes it.
+  void acquire_slot();
+  /// Returns a slot: the last thing a dispatch task does with the service.
+  void release_slot();
   /// Publishes total + per-class queue depth across all shards.
   void publish_depth();
 
@@ -243,6 +247,15 @@ class SolveService {
   /// bounds (popped-but-executing work included, so backpressure holds
   /// even when the dispatchers keep the queues themselves near empty).
   std::size_t outstanding_rhs_ = 0;
+
+  /// Dispatch slots, shared by every shard: dispatches in flight (popped
+  /// and not yet finished) never exceed slot_limit_ = pool_->threads().
+  /// The destructor waits for this count to reach zero, which is what
+  /// keeps a finishing dispatch task from touching a destroyed service.
+  const int slot_limit_;
+  std::mutex slot_mutex_;
+  std::condition_variable slot_cv_;
+  int dispatches_in_flight_ = 0;
 
   std::vector<std::thread> dispatchers_;
 };

@@ -1,5 +1,6 @@
 #include "support/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,14 +29,18 @@ struct Event {
   std::int64_t a1 = 0;
 };
 
-/// Per-thread ring. The owner is the only writer; the collector reads the
-/// head with acquire and the newest <= kCapacity slots below it. A slot
-/// being overwritten concurrently may tear under the reader -- tolerated:
-/// collection is an observability snapshot, not a consensus protocol.
+/// Per-thread ring. The owner is the only writer of the slots; the
+/// collector reads the head with acquire and the newest <= kCapacity slots
+/// below it, but none below `floor`. A slot being overwritten concurrently
+/// may tear under the reader -- tolerated: collection is an observability
+/// snapshot, not a consensus protocol.
 struct TraceRing {
   static constexpr std::size_t kCapacity = 8192;
   std::unique_ptr<Event[]> slots{new Event[kCapacity]};
   std::atomic<std::uint64_t> head{0};
+  /// Events below this index were dropped by trace_clear(), which moves
+  /// the floor instead of writing slots the owner may be writing.
+  std::atomic<std::uint64_t> floor{0};
   std::uint32_t tid = 0;
 };
 
@@ -159,7 +164,8 @@ std::vector<Event> snapshot_events(const TraceId* filter) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t n =
         head < TraceRing::kCapacity ? head : TraceRing::kCapacity;
-    for (std::uint64_t i = head - n; i < head; ++i) {
+    const std::uint64_t floor = ring->floor.load(std::memory_order_relaxed);
+    for (std::uint64_t i = std::max(head - n, floor); i < head; ++i) {
       const Event& e = ring->slots[i % TraceRing::kCapacity];
       if (e.name == nullptr) continue;  // torn or never-written slot
       if (filter != nullptr && e.trace != *filter) continue;
@@ -377,11 +383,8 @@ void trace_clear() {
     Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
     for (TraceRing* ring : r.rings) {
-      const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-      for (std::size_t i = 0; i < TraceRing::kCapacity; ++i) {
-        ring->slots[i].name = nullptr;
-      }
-      ring->head.store(head, std::memory_order_release);
+      ring->floor.store(ring->head.load(std::memory_order_acquire),
+                        std::memory_order_relaxed);
     }
   }
   SlowSampler& s = sampler();
