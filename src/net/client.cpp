@@ -14,27 +14,34 @@ namespace {
 using core::Expected;
 using core::SolveStatus;
 
+/// Decodes a verified reply of type `want` with `decode`; an Error frame
+/// comes back as its typed status, any other type as a protocol error.
+template <typename Frame>
+Expected<Frame> decode_reply(SolveClient::RawReply raw, FrameType want,
+                             Expected<Frame> (*decode)(FrameHead&)) {
+  if (!raw.ok()) return Expected<Frame>(raw.error());
+  FrameHead& head = raw.value().head();
+  if (head.type == FrameType::kError) {
+    Expected<ErrorFrame> err = decode_error(head);
+    if (!err.ok()) return Expected<Frame>(err.error());
+    return Expected<Frame>(err.value().status, err.value().message);
+  }
+  if (head.type != want) {
+    return Expected<Frame>(
+        SolveStatus::kProtocolError,
+        "expected frame type " + std::to_string(static_cast<int>(want)) +
+            ", got frame type " +
+            std::to_string(static_cast<int>(head.type)));
+  }
+  return decode(head);
+}
+
 }  // namespace
 
-/// Decodes a raw reply blob expected to be SolveOk into the solution
-/// vector; an Error frame comes back as its typed status.
-Expected<std::vector<value_t>> decode_solve_reply(
-    std::vector<std::uint8_t> blob) {
-  Expected<FrameHead> head = peek_frame(blob);
-  if (!head.ok()) return Expected<std::vector<value_t>>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<std::vector<value_t>>(err.error());
-    return Expected<std::vector<value_t>>(err.value().status,
-                                          err.value().message);
-  }
-  if (head.value().type != FrameType::kSolveOk) {
-    return Expected<std::vector<value_t>>(
-        SolveStatus::kProtocolError,
-        "expected solve-ok, got frame type " +
-            std::to_string(static_cast<int>(head.value().type)));
-  }
-  Expected<SolveOkFrame> ok = decode_solve_ok(head.value());
+Expected<std::vector<value_t>> decode_solve_reply(VerifiedFrame reply) {
+  Expected<SolveOkFrame> ok = decode_reply(
+      SolveClient::RawReply(std::move(reply)), FrameType::kSolveOk,
+      decode_solve_ok);
   if (!ok.ok()) return Expected<std::vector<value_t>>(ok.error());
   return std::move(ok.value().x);
 }
@@ -138,14 +145,9 @@ Expected<bool> SolveClient::connect_locked() {
     return Expected<bool>(SolveStatus::kNetworkError,
                           "server closed during the hello exchange");
   }
-  Expected<FrameHead> head = peek_frame(*frame.value());
-  if (!head.ok()) return Expected<bool>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<bool>(err.error());
-    return Expected<bool>(err.value().status, err.value().message);
-  }
-  Expected<HelloOkFrame> ok = decode_hello_ok(head.value());
+  Expected<HelloOkFrame> ok =
+      decode_reply(VerifiedFrame::verify(std::move(*frame.value())),
+                   FrameType::kHelloOk, decode_hello_ok);
   if (!ok.ok()) return Expected<bool>(ok.error());
   frame_bytes_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(options_.max_frame_bytes,
@@ -161,33 +163,32 @@ Expected<bool> SolveClient::connect_locked() {
 
 void SolveClient::reader_loop(std::uint64_t epoch) {
   for (;;) {
-    // Unlocked read: this thread is the socket's only reader, and the
-    // socket object stays alive until this thread is joined.
+    // Unlocked read and verify: this thread is the socket's only reader,
+    // and the socket object stays alive until this thread is joined. The
+    // CRC is computed here, once; callers decode the verified frame.
     Expected<std::optional<std::vector<std::uint8_t>>> frame =
         read_frame(sock_, frame_bytes_);
+    RawReply reply =
+        !frame.ok() ? RawReply(frame.error())
+        : !frame.value().has_value()
+            ? RawReply(SolveStatus::kNetworkError,
+                       "server closed the connection")
+            : VerifiedFrame::verify(std::move(*frame.value()));
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (epoch_ != epoch || !connected_) return;  // superseded
-    if (!frame.ok() || !frame.value().has_value()) {
+    if (!reply.ok()) {
+      // A dead socket, or the server is speaking garbage: fail-stop our
+      // side too.
       connected_ = false;
       sock_.shutdown_read();
-      fail_pending_locked(frame.ok() ? "server closed the connection"
-                                     : frame.message());
+      fail_pending_locked(reply.message());
       return;
     }
-    std::vector<std::uint8_t> blob = std::move(*frame.value());
-    Expected<FrameHead> head = peek_frame(blob);
-    if (!head.ok()) {
-      // The server is speaking garbage: fail-stop our side too.
-      connected_ = false;
-      sock_.shutdown_read();
-      fail_pending_locked(head.message());
-      return;
-    }
-    auto it = pending_.find(head.value().request_id);
+    auto it = pending_.find(reply.value().head().request_id);
     if (it == pending_.end()) continue;  // unsolicited; ignore
     std::promise<RawReply> promise = std::move(it->second);
     pending_.erase(it);
-    promise.set_value(std::move(blob));
+    promise.set_value(std::move(reply));
   }
 }
 
@@ -196,6 +197,22 @@ void SolveClient::fail_pending_locked(const std::string& why) {
     promise.set_value(RawReply(SolveStatus::kNetworkError, why));
   }
   pending_.clear();
+}
+
+std::future<SolveClient::RawReply> SolveClient::request_solve_locked(
+    std::uint64_t plan_id, std::span<const value_t> rhs, index_t num_rhs,
+    service::Priority priority, std::chrono::microseconds deadline,
+    const support::trace::TraceId& trace_id) {
+  const std::uint64_t id = next_request_id_++;
+  SolveFrame frame;
+  frame.request_id = id;
+  frame.plan_id = plan_id;
+  frame.num_rhs = num_rhs;
+  frame.priority = priority;
+  frame.deadline_us = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(0, deadline.count()));
+  frame.trace_id = trace_id;
+  return request_locked(id, encode_solve(frame, rhs));
 }
 
 std::future<SolveClient::RawReply> SolveClient::request_locked(
@@ -235,16 +252,7 @@ Expected<OpenOkFrame> SolveClient::open_on_wire(OpenSpec& spec) {
     frame.hash = spec.hash;
     future = request_locked(id, encode_open_plan(frame));
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<OpenOkFrame>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<OpenOkFrame>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<OpenOkFrame>(err.error());
-    return Expected<OpenOkFrame>(err.value().status, err.value().message);
-  }
-  return decode_open_ok(head.value());
+  return decode_reply(future.get(), FrameType::kOpenOk, decode_open_ok);
 }
 
 Expected<PlanHandle> SolveClient::open(const sparse::CscMatrix& lower,
@@ -373,17 +381,8 @@ Expected<std::vector<value_t>> SolveClient::solve_with_retry(
       std::future<RawReply> future;
       {
         std::lock_guard<std::mutex> lock(state_mutex_);
-        const std::uint64_t id = next_request_id_++;
-        SolveFrame frame;
-        frame.request_id = id;
-        frame.plan_id = specs_[spec].plan_id;
-        frame.num_rhs = num_rhs;
-        frame.priority = priority;
-        frame.deadline_us = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, deadline.count()));
-        frame.trace_id = trace_id;
-        frame.rhs.assign(rhs.begin(), rhs.end());
-        future = request_locked(id, encode_solve(frame));
+        future = request_solve_locked(specs_[spec].plan_id, rhs, num_rhs,
+                                      priority, deadline, trace_id);
       }
       if (solve_span) solve_span->set_arg("attempts", attempt);
       Expected<std::vector<value_t>> result =
@@ -432,39 +431,16 @@ std::future<SolveClient::RawReply> SolveClient::submit_batch_raw(
     const PlanHandle& plan, std::span<const value_t> rhs, index_t num_rhs,
     service::Priority priority, std::chrono::microseconds deadline) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  const std::uint64_t id = next_request_id_++;
-  SolveFrame frame;
-  frame.request_id = id;
-  frame.plan_id = plan.spec < specs_.size() ? specs_[plan.spec].plan_id : 0;
-  frame.num_rhs = num_rhs;
-  frame.priority = priority;
-  frame.deadline_us = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, deadline.count()));
   // Pipelined path: no auto-minting -- callers owning their own policy
   // also own their trace identity (the thread context, when set, rides).
-  frame.trace_id = support::trace::current_trace_id();
-  frame.rhs.assign(rhs.begin(), rhs.end());
-  return request_locked(id, encode_solve(frame));
+  return request_solve_locked(
+      plan.spec < specs_.size() ? specs_[plan.spec].plan_id : 0, rhs,
+      num_rhs, priority, deadline, support::trace::current_trace_id());
 }
 
 std::future<Expected<std::vector<value_t>>> SolveClient::submit_batch(
     const PlanHandle& plan, std::span<const value_t> rhs, index_t num_rhs,
     service::Priority priority, std::chrono::microseconds deadline) {
-  std::future<RawReply> raw;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    const std::uint64_t id = next_request_id_++;
-    SolveFrame frame;
-    frame.request_id = id;
-    frame.plan_id = plan.spec < specs_.size() ? specs_[plan.spec].plan_id : 0;
-    frame.num_rhs = num_rhs;
-    frame.priority = priority;
-    frame.deadline_us = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, deadline.count()));
-    frame.trace_id = support::trace::current_trace_id();
-    frame.rhs.assign(rhs.begin(), rhs.end());
-    raw = request_locked(id, encode_solve(frame));
-  }
   // Deferred adapter: resolves when the caller get()s (the reply future
   // underneath completes asynchronously regardless).
   return std::async(std::launch::deferred,
@@ -476,7 +452,7 @@ std::future<Expected<std::vector<value_t>>> SolveClient::submit_batch(
                       }
                       return decode_solve_reply(std::move(raw.value()));
                     },
-                    std::move(raw));
+                    submit_batch_raw(plan, rhs, num_rhs, priority, deadline));
 }
 
 Expected<std::string> SolveClient::metrics() {
@@ -489,16 +465,8 @@ Expected<std::string> SolveClient::metrics() {
     future = request_locked(
         id, encode_stats({id, StatsFormat::kPrometheus}));
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<std::string>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<std::string>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<std::string>(err.error());
-    return Expected<std::string>(err.value().status, err.value().message);
-  }
-  Expected<StatsOkFrame> ok = decode_stats_ok(head.value());
+  Expected<StatsOkFrame> ok =
+      decode_reply(future.get(), FrameType::kStatsOk, decode_stats_ok);
   if (!ok.ok()) return Expected<std::string>(ok.error());
   return std::move(ok.value().text);
 }
@@ -512,16 +480,8 @@ Expected<WireStats> SolveClient::stats() {
     const std::uint64_t id = next_request_id_++;
     future = request_locked(id, encode_stats({id, StatsFormat::kBinary}));
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<WireStats>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<WireStats>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<WireStats>(err.error());
-    return Expected<WireStats>(err.value().status, err.value().message);
-  }
-  Expected<StatsOkFrame> ok = decode_stats_ok(head.value());
+  Expected<StatsOkFrame> ok =
+      decode_reply(future.get(), FrameType::kStatsOk, decode_stats_ok);
   if (!ok.ok()) return Expected<WireStats>(ok.error());
   return std::move(ok.value().stats);
 }
@@ -535,16 +495,8 @@ Expected<std::uint64_t> SolveClient::drain() {
     const std::uint64_t id = next_request_id_++;
     future = request_locked(id, encode_drain({id}));
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<std::uint64_t>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<std::uint64_t>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<std::uint64_t>(err.error());
-    return Expected<std::uint64_t>(err.value().status, err.value().message);
-  }
-  Expected<DrainOkFrame> ok = decode_drain_ok(head.value());
+  Expected<DrainOkFrame> ok =
+      decode_reply(future.get(), FrameType::kDrainOk, decode_drain_ok);
   if (!ok.ok()) return Expected<std::uint64_t>(ok.error());
   return ok.value().completed;
 }
@@ -574,16 +526,8 @@ Expected<bool> SolveClient::ping(std::chrono::milliseconds timeout) {
                           "ping timed out after " +
                               std::to_string(timeout.count()) + "ms");
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<bool>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<bool>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<bool>(err.error());
-    return Expected<bool>(err.value().status, err.value().message);
-  }
-  Expected<PongFrame> pong = decode_pong(head.value());
+  Expected<PongFrame> pong =
+      decode_reply(future.get(), FrameType::kPong, decode_pong);
   if (!pong.ok()) return Expected<bool>(pong.error());
   return true;
 }
@@ -598,16 +542,9 @@ Expected<std::uint32_t> SolveClient::set_failpoint(const std::string& name,
     const std::uint64_t id = next_request_id_++;
     future = request_locked(id, encode_failpoint({id, name, spec}));
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<std::uint32_t>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<std::uint32_t>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<std::uint32_t>(err.error());
-    return Expected<std::uint32_t>(err.value().status, err.value().message);
-  }
-  Expected<FailpointOkFrame> ok = decode_failpoint_ok(head.value());
+  Expected<FailpointOkFrame> ok =
+      decode_reply(future.get(), FrameType::kFailpointOk,
+                   decode_failpoint_ok);
   if (!ok.ok()) return Expected<std::uint32_t>(ok.error());
   return ok.value().armed;
 }
@@ -626,17 +563,8 @@ Expected<TraceDumpOkFrame> SolveClient::trace_dump(const std::string& filter,
     frame.include_slow = include_slow;
     future = request_locked(id, encode_trace_dump(frame));
   }
-  RawReply raw = future.get();
-  if (!raw.ok()) return Expected<TraceDumpOkFrame>(raw.error());
-  Expected<FrameHead> head = peek_frame(raw.value());
-  if (!head.ok()) return Expected<TraceDumpOkFrame>(head.error());
-  if (head.value().type == FrameType::kError) {
-    Expected<ErrorFrame> err = decode_error(head.value());
-    if (!err.ok()) return Expected<TraceDumpOkFrame>(err.error());
-    return Expected<TraceDumpOkFrame>(err.value().status,
-                                      err.value().message);
-  }
-  return decode_trace_dump_ok(head.value());
+  return decode_reply(future.get(), FrameType::kTraceDumpOk,
+                      decode_trace_dump_ok);
 }
 
 ClientMetrics SolveClient::metrics_local() const {

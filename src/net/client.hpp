@@ -86,16 +86,16 @@ struct ClientMetrics {
   std::uint64_t failovers = 0;     ///< solves answered by a non-home shard
 };
 
-/// Decodes a raw solve reply blob (SolveOk or Error frame) into the
-/// solution vector / typed status. Exposed for callers of
-/// submit_batch_raw (the router's hedged sends).
-core::Expected<std::vector<value_t>> decode_solve_reply(
-    std::vector<std::uint8_t> blob);
+/// Decodes a solve reply (SolveOk or Error frame) into the solution
+/// vector / typed status. Exposed for callers of submit_batch_raw (the
+/// router's hedged sends).
+core::Expected<std::vector<value_t>> decode_solve_reply(VerifiedFrame reply);
 
 class SolveClient {
  public:
-  /// A reply blob or the typed failure that prevented one.
-  using RawReply = core::Expected<std::vector<std::uint8_t>>;
+  /// A reply frame, verified by the reader before it was routed by request
+  /// id, or the typed failure that prevented one.
+  using RawReply = core::Expected<VerifiedFrame>;
 
   explicit SolveClient(ClientOptions options);
   /// Closes the connection; outstanding futures complete kNetworkError.
@@ -207,6 +207,12 @@ class SolveClient {
   /// Sends `wire` and registers a pending reply future. state_mutex_ held.
   std::future<RawReply> request_locked(std::uint64_t request_id,
                                        const std::vector<std::uint8_t>& wire);
+  /// Encodes one solve straight from the caller's `rhs`, sends it and
+  /// registers its reply future. state_mutex_ held.
+  std::future<RawReply> request_solve_locked(
+      std::uint64_t plan_id, std::span<const value_t> rhs, index_t num_rhs,
+      service::Priority priority, std::chrono::microseconds deadline,
+      const support::trace::TraceId& trace_id);
   /// Performs one open against the live connection (takes the lock itself).
   core::Expected<OpenOkFrame> open_on_wire(OpenSpec& spec);
   void reader_loop(std::uint64_t epoch);

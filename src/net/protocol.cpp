@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "net/socket.hpp"
@@ -15,21 +16,36 @@ using core::SolveStatus;
 using support::BlobReader;
 using support::BlobWriter;
 
-/// Starts a frame payload: type + request id.
-BlobWriter begin_frame(FrameType type, std::uint64_t request_id) {
-  BlobWriter w(kProtocolVersion);
+/// The u32 length prefix in front of every blob image on the wire.
+constexpr std::size_t kLengthPrefixBytes = 4;
+
+/// Payload bytes a write_span of `n` elements takes at most: up to 7
+/// bytes of alignment padding, the u64 count, the elements.
+template <typename T>
+std::size_t span_bytes(std::size_t n) {
+  return 7 + 8 + n * sizeof(T);
+}
+
+std::size_t string_bytes(std::string_view s) { return 8 + s.size(); }
+
+/// Starts a frame in the one buffer it is sent from: room for the length
+/// prefix, the blob header, type + request id, `body_bytes` of
+/// type-specific payload and the CRC trailer.
+BlobWriter begin_frame(FrameType type, std::uint64_t request_id,
+                       std::size_t body_bytes = 0) {
+  BlobWriter w(kProtocolVersion, 1 + 8 + body_bytes, kLengthPrefixBytes);
   w.write_u8(static_cast<std::uint8_t>(type));
   w.write_u64(request_id);
   return w;
 }
 
-/// Seals the blob and prepends the u32 little-endian length prefix.
+/// Seals the blob and writes the u32 little-endian length prefix in the
+/// room begin_frame left for it.
 std::vector<std::uint8_t> seal(BlobWriter&& w) {
-  std::vector<std::uint8_t> blob = std::move(w).finish();
-  std::vector<std::uint8_t> wire(4 + blob.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(blob.size());
-  std::memcpy(wire.data(), &len, 4);
-  std::memcpy(wire.data() + 4, blob.data(), blob.size());
+  std::vector<std::uint8_t> wire = std::move(w).finish();
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(wire.size() - kLengthPrefixBytes);
+  std::memcpy(wire.data(), &len, kLengthPrefixBytes);
   return wire;
 }
 
@@ -51,6 +67,10 @@ Expected<T> finish_decode(FrameHead& head, T frame, const char* what) {
                        std::string(what) + ": trailing payload bytes");
   }
   return frame;
+}
+
+std::size_t hist_bytes(const service::LatencyHistogramSnapshot& h) {
+  return 8 + 8 + span_bytes<std::uint64_t>(h.counts.size());
 }
 
 void write_hist(BlobWriter& w,
@@ -133,7 +153,8 @@ void WireStats::merge(const WireStats& other) {
 // ---- encoders --------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_hello(const HelloFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kHello, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kHello, f.request_id,
+                             2 + 2 + string_bytes(f.client_name));
   w.write_u16(f.min_version);
   w.write_u16(f.max_version);
   w.write_string(f.client_name);
@@ -141,7 +162,8 @@ std::vector<std::uint8_t> encode_hello(const HelloFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_hello_ok(const HelloOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kHelloOk, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kHelloOk, f.request_id,
+                             2 + 8 + string_bytes(f.server_name));
   w.write_u16(f.version);
   w.write_u64(f.max_frame_bytes);
   w.write_string(f.server_name);
@@ -149,7 +171,21 @@ std::vector<std::uint8_t> encode_hello_ok(const HelloOkFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_open_plan(const OpenPlanFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kOpenPlan, f.request_id);
+  std::size_t body = 1 + string_bytes(f.backend_key);
+  switch (f.mode) {
+    case OpenMode::kMatrix:  // sparse::write_csc: two i32 + three spans
+      body += 4 + 4 + span_bytes<offset_t>(f.matrix.col_ptr.size()) +
+              span_bytes<index_t>(f.matrix.row_idx.size()) +
+              span_bytes<value_t>(f.matrix.val.size());
+      break;
+    case OpenMode::kPlanBlob:
+      body += span_bytes<std::uint8_t>(f.plan_blob.size());
+      break;
+    case OpenMode::kHashRef:
+      body += 8 + 8;
+      break;
+  }
+  BlobWriter w = begin_frame(FrameType::kOpenPlan, f.request_id, body);
   w.write_u8(static_cast<std::uint8_t>(f.mode));
   w.write_string(f.backend_key);
   switch (f.mode) {
@@ -168,7 +204,8 @@ std::vector<std::uint8_t> encode_open_plan(const OpenPlanFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_open_ok(const OpenOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kOpenOk, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kOpenOk, f.request_id,
+                             8 + 4 + 8 + 8 + string_bytes(f.source));
   w.write_u64(f.plan_id);
   w.write_i32(f.rows);
   w.write_u64(f.hash.pattern);
@@ -178,12 +215,19 @@ std::vector<std::uint8_t> encode_open_ok(const OpenOkFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_solve(const SolveFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kSolve, f.request_id);
+  return encode_solve(f, f.rhs);
+}
+
+std::vector<std::uint8_t> encode_solve(const SolveFrame& f,
+                                       std::span<const value_t> rhs) {
+  BlobWriter w = begin_frame(FrameType::kSolve, f.request_id,
+                             8 + 4 + 1 + 8 + span_bytes<value_t>(rhs.size()) +
+                                 16);
   w.write_u64(f.plan_id);
   w.write_i32(f.num_rhs);
   w.write_u8(static_cast<std::uint8_t>(f.priority));
   w.write_u64(f.deadline_us);
-  w.write_span<value_t>(f.rhs);
+  w.write_span<value_t>(rhs);
   // Optional tail: the trace id rides only when set, so untraced frames
   // are byte-identical to the pre-trace grammar.
   if (support::trace::trace_id_set(f.trace_id)) {
@@ -193,7 +237,8 @@ std::vector<std::uint8_t> encode_solve(const SolveFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_solve_ok(const SolveOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kSolveOk, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kSolveOk, f.request_id,
+                             8 + span_bytes<value_t>(f.x.size()) + 7 * 8);
   w.write_f64(f.server_us);
   w.write_span<value_t>(f.x);
   // Optional tail: seven f64 microsecond fields in PhaseBreakdown order.
@@ -210,20 +255,33 @@ std::vector<std::uint8_t> encode_solve_ok(const SolveOkFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kError, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kError, f.request_id,
+                             1 + string_bytes(f.message));
   w.write_u8(static_cast<std::uint8_t>(f.status));
   w.write_string(f.message);
   return seal(std::move(w));
 }
 
 std::vector<std::uint8_t> encode_stats(const StatsFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kStats, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kStats, f.request_id, 1);
   w.write_u8(static_cast<std::uint8_t>(f.format));
   return seal(std::move(w));
 }
 
 std::vector<std::uint8_t> encode_stats_ok(const StatsOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kStatsOk, f.request_id);
+  std::size_t body = 1;
+  if (f.format == StatsFormat::kPrometheus) {
+    body += string_bytes(f.text);
+  } else {
+    body += (14 + 6) * 8 + hist_bytes(f.stats.latency);
+    for (const WireStats::PerClass& pc : f.stats.per_class) {
+      body += 3 * 8 + hist_bytes(pc.latency);
+    }
+    for (const service::LatencyHistogramSnapshot& ph : f.stats.phases) {
+      body += hist_bytes(ph);
+    }
+  }
+  BlobWriter w = begin_frame(FrameType::kStatsOk, f.request_id, body);
   w.write_u8(static_cast<std::uint8_t>(f.format));
   if (f.format == StatsFormat::kPrometheus) {
     w.write_string(f.text);
@@ -270,7 +328,7 @@ std::vector<std::uint8_t> encode_drain(const DrainFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_drain_ok(const DrainOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kDrainOk, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kDrainOk, f.request_id, 8);
   w.write_u64(f.completed);
   return seal(std::move(w));
 }
@@ -284,27 +342,31 @@ std::vector<std::uint8_t> encode_pong(const PongFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_failpoint(const FailpointFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kFailpoint, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kFailpoint, f.request_id,
+                             string_bytes(f.name) + string_bytes(f.spec));
   w.write_string(f.name);
   w.write_string(f.spec);
   return seal(std::move(w));
 }
 
 std::vector<std::uint8_t> encode_failpoint_ok(const FailpointOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kFailpointOk, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kFailpointOk, f.request_id, 4);
   w.write_u32(f.armed);
   return seal(std::move(w));
 }
 
 std::vector<std::uint8_t> encode_trace_dump(const TraceDumpFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kTraceDump, f.request_id);
+  BlobWriter w = begin_frame(FrameType::kTraceDump, f.request_id,
+                             string_bytes(f.filter) + 1);
   w.write_string(f.filter);
   w.write_u8(f.include_slow ? 1 : 0);
   return seal(std::move(w));
 }
 
 std::vector<std::uint8_t> encode_trace_dump_ok(const TraceDumpOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kTraceDumpOk, f.request_id);
+  BlobWriter w =
+      begin_frame(FrameType::kTraceDumpOk, f.request_id,
+                  string_bytes(f.json) + string_bytes(f.slow_json));
   w.write_string(f.json);
   w.write_string(f.slow_json);
   return seal(std::move(w));
@@ -326,6 +388,15 @@ Expected<FrameHead> peek_frame(std::span<const std::uint8_t> blob) {
                                "unknown frame type " + std::to_string(type));
   }
   return FrameHead{static_cast<FrameType>(type), request_id, std::move(r)};
+}
+
+Expected<VerifiedFrame> VerifiedFrame::verify(
+    std::vector<std::uint8_t> blob) {
+  Expected<FrameHead> head = peek_frame(blob);
+  if (!head.ok()) return Expected<VerifiedFrame>(head.error());
+  // The head's reader points into blob's heap buffer, which the move
+  // hands to the new object unchanged.
+  return VerifiedFrame(std::move(blob), std::move(head.value()));
 }
 
 Expected<HelloFrame> decode_hello(FrameHead& head) {

@@ -38,6 +38,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.hpp"
@@ -318,6 +319,11 @@ std::vector<std::uint8_t> encode_hello_ok(const HelloOkFrame& f);
 std::vector<std::uint8_t> encode_open_plan(const OpenPlanFrame& f);
 std::vector<std::uint8_t> encode_open_ok(const OpenOkFrame& f);
 std::vector<std::uint8_t> encode_solve(const SolveFrame& f);
+/// encode_solve with the right-hand sides read from `rhs` instead of
+/// f.rhs (which is not read): the caller's span is copied once, straight
+/// into the frame buffer.
+std::vector<std::uint8_t> encode_solve(const SolveFrame& f,
+                                       std::span<const value_t> rhs);
 std::vector<std::uint8_t> encode_solve_ok(const SolveOkFrame& f);
 std::vector<std::uint8_t> encode_error(const ErrorFrame& f);
 std::vector<std::uint8_t> encode_stats(const StatsFrame& f);
@@ -345,6 +351,31 @@ struct FrameHead {
 };
 
 core::Expected<FrameHead> peek_frame(std::span<const std::uint8_t> blob);
+
+/// A received frame that passed peek_frame, kept together with its bytes
+/// so that it is checked once and decoded later without a second CRC
+/// pass. Only verify() makes one. head().reader borrows the owned bytes;
+/// a move hands the vector's heap buffer over unchanged, so the borrow
+/// survives moves, and copies are deleted.
+class VerifiedFrame {
+ public:
+  /// peek_frame over `blob`; on success the frame owns the bytes.
+  static core::Expected<VerifiedFrame> verify(std::vector<std::uint8_t> blob);
+
+  VerifiedFrame(VerifiedFrame&&) noexcept = default;
+  VerifiedFrame& operator=(VerifiedFrame&&) noexcept = default;
+  VerifiedFrame(const VerifiedFrame&) = delete;
+  VerifiedFrame& operator=(const VerifiedFrame&) = delete;
+
+  FrameHead& head() { return head_; }
+
+ private:
+  VerifiedFrame(std::vector<std::uint8_t> bytes, FrameHead head)
+      : bytes_(std::move(bytes)), head_(std::move(head)) {}
+
+  std::vector<std::uint8_t> bytes_;
+  FrameHead head_;
+};
 
 /// Type-specific decoders: consume the remaining payload of `head.reader`
 /// (as positioned by peek_frame) and bounds-check every field; the frame

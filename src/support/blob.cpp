@@ -16,6 +16,8 @@ namespace {
 
 constexpr std::array<std::uint8_t, 4> kMagic{'M', 'S', 'P', 'B'};
 
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;  // reflected 0x1EDC6F41
+
 /// Slice-by-8 tables for the software CRC-32C path: table[0] is the
 /// classic byte table; table[k] rolls the remainder k extra bytes
 /// forward, letting the hot loop fold 8 input bytes per iteration.
@@ -24,7 +26,7 @@ std::array<std::array<std::uint32_t, 256>, 8> build_crc_tables() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;  // CRC-32C, reflected
+      c = (c & 1u) ? kCrc32cPoly ^ (c >> 1) : c >> 1;
     }
     t[0][i] = c;
   }
@@ -64,14 +66,97 @@ std::uint32_t crc32c_sw(std::span<const std::uint8_t> bytes,
 
 #if defined(__x86_64__) || defined(__i386__)
 #define MSPTRSV_HAS_HW_CRC 1
+
+/// a * b mod P over GF(2), in the reflected bit order of the CRC register
+/// (bit 31 holds the x^0 coefficient).
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) ? (b >> 1) ^ kCrc32cPoly : b >> 1;
+  }
+  return product;
+}
+
+/// Moves a CRC register past `len` zero bytes: multiplies it by
+/// x^(8*len) mod P, one byte of the register per table. This is what
+/// merges chains: the register over A then B equals shift(reg over A)
+/// xor (reg over B started from zero), when the shift is by |B|.
+class CrcShift {
+ public:
+  explicit CrcShift(std::size_t len) {
+    std::uint32_t op = 1u << 31;      // x^0
+    std::uint32_t square = 1u << 23;  // x^8
+    for (; len != 0; len >>= 1) {
+      if ((len & 1) != 0) op = multmodp(square, op);
+      square = multmodp(square, square);
+    }
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t_[k][i] = multmodp(op, i << (8 * k));
+      }
+    }
+  }
+
+  std::uint32_t operator()(std::uint32_t c) const {
+    return t_[0][c & 0xFFu] ^ t_[1][(c >> 8) & 0xFFu] ^
+           t_[2][(c >> 16) & 0xFFu] ^ t_[3][c >> 24];
+  }
+
+ private:
+  std::array<std::array<std::uint32_t, 256>, 4> t_{};
+};
+
+/// The crc32 instruction has a latency of three cycles and a throughput of
+/// one per cycle, so a single dependent chain runs at a third of the
+/// instruction's rate. Three chains over adjacent blocks run at full rate;
+/// 8 KiB blocks make the two merges per 24 KiB negligible, and 256-byte
+/// blocks keep the tail that runs on one chain short.
+constexpr std::size_t kLongBlock = 8192;
+constexpr std::size_t kShortBlock = 256;
+
+/// Runs three crc32 chains over adjacent `block`-byte runs for as long as
+/// 3 * block bytes remain, merging them into `c` after each run.
+__attribute__((target("sse4.2"))) std::uint64_t crc32c_3way(
+    std::uint64_t c, const std::uint8_t*& p, std::size_t& n,
+    std::size_t block, const CrcShift& shift) {
+  while (n >= 3 * block) {
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t i = 0; i < block; i += 8) {
+      std::uint64_t v0, v1, v2;
+      std::memcpy(&v0, p + i, 8);
+      std::memcpy(&v1, p + block + i, 8);
+      std::memcpy(&v2, p + 2 * block + i, 8);
+      c = __builtin_ia32_crc32di(c, v0);
+      c1 = __builtin_ia32_crc32di(c1, v1);
+      c2 = __builtin_ia32_crc32di(c2, v2);
+    }
+    c = shift(static_cast<std::uint32_t>(c)) ^ c1;
+    c = shift(static_cast<std::uint32_t>(c)) ^ c2;
+    p += 3 * block;
+    n -= 3 * block;
+  }
+  return c;
+}
+
 /// SSE4.2 crc32 instruction path: same CRC-32C function as the table
 /// fallback, an order of magnitude faster. Guarded at runtime by cpuid so
 /// one binary runs everywhere.
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
     std::span<const std::uint8_t> bytes, std::uint32_t c) {
+  static const CrcShift shift_long(kLongBlock);
+  static const CrcShift shift_short(kShortBlock);
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
+  // Bytewise up to an 8-byte boundary, so no 8-byte load splits a line.
+  while (n > 0 && reinterpret_cast<std::uintptr_t>(p) % 8 != 0) {
+    c = __builtin_ia32_crc32qi(c, *p++);
+    --n;
+  }
   std::uint64_t c64 = c;
+  c64 = crc32c_3way(c64, p, n, kLongBlock, shift_long);
+  c64 = crc32c_3way(c64, p, n, kShortBlock, shift_short);
   while (n >= 8) {
     std::uint64_t v;
     std::memcpy(&v, p, 8);
@@ -102,14 +187,22 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   return crc32c_sw(bytes, c) ^ 0xFFFFFFFFu;
 }
 
+std::uint32_t detail::crc32_portable(std::span<const std::uint8_t> bytes) {
+  return crc32c_sw(bytes, 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
+}
+
 std::uint8_t host_endian_tag() {
   return std::endian::native == std::endian::little ? 1 : 2;
 }
 
 // ---- BlobWriter ------------------------------------------------------------
 
-BlobWriter::BlobWriter(std::uint16_t format_version) {
-  buf_.reserve(256);
+BlobWriter::BlobWriter(std::uint16_t format_version,
+                       std::size_t payload_capacity, std::size_t prefix_bytes)
+    : prefix_(prefix_bytes) {
+  buf_.reserve(prefix_bytes + kBlobHeaderBytes + payload_capacity +
+               kBlobTrailerBytes);
+  buf_.resize(prefix_bytes);
   buf_.insert(buf_.end(), kMagic.begin(), kMagic.end());
   buf_.push_back(static_cast<std::uint8_t>(format_version & 0xFFu));
   buf_.push_back(static_cast<std::uint8_t>(format_version >> 8));
@@ -136,8 +229,8 @@ void BlobWriter::write_string(std::string_view s) {
 }
 
 std::vector<std::uint8_t> BlobWriter::finish() && {
-  const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(buf_).subspan(kHeaderSize));
+  const std::uint32_t crc = crc32(
+      std::span<const std::uint8_t>(buf_).subspan(prefix_ + kBlobHeaderBytes));
   append(&crc, sizeof(crc));
   return std::move(buf_);
 }

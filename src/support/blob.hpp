@@ -28,11 +28,19 @@
 namespace msptrsv::support {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41 reflected) of a byte range.
-/// Uses the SSE4.2 crc32 instruction when the host has it and a
-/// slice-by-8 table fallback otherwise -- both compute the same function,
-/// so blobs verify across machines. Chosen over classic CRC-32 because
-/// plan loads checksum the whole multi-megabyte blob on the cold path.
+/// Uses the SSE4.2 crc32 instruction when the host has it (three
+/// independent chains over adjacent blocks, merged by shift-by-length
+/// tables) and a slice-by-8 table fallback otherwise -- both compute the
+/// same function, so blobs verify across machines. Chosen over classic
+/// CRC-32 because plan loads checksum the whole multi-megabyte blob on the
+/// cold path, and every wire frame is checksummed by both of its ends.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+
+namespace detail {
+/// The slice-by-8 fallback of crc32(), callable on any host so tests can
+/// hold it against the instruction path crc32() takes on SSE4.2 hosts.
+std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes);
+}  // namespace detail
 
 /// 1 on little-endian hosts, 2 on big-endian (the on-disk tag values).
 std::uint8_t host_endian_tag();
@@ -49,8 +57,16 @@ inline constexpr std::size_t kBlobMinBytes =
 class BlobWriter {
  public:
   /// `format_version` is stamped into the header; readers reject blobs
-  /// whose version they do not understand.
-  explicit BlobWriter(std::uint16_t format_version);
+  /// whose version they do not understand. The buffer is allocated once,
+  /// with room for `payload_capacity` payload bytes plus the header and
+  /// the CRC trailer (writing more just grows it). `prefix_bytes` zero
+  /// bytes go in front of the image for an enclosing format to fill in
+  /// after finish() (the wire protocol's length prefix); offsets, 8-byte
+  /// padding and the CRC are all measured from the blob start, so the
+  /// image behind the prefix is byte-identical to an unprefixed one.
+  explicit BlobWriter(std::uint16_t format_version,
+                      std::size_t payload_capacity = 256,
+                      std::size_t prefix_bytes = 0);
 
   void write_u8(std::uint8_t v);
   void write_u16(std::uint16_t v);
@@ -76,20 +92,23 @@ class BlobWriter {
   }
 
   /// Bytes written so far (payload only, header excluded).
-  std::size_t payload_size() const { return buf_.size() - kHeaderSize; }
+  std::size_t payload_size() const {
+    return buf_.size() - prefix_ - kBlobHeaderBytes;
+  }
 
   /// Seals the blob: appends the CRC trailer and returns the full byte
-  /// image. The writer is spent afterwards.
+  /// image, behind the `prefix_bytes` the writer was made with. The writer
+  /// is spent afterwards.
   std::vector<std::uint8_t> finish() &&;
 
  private:
-  static constexpr std::size_t kHeaderSize = 8;
   void append(const void* data, std::size_t bytes);
   /// Zero-pads the buffer to the next 8-byte blob offset.
   void align8() {
-    while (buf_.size() % 8 != 0) buf_.push_back(0);
+    while ((buf_.size() - prefix_) % 8 != 0) buf_.push_back(0);
   }
 
+  std::size_t prefix_ = 0;
   std::vector<std::uint8_t> buf_;
 };
 

@@ -1,10 +1,15 @@
 // End-to-end flows a downstream user would run: file -> factorize -> solve
-// on a simulated machine; iterative refinement; capacity planning.
+// on a simulated machine; iterative refinement; PCG through the direct,
+// service and wire layers; capacity planning.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "core/msptrsv.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
 #include "support/rng.hpp"
 
 namespace msptrsv {
@@ -103,6 +108,145 @@ TEST(Integration, IterativeRefinementConvergesWithSpTrsvKernels) {
   }
   EXPECT_LT(residual, 1e-10);
   EXPECT_LT(core::max_relative_difference(x, x_true), 1e-7);
+}
+
+/// IC(0)-preconditioned CG from x = 0. `precondition` returns M^{-1} r;
+/// the returned history holds ||r|| after every iteration (the initial
+/// residual first). Stops at a relative recurrence residual of `tol`.
+std::vector<double> pcg(
+    const sparse::CscMatrix& a, const std::vector<value_t>& b, double tol,
+    const std::function<std::vector<value_t>(const std::vector<value_t>&)>&
+        precondition,
+    std::vector<value_t>& x) {
+  const auto dot = [](const std::vector<value_t>& u,
+                      const std::vector<value_t>& v) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < u.size(); ++i) s += u[i] * v[i];
+    return s;
+  };
+  x.assign(b.size(), 0.0);
+  std::vector<value_t> r = b;
+  std::vector<value_t> z = precondition(r);
+  std::vector<value_t> p = z;
+  double rz = dot(r, z);
+  const double bnorm = std::sqrt(dot(b, b));
+  std::vector<double> history{bnorm};
+  for (int it = 0; it < 500 && history.back() > tol * bnorm; ++it) {
+    const std::vector<value_t> q = sparse::multiply(a, p);
+    const double alpha = rz / dot(p, q);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] += alpha * p[i];
+      r[i] -= alpha * q[i];
+    }
+    history.push_back(std::sqrt(dot(r, r)));
+    z = precondition(r);
+    const double rz_next = dot(r, z);
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] = z[i] + beta * p[i];
+  }
+  return history;
+}
+
+TEST(Integration, PcgThroughEveryLayerGivesBitIdenticalHistories) {
+  // The preconditioner M^{-1} r = L^{-T} L^{-1} r applied three ways:
+  // direct plans (the upper one from analyze_upper), a SolveService, and
+  // a SolveClient against an in-process SolveServer with the upper solve
+  // as the reversed lower form of L^T (the wire serves lower factors).
+  // Every layer must hand back the same bits, so the three residual
+  // histories agree exactly.
+  sparse::CooMatrix coo;
+  const index_t nx = 40, ny = 40, n = nx * ny;
+  coo.rows = coo.cols = n;
+  std::vector<value_t> diag(static_cast<std::size_t>(n), 0.0);
+  const auto couple = [&](index_t i, index_t j, value_t c) {
+    diag[static_cast<std::size_t>(i)] += c;
+    diag[static_cast<std::size_t>(j)] += c;
+    coo.add(i, j, -c);
+    coo.add(j, i, -c);
+  };
+  for (index_t y = 0; y < ny; ++y) {
+    for (index_t x = 0; x < nx; ++x) {
+      const index_t i = y * nx + x;
+      const value_t c = 1.0 + 0.125 * ((3 * x + 5 * y) % 7);
+      if (x + 1 < nx) couple(i, i + 1, c);
+      if (y + 1 < ny) couple(i, i + nx, c);
+      if (x == 0 || y == 0) diag[static_cast<std::size_t>(i)] += 1.0;
+    }
+  }
+  for (index_t i = 0; i < n; ++i) {
+    coo.add(i, i, diag[static_cast<std::size_t>(i)]);
+  }
+  const sparse::CsrMatrix a = sparse::csr_from_coo(std::move(coo));
+  const sparse::CscMatrix a_csc = sparse::csc_from_csr(a);
+  const sparse::CscMatrix l = sparse::ic0(a);
+  const sparse::CscMatrix u = sparse::transpose(l);
+  const sparse::CscMatrix u_reversed = core::reverse_upper_to_lower(u);
+  const std::vector<value_t> b =
+      sparse::multiply(a_csc, sparse::gen_solution(n, 19));
+  constexpr double kTol = 1e-9;
+
+  const core::SolveOptions opt = core::registry::options_for("auto").value();
+  const core::SolverPlan lower = core::SolverPlan::analyze(l, opt).value();
+  const core::SolverPlan upper =
+      core::SolverPlan::analyze_upper(u, opt).value();
+  std::vector<value_t> x_direct;
+  const std::vector<double> direct =
+      pcg(a_csc, b, kTol,
+          [&](const std::vector<value_t>& r) {
+            return upper.solve(lower.solve(r).value().x).value().x;
+          },
+          x_direct);
+
+  std::vector<value_t> x_service;
+  std::vector<double> served;
+  {
+    service::SolveService svc;
+    const core::SolverPlan sl = svc.plan_for(l, "auto").value();
+    const core::SolverPlan su = svc.plan_for(u_reversed, "auto").value();
+    served = pcg(a_csc, b, kTol,
+                 [&](const std::vector<value_t>& r) {
+                   std::vector<value_t> y = svc.submit(sl, r).get().value().x;
+                   return core::reversed(
+                       svc.submit(su, core::reversed(y)).get().value().x);
+                 },
+                 x_service);
+  }
+
+  std::vector<value_t> x_wire;
+  std::vector<double> wired;
+  {
+    net::SolveServer server;
+    ASSERT_TRUE(server.start().ok());
+    net::ClientOptions copt;
+    copt.port = server.port();
+    net::SolveClient client(copt);
+    const net::PlanHandle hl = client.open(l, "auto").value();
+    const net::PlanHandle hu = client.open(u_reversed, "auto").value();
+    wired = pcg(a_csc, b, kTol,
+                [&](const std::vector<value_t>& r) {
+                  std::vector<value_t> y = client.solve(hl, r).value();
+                  return core::reversed(
+                      client.solve(hu, core::reversed(y)).value());
+                },
+                x_wire);
+    client.close();
+    server.stop();
+  }
+
+  ASSERT_GT(direct.size(), 5u);
+  EXPECT_EQ(served, direct);
+  EXPECT_EQ(wired, direct);
+  EXPECT_EQ(x_service, x_direct);
+  EXPECT_EQ(x_wire, x_direct);
+  // The recurrence residual is not the true one: check b - A x itself.
+  const std::vector<value_t> ax = sparse::multiply(a_csc, x_wire);
+  double rr = 0.0, bb = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    rr += (b[i] - ax[i]) * (b[i] - ax[i]);
+    bb += b[i] * b[i];
+  }
+  EXPECT_LE(std::sqrt(rr / bb), 1e-8);
 }
 
 TEST(Integration, OutOfCoreCapacityPlanning) {

@@ -171,6 +171,71 @@ TEST(NetProtocol, StatsOkBinaryRoundTripMergesHistograms) {
                    f.stats.latency.quantile(0.5));
 }
 
+TEST(NetProtocol, GoldenFramesPinTheWireBytes) {
+  // Length and CRC-32C of the complete wire bytes -- length prefix, blob
+  // header, payload, trailer -- of fixed frames. Any change to the bytes a
+  // peer sees (field order, 8-byte padding, optional tails, the prefix)
+  // moves these constants; only a new kProtocolVersion may.
+  if (support::host_endian_tag() != 1) {
+    GTEST_SKIP() << "the constants are little-endian wire images";
+  }
+  sparse::CscMatrix l;  // 4x4 lower factor, diagonal plus two entries
+  l.rows = l.cols = 4;
+  l.col_ptr = {0, 2, 4, 5, 6};
+  l.row_idx = {0, 2, 1, 3, 2, 3};
+  l.val = {2.0, -0.5, 4.0, 0.25, 1.5, 8.0};
+
+  support::trace::TraceId trace{};
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  const auto solve = [&](index_t num_rhs, bool traced) {
+    net::SolveFrame f;
+    f.request_id = 3;
+    f.plan_id = 7;
+    f.num_rhs = num_rhs;
+    f.priority = service::Priority::kHigh;
+    f.deadline_us = 1500;
+    for (index_t i = 0; i < 4 * num_rhs; ++i) f.rhs.push_back(0.5 * i - 1.25);
+    if (traced) f.trace_id = trace;
+    return net::encode_solve(f);
+  };
+
+  net::HelloFrame hello{1, 1, 1, "golden-client"};
+  net::OpenPlanFrame open;
+  open.request_id = 2;
+  open.mode = net::OpenMode::kMatrix;
+  open.backend_key = "serial";
+  open.matrix = l;
+  net::SolveOkFrame reply;
+  reply.request_id = 3;
+  reply.server_us = 12.5;
+  reply.x = {1.0, -2.0, 0.125, 1e-3};
+  reply.has_phases = true;
+  reply.phases = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+
+  struct Golden {
+    const char* name;
+    std::vector<std::uint8_t> wire;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const Golden frames[] = {
+      {"hello", net::encode_hello(hello), 50, 0xFA7BD78Bu},
+      {"open-plan", net::encode_open_plan(open), 184, 0x14A36883u},
+      {"solve k=1", solve(1, false), 88, 0xE40F9274u},
+      {"solve k=3", solve(3, false), 152, 0x2C2BF3C9u},
+      {"solve k=1 traced", solve(1, true), 104, 0xFE3EA679u},
+      {"solve k=3 traced", solve(3, true), 168, 0x9823C272u},
+      {"solve-ok with phases", net::encode_solve_ok(reply), 136, 0xF5BC2F3Cu},
+  };
+  for (const Golden& g : frames) {
+    EXPECT_EQ(g.wire.size(), g.size) << g.name;
+    EXPECT_EQ(support::crc32(g.wire), g.crc)
+        << g.name << ": 0x" << std::hex << support::crc32(g.wire);
+  }
+}
+
 TEST(NetProtocol, CorruptCrcIsProtocolError) {
   auto blob = blob_of(net::encode_drain({21}));
   blob.back() ^= 0xFF;  // CRC trailer
@@ -648,6 +713,56 @@ TEST(NetLoopback, MalformedFramesFailStopTheConnectionNotTheProcess) {
   // Connection-level counters saw every hostile stream.
   EXPECT_GE(server.wire_stats().protocol_errors, 7u);
   server.stop();
+}
+
+TEST(NetLoopback, CorruptReplyFailStopsTheClientConnection) {
+  // The client side of fail-stop: a peer answers the hello properly, then
+  // sends a solve reply whose CRC trailer is flipped. The reader checks
+  // every reply before it routes it by request id, so the waiting solve
+  // fails with kNetworkError and the connection goes down -- the corrupt
+  // bytes never reach a caller.
+  auto listener = net::ListenSocket::open(0, 4);
+  ASSERT_TRUE(listener.ok()) << listener.message();
+  std::thread peer([&listener] {
+    auto conn = listener.value().accept();
+    if (!conn.ok()) return;
+    net::Socket& sock = conn.value();
+    auto hello = net::read_frame(sock, net::kDefaultMaxFrameBytes);
+    if (!hello.ok() || !hello.value().has_value()) return;
+    net::HelloOkFrame ok;
+    ok.server_name = "corrupting-peer";
+    if (!net::write_frame(sock, net::encode_hello_ok(ok)).ok()) return;
+    auto solve = net::read_frame(sock, net::kDefaultMaxFrameBytes);
+    if (!solve.ok() || !solve.value().has_value()) return;
+    auto head = net::peek_frame(*solve.value());
+    if (!head.ok()) return;
+    net::SolveOkFrame reply;
+    reply.request_id = head.value().request_id;
+    reply.x = {1.0, 2.0};
+    std::vector<std::uint8_t> wire = net::encode_solve_ok(reply);
+    wire.back() ^= 0xFF;  // CRC trailer
+    if (!net::write_frame(sock, wire).ok()) return;
+    // Hold the socket open until the client closes its end.
+    std::uint8_t byte = 0;
+    bool eof = false;
+    while (sock.recv_exact(std::span<std::uint8_t>(&byte, 1), &eof).ok() &&
+           !eof) {
+    }
+  });
+  [&listener] {
+    net::ClientOptions copt;
+    copt.port = listener.value().port();
+    SolveClient client(copt);
+    ASSERT_TRUE(client.connect().ok());
+    const std::vector<value_t> b = {1.0, 2.0};
+    const auto x = client.submit_batch(net::PlanHandle{}, b, 1).get();
+    ASSERT_FALSE(x.ok());
+    EXPECT_EQ(x.status(), SolveStatus::kNetworkError);
+    EXPECT_NE(x.message().find("CRC"), std::string::npos) << x.message();
+    EXPECT_FALSE(client.connected());
+  }();  // the client is closed here, which ends the peer's read
+  listener.value().shutdown();  // or its accept, had the connect failed
+  peer.join();
 }
 
 TEST(NetLoopback, InjectedOverloadDrivesRetryToSuccess) {
