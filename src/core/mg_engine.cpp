@@ -38,6 +38,43 @@ struct Event {
   }
 };
 
+/// replay_mg_numerics at batch width `kWidth`, or at `num_rhs` when
+/// `kWidth` is 0. One body, also compiled with the one-rhs width as a
+/// constant: a runtime rhs loop around each fan-out update costs the
+/// one-rhs replay more than its arithmetic.
+template <std::size_t kWidth>
+void replay_in_order(const sparse::CscMatrix& lower,
+                     std::span<const index_t> order,
+                     std::span<const value_t> b, std::size_t num_rhs,
+                     std::span<value_t> x) {
+  const std::size_t k = kWidth != 0 ? kWidth : num_rhs;
+  const std::size_t un = order.size();
+  // Component-major accumulators (cell(i, r) at i*k + r) keep the fused
+  // per-component RHS sweep contiguous; x is column-major per the API.
+  std::vector<value_t> left_sum(un * k, 0.0);
+  std::vector<value_t> xi(k);  // the solved component's rhs sweep
+  for (const index_t i : order) {
+    // Algorithm 1's step, per rhs. The sweep lands in a contiguous buffer
+    // so the fan-out below reads it unit-stride instead of re-reading
+    // column-major x.
+    const offset_t d = lower.col_ptr[i];
+    const value_t diag = lower.val[d];
+    for (std::size_t r = 0; r < k; ++r) {
+      xi[r] = (b[r * un + static_cast<std::size_t>(i)] -
+               left_sum[static_cast<std::size_t>(i) * k + r]) /
+              diag;
+      x[r * un + static_cast<std::size_t>(i)] = xi[r];
+    }
+    for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
+      value_t* dep_sum =
+          left_sum.data() + static_cast<std::size_t>(lower.row_idx[e]) * k;
+      for (std::size_t r = 0; r < k; ++r) {
+        dep_sum[r] += lower.val[e] * xi[r];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 sim_time_t engine_analysis_us(const sparse::CscMatrix& lower,
@@ -57,16 +94,11 @@ sim_time_t engine_analysis_us(const sparse::CscMatrix& lower,
 }
 
 EngineResult run_mg_engine(const sparse::CscMatrix& lower,
-                           std::span<const value_t> b,
                            const sparse::Partition& partition,
                            const sim::Machine& machine, sim::Interconnect& net,
                            CommPolicy& comm, const EngineOptions& opts) {
   if (opts.in_degrees == nullptr) sparse::require_solvable_lower(lower);
-  MSPTRSV_REQUIRE(opts.num_rhs >= 1 && opts.cost_rhs >= 1,
-                  "batch widths must be >= 1");
-  MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows) *
-                                  static_cast<std::size_t>(opts.num_rhs),
-                  "batch must be column-major n x num_rhs");
+  MSPTRSV_REQUIRE(opts.cost_rhs >= 1, "cost width must be >= 1");
   MSPTRSV_REQUIRE(partition.n() == lower.rows,
                   "partition built for a different matrix size");
   MSPTRSV_REQUIRE(partition.num_gpus() <= machine.num_gpus(),
@@ -127,12 +159,7 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   }
 
   // ---- event-driven solve --------------------------------------------------
-  // Component-major accumulators (cell(i, r) at i*k + r) keep the fused
-  // per-component RHS sweep contiguous; x is column-major per the API.
-  const std::size_t k = static_cast<std::size_t>(opts.num_rhs);
-  const std::size_t un = static_cast<std::size_t>(n);
-  std::vector<value_t> left_sum(un * k, 0.0);
-  out.x.assign(un * k, 0.0);
+  out.order.reserve(static_cast<std::size_t>(n));
   std::vector<std::uint32_t> contributors(static_cast<std::size_t>(n), 0);
   /// Latest dependency-visibility time per component.
   std::vector<sim_time_t> ready_floor(static_cast<std::size_t>(n), 0.0);
@@ -146,7 +173,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   sim_time_t makespan = 0.0;
   index_t solved = 0;
   std::vector<int> remote_gpus;  // scratch, decoded from the bitmask
-  std::vector<value_t> xi(k);    // the solved component's rhs sweep
 
   // Solves component i; both its slot admission and its dependencies are
   // satisfied at `t`. Returns the slot-release time.
@@ -167,17 +193,7 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
     const sim_time_t solve_done =
         gathered + cost.solve_base_us +
         cost.solve_per_nnz_us * fanout * static_cast<double>(opts.cost_rhs);
-
-    // Numeric solve (identical arithmetic to Algorithm 1's step, per rhs).
-    // The sweep lands in a contiguous buffer so the fan-out below reads
-    // it unit-stride instead of re-reading column-major x.
-    const value_t diag = lower.val[d];
-    for (std::size_t r = 0; r < k; ++r) {
-      xi[r] = (b[r * un + static_cast<std::size_t>(i)] -
-               left_sum[static_cast<std::size_t>(i) * k + r]) /
-              diag;
-      out.x[r * un + static_cast<std::size_t>(i)] = xi[r];
-    }
+    out.order.push_back(i);
 
     // Push updates to dependents. One warp issues them in sequence, so a
     // stalling update (fenced RMW chain) delays the rest -- `cursor_t`
@@ -186,10 +202,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
     sim_time_t cursor_t = solve_done;
     for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
       const index_t dep = lower.row_idx[e];
-      value_t* dep_sum = left_sum.data() + static_cast<std::size_t>(dep) * k;
-      for (std::size_t r = 0; r < k; ++r) {
-        dep_sum[r] += lower.val[e] * xi[r];
-      }
       const int dst = partition.owner_of(dep);
       const bool is_final = remaining[static_cast<std::size_t>(dep)] == 1;
       const UpdateTiming timing =
@@ -270,6 +282,23 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   rep.link_bytes = net.total_bytes();
   rep.link_messages = net.total_messages();
   return out;
+}
+
+void replay_mg_numerics(const sparse::CscMatrix& lower,
+                        std::span<const index_t> order,
+                        std::span<const value_t> b, index_t num_rhs,
+                        std::span<value_t> x) {
+  MSPTRSV_REQUIRE(num_rhs >= 1, "batch width must be >= 1");
+  const std::size_t un = static_cast<std::size_t>(lower.rows);
+  const std::size_t k = static_cast<std::size_t>(num_rhs);
+  MSPTRSV_REQUIRE(order.size() == un, "replay order must list n components");
+  MSPTRSV_REQUIRE(b.size() == un * k && x.size() == un * k,
+                  "batch must be column-major n x num_rhs");
+  if (k == 1) {
+    replay_in_order<1>(lower, order, b, k, x);
+  } else {
+    replay_in_order<0>(lower, order, b, k, x);
+  }
 }
 
 }  // namespace msptrsv::core

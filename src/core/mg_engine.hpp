@@ -9,14 +9,19 @@
 // engine factors that difference into a CommPolicy.
 //
 // The engine is a deterministic discrete-event list scheduler that
-// *executes the numerics for real* (it returns the solution vector) while
-// accounting simulated time:
+// accounts simulated time and does no arithmetic:
 //  - each GPU is a multi-server resource of `warp_slots_per_gpu` slots;
 //  - each task (Section V) is a kernel whose launch is serialized on its
 //    GPU's stream, delaying its components by the launch overhead;
 //  - a component becomes ready at the latest *visibility* time of its
 //    dependency updates, as decided by the CommPolicy;
 //  - solving costs solve_base + solve_per_nnz * nnz(column).
+// Its schedule is a pure function of the factor's structure, the
+// partition, the machine and the cost width -- never of b or the factor's
+// values -- so it returns the order in which it solved the components,
+// and replay_mg_numerics executes the numerics for real in that order.
+// A SolverPlan simulates its one-rhs schedule once and replays it on
+// every solve.
 #pragma once
 
 #include <span>
@@ -79,36 +84,40 @@ struct EngineOptions {
   /// that produced them already established the solvable-lower invariants.
   /// This is the reuse path of SolverPlan (analyze once, solve many).
   const std::vector<index_t>* in_degrees = nullptr;
-  /// Numeric batch width: `b` is column-major n x num_rhs and the result
-  /// has the same layout. The event schedule (and therefore the per-rhs
-  /// floating-point operation order) depends only on the matrix structure
-  /// and the cost model, never on num_rhs -- the fused batch solves every
-  /// rhs of a component inside the single lock-wait that schedule implies.
-  index_t num_rhs = 1;
   /// Fused-batch COST width: how many rhs each component's kernel carries
   /// in the cost model. Scales the per-component floating-point work
   /// (solve_per_nnz) while kernel launches, lock-waits, gathers and
   /// dependency-update messages stay per-component/per-edge -- the
-  /// amortization the fused kernel exists for. Kept separate from num_rhs
-  /// so SolverPlan can obtain the looped-identical numerics (cost_rhs=1)
-  /// and the amortized timing (cost_rhs=k) without the cost scaling
-  /// perturbing the numeric event order.
+  /// amortization the fused kernel exists for. It changes the timing and
+  /// so the solve order: the numerics replay the cost_rhs = 1 order at
+  /// every batch width, which is what makes fused x equal looped x.
   index_t cost_rhs = 1;
 };
 
 struct EngineResult {
-  /// Column-major n x num_rhs.
-  std::vector<value_t> x;
   sim::RunReport report;
+  /// The n components in the order the engine solved them: a topological
+  /// order of the factor, the one replay_mg_numerics visits.
+  std::vector<index_t> order;
 };
 
 /// Runs the engine. `net` must be freshly constructed (or reset) for the
 /// machine's topology; the CommPolicy must wrap the same `net`.
 EngineResult run_mg_engine(const sparse::CscMatrix& lower,
-                           std::span<const value_t> b,
                            const sparse::Partition& partition,
                            const sim::Machine& machine, sim::Interconnect& net,
                            CommPolicy& comm, const EngineOptions& opts = {});
+
+/// The numerics of a multi-GPU solve: solves `lower` x = b for a
+/// column-major n x num_rhs batch, visiting the components in `order` (an
+/// engine's EngineResult::order). Each component computes
+/// x_i = (b_i - left_sum_i) / diag, then adds val * x_i into its
+/// dependents' left sums in stored column order, so every accumulator sees
+/// its contributions in the order the simulated kernels push them.
+void replay_mg_numerics(const sparse::CscMatrix& lower,
+                        std::span<const index_t> order,
+                        std::span<const value_t> b, index_t num_rhs,
+                        std::span<value_t> x);
 
 /// Simulated cost of the in-degree preprocessing pass under `partition`:
 /// every GPU streams its own columns in parallel, so the slowest GPU bounds

@@ -8,7 +8,6 @@ namespace msptrsv::sim {
 
 Interconnect::Interconnect(const Topology& topo, const CostModel& cost)
     : topo_(topo), cost_(cost) {
-  next_free_.assign(static_cast<std::size_t>(topo_.num_links()), 0.0);
   stats_.assign(static_cast<std::size_t>(topo_.num_links()), {});
 }
 
@@ -65,7 +64,6 @@ std::uint64_t Interconnect::total_messages() const {
 }
 
 void Interconnect::reset() {
-  std::fill(next_free_.begin(), next_free_.end(), 0.0);
   std::fill(stats_.begin(), stats_.end(), LinkStats{});
 }
 

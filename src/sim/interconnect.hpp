@@ -1,10 +1,14 @@
 // Time-accounting layer over a Topology.
 //
-// Each link is a serially reusable resource: concurrent messages over the
-// same link queue behind each other (bandwidth contention), while messages
-// on disjoint links proceed in parallel. This is what makes the model
-// sensitive to topology -- DGX-1 2-hop routes and shared links congest,
-// DGX-2 ports do not until a GPU saturates its own port.
+// A message costs its route's latency (hop count x hop latency) plus its
+// serialization at the route's bottleneck bandwidth. Messages never queue
+// behind each other: per-link occupancy is booked as statistics (bytes,
+// messages, busy time), not as a timeline, so link stats expose hot links
+// while the delivery time depends only on the route and the message size.
+// The route is what makes the model sensitive to topology: DGX-1 GPUs
+// without a direct NVLink pay a multi-hop path at its slowest link's
+// bandwidth, DGX-2 messages cross the NVSwitch through the two GPUs' own
+// ports.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +31,10 @@ class Interconnect {
   Interconnect(const Topology& topo, const CostModel& cost);
 
   /// Books a message of `bytes` from src to dst entering the network at
-  /// `now`; returns its delivery time. The transfer seizes every link on
-  /// the route (store-and-forward at message granularity) and advances the
-  /// links' next-free times, so later messages contend realistically.
+  /// `now`; returns its delivery time, `now` plus the route's latency and
+  /// serialization. Every link on the route books the message's bytes and
+  /// serialization time in its statistics; no booking delays a later
+  /// message.
   sim_time_t transfer(int src, int dst, double bytes, sim_time_t now);
 
   /// Contention-free estimate of the same message (no booking). Used for
@@ -44,13 +49,12 @@ class Interconnect {
   double total_bytes() const;
   std::uint64_t total_messages() const;
 
-  /// Resets occupancy and statistics (a fresh run on the same machine).
+  /// Resets the statistics (a fresh run on the same machine).
   void reset();
 
  private:
   const Topology& topo_;
   const CostModel& cost_;
-  std::vector<sim_time_t> next_free_;
   std::vector<LinkStats> stats_;
 };
 

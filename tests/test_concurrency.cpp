@@ -1,15 +1,18 @@
 // Multi-threaded stress of the shared-plan contract: N caller threads
 // hammering one SolverPlan's solve()/solve_batch() concurrently must be
-// safe on every backend (concurrent callers lease disjoint workspaces;
-// simulated runs build fresh policy state per solve) and, with the
+// safe on every backend (concurrent host callers lease disjoint
+// workspaces; a simulated plan simulates its one-rhs schedule once, at
+// its first solve, and every solve replays it) and, with the
 // floating-point order pinned (cpu_threads = 1), must produce bit-for-bit
 // the results the same plan computes single-threaded. Runs under the
-// ASan/UBSan CI configuration like every other test.
+// ASan/UBSan and ThreadSanitizer CI configurations.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/msptrsv.hpp"
@@ -102,6 +105,67 @@ TEST(ConcurrentPlan, SharedPlanIsSafeOnEveryBackend) {
     // the concurrency under test is across CALLERS, not inside a kernel.
     opt.cpu_threads = 1;
     stress_backend(opt);
+  }
+}
+
+/// Bit equality of x and of every numeric report field.
+bool same_bits(const core::SolveResult& a, const core::SolveResult& b) {
+  auto fields = [](const sim::RunReport& r) {
+    return std::tie(r.num_rhs, r.solve_us, r.max_solve_us, r.busy_us_per_gpu,
+                    r.local_updates, r.remote_updates, r.page_faults,
+                    r.page_migrations, r.page_migrated_bytes,
+                    r.page_faults_per_gpu, r.page_pins,
+                    r.direct_remote_accesses, r.nvshmem_gets, r.nvshmem_puts,
+                    r.nvshmem_fences, r.gather_reductions, r.nvshmem_bytes,
+                    r.link_bytes, r.link_messages, r.kernel_launches);
+  };
+  return a.x == b.x && fields(a.report) == fields(b.report);
+}
+
+TEST(ConcurrentPlan, FirstSolvesOfAFreshSimulatedPlanRace) {
+  // Callers released together into a simulated plan nobody has solved all
+  // race for its first solve, the one that simulates the schedule; every
+  // one of them must get the bits of a separately analyzed plan.
+  const sparse::CscMatrix l = stress_matrix();
+  std::vector<std::vector<value_t>> rhs;
+  std::vector<value_t> batch;
+  for (index_t j = 0; j < kBatchRhs; ++j) {
+    rhs.push_back(sparse::gen_rhs_for_solution(
+        l, sparse::gen_solution(l.rows, 20 + static_cast<std::uint64_t>(j))));
+    batch.insert(batch.end(), rhs.back().begin(), rhs.back().end());
+  }
+  for (const char* key : {"mg-unified-task", "mg-zerocopy"}) {
+    const core::SolveOptions opt = core::registry::options_for(key).value();
+    const auto reference = core::SolverPlan::analyze(l, opt);
+    ASSERT_TRUE(reference.ok()) << key << ": " << reference.message();
+    std::vector<core::SolveResult> want_single;
+    for (const std::vector<value_t>& b : rhs) {
+      want_single.push_back(reference->solve(b).value());
+    }
+    const core::SolveResult want_batch =
+        reference->solve_batch(batch, kBatchRhs).value();
+
+    const auto plan = core::SolverPlan::analyze(l, opt);
+    ASSERT_TRUE(plan.ok()) << key << ": " << plan.message();
+    std::latch start(kCallers);
+    std::atomic<int> bad{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        const std::size_t j = static_cast<std::size_t>(c / 2 % kBatchRhs);
+        start.arrive_and_wait();
+        const bool single = c % 2 == 0;
+        const auto r = single ? plan->solve(rhs[j])
+                              : plan->solve_batch(batch, kBatchRhs);
+        if (!r.ok() ||
+            !same_bits(r.value(), single ? want_single[j] : want_batch)) {
+          bad.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    EXPECT_EQ(bad.load(), 0)
+        << key << ": racing first solves diverged from a fresh plan's bits";
   }
 }
 

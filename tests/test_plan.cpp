@@ -319,5 +319,21 @@ TEST(SolverPlanAccessors, ExposeCachedAnalysisState) {
   EXPECT_EQ(ls->level_analysis()->n, l.rows);
 }
 
+TEST(SolverPlanAccessors, ResidentBytesChargeTheSimulatedScheduleFromAnalysis) {
+  // A simulated plan memoizes its schedule at the first solve; a byte
+  // budget that charges plans at insert time must already see it.
+  const sparse::CscMatrix l = test_matrix();
+  const std::vector<value_t> b = rhs_for(l, 3);
+  for (const char* key :
+       {"mg-unified", "mg-unified-task", "mg-shmem", "mg-zerocopy"}) {
+    const auto plan =
+        core::SolverPlan::analyze(l, core::registry::options_for(key).value());
+    ASSERT_TRUE(plan.ok()) << key;
+    const std::size_t analyzed = plan->resident_bytes();
+    ASSERT_TRUE(plan->solve(b).ok()) << key;
+    EXPECT_EQ(plan->resident_bytes(), analyzed) << key;
+  }
+}
+
 }  // namespace
 }  // namespace msptrsv
