@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,12 @@
 using namespace msptrsv;
 
 namespace {
+
+/// A study's solve failed. main() reports it, runs the remaining studies
+/// and exits 3.
+struct SolveFailed : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 const sparse::CscMatrix& bench_matrix() {
   static const sparse::CscMatrix m =
@@ -48,30 +55,6 @@ void BM_SerialSolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * l.nnz());
 }
 BENCHMARK(BM_SerialSolve);
-
-void BM_CpuLevelSetSolve(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  const sparse::LevelAnalysis a = sparse::analyze_levels(l);
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_lower_levelset_threads(l, b, a, threads));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_CpuLevelSetSolve)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_CpuSyncFreeSolve(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_lower_syncfree_threads(l, b, threads));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_CpuSyncFreeSolve)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_LevelAnalysis(benchmark::State& state) {
   const auto& l = bench_matrix();
@@ -340,10 +323,7 @@ double batch_metric_us(const core::SolverPlan& plan,
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    if (!r.ok()) {
-      std::fprintf(stderr, "batch solve failed: %s\n", r.message().c_str());
-      std::exit(3);
-    }
+    if (!r.ok()) throw SolveFailed("batch solve failed: " + r.message());
     best = std::min(best, us);
   }
   return best;
@@ -409,21 +389,19 @@ int write_batch_json() {
 // ---- BENCH_kernel.json -----------------------------------------------------
 // The roofline study: SpTRSV is bandwidth-bound, so the honest yardstick
 // for the host kernels is the GB/s they move against the machine's own
-// streaming ceiling, not against the previous commit. Three parts:
+// streaming ceiling, not against the previous commit. Two parts:
 //
 //   1. stream_triad_gbps -- a STREAM-triad measurement (a = b + s*c over
 //      arrays far larger than cache, one pass per thread slice) at the
 //      same thread count the kernels run with: the bandwidth roof.
-//   2. Per-kernel achieved GB/s at 16 RHS, both layouts, from a
-//      LOWER-BOUND bytes-moved model (each structure/value/RHS byte
-//      counted once; re-fetches make real traffic higher, so the printed
-//      ceiling fraction is optimistic-for-the-hardware / honest-for-us).
-//   3. The layout gate: interleaved vs column-major fused batch at
-//      8/16/32 RHS on the level-set backend, paired-median noise-guarded
-//      (bench_common). CI fails if interleaved is not >= 1.25x per rhs at
-//      16 RHS, minus the measured noise allowance, on >= 4-thread boxes.
+//   2. Per-kernel achieved GB/s at 16 RHS from a LOWER-BOUND bytes-moved
+//      model (each structure/value/RHS byte counted once; re-fetches make
+//      real traffic higher, so the printed ceiling fraction is
+//      optimistic-for-the-hardware / honest-for-us).
+//
+// Reported, not gated.
 
-const sparse::CscMatrix& layout_matrix() {
+const sparse::CscMatrix& kernel_matrix() {
   // Wider and shallower than bench_matrix(): 60 levels of ~667 components
   // at ~12 nnz/row keeps all gang workers fed, so the measurement reflects
   // kernel throughput rather than level-boundary latency.
@@ -432,11 +410,11 @@ const sparse::CscMatrix& layout_matrix() {
   return m;
 }
 
-const std::vector<value_t>& layout_batch32() {
+const std::vector<value_t>& kernel_batch16() {
   static const std::vector<value_t> batch = [] {
-    const auto& l = layout_matrix();
+    const auto& l = kernel_matrix();
     std::vector<value_t> out;
-    for (index_t j = 0; j < 32; ++j) {
+    for (index_t j = 0; j < 16; ++j) {
       const std::vector<value_t> b = sparse::gen_rhs_for_solution(
           l, sparse::gen_solution(l.rows, 900 + static_cast<std::uint64_t>(j)));
       out.insert(out.end(), b.begin(), b.end());
@@ -495,23 +473,11 @@ double solve_bytes_model(const sparse::CscMatrix& l, index_t k) {
   return structure + rhs;
 }
 
-core::SolverPlan layout_plan(const char* key, core::RhsLayout layout,
-                             int threads) {
-  core::SolveOptions o = core::registry::options_for(key).value();
-  o.cpu_threads = threads;
-  o.rhs_layout = layout;
-  return core::SolverPlan::analyze(layout_matrix(), o).value();
-}
-
 double solve_batch_us(const core::SolverPlan& plan,
                       std::span<const value_t> batch, index_t k) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = plan.solve_batch(batch, k);
-  if (!r.ok()) {
-    std::fprintf(stderr, "kernel-study solve failed: %s\n",
-                 r.message().c_str());
-    std::exit(3);
-  }
+  if (!r.ok()) throw SolveFailed("kernel-study solve failed: " + r.message());
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
       .count();
@@ -520,7 +486,7 @@ double solve_batch_us(const core::SolverPlan& plan,
 int write_kernel_json() {
   const char* path_env = std::getenv("MSPTRSV_BENCH_KERNEL_JSON");
   const std::string path = path_env ? path_env : "BENCH_kernel.json";
-  const auto& l = layout_matrix();
+  const auto& l = kernel_matrix();
   const int threads = kernel_threads();
   const unsigned hw = std::thread::hardware_concurrency();
 
@@ -528,90 +494,33 @@ int write_kernel_json() {
   std::printf("BENCH_kernel STREAM triad ceiling %.1f GB/s (%d threads)\n",
               ceiling, threads);
 
-  // Part 2: achieved GB/s per kernel at 16 RHS, both layouts.
+  // Achieved GB/s per kernel at 16 RHS.
   struct RooflineCase {
     std::string backend;
-    std::string layout;
     double solve_us;
     double achieved_gbps;
   };
   std::vector<RooflineCase> roofline;
   const index_t k16 = 16;
-  const auto batch16_span =
-      std::span<const value_t>(layout_batch32())
-          .first(static_cast<std::size_t>(k16) *
-                 static_cast<std::size_t>(l.rows));
   const double bytes16 = solve_bytes_model(l, k16);
   for (const char* key : {"serial", "cpu-levelset", "cpu-syncfree"}) {
-    for (const core::RhsLayout layout :
-         {core::RhsLayout::kInterleaved, core::RhsLayout::kColumnMajor}) {
-      const core::SolverPlan plan = layout_plan(key, layout, threads);
-      // The serial sweep has no panel path: its interleaved request
-      // resolves to column-major, which the other pass times.
-      if (plan.rhs_layout() != layout) continue;
-      solve_batch_us(plan, batch16_span, k16);  // warm
-      double best = 1e300;
-      for (int rep = 0; rep < 5; ++rep) {
-        best = std::min(best, solve_batch_us(plan, batch16_span, k16));
-      }
-      RooflineCase c;
-      c.backend = key;
-      c.layout = core::rhs_layout_name(layout);
-      c.solve_us = best;
-      c.achieved_gbps = bytes16 / best / 1e3;  // bytes/us -> GB/s
-      roofline.push_back(c);
-      std::printf("BENCH_kernel %-13s %-12s rhs=16  %9.1f us  %6.2f GB/s  "
-                  "(%.0f%% of ceiling)\n",
-                  c.backend.c_str(), c.layout.c_str(), c.solve_us,
-                  c.achieved_gbps, 100.0 * c.achieved_gbps / ceiling);
+    core::SolveOptions o = core::registry::options_for(key).value();
+    o.cpu_threads = threads;
+    const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
+    solve_batch_us(plan, kernel_batch16(), k16);  // warm
+    double best = 1e300;
+    for (int rep = 0; rep < 5; ++rep) {
+      best = std::min(best, solve_batch_us(plan, kernel_batch16(), k16));
     }
-  }
-
-  // Part 3: the gated layout study. Paired and noise-guarded: baseline
-  // samples the INTERLEAVED plan, candidate the column-major one, so
-  // overhead_pct is "how much slower column-major is" -- the interleaved
-  // speedup, in percent.
-  struct LayoutCase {
-    index_t num_rhs;
-    double interleaved_us;
-    double column_major_us;
-    double speedup_pct;
-    double noise_pct;
-    bool gated;
-  };
-  std::vector<LayoutCase> layout_cases;
-  bool gate_ok = true;
-  const bool gate_applies = hw >= 4;
-  for (const index_t k : {index_t{8}, index_t{16}, index_t{32}}) {
-    const auto batch = std::span<const value_t>(layout_batch32())
-                           .first(static_cast<std::size_t>(k) *
-                                  static_cast<std::size_t>(l.rows));
-    const core::SolverPlan inter =
-        layout_plan("cpu-levelset", core::RhsLayout::kInterleaved, threads);
-    const core::SolverPlan colmaj =
-        layout_plan("cpu-levelset", core::RhsLayout::kColumnMajor, threads);
-    solve_batch_us(inter, batch, k);  // warm pools + caches
-    solve_batch_us(colmaj, batch, k);
-    const bench::PairedStudy study = bench::paired_median_study(
-        [&] { return solve_batch_us(inter, batch, k); },
-        [&] { return solve_batch_us(colmaj, batch, k); }, 11);
-    LayoutCase c;
-    c.num_rhs = k;
-    c.interleaved_us = study.baseline_us;
-    c.column_major_us = study.candidate_us;
-    c.speedup_pct = study.overhead_pct;
-    c.noise_pct = study.noise_pct;
-    c.gated = gate_applies && k == 16;
-    // Gate: interleaved >= 1.25x per rhs at 16 RHS, minus the noise
-    // allowance (but never more than a 5-point discount).
-    if (c.gated && c.speedup_pct < 25.0 - std::min(5.0, c.noise_pct)) {
-      gate_ok = false;
-    }
-    layout_cases.push_back(c);
-    std::printf("BENCH_kernel layout rhs=%-2d  interleaved %9.1f us  "
-                "column-major %9.1f us  speedup %+.1f%% (noise %.1f%%)%s\n",
-                c.num_rhs, c.interleaved_us, c.column_major_us, c.speedup_pct,
-                c.noise_pct, c.gated ? "  [gated]" : "");
+    RooflineCase c;
+    c.backend = key;
+    c.solve_us = best;
+    c.achieved_gbps = bytes16 / best / 1e3;  // bytes/us -> GB/s
+    roofline.push_back(c);
+    std::printf("BENCH_kernel %-13s rhs=16  %9.1f us  %6.2f GB/s  "
+                "(%.0f%% of ceiling)\n",
+                c.backend.c_str(), c.solve_us, c.achieved_gbps,
+                100.0 * c.achieved_gbps / ceiling);
   }
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -620,49 +529,28 @@ int write_kernel_json() {
     return 3;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"host kernel roofline + rhs layout\",\n"
+               "{\n  \"bench\": \"host kernel roofline\",\n"
                "  \"matrix\": {\"rows\": %d, \"nnz\": %lld, \"levels\": 60},\n"
                "  \"cpu_threads\": %d,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"stream_triad_gbps\": %.2f,\n"
                "  \"bytes_model\": \"structure once + every rhs element once "
                "(lower bound)\",\n"
-               "  \"gate\": \"interleaved >= 1.25x column-major per rhs at 16 "
-               "RHS minus min(5%%, noise), on >= 4-thread machines\",\n"
                "  \"roofline\": [\n",
                l.rows, static_cast<long long>(l.nnz()), threads, hw, ceiling);
   for (std::size_t i = 0; i < roofline.size(); ++i) {
     const RooflineCase& c = roofline[i];
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"layout\": \"%s\", \"num_rhs\": "
-                 "16, \"solve_us\": %.1f, \"achieved_gbps\": %.2f, "
-                 "\"ceiling_fraction\": %.3f}%s\n",
-                 c.backend.c_str(), c.layout.c_str(), c.solve_us,
-                 c.achieved_gbps, c.achieved_gbps / ceiling,
+                 "    {\"backend\": \"%s\", \"num_rhs\": 16, \"solve_us\": "
+                 "%.1f, \"achieved_gbps\": %.2f, \"ceiling_fraction\": "
+                 "%.3f}%s\n",
+                 c.backend.c_str(), c.solve_us, c.achieved_gbps,
+                 c.achieved_gbps / ceiling,
                  i + 1 < roofline.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"layout_cases\": [\n");
-  for (std::size_t i = 0; i < layout_cases.size(); ++i) {
-    const LayoutCase& c = layout_cases[i];
-    std::fprintf(f,
-                 "    {\"backend\": \"cpu-levelset\", \"num_rhs\": %d, "
-                 "\"interleaved_us\": %.1f, \"column_major_us\": %.1f, "
-                 "\"speedup_pct\": %.1f, \"noise_pct\": %.1f, "
-                 "\"gated\": %s}%s\n",
-                 c.num_rhs, c.interleaved_us, c.column_major_us,
-                 c.speedup_pct, c.noise_pct, c.gated ? "true" : "false",
-                 i + 1 < layout_cases.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
-  if (!gate_ok) {
-    std::fprintf(stderr,
-                 "layout gate FAILED: the interleaved fused batch is not "
-                 ">= 1.25x the column-major path per rhs at 16 RHS "
-                 "(see above)\n");
-    return 4;
-  }
   return 0;
 }
 
@@ -763,8 +651,7 @@ int write_plan_io_json() {
             core::SnapshotBlob parsed;
             if (!support::read_file(blob_path, bytes) ||
                 !core::deserialize_snapshot(bytes, parsed).empty()) {
-              std::fprintf(stderr, "blob parse failed\n");
-              std::exit(3);
+              throw SolveFailed("blob parse failed");
             }
           },
           3);
@@ -772,10 +659,7 @@ int write_plan_io_json() {
       c.load_us = best_us_of(
           [&] {
             auto p = core::SolverPlan::load(blob_path, o);
-            if (!p.ok()) {
-              std::fprintf(stderr, "load failed: %s\n", p.message().c_str());
-              std::exit(3);
-            }
+            if (!p.ok()) throw SolveFailed("load failed: " + p.message());
           },
           3);
       // Bytes the load materializes: the blob itself plus, for the host
@@ -899,9 +783,7 @@ int write_budget_json() {
       for (int i = 0; i < kSolvesPerSample; ++i) {
         const auto r = plan.solve(b);
         if (!r.ok()) {
-          std::fprintf(stderr, "budget-study solve failed: %s\n",
-                       r.message().c_str());
-          std::exit(3);
+          throw SolveFailed("budget-study solve failed: " + r.message());
         }
       }
       return std::chrono::duration<double, std::micro>(
@@ -1008,9 +890,7 @@ int write_trace_json() {
       for (int i = 0; i < kSolvesPerSample; ++i) {
         const auto r = plan.solve(b);
         if (!r.ok()) {
-          std::fprintf(stderr, "trace-study solve failed: %s\n",
-                       r.message().c_str());
-          std::exit(3);
+          throw SolveFailed("trace-study solve failed: " + r.message());
         }
       }
       return std::chrono::duration<double, std::micro>(
@@ -1050,9 +930,7 @@ int write_trace_json() {
       const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
       const auto r = plan.solve(b);
       if (!r.ok()) {
-        std::fprintf(stderr, "trace-sample solve failed: %s\n",
-                     r.message().c_str());
-        std::exit(3);
+        throw SolveFailed("trace-sample solve failed: " + r.message());
       }
     }
     support::trace::trace_set_enabled(false);
@@ -1113,7 +991,7 @@ int write_trace_json() {
 // coarsener exists for -- the cpu-taskgraph backend must beat the flat
 // level schedule by >= 15% per rhs at 16 rhs, minus the machine's own
 // measured same-code noise. Both backends run the identical fused
-// interleaved batch kernel underneath; the entire difference is schedule
+// batch kernel underneath; the entire difference is schedule
 // overhead (one gang barrier per level vs one claim per coarsened task),
 // so the result must ALSO be bit-identical, and that is asserted before a
 // single sample is timed.
@@ -1142,7 +1020,6 @@ int write_taskgraph_json() {
   auto plan_for = [&](const char* key) {
     core::SolveOptions o = core::registry::options_for(key).value();
     o.cpu_threads = 0;  // full gang; the barrier tax under test needs one
-    o.rhs_layout = core::RhsLayout::kInterleaved;
     return core::SolverPlan::analyze(sparse::CscMatrix(l), o).value();
   };
   const core::SolverPlan flat = plan_for("cpu-levelset");
@@ -1154,7 +1031,11 @@ int write_taskgraph_json() {
   {
     const auto rf = flat.solve_batch(batch, kNumRhs);
     const auto rg = graph.solve_batch(batch, kNumRhs);
-    if (!rf.ok() || !rg.ok() || rf.value().x != rg.value().x) {
+    if (!rf.ok() || !rg.ok()) {
+      throw SolveFailed("taskgraph-study solve failed: " +
+                        (rf.ok() ? rg : rf).message());
+    }
+    if (rf.value().x != rg.value().x) {
       std::fprintf(stderr,
                    "taskgraph-study: schedules disagree bitwise -- refusing "
                    "to time a wrong answer\n");
@@ -1169,9 +1050,7 @@ int write_taskgraph_json() {
     for (int i = 0; i < kSolvesPerSample; ++i) {
       const auto r = plan.solve_batch(batch, kNumRhs);
       if (!r.ok()) {
-        std::fprintf(stderr, "taskgraph-study solve failed: %s\n",
-                     r.message().c_str());
-        std::exit(3);
+        throw SolveFailed("taskgraph-study solve failed: " + r.message());
       }
     }
     return std::chrono::duration<double, std::micro>(
@@ -1246,15 +1125,35 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const int rc_batch = write_batch_json();
-  if (rc_batch != 0) return rc_batch;
-  const int rc_budget = write_budget_json();
-  if (rc_budget != 0) return rc_budget;
-  const int rc_trace = write_trace_json();
-  if (rc_trace != 0) return rc_trace;
-  const int rc_kernel = write_kernel_json();
-  if (rc_kernel != 0) return rc_kernel;
-  const int rc_taskgraph = write_taskgraph_json();
-  if (rc_taskgraph != 0) return rc_taskgraph;
-  return write_plan_io_json();
+  // Every study runs, whatever an earlier one returned, so each writes its
+  // JSON and one failed gate never hides another. Exit 3 if any solve
+  // failed, else 4 if any gate failed, else 0.
+  struct Study {
+    const char* name;
+    int (*run)();
+  };
+  bool solve_failed = false;
+  bool gate_failed = false;
+  for (const Study& study :
+       {Study{"batch", write_batch_json}, Study{"budget", write_budget_json},
+        Study{"trace", write_trace_json}, Study{"kernel", write_kernel_json},
+        Study{"taskgraph", write_taskgraph_json},
+        Study{"plan-io", write_plan_io_json}}) {
+    int rc;
+    try {
+      rc = study.run();
+    } catch (const SolveFailed& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      rc = 3;
+    }
+    if (rc == 3) {
+      solve_failed = true;
+      std::fprintf(stderr, "bench_micro: %s study FAILED to run\n",
+                   study.name);
+    } else if (rc != 0) {
+      gate_failed = true;
+      std::fprintf(stderr, "bench_micro: %s gate FAILED\n", study.name);
+    }
+  }
+  return solve_failed ? 3 : gate_failed ? 4 : 0;
 }

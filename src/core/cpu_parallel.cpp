@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <thread>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
-#include "sparse/triangular.hpp"
 #include "support/contracts.hpp"
 #include "support/failpoint.hpp"
 #include "support/trace.hpp"
@@ -18,55 +12,7 @@ namespace msptrsv::core {
 
 namespace {
 
-// ---- Inner RHS-sweep kernel, runtime-dispatched ----------------------------
-//
-// acc[r] += lv * xc[r] over the unit-stride interleaved panel slice of one
-// dependency. Written as separate multiply and add EVERYWHERE (the build
-// sets -ffp-contract=off as well): an FMA would round once where the
-// scalar reference rounds twice, and the bit-for-bit contract across
-// layouts, thread counts, and dispatch targets is the whole point.
-// Per-lane arithmetic is identical in all three bodies -- lane r always
-// computes round(acc[r] + round(lv * xc[r])) -- so which one runs is
-// unobservable in the results.
-
-using AxpyFn = void (*)(value_t* acc, const value_t* xc, value_t lv,
-                        std::size_t k);
-
-void axpy_scalar(value_t* acc, const value_t* xc, value_t lv, std::size_t k) {
-#pragma omp simd
-  for (std::size_t r = 0; r < k; ++r) acc[r] += lv * xc[r];
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void axpy_avx2(value_t* acc, const value_t* xc,
-                                               value_t lv, std::size_t k) {
-  const __m256d vlv = _mm256_set1_pd(lv);
-  std::size_t r = 0;
-  for (; r + 4 <= k; r += 4) {
-    const __m256d a = _mm256_loadu_pd(acc + r);
-    const __m256d xv = _mm256_loadu_pd(xc + r);
-    // mul then add, never _mm256_fmadd_pd -- see the dispatch comment.
-    _mm256_storeu_pd(acc + r, _mm256_add_pd(a, _mm256_mul_pd(vlv, xv)));
-  }
-  for (; r < k; ++r) acc[r] += lv * xc[r];
-}
-#endif
-
-/// Dispatch target resolved once per process (same idiom as the crc32c
-/// hardware probe in support/blob.cpp).
-AxpyFn resolve_axpy() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return axpy_avx2;
-#endif
-  return axpy_scalar;
-}
-
-AxpyFn axpy_kernel() {
-  static const AxpyFn fn = resolve_axpy();
-  return fn;
-}
-
-// ---- Per-position gather-and-solve, one per layout -------------------------
+// ---- Per-position gather-and-solve ------------------------------------------
 
 /// Plain-pointer view of a RowForm for the inner loops, so the compiler
 /// need not reload the vectors' internals after every x store.
@@ -127,30 +73,6 @@ inline void solve_position(const Rows& rows, std::size_t p, const value_t* b,
   }
 }
 
-/// Interleaved-panel variant: b and x are component-major n x k panels
-/// (entry i of rhs r at [i*k + r]), so the dependency read is ONE
-/// contiguous k-vector and the whole gather is the dispatched axpy into
-/// the party's accumulator. Same per-rhs operation order as the
-/// column-major form: bit-for-bit identical results.
-inline void solve_position_interleaved(const Rows& rows, std::size_t p,
-                                       const value_t* b, std::size_t k,
-                                       value_t* acc, value_t* x, AxpyFn axpy) {
-  const offset_t diag = rows.row_ptr[p + 1] - 1;
-  for (std::size_t r = 0; r < k; ++r) acc[r] = 0.0;
-  for (offset_t e = rows.row_ptr[p]; e < diag; ++e) {
-    const std::size_t c = static_cast<std::size_t>(rows.col_idx[e]);
-    axpy(acc, x + c * k, rows.val[e], k);
-  }
-  const std::size_t i = static_cast<std::size_t>(rows.row_of[p]);
-  const value_t d = rows.val[diag];
-  const value_t* bi = b + i * k;
-  value_t* xi = x + i * k;
-#pragma omp simd
-  for (std::size_t r = 0; r < k; ++r) {
-    xi[r] = (bi[r] - acc[r]) / d;
-  }
-}
-
 // ---- The serial backend: one front-to-back sweep over the positions ---------
 
 /// Solves kBlock column-major rhs in one sweep over every position. The
@@ -172,25 +94,15 @@ bool serial_sweep(const Rows& rows, const value_t* b, value_t* x,
   return true;
 }
 
-// ---- Scheduling drivers, shared by both layouts ----------------------------
+// ---- Scheduling drivers ----------------------------------------------------
 //
-// The barrier/claim protocols and the abort machinery are layout-blind;
-// only the per-position body differs. solve_one(p, acc) must fully solve
-// the row at position p for the whole batch using the thread-private
-// accumulator (the interleaved body's; the column-major body keeps its
-// accumulators in registers).
+// The barrier/claim protocols and the abort machinery; solve_one(p) must
+// fully solve the row at position p for the whole batch.
 
 template <typename SolveOne>
-bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
-                    SolveWorkspace& ws, const CancelToken* cancel,
-                    SolveOne&& solve_one) {
+bool drive_levelset(const sparse::LevelAnalysis& analysis, SolveWorkspace& ws,
+                    const CancelToken* cancel, SolveOne&& solve_one) {
   SpinBarrier& sync = ws.level_barrier();
-  // Workspace-owned per-thread accumulators: nothing allocates (or can
-  // throw) inside the parallel region once the batch width has been seen.
-  // Sized for the workspace's party CAP, so a shared-pool gang of any
-  // width indexes in bounds.
-  value_t* scratch = ws.gather_scratch(num_rhs);
-  const std::size_t stride = ws.gather_stride();
 
   // `threads` is the ACTUAL party count of this run (a shared-pool gang
   // may be narrower than the cap); the level slices and the barrier --
@@ -203,7 +115,6 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
   // workspace needs no repair.
   std::atomic<bool> abort{false};
   ws.run_parallel([&](int tid, int threads) {
-    value_t* acc = scratch + static_cast<std::size_t>(tid) * stride;
     // Tracing is leader-only: the gang leader is the dispatching thread,
     // so its thread-local context carries the request's trace id into the
     // kernel; one span per LEVEL (start -> barrier passed), never per row.
@@ -220,7 +131,7 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
       const offset_t rows = end - begin;
       const offset_t hi = begin + rows * (tid + 1) / threads;
       for (offset_t p = begin + rows * tid / threads; p < hi; ++p) {
-        solve_one(p, acc);
+        solve_one(p);
       }
       if (tid == 0) {
         // Chaos seam: delay/pause here stretches the level without
@@ -246,9 +157,8 @@ bool drive_levelset(const sparse::LevelAnalysis& analysis, index_t num_rhs,
 template <typename SolveOne>
 bool drive_syncfree(const sparse::CscMatrix& lower,
                     std::span<const index_t> order,
-                    std::span<const index_t> in_degrees, index_t num_rhs,
-                    SolveWorkspace& ws, const CancelToken* cancel,
-                    SolveOne&& solve_one) {
+                    std::span<const index_t> in_degrees, SolveWorkspace& ws,
+                    const CancelToken* cancel, SolveOne&& solve_one) {
   const index_t n = lower.rows;
   std::atomic<std::uint64_t>* delivered = ws.delivered(n);
   // Generation tagging replaces the per-solve countdown copy: each batch
@@ -256,8 +166,6 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
   // edge, regardless of num_rhs), so in generation g the ready target is
   // g * in_degree(i) and the counters are never reset.
   const std::uint64_t generation = ws.begin_generation();
-  value_t* scratch = ws.gather_scratch(num_rhs);
-  const std::size_t stride = ws.gather_stride();
 
   // Ascending position claiming: thread-safe and deadlock-free (see
   // header) -- and indifferent to the party count, so a shrunk
@@ -270,7 +178,6 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
   std::atomic<bool> abort{false};
   std::atomic<index_t> next{0};
   ws.run_parallel([&](int tid, int /*threads*/) {
-    value_t* acc = scratch + static_cast<std::size_t>(tid) * stride;
     std::uint64_t checks = 0;
     // Leader-only, one span for the leader's whole claim loop (the
     // sync-free sweep has no level structure to hang per-phase spans on;
@@ -331,7 +238,7 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
         }
         std::this_thread::yield();
       }
-      solve_one(p, acc);
+      solve_one(p);
       ++claimed;
       // Delivery fan-out down column i: one increment per edge per batch
       // (the x stores above must be visible first, hence release).
@@ -352,12 +259,9 @@ bool drive_syncfree(const sparse::CscMatrix& lower,
 }
 
 template <typename SolveOne>
-bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
-                     SolveWorkspace& ws, const CancelToken* cancel,
-                     SolveOne&& solve_one) {
+bool drive_taskgraph(const sparse::TaskGraph& graph, SolveWorkspace& ws,
+                     const CancelToken* cancel, SolveOne&& solve_one) {
   const index_t num_tasks = graph.num_tasks;
-  value_t* scratch = ws.gather_scratch(num_rhs);
-  const std::size_t stride = ws.gather_stride();
   // The sync-free delivery machinery, lifted from rows to tasks: the
   // counters are indexed by TASK id and the per-batch target of task t is
   // generation * in_degree[t] (one delivery per distinct incoming
@@ -377,7 +281,6 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
   std::atomic<bool> abort{false};
   std::atomic<index_t> next{0};
   ws.run_parallel([&](int tid, int /*threads*/) {
-    value_t* acc = scratch + static_cast<std::size_t>(tid) * stride;
     // Leader-only, one span for the whole claim loop (mirrors the
     // sync-free sweep; per-task spans would be noise on fine DAGs).
     const bool lead_trace = tid == 0 && MSPTRSV_TRACE_ARMED();
@@ -430,7 +333,7 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
       // blocks).
       for (offset_t p = graph.task_ptr[static_cast<std::size_t>(t)];
            p < graph.task_ptr[static_cast<std::size_t>(t) + 1]; ++p) {
-        solve_one(p, acc);
+        solve_one(p);
       }
       ++claimed;
       // Delivery fan-out to successor tasks: one increment per distinct
@@ -451,7 +354,7 @@ bool drive_taskgraph(const sparse::TaskGraph& graph, index_t num_rhs,
   return true;
 }
 
-/// Shape checks shared by the column-major entry points.
+/// Shape checks shared by the entry points.
 void require_batch(const RowForm& rows, std::span<const value_t> b,
                    index_t num_rhs, std::span<const value_t> x) {
   MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
@@ -509,28 +412,10 @@ bool solve_lower_taskgraph_fused(const sparse::TaskGraph& graph,
   const std::size_t n = static_cast<std::size_t>(rows.rows());
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const Rows view(rows);
-  return drive_taskgraph(graph, num_rhs, ws, cancel,
-                         [&](offset_t p, value_t*) {
-                           solve_position(view, static_cast<std::size_t>(p),
-                                          b.data(), x.data(), n, k);
-                         });
-}
-
-bool solve_lower_taskgraph_fused_interleaved(
-    const sparse::TaskGraph& graph, const RowForm& rows, const value_t* b,
-    index_t num_rhs, SolveWorkspace& ws, value_t* x,
-    const CancelToken* cancel) {
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(graph.n == rows.rows(),
-                  "task graph belongs to a different matrix");
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  const AxpyFn axpy = axpy_kernel();
-  const Rows view(rows);
-  return drive_taskgraph(
-      graph, num_rhs, ws, cancel, [&](offset_t p, value_t* acc) {
-        solve_position_interleaved(view, static_cast<std::size_t>(p), b, k,
-                                   acc, x, axpy);
-      });
+  return drive_taskgraph(graph, ws, cancel, [&](offset_t p) {
+    solve_position(view, static_cast<std::size_t>(p), b.data(), x.data(), n,
+                   k);
+  });
 }
 
 bool solve_lower_levelset_fused(const RowForm& rows,
@@ -544,28 +429,10 @@ bool solve_lower_levelset_fused(const RowForm& rows,
   const std::size_t n = static_cast<std::size_t>(rows.rows());
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const Rows view(rows);
-  return drive_levelset(analysis, num_rhs, ws, cancel,
-                        [&](offset_t p, value_t*) {
-                          solve_position(view, static_cast<std::size_t>(p),
-                                         b.data(), x.data(), n, k);
-                        });
-}
-
-bool solve_lower_levelset_fused_interleaved(
-    const RowForm& rows, const value_t* b, index_t num_rhs,
-    const sparse::LevelAnalysis& analysis, SolveWorkspace& ws, value_t* x,
-    const CancelToken* cancel) {
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(analysis.n == rows.rows(),
-                  "analysis belongs to a different matrix");
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  const AxpyFn axpy = axpy_kernel();
-  const Rows view(rows);
-  return drive_levelset(
-      analysis, num_rhs, ws, cancel, [&](offset_t p, value_t* acc) {
-        solve_position_interleaved(view, static_cast<std::size_t>(p), b, k,
-                                   acc, x, axpy);
-      });
+  return drive_levelset(analysis, ws, cancel, [&](offset_t p) {
+    solve_position(view, static_cast<std::size_t>(p), b.data(), x.data(), n,
+                   k);
+  });
 }
 
 bool solve_lower_syncfree_fused(const sparse::CscMatrix& lower,
@@ -582,74 +449,10 @@ bool solve_lower_syncfree_fused(const sparse::CscMatrix& lower,
                   "row form / order / in-degrees sized for a different matrix");
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const Rows view(rows);
-  return drive_syncfree(lower, order, in_degrees, num_rhs, ws, cancel,
-                        [&](offset_t p, value_t*) {
-                          solve_position(view, static_cast<std::size_t>(p),
-                                         b.data(), x.data(), n, k);
-                        });
-}
-
-bool solve_lower_syncfree_fused_interleaved(
-    const sparse::CscMatrix& lower, const RowForm& rows,
-    std::span<const index_t> order, const value_t* b, index_t num_rhs,
-    std::span<const index_t> in_degrees, SolveWorkspace& ws, value_t* x,
-    const CancelToken* cancel) {
-  const std::size_t n = static_cast<std::size_t>(lower.rows);
-  MSPTRSV_REQUIRE(num_rhs >= 1, "num_rhs must be >= 1");
-  MSPTRSV_REQUIRE(rows.rows() == lower.rows && order.size() == n &&
-                      in_degrees.size() == n,
-                  "row form / order / in-degrees sized for a different matrix");
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  const AxpyFn axpy = axpy_kernel();
-  const Rows view(rows);
-  return drive_syncfree(
-      lower, order, in_degrees, num_rhs, ws, cancel,
-      [&](offset_t p, value_t* acc) {
-        solve_position_interleaved(view, static_cast<std::size_t>(p), b, k,
-                                   acc, x, axpy);
-      });
-}
-
-std::vector<value_t> solve_lower_levelset_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    const sparse::LevelAnalysis& analysis, int num_threads,
-    bool prevalidated) {
-  if (!prevalidated) sparse::require_solvable_lower(lower);
-  MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows),
-                  "rhs length must match the matrix dimension");
-  MSPTRSV_REQUIRE(analysis.n == lower.rows,
-                  "analysis belongs to a different matrix");
-  const RowForm rows = build_row_form(lower, analysis.order, false);
-  SolveWorkspace ws(resolve_cpu_threads(num_threads));
-  std::vector<value_t> x(static_cast<std::size_t>(lower.rows));
-  solve_lower_levelset_fused(rows, b, 1, analysis, ws, x);
-  return x;
-}
-
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    int num_threads) {
-  // Pre-processing of the sync-free scheme: per-component in-degrees
-  // (compute_in_degrees also validates the input).
-  return solve_lower_syncfree_threads(lower, b,
-                                      sparse::compute_in_degrees(lower),
-                                      num_threads);
-}
-
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    std::span<const index_t> in_degrees, int num_threads) {
-  MSPTRSV_REQUIRE(b.size() == static_cast<std::size_t>(lower.rows),
-                  "rhs length must match the matrix dimension");
-  // Natural row order is topological for a lower factor, so the one-shot
-  // form claims rows in it and needs no level analysis.
-  std::vector<index_t> order(static_cast<std::size_t>(lower.rows));
-  std::iota(order.begin(), order.end(), 0);
-  const RowForm rows = build_row_form(lower, order, false);
-  SolveWorkspace ws(resolve_cpu_threads(num_threads));
-  std::vector<value_t> x(static_cast<std::size_t>(lower.rows));
-  solve_lower_syncfree_fused(lower, rows, order, b, 1, in_degrees, ws, x);
-  return x;
+  return drive_syncfree(lower, order, in_degrees, ws, cancel, [&](offset_t p) {
+    solve_position(view, static_cast<std::size_t>(p), b.data(), x.data(), n,
+                   k);
+  });
 }
 
 }  // namespace msptrsv::core

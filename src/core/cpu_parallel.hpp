@@ -34,22 +34,19 @@
 // agrees with all of them.
 //
 // The fused kernels solve all `num_rhs` right-hand sides of a batch in one
-// dependency resolution and one sweep over the structure, with the
-// per-row inner loop running over the RHS dimension (column-major: in
-// register blocks of up to four rhs). They run on a leased
+// dependency resolution and one sweep over the structure, each row
+// gathered for column-major register blocks of up to four rhs (the one
+// batch layout, the public one). They run on a leased
 // SolveWorkspace: persistent threads (no spawn/join per solve) and
 // generation-tagged delivery counters (no O(n) scratch zeroing per solve)
 // -- see workspace.hpp. The party count is PER RUN (ws.run_parallel
 // reports it to the kernel lambda): a shared-pool gang may be narrower
 // than the workspace cap when the machine is busy, and because the gather
 // order is a property of the structure, not the schedule, the result bits
-// do not depend on it. The legacy *_threads entry points below wrap the
-// kernels with a throwaway workspace + row form for callers outside the
-// plan API.
+// do not depend on it.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/cancel.hpp"
 #include "core/row_form.hpp"
@@ -91,20 +88,6 @@ bool solve_lower_levelset_fused(const RowForm& rows,
                                 SolveWorkspace& ws, std::span<value_t> x,
                                 const CancelToken* cancel = nullptr);
 
-/// Interleaved-panel form of the fused level-set kernel: `b` and `x` are
-/// component-major n x num_rhs panels (entry i of rhs r at [i*num_rhs + r],
-/// typically the workspace's panel_b/panel_x; pack_interleaved /
-/// unpack_interleaved in reference.hpp do the boundary transposes). The
-/// per-dependency gather becomes ONE contiguous axpy over the rhs
-/// dimension, runtime-dispatched to AVX2 where available; per-rhs
-/// operation order is unchanged, so results are bit-for-bit identical to
-/// the column-major kernel at any thread count. Same workspace, barrier,
-/// and cancel contracts as the column-major form.
-bool solve_lower_levelset_fused_interleaved(
-    const RowForm& rows, const value_t* b, index_t num_rhs,
-    const sparse::LevelAnalysis& analysis, SolveWorkspace& ws, value_t* x,
-    const CancelToken* cancel = nullptr);
-
 /// Fused synchronization-free forward substitution; same batch layout and
 /// workspace contract as solve_lower_levelset_fused. `rows` is built in
 /// `order` (a topological order of `lower`'s rows), which the gang claims
@@ -124,16 +107,6 @@ bool solve_lower_syncfree_fused(const sparse::CscMatrix& lower,
                                 std::span<const index_t> in_degrees,
                                 SolveWorkspace& ws, std::span<value_t> x,
                                 const CancelToken* cancel = nullptr);
-
-/// Interleaved-panel form of the fused sync-free kernel (see the
-/// level-set variant above for the panel contract). Same delivery
-/// protocol, generation tagging, and abort/reset behavior as the
-/// column-major form; bit-for-bit identical results.
-bool solve_lower_syncfree_fused_interleaved(
-    const sparse::CscMatrix& lower, const RowForm& rows,
-    std::span<const index_t> order, const value_t* b, index_t num_rhs,
-    std::span<const index_t> in_degrees, SolveWorkspace& ws, value_t* x,
-    const CancelToken* cancel = nullptr);
 
 /// Fused task-graph forward substitution: executes a coarsened task DAG
 /// (sparse::coarsen_levels) with the sync-free claim/delivery protocol
@@ -157,39 +130,5 @@ bool solve_lower_taskgraph_fused(const sparse::TaskGraph& graph,
                                  std::span<const value_t> b, index_t num_rhs,
                                  SolveWorkspace& ws, std::span<value_t> x,
                                  const CancelToken* cancel = nullptr);
-
-/// Interleaved-panel form of the fused task-graph kernel (see the
-/// level-set variant above for the panel contract). Bit-for-bit identical
-/// results to every other host kernel.
-bool solve_lower_taskgraph_fused_interleaved(
-    const sparse::TaskGraph& graph, const RowForm& rows, const value_t* b,
-    index_t num_rhs, SolveWorkspace& ws, value_t* x,
-    const CancelToken* cancel = nullptr);
-
-/// Level-set parallel forward substitution. `num_threads <= 0` uses
-/// std::thread::hardware_concurrency(). The analysis is taken as input so
-/// callers amortize it over repeated solves (the preconditioner use case).
-/// `prevalidated` skips the per-solve input revalidation when the caller
-/// already established the solvable-lower invariants at analysis time.
-/// One-shot form: builds (and discards) a workspace and a level-ordered
-/// row form per call -- plans reuse both.
-std::vector<value_t> solve_lower_levelset_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    const sparse::LevelAnalysis& analysis, int num_threads = 0,
-    bool prevalidated = false);
-
-/// Synchronization-free parallel forward substitution. Validates the input
-/// and recomputes the in-degree preprocessing on every call.
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    int num_threads = 0);
-
-/// Reuse form of the sync-free solver: consumes precomputed in-degrees
-/// (sparse::compute_in_degrees) and skips revalidation. Still builds a
-/// throwaway workspace + natural-order row form per call; SolverPlan
-/// reuses both.
-std::vector<value_t> solve_lower_syncfree_threads(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    std::span<const index_t> in_degrees, int num_threads = 0);
 
 }  // namespace msptrsv::core

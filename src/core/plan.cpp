@@ -115,36 +115,25 @@ void reverse_columns(std::span<value_t> batch, std::size_t n) {
   }
 }
 
-/// One fused host-parallel kernel run over `snap`'s row form: `b`/`x` are
-/// column-major n x num_rhs, or component-major panels when `panel`.
+/// One fused host-parallel kernel run over `snap`'s row form; `b`/`x`
+/// are column-major n x num_rhs.
 bool run_host_parallel(Backend backend, const PlanSnapshot& snap,
-                       const sparse::CscMatrix& lower, const value_t* b,
-                       index_t num_rhs, SolveWorkspace& ws, value_t* x,
-                       bool panel, const CancelToken* cancel) {
+                       const sparse::CscMatrix& lower,
+                       std::span<const value_t> b, index_t num_rhs,
+                       SolveWorkspace& ws, std::span<value_t> x,
+                       const CancelToken* cancel) {
   const RowForm& rows = *snap.row_form;
   const sparse::LevelAnalysis& levels = *snap.levels;
-  const std::size_t total = static_cast<std::size_t>(rows.rows()) *
-                            static_cast<std::size_t>(num_rhs);
-  const std::span<const value_t> bs(b, total);
-  const std::span<value_t> xs(x, total);
   switch (backend) {
     case Backend::kCpuLevelSet:
-      return panel ? solve_lower_levelset_fused_interleaved(
-                         rows, b, num_rhs, levels, ws, x, cancel)
-                   : solve_lower_levelset_fused(rows, bs, num_rhs, levels, ws,
-                                                xs, cancel);
+      return solve_lower_levelset_fused(rows, b, num_rhs, levels, ws, x,
+                                        cancel);
     case Backend::kCpuSyncFree:
-      return panel ? solve_lower_syncfree_fused_interleaved(
-                         lower, rows, levels.order, b, num_rhs,
-                         snap.in_degrees, ws, x, cancel)
-                   : solve_lower_syncfree_fused(lower, rows, levels.order, bs,
-                                                num_rhs, snap.in_degrees, ws,
-                                                xs, cancel);
+      return solve_lower_syncfree_fused(lower, rows, levels.order, b, num_rhs,
+                                        snap.in_degrees, ws, x, cancel);
     default:  // Backend::kCpuTaskGraph
-      return panel ? solve_lower_taskgraph_fused_interleaved(
-                         *snap.tasks, rows, b, num_rhs, ws, x, cancel)
-                   : solve_lower_taskgraph_fused(*snap.tasks, rows, bs,
-                                                 num_rhs, ws, xs, cancel);
+      return solve_lower_taskgraph_fused(*snap.tasks, rows, b, num_rhs, ws, x,
+                                         cancel);
   }
 }
 
@@ -256,10 +245,6 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   st->snapshot.backend = options.backend;
   st->snapshot.tasks_per_gpu = options.tasks_per_gpu;
   st->snapshot.num_gpus = options.machine.num_gpus();
-  // The RHS layout is resolved (never kAuto past this point) and recorded
-  // as part of the symbolic result: a saved plan replays the same layout.
-  st->snapshot.rhs_layout =
-      resolve_rhs_layout(options.rhs_layout, options.backend);
 
   if (lower.rows == 0) {
     // A 0x0 system is vacuously solvable by every backend: the plan
@@ -293,10 +278,8 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
     st->options.cpu_threads = tuned.gang_width;
     st->snapshot.tuned = tuned;
     // Re-stamp the identity the tuner just changed: the snapshot must
-    // describe the CHOSEN configuration, layout resolution included.
+    // describe the CHOSEN configuration.
     st->snapshot.backend = tuned.backend;
-    st->snapshot.rhs_layout =
-        resolve_rhs_layout(options.rhs_layout, tuned.backend);
     // Hand the analysis forward instead of recomputing it in the switch:
     // every candidate is a host backend, and all of them keep it.
     st->snapshot.levels = std::move(levels);
@@ -476,7 +459,7 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
   // Entry check covers every backend (the simulated ones never look
   // again: their "execution" is an event simulation, not wall time).
   if (cancel != nullptr && cancel->cancelled()) return cancel_error(*cancel);
-  // Phase attribution: the deep layers (gang claim, packs, kernels) run on
+  // Phase attribution: the deep layers (gang claim, kernels) run on
   // THIS thread and deposit their durations into its scratch; the service
   // reads the totals after solve_batch returns. Reset per batch so stale
   // figures from an earlier solve on this thread never leak in.
@@ -493,14 +476,6 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
     out.completed_ns = support::trace::trace_now_ns();
     return out;
   }
-  // The interleaved layout engages only for a real batch: at num_rhs == 1
-  // the two layouts are the same bytes and the transposes would be pure
-  // overhead. The public API stays column-major either way -- the panel
-  // transposes below are the workspace-boundary cost the layout pays, so
-  // they sit INSIDE the timed region (wall_seconds reports what a caller
-  // actually waits).
-  const bool interleave =
-      st.snapshot.rhs_layout == RhsLayout::kInterleaved && num_rhs > 1;
   const std::size_t n = static_cast<std::size_t>(lower.rows);
   const std::size_t total = n * static_cast<std::size_t>(num_rhs);
   // The host row form speaks the caller's numbering, so host backends
@@ -534,28 +509,11 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
       WorkspacePool::Lease lease = st.workspaces->acquire();
       out.x.resize(total);
       const auto t0 = steady_clock::now();
-      bool done;
-      if (interleave) {
-        value_t* pb = lease.ws().panel_b(total);
-        value_t* px = lease.ws().panel_x(total);
-        pack_interleaved(b, lower.rows, num_rhs, pb);
-        scratch.pack_us += us_since(t0);
-        const auto tk = steady_clock::now();
-        done = run_host_parallel(st.options.backend, st.snapshot, lower, pb,
-                                 num_rhs, lease.ws(), px, true, cancel);
-        scratch.kernel_us += us_since(tk);
-        if (done) {
-          const auto tu = steady_clock::now();
-          unpack_interleaved(px, lower.rows, num_rhs, out.x);
-          scratch.unpack_us += us_since(tu);
-        }
-      } else {
-        done = run_host_parallel(st.options.backend, st.snapshot, lower,
-                                 b.data(), num_rhs, lease.ws(), out.x.data(),
-                                 false, cancel);
-        scratch.kernel_us += us_since(t0);
+      if (!run_host_parallel(st.options.backend, st.snapshot, lower, b,
+                             num_rhs, lease.ws(), out.x, cancel)) {
+        return cancel_error(*cancel);
       }
-      if (!done) return cancel_error(*cancel);
+      scratch.kernel_us += us_since(t0);
       out.wall_seconds = seconds_since(t0);
       out.report.solver_name = backend_name(st.options.backend);
       out.report.machine_name = "host";
@@ -599,9 +557,7 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
   // run_parallel claims before the sweep); report it separately and
   // subtract it so the phases partition the observable latency.
   out.phases.claim_us = scratch.claim_us;
-  out.phases.pack_us = scratch.pack_us;
   out.phases.kernel_us = std::max(0.0, scratch.kernel_us - scratch.claim_us);
-  out.phases.unpack_us = scratch.unpack_us;
   out.completed_ns = support::trace::trace_now_ns();
   return out;
 }
@@ -668,9 +624,7 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
       out.x.insert(out.x.end(), r.value().x.begin(), r.value().x.end());
       out.wall_seconds += r.value().wall_seconds;
       out.phases.claim_us += r.value().phases.claim_us;
-      out.phases.pack_us += r.value().phases.pack_us;
       out.phases.kernel_us += r.value().phases.kernel_us;
-      out.phases.unpack_us += r.value().phases.unpack_us;
       out.completed_ns = r.value().completed_ns;
       if (j == 0) {
         out.report = std::move(r.value().report);
@@ -1037,16 +991,6 @@ Expected<SolverPlan> SolverPlan::restore(
     snap.tasks = sparse::coarsen_levels(*st->lower, *snap.levels, coarsen);
   }
 
-  // RHS layout: explicit options win; otherwise the stored resolved value;
-  // v1 blobs (which deserialize as kAuto) re-resolve by backend. Either
-  // way the value passes through resolution again, which clamps layouts a
-  // backend no longer runs (an interleaved serial plan from an older blob
-  // solves column-major).
-  snap.rhs_layout = resolve_rhs_layout(
-      options.rhs_layout != RhsLayout::kAuto ? options.rhs_layout
-                                             : snap.rhs_layout,
-      options.backend);
-
   // The sync-free host kernel SPINS on its delivery counters: in-degrees
   // that disagree with the factor would hang the worker threads, not just
   // mis-answer, so re-derive them and compare (one streaming pass over
@@ -1085,8 +1029,6 @@ Expected<SolverPlan> SolverPlan::restore(
 index_t SolverPlan::rows() const { return state_->lower->rows; }
 
 bool SolverPlan::is_upper() const { return state_->snapshot.upper; }
-
-RhsLayout SolverPlan::rhs_layout() const { return state_->snapshot.rhs_layout; }
 
 const SolveOptions& SolverPlan::options() const { return state_->options; }
 

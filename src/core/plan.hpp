@@ -206,10 +206,6 @@ class SolverPlan {
   index_t rows() const;
   /// True for plans built by analyze_upper.
   bool is_upper() const;
-  /// The plan's RESOLVED internal RHS layout (never kAuto; see
-  /// resolve_rhs_layout). Persisted with the plan, so a loaded plan
-  /// reports what its solves will actually run.
-  RhsLayout rhs_layout() const;
   const SolveOptions& options() const;
   /// The lower-triangular factor solves execute against (for upper plans:
   /// the reversed form).

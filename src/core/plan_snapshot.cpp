@@ -7,6 +7,12 @@ namespace msptrsv::core {
 
 namespace {
 
+/// The v2+ rhs-layout byte. Its values were auto (0), column-major (1)
+/// and interleaved (2); every host kernel now reads column-major, so the
+/// writer stores kLayoutColumnMajor and the reader only range-checks.
+constexpr std::uint8_t kLayoutColumnMajor = 1;
+constexpr std::uint8_t kLayoutMax = 2;
+
 /// Section presence flags (bitmask so the format stays self-describing as
 /// backends grow state).
 enum SectionFlags : std::uint32_t {
@@ -86,9 +92,9 @@ std::vector<std::uint8_t> serialize_snapshot(const PlanSnapshot& snap,
   w.write_i32(snap.num_gpus);
   w.write_u8(snap.upper ? 1 : 0);
   if (options.format_version >= 2) {
-    // v2: the plan's resolved RHS layout, immediately after the identity
-    // byte it extends. v1 streams carry no layout and re-resolve at load.
-    w.write_u8(static_cast<std::uint8_t>(snap.rhs_layout));
+    // v2: the rhs-layout byte, immediately after the identity byte it
+    // extends. v1 streams carry none.
+    w.write_u8(kLayoutColumnMajor);
   }
   w.write_f64(snap.analysis_us);
 
@@ -142,15 +148,14 @@ std::string deserialize_snapshot(std::span<const std::uint8_t> bytes,
   out.snapshot.num_gpus = r.read_i32();
   out.snapshot.upper = r.read_u8() != 0;
   if (r.version() >= 2) {
+    // Outside input: an out-of-range byte is corruption. Any valid value
+    // loads; the plan solves column-major either way, to the same bits.
     const std::uint8_t layout = r.read_u8();
-    if (layout > static_cast<std::uint8_t>(RhsLayout::kInterleaved)) {
+    if (layout > kLayoutMax) {
       return "snapshot carries unknown rhs-layout value " +
              std::to_string(layout);
     }
-    out.snapshot.rhs_layout = static_cast<RhsLayout>(layout);
   }
-  // v1 blobs leave rhs_layout at kAuto; the restore path re-resolves it
-  // by backend, reproducing what v1-era plans did implicitly.
   out.snapshot.analysis_us = r.read_f64();
   out.factor_hash.pattern = r.read_u64();
   out.factor_hash.values = r.read_u64();

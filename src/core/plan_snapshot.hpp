@@ -84,11 +84,6 @@ struct PlanSnapshot {
   /// rebuilds it. Row forms stored by v1 and fat v2 blobs are in natural
   /// row order; the reader skips them.
   std::optional<RowForm> row_form;
-  /// The RESOLVED RhsLayout of the plan (never kAuto after analysis; see
-  /// resolve_rhs_layout). Persisted by v2 blobs; v1 blobs deserialize it
-  /// as kAuto and the load path re-resolves by backend -- which lands on
-  /// the same answer, since resolution depends only on the backend.
-  RhsLayout rhs_layout = RhsLayout::kAuto;
   /// One-time simulated analysis charge (comm/analysis sizing; 0 for the
   /// real host backends and for LOADED plans, which never paid it).
   sim_time_t analysis_us = 0.0;
@@ -106,8 +101,10 @@ struct PlanSnapshot {
 /// On-disk format version of plan blobs. The reader accepts the current
 /// version AND every older one back to v1 -- a plan cache must outlive a
 /// binary upgrade; anything else is rejected (kBadSnapshot).
-/// v2: adds the rhs_layout byte, stops storing the row-form section by
-///     default (no writer stores it any more; readers skip it).
+/// v2: adds the rhs-layout byte, stops storing the row-form section by
+///     default (no writer stores it any more; readers skip it). Every
+///     host kernel is column-major now: writers store 1 (column-major)
+///     and readers validate the byte (0..2) but ignore its value.
 /// v3: adds the tuned-decision section (autotuner choice + features +
 ///     coarsening thresholds; the task graph itself is rebuilt at load).
 inline constexpr std::uint16_t kPlanBlobVersion = 3;

@@ -67,31 +67,6 @@ std::vector<value_t> solve_lower_serial_fused(const sparse::CscMatrix& lower,
   return x;
 }
 
-void pack_interleaved(std::span<const value_t> column_major, index_t n,
-                      index_t num_rhs, value_t* panel) {
-  const std::size_t un = static_cast<std::size_t>(n);
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  // Output-sequential: the writes stream; the k read streams (one per
-  // rhs, stride n apart) each advance a cache line at a time.
-  for (std::size_t i = 0; i < un; ++i) {
-    for (std::size_t r = 0; r < k; ++r) {
-      panel[i * k + r] = column_major[r * un + i];
-    }
-  }
-}
-
-void unpack_interleaved(const value_t* panel, index_t n, index_t num_rhs,
-                        std::span<value_t> column_major) {
-  const std::size_t un = static_cast<std::size_t>(n);
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  // Output-sequential the other way round.
-  for (std::size_t r = 0; r < k; ++r) {
-    for (std::size_t i = 0; i < un; ++i) {
-      column_major[r * un + i] = panel[i * k + r];
-    }
-  }
-}
-
 std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,
                                         std::span<const value_t> b) {
   MSPTRSV_REQUIRE(upper.is_square(),

@@ -31,17 +31,6 @@ std::vector<value_t> solve_lower_serial_fused(const sparse::CscMatrix& lower,
                                               std::span<const value_t> b,
                                               index_t num_rhs);
 
-/// Transposes a column-major n x num_rhs batch (entry i of rhs r at
-/// [r*n + i]) into a component-major panel ([i*num_rhs + r]). The one
-/// place the interleaved layout pays its transposition cost: once per
-/// batch at the workspace boundary, O(n*k) sequential writes.
-void pack_interleaved(std::span<const value_t> column_major, index_t n,
-                      index_t num_rhs, value_t* panel);
-
-/// Inverse of pack_interleaved: panel back to column-major.
-void unpack_interleaved(const value_t* panel, index_t n, index_t num_rhs,
-                        std::span<value_t> column_major);
-
 /// Backward substitution for Ux = b on an upper-triangular CSC matrix with
 /// a nonzero diagonal terminating each column.
 std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,

@@ -85,9 +85,6 @@ SolveOptions default_options(Backend b) {
   // Batch-aware default: every catalogued backend that supports the fused
   // multi-RHS kernel gets it out of the box.
   opt.fuse_batch = e.fused_batch;
-  // kAuto resolves at analyze time: interleaved panels on the real host
-  // backends, column-major on the simulated ones (resolve_rhs_layout).
-  opt.rhs_layout = RhsLayout::kAuto;
   return opt;
 }
 

@@ -20,32 +20,6 @@ std::string backend_name(Backend b) {
   return "unknown";
 }
 
-std::string rhs_layout_name(RhsLayout layout) {
-  switch (layout) {
-    case RhsLayout::kAuto: return "auto";
-    case RhsLayout::kColumnMajor: return "column-major";
-    case RhsLayout::kInterleaved: return "interleaved";
-  }
-  return "unknown";
-}
-
-RhsLayout resolve_rhs_layout(RhsLayout requested, Backend backend) {
-  // Only the parallel host kernels have a panel path. The simulated
-  // backends' numeric pass is the serial reference and their cost an
-  // event simulation; the serial backend's pull sweep already keeps a
-  // block of up to four rhs in registers, so a panel would only add the
-  // pack/unpack transposes. An interleaved request on any of them is
-  // clamped rather than rejected.
-  if (is_simulated(backend) || backend == Backend::kSerial) {
-    return RhsLayout::kColumnMajor;
-  }
-  if (requested != RhsLayout::kAuto) return requested;
-  // Auto: interleave, where the panel pays for its transposes -- the
-  // per-dependency gather reads a k-vector per nonzero (strided by n in
-  // column-major, one contiguous axpy interleaved).
-  return RhsLayout::kInterleaved;
-}
-
 bool is_simulated(Backend b) {
   switch (b) {
     case Backend::kGpuLevelSet:

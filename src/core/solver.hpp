@@ -45,38 +45,6 @@ enum class Backend {
   kMgZeroCopy,
 };
 
-/// Internal RHS batch layout of the host kernels. The PUBLIC solve_batch
-/// API is column-major (entry i of rhs r at [r*n + i]) in every mode --
-/// the layout only selects what the kernels iterate over internally.
-enum class RhsLayout : std::uint8_t {
-  /// Resolved at analyze time: interleaved for the parallel host
-  /// backends (their per-dependency gather runs over the RHS dimension),
-  /// column-major for the serial pull sweep (it blocks up to four rhs in
-  /// registers instead; see resolve_rhs_layout) and the simulated
-  /// backends. The resolved choice is persisted in the plan snapshot.
-  kAuto = 0,
-  /// Kernels read b/x column-major directly: entry i of rhs r at
-  /// [r*n + i]. Zero transposition cost, but the per-component inner RHS
-  /// loop strides by n -- one cache line touched PER RHS per nonzero.
-  kColumnMajor = 1,
-  /// Component-major panel: entry i of rhs r at [i*k + r], so the inner
-  /// RHS loop is unit-stride (vectorizable, k/8 lines per nonzero). The
-  /// batch is transposed into the workspace panel once on entry and the
-  /// solution transposed back once on exit; per-rhs operation ORDER is
-  /// unchanged, so results stay bit-for-bit equal to column-major (and to
-  /// looped single solves). Engaged for num_rhs >= 2 (the layouts
-  /// coincide at k = 1).
-  kInterleaved = 2,
-};
-
-/// Human-readable layout name ("auto" / "column-major" / "interleaved").
-std::string rhs_layout_name(RhsLayout layout);
-
-/// Resolves kAuto against a backend (parallel host backends interleave)
-/// and clamps every request on the serial and simulated backends to
-/// kColumnMajor (those kernels have no panel path). Never returns kAuto.
-RhsLayout resolve_rhs_layout(RhsLayout requested, Backend backend);
-
 /// Human-readable backend name (used in reports and bench tables).
 std::string backend_name(Backend b);
 
@@ -92,13 +60,9 @@ struct SolveOptions {
   int tasks_per_gpu = 8;
   /// Thread count for the real host backends (0 = hardware concurrency).
   int cpu_threads = 0;
-  /// Internal RHS batch layout for the host kernels (see RhsLayout).
-  /// kAuto resolves at analyze time and the choice is persisted in the
-  /// plan snapshot; an explicit value overrides a stored one at restore.
-  RhsLayout rhs_layout = RhsLayout::kAuto;
   /// Worker placement for the host gangs (see support::NumaPolicy).
-  /// kNone -- the default -- pins nothing and skips the first-touch /
-  /// page-interleave passes: single-node machines run the exact pre-NUMA
+  /// kNone -- the default -- pins nothing and skips the row-form
+  /// page-interleave hint: single-node machines run the exact pre-NUMA
   /// code path. Results are bit-identical under every policy (placement
   /// moves bytes, never operations).
   support::NumaPolicy numa_policy = support::NumaPolicy::kNone;
@@ -153,8 +117,9 @@ struct SolveResult {
   sim::RunReport report;
   /// Wall-clock seconds for the real host backends (0 for simulated).
   double wall_seconds = 0.0;
-  /// Per-phase latency attribution (claim/pack/kernel/unpack measured by
-  /// the host backends; queue/coalesce/reply stamped by the layers above).
+  /// Per-phase latency attribution (claim/kernel measured by the host
+  /// backends; queue/coalesce/reply stamped by the layers above;
+  /// pack/unpack always 0).
   support::trace::PhaseBreakdown phases;
   /// trace_now_ns() at batch completion -- lets the completion pump
   /// attribute the reply phase without re-deriving the finish time.

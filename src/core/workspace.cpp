@@ -10,18 +10,6 @@ namespace msptrsv::core {
 /// "unlimited" without a branch on a sentinel.
 thread_local int ScopedGangCap::cap_ = 1 << 20;
 
-namespace {
-constexpr std::size_t kLineBytes = 64;
-constexpr std::size_t kLineDoubles = kLineBytes / sizeof(value_t);
-
-/// Aligns an allocation's interior pointer up to a cache-line boundary.
-value_t* align_to_line(value_t* p) {
-  const std::size_t misalign =
-      reinterpret_cast<std::uintptr_t>(p) % kLineBytes;
-  return p + (misalign == 0 ? 0 : (kLineBytes - misalign) / sizeof(value_t));
-}
-}  // namespace
-
 SolveWorkspace::SolveWorkspace(int parties, SharedWorkerPool* shared,
                                PoolOptions options)
     : parties_(parties), shared_(shared), options_(options),
@@ -32,41 +20,6 @@ SolveWorkspace::SolveWorkspace(int parties, SharedWorkerPool* shared,
     // usefully exceed the whole shared pool plus the caller.
     parties_ = std::min(parties_, shared_->threads() + 1);
   }
-}
-
-void SolveWorkspace::first_touch(value_t* p, std::size_t elems) {
-  if (options_.numa_policy == support::NumaPolicy::kNone) return;
-  // Page-interleaved zeroing by the gang itself: under first-touch
-  // allocation each page homes on the node of the party that writes it
-  // first, so the panel's pages end up spread across the workers' nodes
-  // (matching how the dynamic claim loops read them) instead of all
-  // landing on the caller's node. Single-node machines pay one extra
-  // parallel sweep over fresh memory only when a policy was set anyway.
-  constexpr std::size_t kPageDoubles = 4096 / sizeof(value_t);
-  run_parallel([&](int tid, int parties) {
-    const std::size_t pages = (elems + kPageDoubles - 1) / kPageDoubles;
-    for (std::size_t page = static_cast<std::size_t>(tid); page < pages;
-         page += static_cast<std::size_t>(parties)) {
-      const std::size_t begin = page * kPageDoubles;
-      const std::size_t end = std::min(elems, begin + kPageDoubles);
-      for (std::size_t i = begin; i < end; ++i) p[i] = 0.0;
-    }
-  });
-}
-
-value_t* SolveWorkspace::grow_panel(std::unique_ptr<value_t[]>& store,
-                                    value_t*& base, std::size_t& capacity,
-                                    std::size_t elems) {
-  if (elems > capacity) {
-    // Default-initialized (new[], not make_unique): a value-initializing
-    // allocation would zero -- and therefore first-touch -- every page on
-    // the calling thread, defeating the gang pass below.
-    store.reset(new value_t[elems + kLineDoubles]);
-    base = align_to_line(store.get());
-    capacity = elems;
-    first_touch(base, elems);
-  }
-  return base;
 }
 
 std::atomic<std::uint64_t>* SolveWorkspace::delivered(index_t n) {
@@ -81,31 +34,6 @@ std::atomic<std::uint64_t>* SolveWorkspace::delivered(index_t n) {
     delivered_capacity_ = need;
   }
   return delivered_.get();
-}
-
-value_t* SolveWorkspace::gather_scratch(index_t num_rhs) {
-  // Pad each thread's slice to a cache line of doubles, and align the
-  // base to a cache line too -- otherwise slice boundaries land mid-line
-  // and adjacent threads' hot accumulators still false-share.
-  const std::size_t stride =
-      (static_cast<std::size_t>(num_rhs) + kLineDoubles - 1) / kLineDoubles *
-      kLineDoubles;
-  if (stride > gather_stride_) {
-    const std::size_t elems =
-        stride * static_cast<std::size_t>(threads());
-    gather_ = std::make_unique<value_t[]>(elems + kLineDoubles);
-    gather_stride_ = stride;
-    gather_base_ = align_to_line(gather_.get());
-    first_touch(gather_base_, elems);
-  }
-  // The cache-line-disjointness contract, asserted rather than assumed:
-  // every slice boundary is a line boundary, so no two threads'
-  // accumulators can ever share a line.
-  MSPTRSV_REQUIRE(
-      (gather_stride_ * sizeof(value_t)) % kLineBytes == 0 &&
-          reinterpret_cast<std::uintptr_t>(gather_base_) % kLineBytes == 0,
-      "gather slices must be cache-line disjoint");
-  return gather_base_;
 }
 
 WorkspacePool::WorkspacePool(int parties_per_workspace,

@@ -85,8 +85,7 @@ class SolveWorkspace {
   /// non-null `shared`, runs execute as gangs claimed from that pool and
   /// the workspace never owns a thread; otherwise an owned WorkerPool of
   /// parties-1 threads is created lazily on the first run. `options`
-  /// configures the owned pool's worker placement and enables the
-  /// first-touch pass on freshly grown scratch (kNone = pre-NUMA
+  /// configures the owned pool's worker placement (kNone = pre-NUMA
   /// behavior, byte for byte).
   explicit SolveWorkspace(int parties, SharedWorkerPool* shared = nullptr,
                           PoolOptions options = {});
@@ -94,8 +93,8 @@ class SolveWorkspace {
   SolveWorkspace(const SolveWorkspace&) = delete;
   SolveWorkspace& operator=(const SolveWorkspace&) = delete;
 
-  /// The party-count CAP for runs on this workspace; gather_scratch sizes
-  /// per-thread slices against it. Shared-mode runs may use fewer.
+  /// The party-count CAP for runs on this workspace. Shared-mode runs
+  /// may use fewer.
   int threads() const { return parties_; }
 
   /// True when this workspace gangs on the shared pool (observability).
@@ -145,34 +144,6 @@ class SolveWorkspace {
   /// Zero-initialized once on first use, never reset afterwards.
   std::atomic<std::uint64_t>* delivered(index_t n);
 
-  /// Per-thread gather accumulators for a num_rhs-wide solve: thread tid
-  /// uses the slice starting at tid * gather_stride(). Allocated lazily
-  /// (sized for threads() slices, the cap), grown only when num_rhs
-  /// exceeds the capacity -- steady-state solves allocate nothing. Slices
-  /// are cache-line padded against false sharing.
-  value_t* gather_scratch(index_t num_rhs);
-  /// Per-thread slice stride in doubles; always a full-cache-line
-  /// multiple (64 bytes) with the base 64-byte aligned, so adjacent
-  /// threads' hot accumulators can never share a line.
-  std::size_t gather_stride() const { return gather_stride_; }
-
-  /// Interleaved (component-major) RHS panels for the host kernels: the
-  /// column-major batch is transposed into panel_b once on entry and the
-  /// solution transposed out of panel_x once on exit (see
-  /// RhsLayout::kInterleaved in solver.hpp). `elems` = n * num_rhs.
-  /// Lazily allocated, 64-byte aligned, grown only when a batch exceeds
-  /// capacity -- steady-state solves allocate nothing. With a NUMA
-  /// policy set, freshly grown panels (and gather scratch) are
-  /// first-touched by the gang -- page p zeroed by party p % parties --
-  /// so pages spread across the workers' nodes instead of all homing on
-  /// the calling thread's.
-  value_t* panel_b(std::size_t elems) {
-    return grow_panel(panel_b_store_, panel_b_base_, panel_b_capacity_, elems);
-  }
-  value_t* panel_x(std::size_t elems) {
-    return grow_panel(panel_x_store_, panel_x_base_, panel_x_capacity_, elems);
-  }
-
   /// Starts a new sync-free solve generation and returns it (>= 1). The
   /// ready target of component i this generation is
   /// generation * in_degree(i).
@@ -192,12 +163,6 @@ class SolveWorkspace {
   }
 
  private:
-  value_t* grow_panel(std::unique_ptr<value_t[]>& store, value_t*& base,
-                      std::size_t& capacity, std::size_t elems);
-  /// Parallel page-interleaved zeroing of fresh scratch (no-op under
-  /// NumaPolicy::kNone -- the pre-NUMA allocation already zeroed it).
-  void first_touch(value_t* p, std::size_t elems);
-
   int parties_;
   SharedWorkerPool* shared_;
   PoolOptions options_;
@@ -208,16 +173,6 @@ class SolveWorkspace {
   SpinBarrier barrier_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> delivered_;
   std::size_t delivered_capacity_ = 0;
-  std::unique_ptr<value_t[]> gather_;
-  /// Cache-line-aligned base inside gather_ (see gather_scratch).
-  value_t* gather_base_ = nullptr;
-  std::size_t gather_stride_ = 0;
-  std::unique_ptr<value_t[]> panel_b_store_;
-  std::unique_ptr<value_t[]> panel_x_store_;
-  value_t* panel_b_base_ = nullptr;
-  value_t* panel_x_base_ = nullptr;
-  std::size_t panel_b_capacity_ = 0;
-  std::size_t panel_x_capacity_ = 0;
   std::uint64_t generation_ = 0;
 };
 
@@ -230,7 +185,7 @@ class WorkspacePool {
   /// `shared` (may be null) is handed to every workspace this pool
   /// creates: non-null routes all of the plan's kernel parallelism
   /// through the process-wide shared pool. `options` likewise (owned
-  /// worker placement + first-touch, see PoolOptions).
+  /// worker placement, see PoolOptions).
   explicit WorkspacePool(int parties_per_workspace,
                          SharedWorkerPool* shared = nullptr,
                          PoolOptions options = {});

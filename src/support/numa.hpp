@@ -17,11 +17,9 @@
 //    placement policy (compact fills a node before spilling to the next;
 //    spread round-robins nodes so each socket's memory controllers see an
 //    equal share of the gang);
-//  * page placement: first-touch is the portable mechanism -- freshly
-//    allocated scratch is touched by the thread that will use it (see
-//    SolveWorkspace) -- plus an mbind(MPOL_INTERLEAVE) hint for large
-//    shared read-only arrays (row-form factor values) issued via raw
-//    syscall, ignored wholesale on single-node machines.
+//  * page placement: an mbind(MPOL_INTERLEAVE) hint for large shared
+//    read-only arrays (row-form factor values) issued via raw syscall,
+//    ignored wholesale on single-node machines.
 #pragma once
 
 #include <cstddef>

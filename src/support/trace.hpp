@@ -209,9 +209,9 @@ struct PhaseBreakdown {
   double queue_us = 0;     ///< submit -> dispatch start (total queue wait)
   double coalesce_us = 0;  ///< part of the wait spent gathering companions
   double claim_us = 0;     ///< shared-pool gang claim
-  double pack_us = 0;      ///< column-major -> interleaved panel transpose
+  double pack_us = 0;      ///< always 0: no kernel transposes the batch
   double kernel_us = 0;    ///< the solve sweep itself (minus claim)
-  double unpack_us = 0;    ///< panel -> column-major transpose
+  double unpack_us = 0;    ///< always 0: no kernel transposes the batch
   double reply_us = 0;     ///< completion -> reply flushed on the socket
 };
 
@@ -222,17 +222,15 @@ inline constexpr const char* kPhaseNames[kNumPhases] = {
     "queue", "coalesce", "claim", "pack", "kernel", "unpack", "reply"};
 
 /// Thread-local deposit box the deep layers drop sub-phase durations into
-/// (worker_pool's claim, plan.cpp's pack/kernel/unpack): the layers below
-/// the service have no request in hand, but they DO run on the
-/// submitting dispatch thread, so a thread-local accumulator reaches the
-/// service without widening any kernel signature. run_batch_lower resets
-/// it on entry; the service reads it after solve_batch returns.
+/// (worker_pool's claim, plan.cpp's kernel): the layers below the service
+/// have no request in hand, but they DO run on the submitting dispatch
+/// thread, so a thread-local accumulator reaches the service without
+/// widening any kernel signature. SolverPlan::run_batch resets it on
+/// entry and copies it into the result's PhaseBreakdown.
 struct PhaseScratch {
   double claim_us = 0;
-  double pack_us = 0;
   double kernel_us = 0;
-  double unpack_us = 0;
-  void reset() { claim_us = pack_us = kernel_us = unpack_us = 0; }
+  void reset() { claim_us = kernel_us = 0; }
 };
 PhaseScratch& phase_scratch();
 

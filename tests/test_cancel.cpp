@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,30 +155,44 @@ TEST_F(CancelFixture, LevelsetAbortsMidSolveAndTheWorkspaceIsReusable) {
   const auto plan =
       core::SolverPlan::analyze(p.l, opts("cpu-levelset"));
   ASSERT_TRUE(plan.ok());
-  const std::vector<value_t> good = plan->solve(p.b).value().x;
+  // One rhs, then an 8-wide batch (column 0 is p.b, the rest fresh): the
+  // abort must unwind the same way at any batch width.
+  for (const index_t k : {index_t{1}, index_t{8}}) {
+    SCOPED_TRACE("num_rhs " + std::to_string(k));
+    std::vector<value_t> batch = p.b;
+    for (index_t j = 1; j < k; ++j) {
+      const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
+          p.l,
+          sparse::gen_solution(p.l.rows, 80 + static_cast<std::uint64_t>(j)));
+      batch.insert(batch.end(), bj.begin(), bj.end());
+    }
+    const std::vector<value_t> good = plan->solve_batch(batch, k).value().x;
 
-  // Park the kernel at the first level boundary, prove it is parked,
-  // raise the abandon flag, release -- the very next boundary check sees
-  // the flag and aborts with the barrier still coherent. (Hit counters
-  // are cumulative across clear_all, hence the base-relative wait.)
-  const std::uint64_t base = support::failpoint_hits("kernel.level");
-  ASSERT_TRUE(support::failpoint_set("kernel.level", "pause*1"));
-  CancelSource src;
-  core::Expected<core::SolveResult> result(SolveStatus::kOk, "");
-  std::thread solver([&] { result = plan->solve(p.b, src.token()); });
-  ASSERT_TRUE(support::failpoint_wait_hits("kernel.level", base + 1, 10000));
-  src.cancel();
-  support::failpoint_clear("kernel.level");
-  solver.join();
+    // Park the kernel at the first level boundary, prove it is parked,
+    // raise the abandon flag, release -- the very next boundary check
+    // sees the flag and aborts with the barrier still coherent. (Hit
+    // counters are cumulative across clear_all, hence the base-relative
+    // wait.)
+    const std::uint64_t base = support::failpoint_hits("kernel.level");
+    ASSERT_TRUE(support::failpoint_set("kernel.level", "pause*1"));
+    CancelSource src;
+    core::Expected<core::SolveResult> result(SolveStatus::kOk, "");
+    std::thread solver(
+        [&] { result = plan->solve_batch(batch, k, src.token()); });
+    ASSERT_TRUE(support::failpoint_wait_hits("kernel.level", base + 1, 10000));
+    src.cancel();
+    support::failpoint_clear("kernel.level");
+    solver.join();
 
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status(), SolveStatus::kOverloaded);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status(), SolveStatus::kOverloaded);
 
-  // The abort left the plan and its leased workspace clean: same plan,
-  // same bits, immediately.
-  const auto after = plan->solve(p.b);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().x, good);
+    // The abort left the plan and its leased workspace clean: same plan,
+    // same bits, immediately.
+    const auto after = plan->solve_batch(batch, k);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().x, good);
+  }
 }
 
 TEST_F(CancelFixture, SyncfreeAbortsMidSolveAndTheWorkspaceIsReusable) {

@@ -229,12 +229,13 @@ TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
   // Saved before the serial backend became a pull sweep over the row
   // form: a serial plan that asked for the interleaved layout, a serial
   // upper plan, and an autotuned cpu-taskgraph plan. Serial plans never
-  // stored a row form or levels; loading rebuilds both, and the
-  // interleaved request clamps to column-major. Saved before row forms
-  // were stored in execution order: a fat v2 cpu-levelset upper plan
-  // whose stored row form is a natural-order CSR copy, which loading must
-  // skip. Every host backend shares one gather order, so each must solve
-  // to the bits of a fresh cpu-levelset/t1 plan.
+  // stored a row form or levels; loading rebuilds both. Saved before row
+  // forms were stored in execution order: a fat v2 cpu-levelset upper
+  // plan whose stored row form is a natural-order CSR copy, which loading
+  // must skip. The cpu-taskgraph and cpu-levelset blobs record the
+  // interleaved layout their plans ran then; they load and solve
+  // column-major now. Every host backend shares one gather order, so
+  // each must solve to the bits of a fresh cpu-levelset/t1 plan.
   struct Legacy {
     const char* file;
     const char* preset;
@@ -252,9 +253,6 @@ TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
     const auto loaded = core::SolverPlan::deserialize(
         bytes, core::registry::options_for(c.preset).value());
     ASSERT_TRUE(loaded.ok()) << loaded.message();
-    if (loaded->options().backend == core::Backend::kSerial) {
-      EXPECT_EQ(loaded->rhs_layout(), core::RhsLayout::kColumnMajor);
-    }
     if (c.fat) {
       // The stored row form duplicates the factor's values; the lean
       // re-save drops it.

@@ -1,15 +1,20 @@
 // Real-thread host backends under true concurrency: correctness across
-// repeated runs, thread counts and matrix shapes.
+// repeated runs, thread counts and matrix shapes, through the plan API.
 #include <gtest/gtest.h>
 
-#include "core/cpu_parallel.hpp"
-#include "core/reference.hpp"
-#include "core/residual.hpp"
-#include "sparse/generators.hpp"
-#include "sparse/level_analysis.hpp"
+#include "core/msptrsv.hpp"
 
 namespace msptrsv::core {
 namespace {
+
+/// A plan of the host backend `key` on `threads` workers (0 = hardware
+/// concurrency).
+SolverPlan host_plan(const sparse::CscMatrix& l, const char* key,
+                     int threads) {
+  SolveOptions o = registry::options_for(key).value();
+  o.cpu_threads = threads;
+  return SolverPlan::analyze(l, o).value();
+}
 
 class CpuParallelThreads : public ::testing::TestWithParam<int> {};
 
@@ -18,9 +23,8 @@ TEST_P(CpuParallelThreads, LevelSetMatchesSerial) {
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 1));
   const std::vector<value_t> gold = solve_lower_serial(l, b);
-  const sparse::LevelAnalysis a = sparse::analyze_levels(l);
   const std::vector<value_t> x =
-      solve_lower_levelset_threads(l, b, a, GetParam());
+      host_plan(l, "cpu-levelset", GetParam()).solve(b).value().x;
   EXPECT_LT(max_relative_difference(x, gold), 1e-10);
 }
 
@@ -29,7 +33,8 @@ TEST_P(CpuParallelThreads, SyncFreeMatchesSerial) {
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 2));
   const std::vector<value_t> gold = solve_lower_serial(l, b);
-  const std::vector<value_t> x = solve_lower_syncfree_threads(l, b, GetParam());
+  const std::vector<value_t> x =
+      host_plan(l, "cpu-syncfree", GetParam()).solve(b).value().x;
   EXPECT_LT(max_relative_difference(x, gold), 1e-10);
 }
 
@@ -43,18 +48,21 @@ TEST(CpuParallel, SyncFreeSurvivesDeepChains) {
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 3));
   const std::vector<value_t> gold = solve_lower_serial(l, b);
-  const std::vector<value_t> x = solve_lower_syncfree_threads(l, b, 4);
+  const std::vector<value_t> x =
+      host_plan(l, "cpu-syncfree", 4).solve(b).value().x;
   EXPECT_LT(max_relative_difference(x, gold), 1e-10);
 }
 
 TEST(CpuParallel, RepeatedRunsAreConsistentUnderRaces) {
-  // Atomics make the result deterministic up to floating-point summation
-  // order; residual must stay tiny on every run.
+  // Every run races the same gang over the same workspace (a new
+  // delivery generation each time); the residual must stay tiny on
+  // every run.
   const sparse::CscMatrix l = sparse::gen_rmat_lower(10, 6000, 17);
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 4));
+  const SolverPlan plan = host_plan(l, "cpu-syncfree", 4);
   for (int run = 0; run < 10; ++run) {
-    const std::vector<value_t> x = solve_lower_syncfree_threads(l, b, 4);
+    const std::vector<value_t> x = plan.solve(b).value().x;
     EXPECT_LT(relative_residual(l, x, b), 1e-11) << "run " << run;
   }
 }
@@ -63,15 +71,15 @@ TEST(CpuParallel, LevelSetHandlesSingleLevelAndSingleChain) {
   {
     const sparse::CscMatrix l = sparse::gen_diagonal(100);
     const std::vector<value_t> b(100, 2.0);
-    const sparse::LevelAnalysis a = sparse::analyze_levels(l);
-    const std::vector<value_t> x = solve_lower_levelset_threads(l, b, a, 3);
+    const std::vector<value_t> x =
+        host_plan(l, "cpu-levelset", 3).solve(b).value().x;
     EXPECT_LT(max_relative_difference(x, solve_lower_serial(l, b)), 1e-12);
   }
   {
     const sparse::CscMatrix l = sparse::gen_chain(200);
     const std::vector<value_t> b(200, 1.0);
-    const sparse::LevelAnalysis a = sparse::analyze_levels(l);
-    const std::vector<value_t> x = solve_lower_levelset_threads(l, b, a, 3);
+    const std::vector<value_t> x =
+        host_plan(l, "cpu-levelset", 3).solve(b).value().x;
     EXPECT_LT(max_relative_difference(x, solve_lower_serial(l, b)), 1e-12);
   }
 }
@@ -80,7 +88,8 @@ TEST(CpuParallel, DefaultThreadCountWorks) {
   const sparse::CscMatrix l = sparse::gen_banded(1000, 6, 0.5, 7);
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 5));
-  const std::vector<value_t> x = solve_lower_syncfree_threads(l, b, 0);
+  const std::vector<value_t> x =
+      host_plan(l, "cpu-syncfree", 0).solve(b).value().x;
   EXPECT_LT(relative_residual(l, x, b), 1e-11);
 }
 

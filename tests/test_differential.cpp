@@ -2,8 +2,8 @@
 //
 // One seeded sweep drives every host execution strategy through the same
 // inputs -- {lower, upper} x {serial, cpu-levelset, cpu-syncfree,
-// cpu-taskgraph} x {1, 4 threads} x {column-major, interleaved} x
-// {solve, solve_batch at 2, 3 and 5 rhs, save-then-load-then-solve,
+// cpu-taskgraph} x {1, 4 threads} x {solve, solve_batch at 2, 3 and 5
+// rhs, the 5 rhs solved one by one, save-then-load-then-solve,
 // update_values-then-solve} -- and holds the results to two contracts at
 // once:
 //
@@ -13,12 +13,12 @@
 //    parallel schedules alike -- gathers each row in the analyzed
 //    factor's ascending-column order from zero BY CONSTRUCTION,
 //    independent of the order its rows execute in, thread count, and
-//    layout -- so all of them must agree bit for bit, across every
-//    configuration.
+//    batch width -- so all of them must agree bit for bit, across every
+//    configuration, and a fused batch must equal its columns solved one
+//    by one.
 //
 // The batch widths cover every column-major register block (1 to 4 rhs:
-// solve, then 2 and 3, then 5 = 4 + 1, a two-pass batch) and the panel
-// path at odd widths.
+// solve, then 2 and 3, then 5 = 4 + 1, a two-pass batch).
 //
 // A failing comparison dumps the matrix to a Matrix Market file next to
 // the test binary (name embeds the case tag and seed) so the exact
@@ -35,8 +35,6 @@
 
 namespace msptrsv {
 namespace {
-
-using core::RhsLayout;
 
 struct MatrixCase {
   std::string tag;
@@ -60,10 +58,8 @@ std::vector<MatrixCase> matrix_cases() {
 struct Config {
   const char* backend;
   int threads;
-  RhsLayout layout;
   std::string label() const {
-    return std::string(backend) + "/t" + std::to_string(threads) +
-           (layout == RhsLayout::kInterleaved ? "/interleaved" : "/colmajor");
+    return std::string(backend) + "/t" + std::to_string(threads);
   }
 };
 
@@ -71,11 +67,7 @@ std::vector<Config> configs() {
   std::vector<Config> out;
   for (const char* b :
        {"serial", "cpu-levelset", "cpu-syncfree", "cpu-taskgraph"}) {
-    for (int t : {1, 4}) {
-      for (RhsLayout l : {RhsLayout::kColumnMajor, RhsLayout::kInterleaved}) {
-        out.push_back({b, t, l});
-      }
-    }
+    for (int t : {1, 4}) out.push_back({b, t});
   }
   return out;
 }
@@ -83,7 +75,6 @@ std::vector<Config> configs() {
 core::SolveOptions options_of(const Config& c) {
   core::SolveOptions o = core::registry::options_for(c.backend).value();
   o.cpu_threads = c.threads;
-  o.rhs_layout = c.layout;
   return o;
 }
 
@@ -98,6 +89,8 @@ struct Results {
   std::vector<value_t> solve;
   /// One per kBatchWidths entry.
   std::vector<std::vector<value_t>> batches;
+  /// The widest batch's columns solved one at a time, concatenated.
+  std::vector<value_t> looped;
   /// The plan saved, restored, then solve + widest batch.
   std::vector<value_t> loaded_solve;
   std::vector<value_t> loaded_batch;
@@ -130,6 +123,13 @@ Results run_all_ops(const sparse::CscMatrix& factor, bool upper,
         plan->solve_batch(first_columns(batch, factor.rows, width), width);
     EXPECT_TRUE(rb.ok()) << rb.message();
     r.batches.push_back(rb.value().x);
+  }
+  const std::size_t n = static_cast<std::size_t>(factor.rows);
+  for (index_t j = 0; j < kMaxBatchRhs; ++j) {
+    const auto rj =
+        plan->solve(first_columns(batch, factor.rows, j + 1).last(n));
+    EXPECT_TRUE(rj.ok()) << rj.message();
+    r.looped.insert(r.looped.end(), rj.value().x.begin(), rj.value().x.end());
   }
   const auto blob = plan->serialize();
   EXPECT_TRUE(blob.ok()) << blob.message();
@@ -174,7 +174,7 @@ void expect_bits(const std::vector<value_t>& got,
                  const sparse::CscMatrix& factor) {
   if (got != want) {
     FAIL() << label << " " << op
-           << " is not bit-identical to cpu-levelset/t1/colmajor on "
+           << " is not bit-identical to cpu-levelset/t1 on "
            << m.tag << " seed " << m.seed
            << "; instance dumped to " << dump_artifact(m, upper, factor);
   }
@@ -205,8 +205,8 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
 
       // Tolerance reference: serial. Bitwise reference: the narrowest
       // parallel configuration.
-      Config serial_ref{"serial", 1, RhsLayout::kColumnMajor};
-      Config bits_ref{"cpu-levelset", 1, RhsLayout::kColumnMajor};
+      Config serial_ref{"serial", 1};
+      Config bits_ref{"cpu-levelset", 1};
       const Results ref =
           run_all_ops(factor, upper, options_of(serial_ref), b, batch, scaled);
       const Results gold =
@@ -240,6 +240,9 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
           expect_bits(r.batches[w], gold.batches[w], op.c_str(), label, m,
                       upper, factor);
         }
+        // Fused equals looped: the widest batch, one column at a time.
+        expect_bits(r.looped, gold.batches.back(), "looped solves", label, m,
+                    upper, factor);
         // A restored plan rebuilds its row form in execution order and
         // must solve exactly like the plan it was saved from.
         expect_bits(r.loaded_solve, gold.solve, "load+solve", label, m,
@@ -251,28 +254,6 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
       }
     }
   }
-}
-
-TEST(Differential, SerialIsDeterministicAcrossLayouts) {
-  // The serial sweep has no panel path: an explicit interleaved request
-  // is clamped to column-major and solves to the same bits.
-  const sparse::CscMatrix l = sparse::gen_layered_dag(300, 24, 1600, 0.5, 3);
-  std::vector<value_t> batch;
-  for (index_t j = 0; j < kMaxBatchRhs; ++j) {
-    const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
-        l, sparse::gen_solution(l.rows, 40 + static_cast<std::uint64_t>(j)));
-    batch.insert(batch.end(), bj.begin(), bj.end());
-  }
-  core::SolveOptions col = core::registry::options_for("serial").value();
-  col.rhs_layout = RhsLayout::kColumnMajor;
-  core::SolveOptions inter = col;
-  inter.rhs_layout = RhsLayout::kInterleaved;
-  const auto pc = core::SolverPlan::analyze(sparse::CscMatrix(l), col);
-  const auto pi = core::SolverPlan::analyze(sparse::CscMatrix(l), inter);
-  ASSERT_TRUE(pc.ok() && pi.ok());
-  EXPECT_EQ(pi->rhs_layout(), RhsLayout::kColumnMajor);
-  EXPECT_EQ(pc->solve_batch(batch, kMaxBatchRhs).value().x,
-            pi->solve_batch(batch, kMaxBatchRhs).value().x);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -231,38 +232,7 @@ TEST(PlanIo, EmptyPlanRoundTrips) {
   EXPECT_TRUE(loaded->solve({}).ok());
 }
 
-// ---- v2 layout field + lean/v1 format compatibility ------------------------
-
-TEST(PlanIoLayout, RhsLayoutRoundTripsThroughTheBlob) {
-  const sparse::CscMatrix l = test_matrix();
-  for (const core::RhsLayout layout :
-       {core::RhsLayout::kInterleaved, core::RhsLayout::kColumnMajor}) {
-    core::SolveOptions opt = core::registry::options_for("cpu-levelset").value();
-    opt.cpu_threads = 1;
-    opt.rhs_layout = layout;
-    const auto fresh = core::SolverPlan::analyze(l, opt);
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_EQ(fresh->rhs_layout(), layout);
-
-    // Load with layout-neutral options: the STORED resolved layout wins.
-    core::SolveOptions neutral = opt;
-    neutral.rhs_layout = core::RhsLayout::kAuto;
-    const auto loaded =
-        core::SolverPlan::deserialize(fresh->serialize().value(), neutral);
-    ASSERT_TRUE(loaded.ok()) << loaded.message();
-    EXPECT_EQ(loaded->rhs_layout(), layout);
-
-    // An explicit option at restore overrides the stored choice.
-    core::SolveOptions forced = opt;
-    forced.rhs_layout = layout == core::RhsLayout::kInterleaved
-                            ? core::RhsLayout::kColumnMajor
-                            : core::RhsLayout::kInterleaved;
-    const auto overridden =
-        core::SolverPlan::deserialize(fresh->serialize().value(), forced);
-    ASSERT_TRUE(overridden.ok());
-    EXPECT_EQ(overridden->rhs_layout(), forced.rhs_layout);
-  }
-}
+// ---- v2 layout byte + lean/v1 format compatibility -------------------------
 
 TEST(PlanIoLayout, BlobsCarryNoRowFormAndLoadBitForBit) {
   // No format version stores the row form any more (it duplicates every
@@ -307,8 +277,7 @@ TEST(PlanIoLayout, BlobsCarryNoRowFormAndLoadBitForBit) {
 
 TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
   // A cache written by the previous binary must outlive the upgrade: the
-  // v1 stream (no layout byte) loads, resolves its layout by backend
-  // exactly as v1-era plans did implicitly, and solves bit-for-bit.
+  // v1 stream (no layout byte) loads and solves bit-for-bit.
   const sparse::CscMatrix l = test_matrix();
   for (const char* key : {"cpu-levelset", "cpu-syncfree", "serial"}) {
     SCOPED_TRACE(key);
@@ -327,8 +296,6 @@ TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
 
     const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
     ASSERT_TRUE(loaded.ok()) << loaded.message();
-    EXPECT_EQ(loaded->rhs_layout(),
-              core::resolve_rhs_layout(core::RhsLayout::kAuto, opt.backend));
     const std::vector<value_t> b =
         sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 22));
     EXPECT_EQ(loaded->solve(b).value().x, fresh->solve(b).value().x);
@@ -336,20 +303,23 @@ TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
 }
 
 TEST(PlanIoLayout, UnknownLayoutByteIsBadSnapshot) {
-  // The layout byte sits right after the backend key string, tasks (i32),
-  // gpus (i32), and upper byte -- corrupt it via the snapshot API rather
-  // than byte surgery: serialize a snapshot claiming an out-of-range
-  // layout and expect the typed rejection.
+  // The layout byte sits right after the 8-byte blob header, the backend
+  // key string (u64 length + bytes), tasks (i32), gpus (i32), and the
+  // upper byte. Writers store 1 (column-major); readers accept 0..2 and
+  // must refuse anything else as a corrupt blob, even under a valid CRC.
   const sparse::CscMatrix l = test_matrix();
   core::SolveOptions opt = core::registry::options_for("serial").value();
   const auto fresh = core::SolverPlan::analyze(l, opt);
   ASSERT_TRUE(fresh.ok());
-  core::PlanSnapshot snap;
-  snap.backend = core::Backend::kSerial;
-  snap.tasks_per_gpu = opt.tasks_per_gpu;
-  snap.num_gpus = opt.machine.num_gpus();
-  snap.rhs_layout = static_cast<core::RhsLayout>(250);
-  const std::vector<std::uint8_t> blob = core::serialize_snapshot(snap, l);
+  std::vector<std::uint8_t> blob = fresh->serialize().value();
+  const std::size_t at = 8 + 8 + std::string("serial").size() + 4 + 4 + 1;
+  ASSERT_EQ(blob[at], 1);
+  blob[at] = 250;
+  // Re-seal: the CRC-32C trailer covers the payload after the header and
+  // is stored in host byte order, as the writer stores it.
+  const std::uint32_t crc = support::crc32(
+      std::span<const std::uint8_t>(blob).subspan(8, blob.size() - 12));
+  std::memcpy(blob.data() + blob.size() - 4, &crc, sizeof(crc));
   const auto r = core::SolverPlan::deserialize(blob, opt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);

@@ -475,18 +475,21 @@ TEST(SolveServiceScheduling, WeightedAgingLetsBackgroundWinEventually) {
   using service::QueueOptions;
   using service::RequestQueue;
   using service::SolveRequest;
+  // Every request is stamped `age` before one `now` captured per case:
+  // the selection rule reads submitted-at, so the ages are exact however
+  // the scheduler spaces the pushes.
   const auto request = [&](const core::SolverPlan& plan,
                            const std::vector<value_t>& rhs,
                            service::Priority p,
-                           std::chrono::milliseconds age =
-                               std::chrono::milliseconds(0)) {
+                           std::chrono::steady_clock::time_point now,
+                           std::chrono::milliseconds age) {
     SolveRequest r{plan,
                    rhs,
                    1,
                    p,
                    std::chrono::steady_clock::time_point::max(),
                    {},
-                   std::chrono::steady_clock::now() - age};
+                   now - age};
     return r;
   };
 
@@ -495,13 +498,18 @@ TEST(SolveServiceScheduling, WeightedAgingLetsBackgroundWinEventually) {
   {
     RequestQueue q(qo);
     // Aged background first, fresh high second. The age is BACKDATED into
-    // the submit timestamp instead of slept through: the selection rule
-    // reads submitted-at, so the test is instant and immune to scheduler
-    // jitter inflating (or deflating) a real sleep.
-    q.push(request(*plan_a, rhs_a, service::Priority::kBackground,
-                   std::chrono::milliseconds(60)));
-    q.push(request(*plan_b, rhs_b, service::Priority::kHigh));
-    // 60 ms * weight 1 far exceeds ~0 ms * weight 16: background wins.
+    // the submit timestamp instead of slept through: the test is instant
+    // and immune to scheduler jitter inflating (or deflating) a real
+    // sleep. The pop reads the clock itself, and every microsecond it
+    // comes after `now` counts 16x for high: high would win if the pop
+    // came more than age / 15 late, so the age is far beyond any
+    // scheduling delay (60 ms lost to a 4 ms preemption under load).
+    const auto now = std::chrono::steady_clock::now();
+    q.push(request(*plan_a, rhs_a, service::Priority::kBackground, now,
+                   std::chrono::milliseconds(60000)));
+    q.push(request(*plan_b, rhs_b, service::Priority::kHigh, now,
+                   std::chrono::milliseconds(0)));
+    // 60 s * weight 1 far exceeds ~0 ms * weight 16: background wins.
     PoppedDispatch d = q.pop_dispatch();
     ASSERT_EQ(d.groups.size(), 1u);
     EXPECT_EQ(d.groups[0].front().priority, service::Priority::kBackground);
@@ -509,9 +517,14 @@ TEST(SolveServiceScheduling, WeightedAgingLetsBackgroundWinEventually) {
   }
   {
     RequestQueue q(qo);
-    // Both fresh: high wins on weight.
-    q.push(request(*plan_a, rhs_a, service::Priority::kBackground));
-    q.push(request(*plan_b, rhs_b, service::Priority::kHigh));
+    // Both fresh, stamped from the same instant: high wins on weight. (A
+    // clock read per push would let a preemption between the pushes age
+    // background past high's 16x weight.)
+    const auto now = std::chrono::steady_clock::now();
+    q.push(request(*plan_a, rhs_a, service::Priority::kBackground, now,
+                   std::chrono::milliseconds(0)));
+    q.push(request(*plan_b, rhs_b, service::Priority::kHigh, now,
+                   std::chrono::milliseconds(0)));
     PoppedDispatch d = q.pop_dispatch();
     ASSERT_EQ(d.groups.size(), 1u);
     EXPECT_EQ(d.groups[0].front().priority, service::Priority::kHigh);
