@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -391,9 +392,12 @@ int write_batch_json() {
 // for the host kernels is the GB/s they move against the machine's own
 // streaming ceiling, not against the previous commit. Two parts:
 //
-//   1. stream_triad_gbps -- a STREAM-triad measurement (a = b + s*c over
-//      arrays far larger than cache, one pass per thread slice) at the
-//      same thread count the kernels run with: the bandwidth roof.
+//   1. stream_triad -- a STREAM-triad measurement (a = b + s*c over
+//      three 32 MB arrays, one slice per thread) at the same thread count
+//      the kernels run with, on threads started once: the bandwidth roof
+//      is the best of kTriadPasses timed passes, and the median is
+//      reported beside it to show how much the box wandered. On a host
+//      whose last-level cache holds the arrays, the roof is that cache's.
 //   2. Per-kernel achieved GB/s at 16 RHS from a LOWER-BOUND bytes-moved
 //      model (each structure/value/RHS byte counted once; re-fetches make
 //      real traffic higher, so the printed ceiling fraction is
@@ -429,33 +433,56 @@ int kernel_threads() {
   return static_cast<int>(std::min(4u, std::max(1u, hw)));
 }
 
-/// STREAM triad at `threads` workers: best-of-reps GB/s of a = b + s*c.
-double stream_triad_gbps(int threads) {
+struct TriadResult {
+  double best_gbps = 0.0;
+  double median_gbps = 0.0;
+};
+
+constexpr int kTriadPasses = 25;
+
+/// STREAM triad at `threads` workers: GB/s of a = b + s*c, best and median
+/// of kTriadPasses passes. The workers are started once and released into
+/// each pass through a barrier, so no pass pays for thread creation.
+TriadResult stream_triad(int threads) {
   constexpr std::size_t kN = 1u << 22;  // 4M doubles = 32 MB per array
   std::vector<double> a(kN, 0.0), b(kN, 1.0), c(kN, 2.0);
-  auto pass = [&](int reps_inner) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < reps_inner; ++rep) {
-      std::vector<std::thread> ts;
-      const std::size_t slice = kN / static_cast<std::size_t>(threads);
-      for (int t = 0; t < threads; ++t) {
-        const std::size_t lo = static_cast<std::size_t>(t) * slice;
-        const std::size_t hi = t + 1 == threads ? kN : lo + slice;
-        ts.emplace_back([&, lo, hi] {
-          for (std::size_t i = lo; i < hi; ++i) a[i] = b[i] + 3.0 * c[i];
-        });
-      }
-      for (auto& t : ts) t.join();
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
+  const std::size_t slice = kN / static_cast<std::size_t>(threads);
+  auto run_slice = [&](int t) {
+    const std::size_t lo = static_cast<std::size_t>(t) * slice;
+    const std::size_t hi = t + 1 == threads ? kN : lo + slice;
+    for (std::size_t i = lo; i < hi; ++i) a[i] = b[i] + 3.0 * c[i];
   };
-  pass(1);  // first touch + warm
-  double best_s = 1e300;
-  for (int rep = 0; rep < 5; ++rep) best_s = std::min(best_s, pass(1));
+  // Pass 0 (first touch + warm) is off the record. Each pass is timed on
+  // the calling thread (slice 0) from the release to the last finisher.
+  std::barrier sync(threads);
+  std::vector<std::thread> workers;
+  for (int t = 1; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int pass = 0; pass <= kTriadPasses; ++pass) {
+        sync.arrive_and_wait();
+        run_slice(t);
+        sync.arrive_and_wait();
+      }
+    });
+  }
+  std::vector<double> seconds;
+  for (int pass = 0; pass <= kTriadPasses; ++pass) {
+    sync.arrive_and_wait();
+    const auto t0 = std::chrono::steady_clock::now();
+    run_slice(0);
+    sync.arrive_and_wait();
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    if (pass > 0) seconds.push_back(s);
+  }
+  for (std::thread& w : workers) w.join();
+  std::sort(seconds.begin(), seconds.end());
   // 3 arrays x 8 bytes per element per pass (write-allocate traffic on
   // `a` is real but not counted -- STREAM convention).
-  return 3.0 * 8.0 * static_cast<double>(kN) / best_s / 1e9;
+  const double bytes = 3.0 * 8.0 * static_cast<double>(kN);
+  return {bytes / seconds.front() / 1e9,
+          bytes / seconds[seconds.size() / 2] / 1e9};
 }
 
 /// Lower-bound bytes one fused k-RHS solve must move: structure + values
@@ -490,9 +517,11 @@ int write_kernel_json() {
   const int threads = kernel_threads();
   const unsigned hw = std::thread::hardware_concurrency();
 
-  const double ceiling = stream_triad_gbps(threads);
-  std::printf("BENCH_kernel STREAM triad ceiling %.1f GB/s (%d threads)\n",
-              ceiling, threads);
+  const TriadResult triad = stream_triad(threads);
+  const double ceiling = triad.best_gbps;
+  std::printf("BENCH_kernel STREAM triad ceiling %.1f GB/s, median %.1f GB/s "
+              "(%d threads, %d passes)\n",
+              ceiling, triad.median_gbps, threads, kTriadPasses);
 
   // Achieved GB/s per kernel at 16 RHS.
   struct RooflineCase {
@@ -534,10 +563,13 @@ int write_kernel_json() {
                "  \"cpu_threads\": %d,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"stream_triad_gbps\": %.2f,\n"
+               "  \"stream_triad_median_gbps\": %.2f,\n"
+               "  \"stream_triad_passes\": %d,\n"
                "  \"bytes_model\": \"structure once + every rhs element once "
                "(lower bound)\",\n"
                "  \"roofline\": [\n",
-               l.rows, static_cast<long long>(l.nnz()), threads, hw, ceiling);
+               l.rows, static_cast<long long>(l.nnz()), threads, hw, ceiling,
+               triad.median_gbps, kTriadPasses);
   for (std::size_t i = 0; i < roofline.size(); ++i) {
     const RooflineCase& c = roofline[i];
     std::fprintf(f,
@@ -986,19 +1018,22 @@ int write_trace_json() {
 }
 
 // ---- BENCH_taskgraph.json --------------------------------------------------
-// Gate on the tentpole's payoff (ISSUE 10 acceptance): on a chain-heavy
-// structure -- long width-1 chains feeding wide fans, the regime the
-// coarsener exists for -- the cpu-taskgraph backend must beat the flat
-// level schedule by >= 15% per rhs at 16 rhs, minus the machine's own
-// measured same-code noise. Both backends run the identical fused
-// batch kernel underneath; the entire difference is schedule
-// overhead (one gang barrier per level vs one claim per coarsened task),
-// so the result must ALSO be bit-identical, and that is asserted before a
-// single sample is timed.
+// Gate on the coarsener's payoff: on a chain-heavy structure -- long
+// width-1 chains feeding wide fans, the regime the coarsener exists for --
+// the cpu-taskgraph backend must beat the flat level schedule by >= 15%
+// per rhs at 16 rhs, on the paired median. The bound is fixed: the
+// same-code noise is measured and reported, but never subtracted, so a
+// noisy box cannot let a slower task graph pass. Both backends run the
+// identical fused batch kernel underneath; the entire difference is
+// schedule overhead (one gang barrier per level vs one claim per
+// coarsened task), so the result must ALSO be bit-identical, and that is
+// asserted before a single sample is timed.
 //
 // The gate arms only on >= 4 hardware threads: below that the flat
 // schedule pays almost no barrier tax and the comparison is reported as
 // informational.
+
+constexpr double kTaskGraphMinSpeedup = 1.15;
 
 int write_taskgraph_json() {
   const char* path_env = std::getenv("MSPTRSV_BENCH_TASKGRAPH_JSON");
@@ -1064,10 +1099,9 @@ int write_taskgraph_json() {
       [&] { return sample_us(flat); }, [&] { return sample_us(graph); },
       kRounds);
   // ratio = taskgraph / flat-levels (median paired); speedup is its
-  // inverse. Gate: speedup >= 1.15 minus the same-code noise floor.
+  // inverse. Gate: speedup >= 1.15, whatever the noise.
   const double speedup = 1.0 / study.ratio;
-  const double required = 1.15 - study.noise_pct / 100.0;
-  const bool gate_ok = !gate_armed || speedup >= required;
+  const bool gate_ok = !gate_armed || speedup >= kTaskGraphMinSpeedup;
 
   const sparse::TaskGraph* tg = graph.task_graph();
   const core::TunedDecision* tuned = graph.tuned();
@@ -1088,7 +1122,7 @@ int write_taskgraph_json() {
       "  \"matrix\": {\"rows\": %d, \"nnz\": %lld, \"levels\": %d},\n"
       "  \"num_rhs\": %d,\n  \"cpu_threads\": %u,\n"
       "  \"gate_armed\": %s,\n"
-      "  \"gate\": \"speedup >= 1.15 - measured noise (>= 4 hw threads)\",\n"
+      "  \"gate\": \"paired-median speedup >= 1.15 (>= 4 hw threads)\",\n"
       "  \"bitwise_equal\": true,\n"
       "  \"task_graph\": {\"num_tasks\": %d, \"levels_fused\": %d,\n"
       "    \"narrow_width\": %d, \"block_rows\": %d},\n"
@@ -1111,8 +1145,8 @@ int write_taskgraph_json() {
   if (!gate_ok) {
     std::fprintf(stderr,
                  "taskgraph speedup gate FAILED: coarsened schedule is not "
-                 ">= 1.15x - noise over flat levels on the chain-heavy "
-                 "instance (see above)\n");
+                 ">= 1.15x over flat levels on the chain-heavy instance "
+                 "(see above)\n");
     return 4;
   }
   return 0;

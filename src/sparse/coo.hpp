@@ -17,6 +17,8 @@ struct Triplet {
 
 /// Unordered triplet list with explicit dimensions. Duplicates are allowed
 /// until normalize() combines them (by summation, the Matrix Market rule).
+/// Repeats of one (row, col) are summed left to right in insertion order,
+/// so three or more of them give the same bits on every platform.
 struct CooMatrix {
   index_t rows = 0;
   index_t cols = 0;
@@ -26,7 +28,10 @@ struct CooMatrix {
 
   void add(index_t r, index_t c, value_t v) { entries.push_back({r, c, v}); }
 
-  /// Sorts column-major (col, then row) and sums duplicates in place.
+  /// Sorts column-major (col, then row) and sums duplicates in place, in
+  /// insertion order. Two stable counting passes: O(nnz + rows + cols)
+  /// time and one nnz-sized scratch array; an input already strictly
+  /// column-major returns after one scan.
   void normalize();
 
   /// Throws PreconditionError if any index is out of range.

@@ -25,15 +25,21 @@ void CscMatrix::validate() const {
   MSPTRSV_ENSURE(col_ptr.front() == 0, "col_ptr must start at 0");
   MSPTRSV_ENSURE(col_ptr.back() == nnz(), "col_ptr must end at nnz");
   MSPTRSV_ENSURE(row_idx.size() == val.size(), "row_idx/val size mismatch");
+  // Monotone pointers first, so no column range reaches past nnz.
   for (index_t j = 0; j < cols; ++j) {
     MSPTRSV_ENSURE(col_ptr[j] <= col_ptr[j + 1], "col_ptr must be monotone");
+  }
+  const index_t* idx = row_idx.data();
+  for (index_t j = 0; j < cols; ++j) {
+    index_t prev = -1;  // rows rise strictly from 0 and stay below `rows`
     for (offset_t k = col_ptr[j]; k < col_ptr[j + 1]; ++k) {
-      MSPTRSV_ENSURE(row_idx[k] >= 0 && row_idx[k] < rows,
-                     "row index out of range");
-      if (k > col_ptr[j]) {
-        MSPTRSV_ENSURE(row_idx[k - 1] < row_idx[k],
+      const index_t r = idx[k];
+      if (r <= prev || r >= rows) {  // cold: name the violation
+        MSPTRSV_ENSURE(r >= 0 && r < rows, "row index out of range");
+        MSPTRSV_ENSURE(r > prev,
                        "rows must be sorted and unique within a column");
       }
+      prev = r;
     }
   }
 }

@@ -29,9 +29,13 @@ struct CsrMatrix {
   void validate() const;
 };
 
-/// Format conversions (structure-preserving, deterministic).
+/// Format conversions (structure-preserving, deterministic), each one
+/// counting scatter: O(nnz + rows + cols). csc_from_csr reuses the arrays
+/// of an rvalue argument.
 CsrMatrix csr_from_csc(const CscMatrix& m);
-CscMatrix csc_from_csr(const CsrMatrix& m);
+CscMatrix csc_from_csr(CsrMatrix m);
+/// Normalizes (duplicates summed in insertion order, see CooMatrix), then
+/// scatters by row.
 CsrMatrix csr_from_coo(CooMatrix coo);
 
 }  // namespace msptrsv::sparse

@@ -1,6 +1,7 @@
 #include "sparse/factorization.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sparse/triangular.hpp"
@@ -69,19 +70,29 @@ IluResult ilu0(const CsrMatrix& a, value_t pivot_floor) {
     if (std::abs(piv) < pivot_floor) piv = piv < 0 ? -pivot_floor : pivot_floor;
   }
 
-  // Split into unit-lower L and upper U.
-  CooMatrix lo, up;
-  lo.rows = lo.cols = f.rows;
-  up.rows = up.cols = f.rows;
-  for (index_t i = 0; i < f.rows; ++i) {
-    lo.add(i, i, 1.0);
-    for (offset_t k = f.row_ptr[i]; k < f.row_ptr[i + 1]; ++k) {
-      const index_t j = f.col_idx[k];
-      if (j < i) lo.add(i, j, f.val[k]);
-      else up.add(i, j, f.val[k]);
-    }
+  // Split into unit-lower L and upper U, row by row in CSR form: row i of
+  // f holds L's row i left of its diagonal and U's row i from it on. One
+  // counting scatter then turns each into CSC.
+  const index_t n = f.rows;
+  CsrMatrix lo, up;
+  lo.rows = lo.cols = up.rows = up.cols = n;
+  lo.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  up.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  auto append = [&f](CsrMatrix& m, offset_t from, offset_t to) {
+    m.col_idx.insert(m.col_idx.end(), f.col_idx.begin() + from,
+                     f.col_idx.begin() + to);
+    m.val.insert(m.val.end(), f.val.begin() + from, f.val.begin() + to);
+  };
+  for (index_t i = 0; i < n; ++i) {
+    const offset_t d = diag[static_cast<std::size_t>(i)];
+    append(lo, f.row_ptr[i], d);
+    lo.col_idx.push_back(i);
+    lo.val.push_back(1.0);
+    append(up, d, f.row_ptr[i + 1]);
+    lo.row_ptr[i + 1] = lo.nnz();
+    up.row_ptr[i + 1] = up.nnz();
   }
-  IluResult out{csc_from_coo(std::move(lo)), csc_from_coo(std::move(up))};
+  IluResult out{csc_from_csr(std::move(lo)), csc_from_csr(std::move(up))};
   require_solvable_lower(out.lower);
   return out;
 }
@@ -91,68 +102,69 @@ CscMatrix ic0(const CsrMatrix& a, value_t pivot_floor) {
   a.validate();
   MSPTRSV_REQUIRE(pivot_floor > 0.0, "pivot_floor must be positive");
 
-  // Work on the lower-triangular pattern row by row:
+  // Build L row by row in flat CSR arrays: row i holds the strictly lower
+  // pattern of row i of A (columns ascending), then its diagonal.
   //   L(i,j) = (A(i,j) - sum_k L(i,k) L(j,k)) / L(j,j),  k < j on pattern
   //   L(i,i) = sqrt(A(i,i) - sum_k L(i,k)^2)
   const index_t n = a.rows;
-  std::vector<std::vector<index_t>> cols(static_cast<std::size_t>(n));
-  std::vector<std::vector<value_t>> vals(static_cast<std::size_t>(n));
+  CsrMatrix l;
+  l.rows = l.cols = n;
+  l.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (index_t i = 0; i < n; ++i) {
+    offset_t below = 0;
+    for (offset_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+      if (a.col_idx[k] < i) ++below;
+    }
+    l.row_ptr[i + 1] = l.row_ptr[i] + below + 1;
+  }
+  l.col_idx.resize(static_cast<std::size_t>(l.row_ptr[n]));
+  l.val.resize(static_cast<std::size_t>(l.row_ptr[n]));
 
-  // Dense scatter of row j of L for the dot products.
+  // Dense scatter of row i of L for the dot products.
   std::vector<value_t> dense(static_cast<std::size_t>(n), 0.0);
 
   for (index_t i = 0; i < n; ++i) {
-    auto& ci = cols[static_cast<std::size_t>(i)];
-    auto& vi = vals[static_cast<std::size_t>(i)];
+    const offset_t begin = l.row_ptr[i];
+    const offset_t diag = l.row_ptr[i + 1] - 1;
     value_t aii = 0.0;
-    // Gather the lower-triangular pattern of row i of A.
+    offset_t p = begin;
     for (offset_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
       const index_t j = a.col_idx[k];
       if (j < i) {
-        ci.push_back(j);
-        vi.push_back(a.val[k]);
+        l.col_idx[p] = j;
+        l.val[p++] = a.val[k];
       } else if (j == i) {
         aii = a.val[k];
       }
     }
-    // Scatter row i (accumulating) and run the eliminations in column order
-    // (a.col_idx is sorted, so ci is sorted).
-    for (std::size_t t = 0; t < ci.size(); ++t) {
-      const index_t j = ci[t];
-      // dot(L_i, L_j) over the pattern of row j (columns < j).
-      const auto& cj = cols[static_cast<std::size_t>(j)];
-      const auto& vj = vals[static_cast<std::size_t>(j)];
-      value_t sum = vi[t];
-      // dense[] currently holds row i entries for columns < j.
-      for (std::size_t s = 0; s + 1 < cj.size() + 1 && s < cj.size(); ++s) {
-        if (cj[s] < j) sum -= dense[static_cast<std::size_t>(cj[s])] * vj[s];
+    // Run the eliminations in ascending column order.
+    for (offset_t t = begin; t < diag; ++t) {
+      const index_t j = l.col_idx[t];
+      const offset_t jdiag = l.row_ptr[j + 1] - 1;
+      // dot(L_i, L_j) over the off-diagonal pattern of row j; dense[]
+      // currently holds row i's entries for columns < j.
+      value_t sum = l.val[t];
+      for (offset_t s = l.row_ptr[j]; s < jdiag; ++s) {
+        sum -= dense[static_cast<std::size_t>(l.col_idx[s])] * l.val[s];
       }
-      const value_t ljj = vj.empty() ? pivot_floor : vj.back();  // diag is last
-      value_t lij = sum / (std::abs(ljj) < pivot_floor ? pivot_floor : ljj);
-      vi[t] = lij;
+      const value_t ljj = l.val[jdiag];
+      const value_t lij =
+          sum / (std::abs(ljj) < pivot_floor ? pivot_floor : ljj);
+      l.val[t] = lij;
       dense[static_cast<std::size_t>(j)] = lij;
     }
     // Diagonal.
     value_t d = aii;
-    for (value_t v : vi) d -= v * v;
-    d = d > pivot_floor ? std::sqrt(d) : std::sqrt(pivot_floor);
-    ci.push_back(i);
-    vi.push_back(d);
+    for (offset_t t = begin; t < diag; ++t) d -= l.val[t] * l.val[t];
+    l.col_idx[diag] = i;
+    l.val[diag] = d > pivot_floor ? std::sqrt(d) : std::sqrt(pivot_floor);
     // Clear scatter.
-    for (std::size_t t = 0; t + 1 < ci.size(); ++t) {
-      dense[static_cast<std::size_t>(ci[t])] = 0.0;
+    for (offset_t t = begin; t < diag; ++t) {
+      dense[static_cast<std::size_t>(l.col_idx[t])] = 0.0;
     }
   }
 
-  CooMatrix coo;
-  coo.rows = coo.cols = n;
-  for (index_t i = 0; i < n; ++i) {
-    for (std::size_t t = 0; t < cols[static_cast<std::size_t>(i)].size(); ++t) {
-      coo.add(i, cols[static_cast<std::size_t>(i)][t],
-              vals[static_cast<std::size_t>(i)][t]);
-    }
-  }
-  CscMatrix out = csc_from_coo(std::move(coo));
+  CscMatrix out = csc_from_csr(std::move(l));
   require_solvable_lower(out);
   return out;
 }
@@ -168,8 +180,7 @@ CscMatrix lower_factor_of(const CscMatrix& a) {
   for (index_t j = 0; j < a.cols; ++j) {
     if (!has_diag[static_cast<std::size_t>(j)]) coo.add(j, j, 1.0);
   }
-  const CsrMatrix csr = csr_from_csc(csc_from_coo(std::move(coo)));
-  IluResult f = ilu0(csr);
+  IluResult f = ilu0(csr_from_coo(std::move(coo)));
   return std::move(f.lower);
 }
 

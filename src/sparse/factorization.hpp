@@ -5,6 +5,12 @@
 // nonsingular factorization with a realistic dependency structure exercises
 // the same solver code paths, so we provide ILU(0) (general, no fill) and
 // IC(0) (SPD) plus a convenience that produces a ready-to-solve L.
+//
+// Cost: beyond the elimination arithmetic on the pattern, building the
+// factors is O(nnz + n). They are computed row by row in flat CSR arrays
+// and turned into CSC by one counting scatter each -- no COO, no sort.
+// The input is CSR, so repeated entries were already summed when it was
+// assembled (in insertion order; see CooMatrix::normalize).
 #pragma once
 
 #include "sparse/csc.hpp"

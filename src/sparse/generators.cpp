@@ -86,7 +86,8 @@ CscMatrix gen_random_lower(index_t n, double avg_row_degree,
   Xoshiro256 rng(seed);
   CooMatrix coo;
   coo.rows = coo.cols = n;
-  std::unordered_set<index_t> picked;
+  // picked_by[j] == i marks column j as already drawn for row i.
+  std::vector<index_t> picked_by(static_cast<std::size_t>(n), -1);
   for (index_t i = 0; i < n; ++i) {
     coo.add(i, i, 0.0);
     if (i == 0) continue;
@@ -95,11 +96,14 @@ CscMatrix gen_random_lower(index_t n, double avg_row_degree,
     const double want = avg_row_degree * rng.uniform_real(0.5, 1.5);
     const index_t degree =
         std::min<index_t>(i, static_cast<index_t>(std::llround(want)));
-    picked.clear();
-    while (static_cast<index_t>(picked.size()) < degree) {
-      picked.insert(static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(i))));
+    for (index_t picked = 0; picked < degree;) {
+      const auto j =
+          static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(i)));
+      if (picked_by[static_cast<std::size_t>(j)] == i) continue;
+      picked_by[static_cast<std::size_t>(j)] = i;
+      coo.add(i, j, 0.0);
+      ++picked;
     }
-    for (index_t j : picked) coo.add(i, j, 0.0);
   }
   return finalize_structure(std::move(coo), seed);
 }
@@ -134,7 +138,6 @@ CscMatrix gen_layered_dag(index_t n, index_t num_levels, offset_t target_nnz,
 
   CooMatrix coo;
   coo.rows = coo.cols = n;
-  std::unordered_set<index_t> picked;
 
   auto pick_predecessor = [&](index_t lo, index_t hi, double rel) -> index_t {
     // Chooses from [lo, hi); with probability `locality`, clustered around
@@ -158,7 +161,11 @@ CscMatrix gen_layered_dag(index_t n, index_t num_levels, offset_t target_nnz,
                     rng.next_below(static_cast<std::uint64_t>(span)));
   };
 
-  std::vector<std::pair<index_t, index_t>> edges;  // (consumer, producer)
+  // (consumer, producer). Their order is free: the relabeling below pops
+  // by (priority, id), and the COO is sorted when it is finalized.
+  std::vector<std::pair<index_t, index_t>> edges;
+  // picked_by[j] == i marks producer j as already taken by consumer i.
+  std::vector<index_t> picked_by(static_cast<std::size_t>(n), -1);
   for (index_t l = 0; l < num_levels; ++l) {
     const index_t lv_begin = bounds[static_cast<std::size_t>(l)];
     const index_t lv_end = bounds[static_cast<std::size_t>(l) + 1];
@@ -169,10 +176,16 @@ CscMatrix gen_layered_dag(index_t n, index_t num_levels, offset_t target_nnz,
               ? static_cast<double>(i - lv_begin) /
                     static_cast<double>(lv_end - lv_begin - 1)
               : 0.5;
-      picked.clear();
+      index_t picked = 0;
+      auto pick = [&](index_t j) {
+        if (picked_by[static_cast<std::size_t>(j)] == i) return;
+        picked_by[static_cast<std::size_t>(j)] = i;
+        edges.emplace_back(i, j);
+        ++picked;
+      };
       // Mandatory predecessor from level l-1 pins the level of i.
       const index_t prev_begin = bounds[static_cast<std::size_t>(l) - 1];
-      picked.insert(pick_predecessor(prev_begin, lv_begin, rel));
+      pick(pick_predecessor(prev_begin, lv_begin, rel));
       // Extra predecessors from strictly earlier LEVELS (an extra inside
       // level l would push i past its target level). Local draws come from
       // a window of recent levels (short dependency spans, banded/mesh
@@ -184,16 +197,14 @@ CscMatrix gen_layered_dag(index_t n, index_t num_levels, offset_t target_nnz,
       index_t extras = static_cast<index_t>(std::llround(want));
       extras = std::min<index_t>(extras, lv_begin - 1);
       int attempts = 0;
-      while (static_cast<index_t>(picked.size()) < extras + 1 &&
-             attempts < 4 * (extras + 1)) {
+      while (picked < extras + 1 && attempts < 4 * (extras + 1)) {
         if (rng.bernoulli(locality) && recent_lo < lv_begin) {
-          picked.insert(pick_predecessor(recent_lo, lv_begin, rel));
+          pick(pick_predecessor(recent_lo, lv_begin, rel));
         } else {
-          picked.insert(pick_predecessor(0, lv_begin, rel));
+          pick(pick_predecessor(0, lv_begin, rel));
         }
         ++attempts;
       }
-      for (index_t j : picked) edges.emplace_back(i, j);
     }
   }
 

@@ -13,8 +13,11 @@
 
 namespace msptrsv::sparse {
 
-/// Parses a Matrix Market stream into COO. Throws PreconditionError on
-/// malformed input with a line-numbered message.
+/// Parses a Matrix Market stream into COO, entries in file order (a
+/// symmetric entry's mirror right after it). Throws PreconditionError on
+/// malformed input with a line-numbered message. Repeated coordinates are
+/// kept; CooMatrix::normalize (and every conversion) sums them in file
+/// order, the format's own rule.
 CooMatrix read_matrix_market(std::istream& in);
 
 /// Convenience: read a file from disk (throws if it cannot be opened).

@@ -2,6 +2,7 @@
 // conversions, transpose, SpMV.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,37 @@ TEST(Coo, NormalizeSortsAndSumsDuplicates) {
   ASSERT_EQ(coo.entries.size(), 2u);
   EXPECT_EQ(coo.entries[0].row, 0);
   EXPECT_DOUBLE_EQ(coo.entries[1].value, 4.0);
+}
+
+TEST(Coo, DuplicatesSumInInsertionOrder) {
+  // Floating-point addition is not associative: 1e16 + -1e16 + 1 is 1, but
+  // 1 + -1e16 + 1e16 is 0. Repeats must sum in the order they were added,
+  // wherever they sit among other entries (a comparison sort that is not
+  // stable reorders them once the input is large enough to partition).
+  struct Case {
+    std::array<value_t, 3> repeats;
+    value_t want;
+  };
+  for (const Case& c : {Case{{1e16, -1e16, 1.0}, 1.0},
+                        Case{{1.0, -1e16, 1e16}, 0.0}}) {
+    CooMatrix coo;
+    coo.rows = coo.cols = 32;
+    for (index_t k = 0; k < 32 * 32; ++k) {
+      if (k % 400 == 0) {  // k = 0, 400, 800
+        coo.add(1, 0, c.repeats[static_cast<std::size_t>(k / 400)]);
+      }
+      const index_t row = (k * 7) % 32, col = (k * 13 / 32 + k) % 32;
+      if (row != 1 || col != 0) coo.add(row, col, 1.0 + k);
+    }
+    const CscMatrix csc = csc_from_coo(coo);
+    ASSERT_EQ(csc.row_idx[1], 1);
+    EXPECT_EQ(csc.val[1], c.want);
+    const CsrMatrix csr = csr_from_coo(coo);
+    ASSERT_EQ(csr.col_idx[csr.row_ptr[1]], 0);
+    EXPECT_EQ(csr.val[csr.row_ptr[1]], c.want);
+    coo.normalize();
+    EXPECT_EQ(coo.entries[1].value, c.want);
+  }
 }
 
 TEST(Coo, ValidateRejectsOutOfRange) {
@@ -135,6 +167,26 @@ TEST(Csr, ValidateCatchesUnsortedColumns) {
   r.row_ptr = {0, 2, 2};
   r.col_idx = {1, 0};  // unsorted within row 0
   r.val = {1.0, 2.0};
+  EXPECT_THROW(r.validate(), support::InvariantError);
+}
+
+TEST(Formats, ValidateRejectsPointersPastNnzBeforeReadingIndices) {
+  // The first range ends past nnz (only the next pointer breaks
+  // monotonicity): the pointers must be rejected before any index of that
+  // range is read, or validation itself reads out of bounds.
+  CscMatrix c;
+  c.rows = 10;
+  c.cols = 2;
+  c.col_ptr = {0, 5, 3};
+  c.row_idx = {0, 1, 2};
+  c.val = {1.0, 1.0, 1.0};
+  EXPECT_THROW(c.validate(), support::InvariantError);
+  CsrMatrix r;
+  r.rows = 2;
+  r.cols = 10;
+  r.row_ptr = {0, 5, 3};
+  r.col_idx = {0, 1, 2};
+  r.val = {1.0, 1.0, 1.0};
   EXPECT_THROW(r.validate(), support::InvariantError);
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "sparse/generators.hpp"
 #include "sparse/mmio.hpp"
@@ -47,6 +49,23 @@ TEST(Mmio, ExpandsSkewSymmetricWithNegation) {
   // normalize() sorts column-major: (1,0) in column 0 precedes (0,1).
   EXPECT_DOUBLE_EQ(coo.entries[0].value, 4.0);   // (1,0)
   EXPECT_DOUBLE_EQ(coo.entries[1].value, -4.0);  // (0,1)
+}
+
+TEST(Mmio, DuplicateEntriesSumInFileOrder) {
+  // Repeated coordinates are summed in file order: 1e16 - 1e16 + 1 is 1,
+  // while 1 - 1e16 + 1e16 is 0 (the 1 is absorbed before it can count).
+  for (const auto& [entries, want] :
+       {std::pair{"2 1 1e16\n1 1 3.0\n2 1 -1e16\n2 1 1.0\n", 1.0},
+        std::pair{"2 1 1.0\n1 1 3.0\n2 1 -1e16\n2 1 1e16\n", 0.0}}) {
+    std::istringstream in(
+        std::string("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 4\n") +
+        entries);
+    const CscMatrix m = csc_from_coo(read_matrix_market(in));
+    ASSERT_EQ(m.nnz(), 2);
+    EXPECT_EQ(m.row_idx[1], 1);
+    EXPECT_EQ(m.val[1], want);
+  }
 }
 
 TEST(Mmio, PatternEntriesDefaultToOne) {
