@@ -61,8 +61,10 @@ namespace msptrsv::core {
 /// `rows` (built in serial_row_order), each row gathered in its stored
 /// order from zero -- the same per-row arithmetic as every parallel
 /// kernel below, so serial, cpu-levelset, cpu-syncfree and cpu-taskgraph
-/// agree bit for bit. A batch runs in column blocks of up to four rhs,
-/// one sweep per block with register accumulators. `b`/`x` are
+/// agree bit for bit. It is also every simulated plan's numeric kernel,
+/// run over the plan's replay form (rows and entries in the simulated
+/// push order; row_form.hpp). A batch runs in column blocks of up to
+/// four rhs, one sweep per block with register accumulators. `b`/`x` are
 /// column-major n x num_rhs in the row form's (caller) numbering.
 /// `cancel` (may be null) is checked every few thousand rows; returns
 /// false -- `x` partially written -- when it fires.

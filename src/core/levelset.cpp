@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/reference.hpp"
 #include "support/contracts.hpp"
 
 namespace msptrsv::core {
@@ -15,47 +14,17 @@ sim_time_t levelset_analysis_us(const sparse::CscMatrix& lower,
   return 3.0 * cost.indegree_per_nnz_us * static_cast<double>(lower.nnz());
 }
 
-LevelSetResult solve_levelset_simulated(const sparse::CscMatrix& lower,
-                                        std::span<const value_t> b,
-                                        const sim::Machine& machine) {
-  const sparse::LevelAnalysis analysis = sparse::analyze_levels(lower);
-  return solve_levelset_simulated(lower, b, machine, analysis,
-                                  /*charge_analysis=*/true);
-}
-
-LevelSetResult solve_levelset_simulated(const sparse::CscMatrix& lower,
-                                        std::span<const value_t> b,
-                                        const sim::Machine& machine,
-                                        const sparse::LevelAnalysis& analysis,
-                                        bool charge_analysis) {
-  LevelSetResult out =
-      solve_levelset_simulated_batch(lower, b, 1, machine, analysis);
-  if (charge_analysis) {
-    out.report.analysis_us = levelset_analysis_us(lower, machine.cost);
-  }
-  return out;
-}
-
-LevelSetResult solve_levelset_simulated_batch(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    index_t num_rhs, const sim::Machine& machine,
-    const sparse::LevelAnalysis& analysis) {
+sim::RunReport simulate_levelset(const sparse::CscMatrix& lower,
+                                 const sparse::LevelAnalysis& analysis,
+                                 const sim::Machine& machine,
+                                 index_t num_rhs) {
   MSPTRSV_REQUIRE(analysis.n == lower.rows,
                   "level analysis belongs to a different matrix");
-  MSPTRSV_REQUIRE(num_rhs >= 1 &&
-                      b.size() == static_cast<std::size_t>(lower.rows) *
-                                      static_cast<std::size_t>(num_rhs),
-                  "batch must be column-major n x num_rhs");
+  MSPTRSV_REQUIRE(num_rhs >= 1, "batch width must be >= 1");
   const sim::CostModel& cost = machine.cost;
   const double k = static_cast<double>(num_rhs);
 
-  LevelSetResult out;
-  // Numerics: the level order is a topological order, so the plain column
-  // sweep produces the identical values the scheduled kernel would (per
-  // rhs, in the same operation order as a single-rhs solve).
-  out.x = solve_lower_serial_fused(lower, b, num_rhs);
-
-  sim::RunReport& r = out.report;
+  sim::RunReport r;
   r.solver_name = "levelset(csrsv2)";
   r.machine_name = machine.name;
   r.num_gpus = 1;
@@ -87,7 +56,7 @@ LevelSetResult solve_levelset_simulated_batch(
   }
   // Update messages are per edge per batch (each carries the RHS sweep).
   r.local_updates = static_cast<std::uint64_t>(lower.nnz() - lower.rows);
-  return out;
+  return r;
 }
 
 }  // namespace msptrsv::core

@@ -1,10 +1,12 @@
 // Simulated single-GPU level-set solver -- the cuSPARSE csrsv2() stand-in
 // the paper's Fig. 10 normalizes against (Naumov's level-scheduling: one
 // kernel + device synchronization per level).
+//
+// This is the cost model only. A gpu-levelset SolverPlan's x is the
+// natural-order column sweep's (Algorithm 1): the plan runs the serial
+// pull kernel over a row form whose entries ascend by column, which adds
+// every row's terms in the order that sweep pushes them.
 #pragma once
-
-#include <span>
-#include <vector>
 
 #include "sim/machine.hpp"
 #include "sim/report.hpp"
@@ -13,49 +15,27 @@
 
 namespace msptrsv::core {
 
-struct LevelSetResult {
-  std::vector<value_t> x;
-  sim::RunReport report;
-};
-
-/// Executes the level-set schedule numerically (producing x) while costing
-/// it on one simulated GPU of `machine`:
+/// The simulated cost of one fused level-set solve of `num_rhs` right-hand
+/// sides on one GPU of `machine`, against a precomputed level analysis
+/// (the csrsv2 analyze/solve split):
 ///   solve time = sum over levels of
 ///     [per-level kernel-launch+sync overhead +
 ///      level work spread over the GPU's warp slots]
-/// and analysis time = the level-set dependency-graph construction
-/// (substantially more expensive than the sync-free in-degree count, one of
-/// the paper's motivations for sync-free execution).
-LevelSetResult solve_levelset_simulated(const sparse::CscMatrix& lower,
-                                        std::span<const value_t> b,
-                                        const sim::Machine& machine);
-
-/// Reuse form: executes against a precomputed level analysis (the csrsv2
-/// analyze/solve split). No revalidation; the analysis phase is charged to
-/// the report only when `charge_analysis` is set -- SolverPlan charges it
-/// once at analyze() time instead.
-LevelSetResult solve_levelset_simulated(const sparse::CscMatrix& lower,
-                                        std::span<const value_t> b,
-                                        const sim::Machine& machine,
-                                        const sparse::LevelAnalysis& analysis,
-                                        bool charge_analysis);
-
-/// Fused multi-RHS form: all `num_rhs` right-hand sides (`b` column-major
-/// n x num_rhs) ride in ONE kernel per level, so the per-level
-/// launch+synchronization overhead is paid once per level per batch -- not
-/// once per level per rhs -- and only the floating-point work scales with
-/// the batch. Dependency-update counts are likewise per-edge, not
+/// All rhs ride in ONE kernel per level, so the per-level launch +
+/// synchronization overhead is paid once per level per batch -- not once
+/// per level per rhs -- and only the floating-point work scales with the
+/// batch. Dependency-update counts are likewise per-edge, not
 /// per-edge-per-rhs (one update message carries the whole RHS sweep).
-/// Numerics execute per rhs in the serial topological order, so the fused
-/// result is bit-for-bit the looped result. No revalidation; analysis is
-/// never charged here (the plan owns the one-time charge).
-LevelSetResult solve_levelset_simulated_batch(
-    const sparse::CscMatrix& lower, std::span<const value_t> b,
-    index_t num_rhs, const sim::Machine& machine,
-    const sparse::LevelAnalysis& analysis);
+/// The analysis phase is never charged here (the plan owns the one-time
+/// charge, levelset_analysis_us).
+sim::RunReport simulate_levelset(const sparse::CscMatrix& lower,
+                                 const sparse::LevelAnalysis& analysis,
+                                 const sim::Machine& machine, index_t num_rhs);
 
 /// Simulated cost of the csrsv2_analysis-style level construction (several
-/// passes over the structure; see the implementation note).
+/// passes over the structure; see the implementation note) -- substantially
+/// more expensive than the sync-free in-degree count, one of the paper's
+/// motivations for sync-free execution.
 sim_time_t levelset_analysis_us(const sparse::CscMatrix& lower,
                                 const sim::CostModel& cost);
 

@@ -38,43 +38,6 @@ struct Event {
   }
 };
 
-/// replay_mg_numerics at batch width `kWidth`, or at `num_rhs` when
-/// `kWidth` is 0. One body, also compiled with the one-rhs width as a
-/// constant: a runtime rhs loop around each fan-out update costs the
-/// one-rhs replay more than its arithmetic.
-template <std::size_t kWidth>
-void replay_in_order(const sparse::CscMatrix& lower,
-                     std::span<const index_t> order,
-                     std::span<const value_t> b, std::size_t num_rhs,
-                     std::span<value_t> x) {
-  const std::size_t k = kWidth != 0 ? kWidth : num_rhs;
-  const std::size_t un = order.size();
-  // Component-major accumulators (cell(i, r) at i*k + r) keep the fused
-  // per-component RHS sweep contiguous; x is column-major per the API.
-  std::vector<value_t> left_sum(un * k, 0.0);
-  std::vector<value_t> xi(k);  // the solved component's rhs sweep
-  for (const index_t i : order) {
-    // Algorithm 1's step, per rhs. The sweep lands in a contiguous buffer
-    // so the fan-out below reads it unit-stride instead of re-reading
-    // column-major x.
-    const offset_t d = lower.col_ptr[i];
-    const value_t diag = lower.val[d];
-    for (std::size_t r = 0; r < k; ++r) {
-      xi[r] = (b[r * un + static_cast<std::size_t>(i)] -
-               left_sum[static_cast<std::size_t>(i) * k + r]) /
-              diag;
-      x[r * un + static_cast<std::size_t>(i)] = xi[r];
-    }
-    for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
-      value_t* dep_sum =
-          left_sum.data() + static_cast<std::size_t>(lower.row_idx[e]) * k;
-      for (std::size_t r = 0; r < k; ++r) {
-        dep_sum[r] += lower.val[e] * xi[r];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 sim_time_t engine_analysis_us(const sparse::CscMatrix& lower,
@@ -282,23 +245,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
   rep.link_bytes = net.total_bytes();
   rep.link_messages = net.total_messages();
   return out;
-}
-
-void replay_mg_numerics(const sparse::CscMatrix& lower,
-                        std::span<const index_t> order,
-                        std::span<const value_t> b, index_t num_rhs,
-                        std::span<value_t> x) {
-  MSPTRSV_REQUIRE(num_rhs >= 1, "batch width must be >= 1");
-  const std::size_t un = static_cast<std::size_t>(lower.rows);
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  MSPTRSV_REQUIRE(order.size() == un, "replay order must list n components");
-  MSPTRSV_REQUIRE(b.size() == un * k && x.size() == un * k,
-                  "batch must be column-major n x num_rhs");
-  if (k == 1) {
-    replay_in_order<1>(lower, order, b, k, x);
-  } else {
-    replay_in_order<0>(lower, order, b, k, x);
-  }
 }
 
 }  // namespace msptrsv::core

@@ -18,10 +18,15 @@
 //  - solving costs solve_base + solve_per_nnz * nnz(column).
 // Its schedule is a pure function of the factor's structure, the
 // partition, the machine and the cost width -- never of b or the factor's
-// values -- so it returns the order in which it solved the components,
-// and replay_mg_numerics executes the numerics for real in that order.
-// A SolverPlan simulates its one-rhs schedule once and replays it on
-// every solve.
+// values -- so it returns the order in which it solved the components.
+// Each component computes x_i = (b_i - left_sum_i) / diag and then pushes
+// val * x_i into its dependents' left sums, so a row's left sum adds its
+// terms in the order the schedule solved their columns. A SolverPlan
+// simulates its one-rhs schedule once, stores the factor as a row form in
+// that order with each row's entries in that push order
+// (EntryOrder::kSolveOrder, row_form.hpp), and replays the numerics on
+// every solve through the serial pull kernel: a pull that gathers a row's
+// terms in the order they were pushed gives the push's bits.
 #pragma once
 
 #include <span>
@@ -97,7 +102,8 @@ struct EngineOptions {
 struct EngineResult {
   sim::RunReport report;
   /// The n components in the order the engine solved them: a topological
-  /// order of the factor, the one replay_mg_numerics visits.
+  /// order of the factor, and the order every component pushes its
+  /// updates in.
   std::vector<index_t> order;
 };
 
@@ -107,17 +113,6 @@ EngineResult run_mg_engine(const sparse::CscMatrix& lower,
                            const sparse::Partition& partition,
                            const sim::Machine& machine, sim::Interconnect& net,
                            CommPolicy& comm, const EngineOptions& opts = {});
-
-/// The numerics of a multi-GPU solve: solves `lower` x = b for a
-/// column-major n x num_rhs batch, visiting the components in `order` (an
-/// engine's EngineResult::order). Each component computes
-/// x_i = (b_i - left_sum_i) / diag, then adds val * x_i into its
-/// dependents' left sums in stored column order, so every accumulator sees
-/// its contributions in the order the simulated kernels push them.
-void replay_mg_numerics(const sparse::CscMatrix& lower,
-                        std::span<const index_t> order,
-                        std::span<const value_t> b, index_t num_rhs,
-                        std::span<value_t> x);
 
 /// Simulated cost of the in-degree preprocessing pass under `partition`:
 /// every GPU streams its own columns in parallel, so the slowest GPU bounds

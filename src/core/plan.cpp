@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -107,14 +108,6 @@ void build_plan_row_form(const SolveOptions& options,
   apply_numa_hints(options, *snap.row_form);
 }
 
-/// Reverses each length-n column of a column-major batch in place: the
-/// simulated backends solve an upper plan's reversed lower form.
-void reverse_columns(std::span<value_t> batch, std::size_t n) {
-  for (auto col = batch.begin(); col != batch.end(); col += n) {
-    std::reverse(col, col + static_cast<std::ptrdiff_t>(n));
-  }
-}
-
 /// One fused host-parallel kernel run over `snap`'s row form; `b`/`x`
 /// are column-major n x num_rhs.
 bool run_host_parallel(Backend backend, const PlanSnapshot& snap,
@@ -154,15 +147,32 @@ EngineResult simulate_mg(const SolveOptions& options, const PlanSnapshot& snap,
   // The comm policy carries the fused-batch width so every value-carrying
   // payload (managed left_sum pages, one-sided left_sum gathers/puts) is
   // priced k values wide while message counts stay per-edge.
+  EngineResult out;
   if (options.backend == Backend::kMgUnified ||
       options.backend == Backend::kMgUnifiedTask) {
     UnifiedComm comm(net, machine.cost, partition.num_gpus(), lower.rows,
                      cost_rhs);
-    return run_mg_engine(lower, partition, machine, net, comm, eng);
+    out = run_mg_engine(lower, partition, machine, net, comm, eng);
+  } else {
+    NvshmemComm comm(net, machine.cost, partition.num_gpus(), lower.rows,
+                     options.nvshmem, cost_rhs);
+    out = run_mg_engine(lower, partition, machine, net, comm, eng);
   }
-  NvshmemComm comm(net, machine.cost, partition.num_gpus(), lower.rows,
-                   options.nvshmem, cost_rhs);
-  return run_mg_engine(lower, partition, machine, net, comm, eng);
+  out.report.solver_name = backend_name(options.backend);
+  return out;
+}
+
+/// The simulated report of one fused solve of `num_rhs` rhs on a
+/// simulated plan: the multi-GPU engine's event simulation, or the
+/// gpu-levelset level cost loop.
+sim::RunReport simulated_report(const SolveOptions& options,
+                                const PlanSnapshot& snap,
+                                const sparse::CscMatrix& lower,
+                                index_t num_rhs) {
+  if (options.backend == Backend::kGpuLevelSet) {
+    return simulate_levelset(lower, *snap.levels, options.machine, num_rhs);
+  }
+  return simulate_mg(options, snap, lower, num_rhs).report;
 }
 
 /// Coarsening thresholds for a cpu-taskgraph plan that has no pinned
@@ -196,15 +206,24 @@ struct SolverPlan::State {
   /// workspaces carrying parked worker threads and generation-tagged
   /// scratch. Internally synchronized; null for other backends.
   std::unique_ptr<WorkspacePool> workspaces;
-  /// A multi-GPU plan's one-rhs schedule: the engine's report and solve
-  /// order at cost width 1, a pure function of the structure, partition,
-  /// machine and comm options. The first solve of any copy of the plan
-  /// simulates it under `schedule_once`, and every solve replays its
-  /// numerics in that order. It is never simulated at analysis (a plan
-  /// may never solve) nor stored in blobs (derived state), and
-  /// update_values keeps it: values never move the schedule.
-  mutable std::once_flag schedule_once;
-  mutable EngineResult schedule;
+  /// A simulated plan's replay state, built by the first solve of any
+  /// copy of the plan under `replay_once` -- never at analysis (a plan may
+  /// never solve), never at restore, and never stored in blobs (derived
+  /// state):
+  ///  * `replay_report`: the one-rhs simulated report, a pure function of
+  ///    the structure, partition, machine and comm options, which every
+  ///    k = 1 solve copies (update_values keeps it: values never move the
+  ///    schedule);
+  ///  * `replay`: the row form every solve runs through the serial pull
+  ///    kernel, each row's entries in the order its push adds them
+  ///    (EntryOrder::kSolveOrder) -- for mg plans rows in the one-rhs
+  ///    schedule's solve order, for gpu-levelset in natural order, the
+  ///    order of its column sweep. An upper plan's form is mirrored into
+  ///    the caller's numbering, as a host upper plan's is. It snapshots
+  ///    the values, so update_values rebuilds it once built.
+  mutable std::once_flag replay_once;
+  mutable sim::RunReport replay_report;
+  mutable RowForm replay;
 };
 
 SolverPlan::SolverPlan(std::shared_ptr<State> state)
@@ -476,19 +495,10 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
     out.completed_ns = support::trace::trace_now_ns();
     return out;
   }
-  const std::size_t n = static_cast<std::size_t>(lower.rows);
-  const std::size_t total = n * static_cast<std::size_t>(num_rhs);
-  // The host row form speaks the caller's numbering, so host backends
-  // solve upper plans in place. The simulated backends solve the analyzed
-  // lower form -- the reversed factor of an upper plan -- so its vectors
-  // are mirrored around them.
-  const bool mirror = st.snapshot.upper && is_simulated(st.options.backend);
-  std::vector<value_t> mirrored_b;
-  if (mirror) {
-    mirrored_b.assign(b.begin(), b.end());
-    reverse_columns(mirrored_b, n);
-    b = mirrored_b;
-  }
+  // Every row form speaks the caller's numbering, so upper plans solve in
+  // place on every backend.
+  const std::size_t total = static_cast<std::size_t>(lower.rows) *
+                            static_cast<std::size_t>(num_rhs);
   switch (st.options.backend) {
     case Backend::kSerial: {
       out.x.resize(total);
@@ -519,36 +529,45 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
       out.report.machine_name = "host";
       break;
     }
-    case Backend::kGpuLevelSet: {
-      LevelSetResult r = solve_levelset_simulated_batch(
-          lower, b, num_rhs, st.options.machine, *st.snapshot.levels);
-      out.x = std::move(r.x);
-      out.report = std::move(r.report);
-      break;
-    }
+    case Backend::kGpuLevelSet:
     case Backend::kMgUnified:
     case Backend::kMgUnifiedTask:
     case Backend::kMgShmem:
     case Backend::kMgZeroCopy: {
-      std::call_once(st.schedule_once, [&] {
-        st.schedule = simulate_mg(st.options, st.snapshot, lower, 1);
+      std::call_once(st.replay_once, [&] {
+        std::vector<index_t> order;
+        if (st.options.backend == Backend::kGpuLevelSet) {
+          st.replay_report = simulate_levelset(lower, *st.snapshot.levels,
+                                               st.options.machine, 1);
+          // Natural order, not the stored level order: it is topological
+          // for every lower factor, so no blob data reaches the numerics.
+          order.resize(static_cast<std::size_t>(lower.rows));
+          std::iota(order.begin(), order.end(), index_t{0});
+        } else {
+          EngineResult schedule = simulate_mg(st.options, st.snapshot, lower, 1);
+          st.replay_report = std::move(schedule.report);
+          order = std::move(schedule.order);
+        }
+        st.replay = build_row_form(lower, order, st.snapshot.upper,
+                                   EntryOrder::kSolveOrder);
       });
-      // The numerics follow the one-rhs order at every width, which is
-      // what makes fused x bit-for-bit equal to looped x.
+      // The numerics follow the one-rhs form at every width, which is
+      // what makes fused x bit-for-bit equal to looped x. No token: a
+      // simulated solve checks cancellation at entry only.
       out.x.resize(total);
-      replay_mg_numerics(lower, st.schedule.order, b, num_rhs, out.x);
-      // A batch's timing is ONE event simulation under the fused cost
-      // model (per-component work scales with the batch; launches,
-      // lock-waits, gathers and update messages amortized).
+      const auto t0 = steady_clock::now();
+      solve_lower_serial_pull(st.replay, b, num_rhs, out.x, nullptr);
+      scratch.kernel_us += us_since(t0);
+      // A batch's timing is ONE simulation under the fused cost model
+      // (per-component work scales with the batch; launches, lock-waits,
+      // gathers and update messages amortized).
       out.report = num_rhs == 1
-                       ? st.schedule.report
-                       : simulate_mg(st.options, st.snapshot, lower, num_rhs)
-                             .report;
-      out.report.solver_name = backend_name(st.options.backend);
+                       ? st.replay_report
+                       : simulated_report(st.options, st.snapshot, lower,
+                                          num_rhs);
       break;
     }
   }
-  if (mirror) reverse_columns(out.x, n);
   out.report.num_rhs = num_rhs;
   // A fused batch is one solve: its makespan is both the total and the
   // slowest-single-solve figure.
@@ -643,10 +662,10 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
   if (st.lower != &st.storage) {
     return Expected<bool>(
         SolveStatus::kInvalidOptions,
-        "update_values requires an owning plan; a borrowed plan reads the "
-        "caller's matrix -- update its values in place instead (every host "
-        "backend, serial included, snapshots values into the row form at "
-        "analysis: re-analyze there)");
+        "update_values requires an owning plan; every backend snapshots a "
+        "borrowed plan's values into its row form (host plans at analysis, "
+        "simulated plans at their first solve), so a borrowed plan whose "
+        "matrix changes must be re-analyzed");
   }
   const offset_t nnz = st.storage.nnz();
   if (values.size() != static_cast<std::size_t>(nnz)) {
@@ -656,6 +675,22 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
             std::to_string(nnz) + "), got " + std::to_string(values.size()));
   }
   const index_t n = st.storage.rows;
+  // Every row form snapshots the values: rebuild the ones built so far. A
+  // replay form keeps its rows' positions; their internal ids are its
+  // row_of with an upper plan's mirroring undone.
+  auto rebuild_row_forms = [&st, n] {
+    if (st.snapshot.row_form) {
+      build_plan_row_form(st.options, st.storage, st.snapshot);
+    }
+    if (!st.replay.row_of.empty()) {
+      std::vector<index_t> order(st.replay.row_of);
+      if (st.snapshot.upper) {
+        for (index_t& i : order) i = n - 1 - i;
+      }
+      st.replay = build_row_form(st.storage, order, st.snapshot.upper,
+                                 EntryOrder::kSolveOrder);
+    }
+  };
   if (!st.snapshot.upper) {
     // The diagonal leads each column of the analyzed lower factor; check
     // every new diagonal before mutating anything.
@@ -667,9 +702,7 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
       }
     }
     std::copy(values.begin(), values.end(), st.storage.val.begin());
-    if (st.snapshot.row_form) {
-      build_plan_row_form(st.options, st.storage, st.snapshot);
-    }
+    rebuild_row_forms();
     return true;
   }
   // Upper plan: `values` follows the ORIGINAL upper factor's CSC order,
@@ -700,9 +733,7 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
     }
     base += count;
   }
-  if (st.snapshot.row_form) {
-    build_plan_row_form(st.options, st.storage, st.snapshot);
-  }
+  rebuild_row_forms();
   return true;
 }
 
@@ -1110,11 +1141,18 @@ std::size_t SolverPlan::resident_bytes() const {
              vector_bytes(snap.tasks->succ);
   }
   if (snap.partition.has_value()) {
-    // Partition internals: per-component owner map dominates. The
-    // schedule's solve order is charged from analysis on, though the
-    // first solve memoizes it: a byte budget charges plans at insert time.
+    // Partition internals: per-component owner map dominates.
     bytes += static_cast<std::size_t>(rows()) * sizeof(int) +
-             2 * static_cast<std::size_t>(rows()) * sizeof(index_t);
+             static_cast<std::size_t>(rows()) * sizeof(index_t);
+  }
+  if (is_simulated(st.options.backend) && rows() > 0) {
+    // The replay form (row_ptr, col_idx, val, row_of) is charged from
+    // analysis on, though the first solve builds it: a byte budget
+    // charges plans at insert time.
+    const std::size_t n = static_cast<std::size_t>(rows());
+    const std::size_t nnz = static_cast<std::size_t>(st.lower->nnz());
+    bytes += (n + 1) * sizeof(offset_t) +
+             nnz * (sizeof(index_t) + sizeof(value_t)) + n * sizeof(index_t);
   }
   return bytes;
 }

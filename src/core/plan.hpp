@@ -86,16 +86,16 @@ class SolverPlan {
   /// to `lower`, which must outlive the plan (the cuSPARSE handle
   /// contract). Use when the factor is large and already owned elsewhere;
   /// the one-shot core::solve wrappers use this for their throwaway plans.
-  /// The host backends (serial included) still copy the VALUES into their
-  /// row form here, so later in-place edits of `lower` need a re-analysis.
+  /// Every backend still copies the VALUES into its row form -- host
+  /// backends here, simulated ones at their first solve -- so later
+  /// in-place edits of `lower` need a re-analysis.
   static Expected<SolverPlan> analyze_borrowed(const sparse::CscMatrix& lower,
                                                SolveOptions options);
 
   /// Symbolic phase for an upper-triangular factor (backward substitution).
   /// The reduction to lower form (reference.hpp) is performed HERE, once.
-  /// Host backends then solve in the caller's numbering through a
-  /// mirrored row form, with no per-solve vector reversal; the simulated
-  /// backends pay an O(n) reversal of each rhs and solution.
+  /// Every backend then solves in the caller's numbering through a
+  /// mirrored row form, with no per-solve vector reversal.
   static Expected<SolverPlan> analyze_upper(sparse::CscMatrix upper,
                                             SolveOptions options);
 
@@ -123,7 +123,9 @@ class SolverPlan {
   /// (deadline) or kOverloaded (flag -- the service's abandon-on-shutdown
   /// path), leaving the plan and its workspaces immediately reusable.
   /// Composes with options().time_budget: the earlier deadline wins.
-  /// Simulated backends check only at entry. The plain overloads above are
+  /// Simulated backends check only at entry: their first solve simulates
+  /// the schedule and builds the replay form, and every solve then runs
+  /// the replay sweep uninterrupted. The plain overloads above are
   /// equivalent to passing an inert token.
   Expected<SolveResult> solve(std::span<const value_t> b,
                               const CancelToken& cancel) const;
@@ -133,17 +135,18 @@ class SolverPlan {
 
   /// Value-only refresh: replaces the factor's numeric values while
   /// reusing every cached analysis (levels, in-degrees, partition,
-  /// comm sizing) -- the sparsity pattern MUST be unchanged. `values`
-  /// follows the analyzed matrix's CSC nonzero order (for upper plans:
-  /// the original upper factor's order; the plan re-applies the reversal
-  /// mapping internally). Rejects kShapeMismatch when values.size() !=
-  /// nnz, kSingularDiagonal (before mutating) when a new diagonal entry
-  /// is zero, and kInvalidOptions on borrowed plans -- a borrowed plan
-  /// reads the caller's matrix, so update it in place instead on the
-  /// simulated backends; every host backend, serial included, snapshots
-  /// values into the cached row form at analysis: re-analyze there. NOT
-  /// safe concurrently with solve()/solve_batch(); values are shared by
-  /// every copy of this plan.
+  /// comm sizing, a simulated plan's one-rhs report) -- the sparsity
+  /// pattern MUST be unchanged. `values` follows the analyzed matrix's
+  /// CSC nonzero order (for upper plans: the original upper factor's
+  /// order; the plan re-applies the reversal mapping internally), and the
+  /// plan rebuilds its row form from them in the same order. Rejects
+  /// kShapeMismatch when values.size() != nnz, kSingularDiagonal (before
+  /// mutating) when a new diagonal entry is zero, and kInvalidOptions on
+  /// borrowed plans: every backend snapshots values into a row form --
+  /// host plans at analysis, simulated plans at their first solve -- so a
+  /// borrowed plan whose matrix changes must be re-analyzed. NOT safe
+  /// concurrently with solve()/solve_batch(); values are shared by every
+  /// copy of this plan.
   Expected<bool> update_values(std::span<const value_t> values);
 
   /// As the span overload, but sparsity-checks `m` against the cached
@@ -221,7 +224,8 @@ class SolverPlan {
   /// otherwise.
   const sparse::LevelAnalysis* level_analysis() const;
   /// The host gather view, rows stored in execution order and the
-  /// caller's numbering (row_form.hpp); null for simulated backends and
+  /// caller's numbering (row_form.hpp); null for simulated backends (their
+  /// replay form is built at the first solve and stays internal) and
   /// empty plans.
   const RowForm* row_form() const;
   /// The analyze-time schedule decision: present on every autotuned plan
@@ -254,8 +258,10 @@ class SolverPlan {
 
   /// Approximate resident footprint of this plan's shared state in bytes:
   /// the owned factor plus every snapshot section (row form, levels,
-  /// in-degrees, partition). What a byte-budgeted PlanCache charges per
-  /// entry. Borrowed plans exclude the caller's matrix.
+  /// in-degrees, partition) and, for simulated plans, the replay form
+  /// their first solve builds -- charged from analysis on, so the figure
+  /// never grows. What a byte-budgeted PlanCache charges per entry.
+  /// Borrowed plans exclude the caller's matrix.
   std::size_t resident_bytes() const;
 
   /// One-time simulated analysis charge (0 for the real host backends).

@@ -47,7 +47,11 @@ struct CacheOptions {
   std::size_t capacity = 32;
   /// Byte budget over the summed resident footprints; 0 = unbounded.
   /// An entry larger than the whole budget is returned to the caller but
-  /// does not stay resident (the budget is honest, not advisory).
+  /// does not stay resident (the budget is honest, not advisory). Every
+  /// plan holds its factor twice: the matrix plus a row form -- a host
+  /// plan from analysis on, a simulated plan once it has solved (its
+  /// replay form, charged from insert on: 12 B per nonzero plus 12 B per
+  /// row beyond the factor).
   std::size_t max_bytes = 0;
 };
 

@@ -35,38 +35,6 @@ std::vector<value_t> solve_lower_serial_prevalidated(
   return x;
 }
 
-std::vector<value_t> solve_lower_serial_fused(const sparse::CscMatrix& lower,
-                                              std::span<const value_t> b,
-                                              index_t num_rhs) {
-  const index_t n = lower.rows;
-  const std::size_t un = static_cast<std::size_t>(n);
-  const std::size_t k = static_cast<std::size_t>(num_rhs);
-  MSPTRSV_REQUIRE(num_rhs >= 1 && b.size() == un * k,
-                  "batch must be column-major n x num_rhs");
-  std::vector<value_t> x(un * k);
-  // Component-major accumulators keep the per-component RHS sweep
-  // contiguous (and vectorizable: no atomics on the serial path).
-  std::vector<value_t> left_sum(un * k, 0.0);
-  for (index_t i = 0; i < n; ++i) {
-    const offset_t d = lower.col_ptr[i];
-    const value_t diag = lower.val[d];
-    value_t* acc = left_sum.data() + static_cast<std::size_t>(i) * k;
-    for (std::size_t r = 0; r < k; ++r) {
-      x[r * un + static_cast<std::size_t>(i)] =
-          (b[r * un + static_cast<std::size_t>(i)] - acc[r]) / diag;
-    }
-    for (offset_t e = d + 1; e < lower.col_ptr[i + 1]; ++e) {
-      const value_t lv = lower.val[e];
-      value_t* dep =
-          left_sum.data() + static_cast<std::size_t>(lower.row_idx[e]) * k;
-      for (std::size_t r = 0; r < k; ++r) {
-        dep[r] += lv * x[r * un + static_cast<std::size_t>(i)];
-      }
-    }
-  }
-  return x;
-}
-
 std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,
                                         std::span<const value_t> b) {
   MSPTRSV_REQUIRE(upper.is_square(),

@@ -20,28 +20,19 @@ std::vector<value_t> solve_lower_serial(const sparse::CscMatrix& lower,
 std::vector<value_t> solve_lower_serial_prevalidated(
     const sparse::CscMatrix& lower, std::span<const value_t> b);
 
-/// Fused multi-RHS column sweep: one pass over the matrix structure solves
-/// all `num_rhs` right-hand sides (`b` column-major n x num_rhs, result in
-/// the same layout). For each rhs the floating-point operation order is
-/// identical to solve_lower_serial_prevalidated, so fused and looped
-/// execution agree bit-for-bit. No input validation. The simulated
-/// gpu-levelset backend's numeric pass; the serial plan backend runs the
-/// pull sweep instead (solve_lower_serial_pull in cpu_parallel.hpp).
-std::vector<value_t> solve_lower_serial_fused(const sparse::CscMatrix& lower,
-                                              std::span<const value_t> b,
-                                              index_t num_rhs);
-
 /// Backward substitution for Ux = b on an upper-triangular CSC matrix with
 /// a nonzero diagonal terminating each column.
 std::vector<value_t> solve_upper_serial(const sparse::CscMatrix& upper,
                                         std::span<const value_t> b);
 
-/// Reduction of Ux = b to the lower-triangular form every parallel backend
-/// consumes: reverse-order both dimensions (L'(i,j) = U(n-1-i, n-1-j)),
-/// solve L'x' = b', undo the reversal. Exposed so callers can run backward
-/// substitution through any multi-GPU backend. Throws PreconditionError
-/// unless `upper` is a valid upper-triangular CSC matrix whose reversal
-/// is solvable.
+/// Reduction of Ux = b to the lower-triangular form every backend
+/// analyzes: reverse-order both dimensions (L'(i,j) = U(n-1-i, n-1-j)),
+/// solve L'x' = b', undo the reversal. SolverPlan::analyze_upper reverses
+/// the factor once and then solves in the caller's numbering through a
+/// mirrored row form, with no vector reversal; this form lets a caller run
+/// backward substitution through a lower plan of L' instead, reversing b
+/// and x itself. Throws PreconditionError unless `upper` is a valid
+/// upper-triangular CSC matrix whose reversal is solvable.
 sparse::CscMatrix reverse_upper_to_lower(const sparse::CscMatrix& upper);
 
 /// The same reversal with no validation, one O(nnz) pass: `upper` must

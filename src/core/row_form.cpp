@@ -7,7 +7,8 @@
 namespace msptrsv::core {
 
 RowForm build_row_form(const sparse::CscMatrix& lower,
-                       std::span<const index_t> order, bool mirrored) {
+                       std::span<const index_t> order, bool mirrored,
+                       EntryOrder entries) {
   const std::size_t n = static_cast<std::size_t>(lower.rows);
   MSPTRSV_REQUIRE(order.size() == n, "row order must list every row once");
   const index_t last = lower.rows - 1;
@@ -32,9 +33,13 @@ RowForm build_row_form(const sparse::CscMatrix& lower,
     rf.row_ptr[p + 1] = rf.row_ptr[p] - slot;
     slot = rf.row_ptr[p];
   }
-  // Ascending columns land in ascending order within every row, and the
-  // diagonal (column i of row i) is the last column to reach row i.
-  for (index_t j = 0; j <= last; ++j) {
+  // Columns land in every row in the order they are scattered: ascending,
+  // or the positions' order. Either way the diagonal (column i of row i)
+  // is the last column to reach row i -- the largest column of a lower
+  // row, and the last of its columns in a topological order.
+  const bool solve_order = entries == EntryOrder::kSolveOrder;
+  for (index_t s = 0; s <= last; ++s) {
+    const index_t j = solve_order ? order[static_cast<std::size_t>(s)] : s;
     const index_t cj = mirrored ? last - j : j;
     for (offset_t e = lower.col_ptr[static_cast<std::size_t>(j)];
          e < lower.col_ptr[static_cast<std::size_t>(j) + 1]; ++e) {

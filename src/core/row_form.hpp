@@ -1,13 +1,14 @@
-// The host kernels' gather view of an analyzed factor, stored in the order
-// its schedule executes.
+// The kernels' gather view of an analyzed factor, stored in the order its
+// schedule executes.
 //
-// Every host backend solves a row by PULLING the final x entries of its
-// dependencies (cpu_parallel.hpp). The row form holds those rows at
-// POSITIONS: position p is the p-th row of a topological order, and a
-// kernel walks positions -- front to back on one party, or in level
-// slices / task ranges / ascending claims on a gang -- never row ids.
-// Storing the rows in execution order makes every sweep a unit-stride
-// stream through the structure, and lets the serial sweep put
+// Every backend solves a row by PULLING the final x entries of its
+// dependencies (cpu_parallel.hpp): the host backends in their own
+// schedules, and the simulated ones through the serial pull kernel. The
+// row form holds those rows at POSITIONS: position p is the p-th row of a
+// topological order, and a kernel walks positions -- front to back on one
+// party, or in level slices / task ranges / ascending claims on a gang --
+// never row ids. Storing the rows in execution order makes every sweep a
+// unit-stride stream through the structure, and lets the serial sweep put
 // independent rows next to each other so the core overlaps their divides
 // instead of waiting on x[i-1] every row.
 //
@@ -15,10 +16,15 @@
 // are the caller's row ids. For an upper plan, whose analyzed factor is
 // the reversed lower form (reference.hpp), internal row i is caller row
 // n-1-i, so upper solves read b and write x directly, with no vector
-// reversal around the kernel. A row's entries keep the analyzed factor's
-// ascending internal-column order, diagonal last: the per-row operation
-// sequence -- and so every result bit -- is the same whatever the order
-// of the positions.
+// reversal around the kernel.
+//
+// A row's entries are gathered in their stored order, from zero, and that
+// order alone fixes every result bit -- whatever the order of the
+// positions. Host plans store them in the analyzed factor's ascending
+// internal-column order. A simulated plan's replay form stores them in
+// the order its simulated schedule PUSHES them (EntryOrder): a push that
+// adds a row's terms in a fixed order gives the bits of a pull over that
+// row stored in that order. Either way the diagonal ends every row.
 #pragma once
 
 #include <span>
@@ -32,8 +38,8 @@ namespace msptrsv::core {
 struct RowForm {
   /// Position p's entries occupy [row_ptr[p], row_ptr[p+1]); size n+1.
   std::vector<offset_t> row_ptr;
-  /// Caller-numbered column of each entry, in the analyzed factor's
-  /// ascending internal-column order; the diagonal ends every row.
+  /// Caller-numbered column of each entry, in the form's EntryOrder; the
+  /// diagonal ends every row.
   std::vector<index_t> col_idx;
   std::vector<value_t> val;
   /// row_of[p]: the caller-numbered row solved at position p.
@@ -43,13 +49,27 @@ struct RowForm {
   offset_t nnz() const { return static_cast<offset_t>(col_idx.size()); }
 };
 
+/// Where build_row_form places each row's entries.
+enum class EntryOrder {
+  /// Ascending internal column, as the analyzed factor stores them: every
+  /// host kernel's order.
+  kAscending,
+  /// The position of each entry's column in `order`: the order a push
+  /// sweep visiting the components in `order` adds a row's terms in -- a
+  /// simulated plan's replay form, built from the multi-GPU schedule or,
+  /// for gpu-levelset, natural order (which gives ascending entries).
+  kSolveOrder,
+};
+
 /// Builds the row form of the solvable lower factor `lower` with its rows
 /// at the positions `order` lists (internal row ids; a permutation, and
-/// topological for any kernel to run on it). `mirrored` numbers rows and
-/// columns n-1-i in the caller's frame (upper plans). One counting pass
-/// and one scatter pass over the factor, O(n + nnz).
+/// topological for any kernel to run on it -- which also puts each row's
+/// diagonal last under kSolveOrder). `mirrored` numbers rows and columns
+/// n-1-i in the caller's frame (upper plans). One counting pass and one
+/// scatter pass over the factor, O(n + nnz).
 RowForm build_row_form(const sparse::CscMatrix& lower,
-                       std::span<const index_t> order, bool mirrored);
+                       std::span<const index_t> order, bool mirrored,
+                       EntryOrder entries = EntryOrder::kAscending);
 
 /// Rows per window of the serial sweep: the smallest power of two of at
 /// least 256 whose windows of consecutive rows hold, on average, at least

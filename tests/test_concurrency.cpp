@@ -1,8 +1,9 @@
 // Multi-threaded stress of the shared-plan contract: N caller threads
 // hammering one SolverPlan's solve()/solve_batch() concurrently must be
 // safe on every backend (concurrent host callers lease disjoint
-// workspaces; a simulated plan simulates its one-rhs schedule once, at
-// its first solve, and every solve replays it) and, with the
+// workspaces; a simulated plan simulates its one-rhs schedule and builds
+// its replay form once, at its first solve, and every solve replays it)
+// and, with the
 // floating-point order pinned (cpu_threads = 1), must produce bit-for-bit
 // the results the same plan computes single-threaded. Runs under the
 // ASan/UBSan and ThreadSanitizer CI configurations.
@@ -124,9 +125,11 @@ bool same_bits(const core::SolveResult& a, const core::SolveResult& b) {
 
 TEST(ConcurrentPlan, FirstSolvesOfAFreshSimulatedPlanRace) {
   // Callers released together into a simulated plan nobody has solved all
-  // race for its first solve, the one that simulates the schedule; every
-  // one of them must get the bits of a separately analyzed plan.
+  // race for its first solve, the one that simulates the schedule and
+  // builds the replay form; every one of them must get the bits of a
+  // separately analyzed plan.
   const sparse::CscMatrix l = stress_matrix();
+  const sparse::CscMatrix u = sparse::transpose(l);
   std::vector<std::vector<value_t>> rhs;
   std::vector<value_t> batch;
   for (index_t j = 0; j < kBatchRhs; ++j) {
@@ -134,9 +137,20 @@ TEST(ConcurrentPlan, FirstSolvesOfAFreshSimulatedPlanRace) {
         l, sparse::gen_solution(l.rows, 20 + static_cast<std::uint64_t>(j))));
     batch.insert(batch.end(), rhs.back().begin(), rhs.back().end());
   }
-  for (const char* key : {"mg-unified-task", "mg-zerocopy"}) {
+  const struct {
+    const char* key;
+    bool upper;
+  } cases[] = {{"mg-unified-task", false},
+               {"mg-zerocopy", false},
+               {"mg-zerocopy", true},
+               {"gpu-levelset", false}};
+  for (const auto& [key, upper] : cases) {
     const core::SolveOptions opt = core::registry::options_for(key).value();
-    const auto reference = core::SolverPlan::analyze(l, opt);
+    auto analyze = [&] {
+      return upper ? core::SolverPlan::analyze_upper(u, opt)
+                   : core::SolverPlan::analyze(l, opt);
+    };
+    const auto reference = analyze();
     ASSERT_TRUE(reference.ok()) << key << ": " << reference.message();
     std::vector<core::SolveResult> want_single;
     for (const std::vector<value_t>& b : rhs) {
@@ -145,7 +159,7 @@ TEST(ConcurrentPlan, FirstSolvesOfAFreshSimulatedPlanRace) {
     const core::SolveResult want_batch =
         reference->solve_batch(batch, kBatchRhs).value();
 
-    const auto plan = core::SolverPlan::analyze(l, opt);
+    const auto plan = analyze();
     ASSERT_TRUE(plan.ok()) << key << ": " << plan.message();
     std::latch start(kCallers);
     std::atomic<int> bad{0};
@@ -165,7 +179,8 @@ TEST(ConcurrentPlan, FirstSolvesOfAFreshSimulatedPlanRace) {
     }
     for (std::thread& t : callers) t.join();
     EXPECT_EQ(bad.load(), 0)
-        << key << ": racing first solves diverged from a fresh plan's bits";
+        << key << (upper ? " upper" : "")
+        << ": racing first solves diverged from a fresh plan's bits";
   }
 }
 

@@ -1,20 +1,32 @@
-// Simulated level-set baseline (the csrsv2 stand-in).
+// Simulated level-set baseline (the csrsv2 stand-in): its cost model, and
+// the numerics a gpu-levelset plan computes.
 #include <gtest/gtest.h>
 
 #include "core/levelset.hpp"
+#include "core/plan.hpp"
 #include "core/reference.hpp"
+#include "core/registry.hpp"
 #include "core/residual.hpp"
 #include "sparse/generators.hpp"
 
 namespace msptrsv::core {
 namespace {
 
+sim::RunReport simulate(const sparse::CscMatrix& l, const sim::Machine& m) {
+  return simulate_levelset(l, sparse::analyze_levels(l), m, 1);
+}
+
 TEST(LevelSetSim, SolutionMatchesSerial) {
   const sparse::CscMatrix l = sparse::gen_layered_dag(2000, 50, 10000, 0.5, 9);
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 1));
-  const LevelSetResult r = solve_levelset_simulated(l, b, sim::Machine::dgx1(1));
-  EXPECT_LT(max_relative_difference(r.x, solve_lower_serial(l, b)), 1e-12);
+  SolveOptions opt = registry::options_for("gpu-levelset").value();
+  opt.machine = sim::Machine::dgx1(1);
+  const auto plan = SolverPlan::analyze(l, opt);
+  ASSERT_TRUE(plan.ok()) << plan.message();
+  EXPECT_LT(max_relative_difference(plan->solve(b).value().x,
+                                    solve_lower_serial(l, b)),
+            1e-12);
 }
 
 TEST(LevelSetSim, TimeScalesWithLevelCountAtFixedWork) {
@@ -24,50 +36,39 @@ TEST(LevelSetSim, TimeScalesWithLevelCountAtFixedWork) {
       sparse::gen_layered_dag(4000, 8, 20000, 0.5, 11);
   const sparse::CscMatrix deep =
       sparse::gen_layered_dag(4000, 800, 20000, 0.5, 11);
-  const std::vector<value_t> bs =
-      sparse::gen_rhs_for_solution(shallow, sparse::gen_solution(4000, 2));
-  const std::vector<value_t> bd =
-      sparse::gen_rhs_for_solution(deep, sparse::gen_solution(4000, 2));
   const sim::Machine m = sim::Machine::dgx1(1);
-  const auto rs = solve_levelset_simulated(shallow, bs, m);
-  const auto rd = solve_levelset_simulated(deep, bd, m);
-  EXPECT_GT(rd.report.solve_us, 5.0 * rs.report.solve_us);
-  EXPECT_EQ(rd.report.kernel_launches, 800u);
-  EXPECT_EQ(rs.report.kernel_launches, 8u);
+  const sim::RunReport rs = simulate(shallow, m);
+  const sim::RunReport rd = simulate(deep, m);
+  EXPECT_GT(rd.solve_us, 5.0 * rs.solve_us);
+  EXPECT_EQ(rd.kernel_launches, 800u);
+  EXPECT_EQ(rs.kernel_launches, 8u);
 }
 
 TEST(LevelSetSim, PerLevelCostIsAtLeastTheSyncOverhead) {
   const sparse::CscMatrix l = sparse::gen_chain(500);
-  const std::vector<value_t> b(500, 1.0);
   const sim::Machine m = sim::Machine::dgx1(1);
-  const auto r = solve_levelset_simulated(l, b, m);
-  EXPECT_GE(r.report.solve_us, 500.0 * m.cost.level_sync_us);
+  EXPECT_GE(simulate(l, m).solve_us, 500.0 * m.cost.level_sync_us);
 }
 
 TEST(LevelSetSim, AnalysisCostsMoreThanSyncFreePreprocessing) {
   // csrsv2_analysis does level construction; the sync-free design only
-  // counts in-degrees. The report must reflect that asymmetry.
+  // counts in-degrees. The charge must reflect that asymmetry.
   const sparse::CscMatrix l = sparse::gen_layered_dag(5000, 40, 25000, 0.5, 13);
-  const std::vector<value_t> b =
-      sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 3));
   const sim::Machine m = sim::Machine::dgx1(1);
-  const auto ls = solve_levelset_simulated(l, b, m);
   const double syncfree_analysis =
       static_cast<double>(l.nnz()) * m.cost.indegree_per_nnz_us;
-  EXPECT_GT(ls.report.analysis_us, syncfree_analysis);
+  EXPECT_GT(levelset_analysis_us(l, m.cost), syncfree_analysis);
 }
 
 TEST(LevelSetSim, WideLevelUsesAllWarpSlots) {
   // A single-level matrix with many more components than slots: time must
   // reflect slot-limited throughput, not one-shot width.
   const sparse::CscMatrix l = sparse::gen_diagonal(100000);
-  const std::vector<value_t> b(100000, 1.0);
   const sim::Machine m = sim::Machine::dgx1(1);
-  const auto r = solve_levelset_simulated(l, b, m);
   const double per_comp = m.cost.solve_base_us;
   const double lower_bound =
       100000.0 * per_comp / m.cost.warp_slots_per_gpu;
-  EXPECT_GE(r.report.solve_us, lower_bound);
+  EXPECT_GE(simulate(l, m).solve_us, lower_bound);
 }
 
 }  // namespace

@@ -1,23 +1,24 @@
 // Multi-GPU engine semantics: dispatch-order slot admission, kernel launch
 // serialization, communication accounting, report invariants, the numeric
-// replay of the engine's solve order, and golden bits for every simulated
-// design.
+// replay of the engine's solve order through a row form, and golden bits
+// for every simulated design.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/comm_nvshmem.hpp"
 #include "core/comm_unified.hpp"
+#include "core/cpu_parallel.hpp"
 #include "core/mg_engine.hpp"
 #include "core/plan.hpp"
 #include "core/reference.hpp"
 #include "core/registry.hpp"
 #include "core/residual.hpp"
 #include "core/row_form.hpp"
+#include "golden_hash.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/suite.hpp"
@@ -41,11 +42,18 @@ EngineResult run_unified(const sparse::CscMatrix& l,
   return run_mg_engine(l, p, m, net, comm);
 }
 
-/// The one-rhs solution of the engine's schedule: its order, replayed.
+/// The engine's schedule as a plan replays it: rows and entries in its
+/// solve order.
+RowForm replay_form(const sparse::CscMatrix& l, const EngineResult& r) {
+  return build_row_form(l, r.order, /*mirrored=*/false,
+                        EntryOrder::kSolveOrder);
+}
+
+/// The one-rhs solution of the engine's schedule, replayed.
 std::vector<value_t> replay(const sparse::CscMatrix& l, const EngineResult& r,
                             const std::vector<value_t>& b) {
   std::vector<value_t> x(b.size());
-  replay_mg_numerics(l, r.order, b, 1, x);
+  EXPECT_TRUE(solve_lower_serial_pull(replay_form(l, r), b, 1, x));
   return x;
 }
 
@@ -169,7 +177,7 @@ TEST(MgEngine, SolveOrderIsATopologicalOrderAndReplaysBatchesPerColumn) {
     looped.insert(looped.end(), x.begin(), x.end());
   }
   std::vector<value_t> fused(3 * n);
-  replay_mg_numerics(l, r.order, batch, 3, fused);
+  ASSERT_TRUE(solve_lower_serial_pull(replay_form(l, r), batch, 3, fused));
   EXPECT_EQ(fused, looped);
 }
 
@@ -204,10 +212,8 @@ TEST(MgEngine, RejectsPartitionWiderThanMachine) {
 
 TEST(MgEngine, ReplayRejectsAShortOrder) {
   const sparse::CscMatrix l = sparse::gen_chain(100);
-  const std::vector<value_t> b(100, 1.0);
-  std::vector<value_t> x(100);
   const std::vector<index_t> order(99, 0);
-  EXPECT_THROW(replay_mg_numerics(l, order, b, 1, x),
+  EXPECT_THROW(build_row_form(l, order, false, EntryOrder::kSolveOrder),
                support::PreconditionError);
 }
 
@@ -218,63 +224,8 @@ TEST(MgEngine, ReplayRejectsAShortOrder) {
 // what a caller sees whatever the engine and the plan do inside; a change
 // that moves one of them changes the simulator's answers.
 
-/// FNV-1a over raw bytes: doubles hash by bit pattern (-0.0 != 0.0).
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) h_ = (h_ ^ p[i]) * 1099511628211ull;
-  }
-  template <typename T>
-  void add(const T& v) {
-    bytes(&v, sizeof v);
-  }
-  template <typename T>
-  void add(const std::vector<T>& v) {
-    add(v.size());
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ull;
-};
-
-/// One value over x and every numeric RunReport field.
-std::uint64_t solve_hash(const SolveResult& s) {
-  const sim::RunReport& r = s.report;
-  Fnv1a h;
-  h.add(s.x);
-  h.add(r.num_gpus);
-  h.add(r.num_rhs);
-  h.add(r.solve_us);
-  h.add(r.analysis_us);
-  h.add(r.max_solve_us);
-  h.add(r.busy_us_per_gpu);
-  h.add(r.local_updates);
-  h.add(r.remote_updates);
-  h.add(r.page_faults);
-  h.add(r.page_migrations);
-  h.add(r.page_migrated_bytes);
-  h.add(r.page_faults_per_gpu);
-  h.add(r.page_pins);
-  h.add(r.direct_remote_accesses);
-  h.add(r.nvshmem_gets);
-  h.add(r.nvshmem_puts);
-  h.add(r.nvshmem_fences);
-  h.add(r.gather_reductions);
-  h.add(r.nvshmem_bytes);
-  h.add(r.link_bytes);
-  h.add(r.link_messages);
-  h.add(r.kernel_launches);
-  return h.value();
-}
-
-std::string hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << v;
-  return os.str();
-}
+using golden::hex;
+using golden::solve_hash;
 
 struct GoldenMachine {
   const char* name;
@@ -389,12 +340,7 @@ TEST(MgEngineGolden, SimulatedSolvesKeepEveryBit) {
     const index_t n = m.lower.rows;
     const std::vector<value_t> b0 = sparse::gen_solution(n, 1);
     const std::vector<value_t> b1 = sparse::gen_solution(n, 2);
-    std::vector<value_t> batch;
-    for (index_t j = 0; j < kGoldenBatch; ++j) {
-      const std::vector<value_t> col =
-          sparse::gen_solution(n, 10 + static_cast<std::uint64_t>(j));
-      batch.insert(batch.end(), col.begin(), col.end());
-    }
+    const std::vector<value_t> batch = golden::golden_batch(n, kGoldenBatch);
     for (const bool upper : {false, true}) {
       const sparse::CscMatrix factor =
           upper ? sparse::transpose(m.lower) : m.lower;

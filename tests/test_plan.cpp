@@ -320,18 +320,66 @@ TEST(SolverPlanAccessors, ExposeCachedAnalysisState) {
 }
 
 TEST(SolverPlanAccessors, ResidentBytesChargeTheSimulatedScheduleFromAnalysis) {
-  // A simulated plan memoizes its schedule at the first solve; a byte
-  // budget that charges plans at insert time must already see it.
+  // A simulated plan builds its replay form -- the factor again, stored in
+  // its solve order -- at the first solve; a byte budget that charges
+  // plans at insert time must already see it.
   const sparse::CscMatrix l = test_matrix();
+  const sparse::CscMatrix u = sparse::transpose(l);
   const std::vector<value_t> b = rhs_for(l, 3);
-  for (const char* key :
-       {"mg-unified", "mg-unified-task", "mg-shmem", "mg-zerocopy"}) {
-    const auto plan =
-        core::SolverPlan::analyze(l, core::registry::options_for(key).value());
-    ASSERT_TRUE(plan.ok()) << key;
-    const std::size_t analyzed = plan->resident_bytes();
-    ASSERT_TRUE(plan->solve(b).ok()) << key;
-    EXPECT_EQ(plan->resident_bytes(), analyzed) << key;
+  const std::size_t factor_bytes = l.col_ptr.size() * sizeof(offset_t) +
+                                   l.row_idx.size() * sizeof(index_t) +
+                                   l.val.size() * sizeof(value_t);
+  // A row form of this factor, as a serial plan holds one from analysis.
+  const auto serial =
+      core::SolverPlan::analyze(l, core::registry::options_for("serial").value());
+  ASSERT_TRUE(serial.ok());
+  const core::RowForm& rf = *serial->row_form();
+  const std::size_t form_bytes = rf.row_ptr.size() * sizeof(offset_t) +
+                                 rf.col_idx.size() * sizeof(index_t) +
+                                 rf.val.size() * sizeof(value_t) +
+                                 rf.row_of.size() * sizeof(index_t);
+  for (const core::registry::BackendEntry& e : core::registry::backends()) {
+    if (!e.simulated) continue;
+    const core::SolveOptions opt = core::registry::default_options(e.backend);
+    for (const bool upper : {false, true}) {
+      const std::string label =
+          std::string(e.key) + (upper ? "/upper" : "/lower");
+      const auto plan = upper ? core::SolverPlan::analyze_upper(u, opt)
+                              : core::SolverPlan::analyze(l, opt);
+      ASSERT_TRUE(plan.ok()) << label;
+      const std::size_t analyzed = plan->resident_bytes();
+      EXPECT_GE(analyzed, factor_bytes + form_bytes) << label;
+      ASSERT_TRUE(plan->solve(b).ok()) << label;
+      EXPECT_EQ(plan->resident_bytes(), analyzed) << label;
+    }
+  }
+}
+
+TEST(SolverPlanPhases, SimulatedSolvesCarryAKernelPhase) {
+  // The replay sweep is a simulated solve's kernel: its host time is the
+  // kernel phase, while wall_seconds stays 0 (the simulated report is the
+  // solve's time).
+  const sparse::CscMatrix l = test_matrix();
+  const sparse::CscMatrix u = sparse::transpose(l);
+  const std::vector<value_t> b = rhs_for(l, 4);
+  std::vector<value_t> batch = b;
+  batch.insert(batch.end(), b.begin(), b.end());
+  for (const core::registry::BackendEntry& e : core::registry::backends()) {
+    if (!e.simulated) continue;
+    const core::SolveOptions opt = core::registry::default_options(e.backend);
+    for (const bool upper : {false, true}) {
+      const std::string label =
+          std::string(e.key) + (upper ? "/upper" : "/lower");
+      const auto plan = upper ? core::SolverPlan::analyze_upper(u, opt)
+                              : core::SolverPlan::analyze(l, opt);
+      ASSERT_TRUE(plan.ok()) << label;
+      for (const index_t k : {1, 2}) {
+        const auto r = plan->solve_batch(k == 1 ? std::span(b) : batch, k);
+        ASSERT_TRUE(r.ok()) << label;
+        EXPECT_GT(r.value().phases.kernel_us, 0.0) << label << " k=" << k;
+        EXPECT_EQ(r.value().wall_seconds, 0.0) << label << " k=" << k;
+      }
+    }
   }
 }
 

@@ -502,6 +502,55 @@ TEST(PlanIo, NonTopologicalOrUnsolvableStateIsRejectedNotHung) {
   EXPECT_NE(s.message().find("solvable"), std::string::npos) << s.message();
 }
 
+TEST(PlanIo, HostileLevelOrderNeverReachesGpuLevelSetNumerics) {
+  // gpu-levelset keeps its level analysis for the cost model only: its
+  // replay form runs in natural order. A CRC-valid blob whose stored
+  // order is reversed, or names one row n times, must still solve to a
+  // fresh analysis's x bit for bit -- never a crash or a wrong x.
+  const sparse::CscMatrix l = test_matrix();
+  const index_t n = l.rows;
+  ASSERT_GT(n, 256);  // past one serial window, where a bucket pass splits
+  const core::SolveOptions opt =
+      core::registry::options_for("gpu-levelset").value();
+  std::vector<value_t> batch;
+  for (index_t j = 0; j < 3; ++j) {
+    const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
+        l, sparse::gen_solution(n, 40 + static_cast<std::uint64_t>(j)));
+    batch.insert(batch.end(), bj.begin(), bj.end());
+  }
+  const std::span<const value_t> b = std::span<const value_t>(batch).first(
+      static_cast<std::size_t>(n));
+  const auto fresh = core::SolverPlan::analyze(l, opt);
+  ASSERT_TRUE(fresh.ok()) << fresh.message();
+  const std::vector<value_t> x = fresh->solve(b).value().x;
+  const std::vector<value_t> xs = fresh->solve_batch(batch, 3).value().x;
+
+  const auto check = [&](const char* name, auto mangle) {
+    SCOPED_TRACE(name);
+    core::PlanSnapshot snap;
+    snap.backend = core::Backend::kGpuLevelSet;
+    snap.tasks_per_gpu = opt.tasks_per_gpu;
+    snap.num_gpus = opt.machine.num_gpus();
+    snap.levels = sparse::analyze_levels(l);
+    mangle(snap.levels->order);
+    const auto loaded =
+        core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
+    ASSERT_TRUE(loaded.ok()) << loaded.message();
+    const auto r = loaded->solve(b);
+    ASSERT_TRUE(r.ok()) << r.message();
+    EXPECT_EQ(r->x, x);
+    const auto rb = loaded->solve_batch(batch, 3);
+    ASSERT_TRUE(rb.ok()) << rb.message();
+    EXPECT_EQ(rb->x, xs);
+  };
+  check("reversed", [](std::vector<index_t>& o) {
+    std::reverse(o.begin(), o.end());
+  });
+  check("one row", [n](std::vector<index_t>& o) {
+    std::fill(o.begin(), o.end(), n - 1);
+  });
+}
+
 TEST(PlanIo, BorrowedLoadOfUpperPlanIsRejected) {
   const sparse::CscMatrix u = test_upper();
   const core::SolveOptions opt = core::registry::options_for("serial").value();

@@ -360,6 +360,21 @@ TEST(SolveService, PresetConstructionServesSimulatedBackends) {
   EXPECT_EQ(svc.submit(*plan, b).get().value().x, want);
 }
 
+TEST(SolveService, SimulatedRepliesCarryAKernelPhase) {
+  // A served simulated solve spends its host time in the replay sweep,
+  // and the reply's phases say so.
+  const sparse::CscMatrix l = service_matrix(29);
+  const std::vector<value_t> b = rhs_for(l, 6);
+  SolveService svc;
+  for (const char* key : {"gpu-levelset", "mg-unified", "mg-zerocopy"}) {
+    const auto plan = svc.plan_for(l, key);
+    ASSERT_TRUE(plan.ok()) << key << ": " << plan.message();
+    const SolveService::Reply r = svc.submit(*plan, b).get();
+    ASSERT_TRUE(r.ok()) << key << ": " << r.message();
+    EXPECT_GT(r.value().phases.kernel_us, 0.0) << key;
+  }
+}
+
 TEST(SolveService, DestructorDrainsEverythingAdmitted) {
   if (!support::failpoints_compiled()) GTEST_SKIP();
   const sparse::CscMatrix l = service_matrix(29);
