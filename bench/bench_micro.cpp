@@ -100,31 +100,6 @@ BENCHMARK(BM_SimulatedZerocopy4Gpu);
 // path pays them once in analyze() and each iteration below is a pure
 // solve. Per-iteration time must drop for the plan variants.
 
-void BM_OneShotSolve_CpuSyncFree(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  core::SolveOptions o = core::registry::options_for("cpu-syncfree").value();
-  o.cpu_threads = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve(l, b, o));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_OneShotSolve_CpuSyncFree);
-
-void BM_PlanSolve_CpuSyncFree(benchmark::State& state) {
-  const auto& l = bench_matrix();
-  const auto& b = bench_rhs();
-  core::SolveOptions o = core::registry::options_for("cpu-syncfree").value();
-  o.cpu_threads = 2;
-  const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.solve(b));
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_PlanSolve_CpuSyncFree);
-
 void BM_OneShotSolve_Serial(benchmark::State& state) {
   const auto& l = bench_matrix();
   const auto& b = bench_rhs();
@@ -256,16 +231,12 @@ BENCHMARK_CAPTURE(BM_SolveBatch, Fused_CpuLevelSet, "cpu-levelset", true)
     ->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK_CAPTURE(BM_SolveBatch, Looped_CpuLevelSet, "cpu-levelset", false)
     ->Arg(1)->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_SolveBatch, Fused_CpuSyncFree, "cpu-syncfree", true)
-    ->Arg(1)->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_SolveBatch, Looped_CpuSyncFree, "cpu-syncfree", false)
-    ->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK_CAPTURE(BM_SolveBatch, Fused_Serial, "serial", true)
     ->Arg(1)->Arg(4)->Arg(16);
 
 // Plan re-solve on the persistent workspace (the "no thread spawn, no O(n)
-// zeroing per call" acceptance check -- compare against the PR 1 numbers
-// of BM_PlanSolve_CpuSyncFree / the one-shot variants above).
+// zeroing per call" acceptance check -- compare against the one-shot
+// variant above).
 void BM_PlanSolve_CpuLevelSet(benchmark::State& state) {
   const auto& l = bench_matrix();
   const auto& b = bench_rhs();
@@ -282,8 +253,8 @@ BENCHMARK(BM_PlanSolve_CpuLevelSet);
 // Budget-check tax: same plan solve with an ARMED (generous, never-firing)
 // execution budget. The no-budget baselines above pass a null token to the
 // kernels -- one branch per level/claim boundary -- while these pay the
-// strided clock reads too. Compare against BM_PlanSolve_{CpuSyncFree,
-// CpuLevelSet}; main() gates the pairing below.
+// strided clock reads too. Compare against BM_PlanSolve_CpuLevelSet;
+// main() gates the pairing below.
 void BM_PlanSolve_BudgetArmed(benchmark::State& state, const char* key) {
   const auto& l = bench_matrix();
   const auto& b = bench_rhs();
@@ -296,7 +267,6 @@ void BM_PlanSolve_BudgetArmed(benchmark::State& state, const char* key) {
   }
   state.SetItemsProcessed(state.iterations() * l.nnz());
 }
-BENCHMARK_CAPTURE(BM_PlanSolve_BudgetArmed, CpuSyncFree, "cpu-syncfree");
 BENCHMARK_CAPTURE(BM_PlanSolve_BudgetArmed, CpuLevelSet, "cpu-levelset");
 
 // ---- BENCH_batch.json ------------------------------------------------------
@@ -336,8 +306,8 @@ int write_batch_json() {
   const auto& l = bench_matrix();
 
   std::vector<BatchCase> cases;
-  for (const char* key : {"serial", "cpu-levelset", "cpu-syncfree",
-                          "gpu-levelset", "mg-zerocopy"}) {
+  for (const char* key :
+       {"serial", "cpu-levelset", "gpu-levelset", "mg-zerocopy"}) {
     const core::SolverPlan fused = batch_plan(key, true);
     const core::SolverPlan looped = batch_plan(key, false);
     const bool sim = core::is_simulated(fused.options().backend);
@@ -532,7 +502,7 @@ int write_kernel_json() {
   std::vector<RooflineCase> roofline;
   const index_t k16 = 16;
   const double bytes16 = solve_bytes_model(l, k16);
-  for (const char* key : {"serial", "cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"serial", "cpu-levelset"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     o.cpu_threads = threads;
     const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
@@ -640,8 +610,7 @@ int write_plan_io_json() {
   // shows. The design target for restore_gbps is the ~10 GB/s memcpy
   // ceiling derated by the rebuild's random scatter.
 
-  for (const char* key :
-       {"cpu-levelset", "cpu-syncfree", "gpu-levelset", "mg-zerocopy"}) {
+  for (const char* key : {"cpu-levelset", "gpu-levelset", "mg-zerocopy"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     o.cpu_threads = 2;
     for (const bool is_upper : {false, true}) {
@@ -675,8 +644,7 @@ int write_plan_io_json() {
       c.backend = key;
       c.factor = is_upper ? "upper" : "lower";
       c.blob_mb = static_cast<double>(blob.value().size()) / 1e6;
-      const bool host_parallel =
-          std::string(key) == "cpu-levelset" || std::string(key) == "cpu-syncfree";
+      const bool host = std::string(key) == "cpu-levelset";
       c.parse_us = best_us_of(
           [&] {
             std::vector<std::uint8_t> bytes;
@@ -697,7 +665,7 @@ int write_plan_io_json() {
       // Bytes the load materializes: the blob itself plus, for the host
       // blobs, the rebuilt row form (ptr + row map + idx + val).
       double restored_bytes = static_cast<double>(blob.value().size());
-      if (host_parallel) {
+      if (host) {
         restored_bytes +=
             static_cast<double>(lower.rows + 1) * sizeof(offset_t) +
             static_cast<double>(lower.rows) * sizeof(index_t) +
@@ -798,7 +766,7 @@ int write_budget_json() {
   std::vector<BudgetCase> cases;
   bool gate_ok = true;
 
-  for (const char* key : {"cpu-syncfree", "cpu-levelset"}) {
+  for (const char* key : {"cpu-levelset"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     // Single worker: the boundary checks under test run identically, but
     // the measurement is not at the mercy of gang scheduling on a noisy
@@ -877,8 +845,8 @@ int write_budget_json() {
 
 // ---- BENCH_trace.json ------------------------------------------------------
 // Gate on the tracing layer's tax (ISSUE 9 acceptance): ARMED span
-// recording -- every macro site live, kernel leaders emitting per-level /
-// per-sweep spans into their rings -- must sit within 3% of the disarmed
+// recording -- every macro site live, kernel leaders emitting per-level
+// spans into their rings -- must sit within 3% of the disarmed
 // path (whose cost is one relaxed load per site), plus the machine's own
 // same-code jitter. Same statistic and flake guard as the budget study:
 // median paired ratios over bracketed rounds, gate
@@ -907,7 +875,7 @@ int write_trace_json() {
   bool gate_ok = true;
   const bool compiled = support::trace::trace_compiled();
 
-  for (const char* key : {"cpu-syncfree", "cpu-levelset"}) {
+  for (const char* key : {"cpu-levelset"}) {
     core::SolveOptions o = core::registry::options_for(key).value();
     // Single worker, as in the budget study: the macro sites under test
     // run identically, without gang-scheduling jitter swamping the signal.
@@ -957,7 +925,7 @@ int write_trace_json() {
     {
       const support::trace::TraceId id = support::trace::make_trace_id();
       support::trace::ScopedTraceContext ctx(id);
-      core::SolveOptions o = core::registry::options_for("cpu-syncfree").value();
+      core::SolveOptions o = core::registry::options_for("cpu-levelset").value();
       o.cpu_threads = 1;
       const core::SolverPlan plan = core::SolverPlan::analyze(l, o).value();
       const auto r = plan.solve(b);
@@ -1017,141 +985,6 @@ int write_trace_json() {
   return 0;
 }
 
-// ---- BENCH_taskgraph.json --------------------------------------------------
-// Gate on the coarsener's payoff: on a chain-heavy structure -- long
-// width-1 chains feeding wide fans, the regime the coarsener exists for --
-// the cpu-taskgraph backend must beat the flat level schedule by >= 15%
-// per rhs at 16 rhs, on the paired median. The bound is fixed: the
-// same-code noise is measured and reported, but never subtracted, so a
-// noisy box cannot let a slower task graph pass. Both backends run the
-// identical fused batch kernel underneath; the entire difference is
-// schedule overhead (one gang barrier per level vs one claim per
-// coarsened task), so the result must ALSO be bit-identical, and that is
-// asserted before a single sample is timed.
-//
-// The gate arms only on >= 4 hardware threads: below that the flat
-// schedule pays almost no barrier tax and the comparison is reported as
-// informational.
-
-constexpr double kTaskGraphMinSpeedup = 1.15;
-
-int write_taskgraph_json() {
-  const char* path_env = std::getenv("MSPTRSV_BENCH_TASKGRAPH_JSON");
-  const std::string path = path_env ? path_env : "BENCH_taskgraph.json";
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool gate_armed = hw >= 4;
-
-  // 8 segments x 400-row chains x 256-wide fans: ~3200 narrow levels
-  // whose per-level barrier cost dominates a flat schedule.
-  const sparse::CscMatrix l = sparse::gen_chain_heavy(8, 400, 256, 4, 42);
-  constexpr index_t kNumRhs = 16;
-  std::vector<value_t> batch;
-  for (index_t j = 0; j < kNumRhs; ++j) {
-    const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
-        l, sparse::gen_solution(l.rows, 60 + static_cast<std::uint64_t>(j)));
-    batch.insert(batch.end(), bj.begin(), bj.end());
-  }
-
-  auto plan_for = [&](const char* key) {
-    core::SolveOptions o = core::registry::options_for(key).value();
-    o.cpu_threads = 0;  // full gang; the barrier tax under test needs one
-    return core::SolverPlan::analyze(sparse::CscMatrix(l), o).value();
-  };
-  const core::SolverPlan flat = plan_for("cpu-levelset");
-  const core::SolverPlan graph = plan_for("cpu-taskgraph");
-
-  // Schedule choice must never change bits (the differential harness
-  // holds this across the whole config grid; re-assert it on the exact
-  // instance being timed).
-  {
-    const auto rf = flat.solve_batch(batch, kNumRhs);
-    const auto rg = graph.solve_batch(batch, kNumRhs);
-    if (!rf.ok() || !rg.ok()) {
-      throw SolveFailed("taskgraph-study solve failed: " +
-                        (rf.ok() ? rg : rf).message());
-    }
-    if (rf.value().x != rg.value().x) {
-      std::fprintf(stderr,
-                   "taskgraph-study: schedules disagree bitwise -- refusing "
-                   "to time a wrong answer\n");
-      return 3;
-    }
-  }
-
-  constexpr int kRounds = 15;
-  constexpr int kSolvesPerSample = 4;
-  auto sample_us = [&](const core::SolverPlan& plan) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kSolvesPerSample; ++i) {
-      const auto r = plan.solve_batch(batch, kNumRhs);
-      if (!r.ok()) {
-        throw SolveFailed("taskgraph-study solve failed: " + r.message());
-      }
-    }
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  sample_us(flat);  // warm pools + caches off the record
-  sample_us(graph);
-
-  const bench::PairedStudy study = bench::paired_median_study(
-      [&] { return sample_us(flat); }, [&] { return sample_us(graph); },
-      kRounds);
-  // ratio = taskgraph / flat-levels (median paired); speedup is its
-  // inverse. Gate: speedup >= 1.15, whatever the noise.
-  const double speedup = 1.0 / study.ratio;
-  const bool gate_ok = !gate_armed || speedup >= kTaskGraphMinSpeedup;
-
-  const sparse::TaskGraph* tg = graph.task_graph();
-  const core::TunedDecision* tuned = graph.tuned();
-  const index_t num_levels =
-      flat.level_analysis() != nullptr ? flat.level_analysis()->num_levels : 0;
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 3;
-  }
-  const double flat_per_rhs = study.baseline_us / (kSolvesPerSample * kNumRhs);
-  const double graph_per_rhs =
-      study.candidate_us / (kSolvesPerSample * kNumRhs);
-  std::fprintf(
-      f,
-      "{\n  \"bench\": \"task-graph schedule vs flat levels\",\n"
-      "  \"matrix\": {\"rows\": %d, \"nnz\": %lld, \"levels\": %d},\n"
-      "  \"num_rhs\": %d,\n  \"cpu_threads\": %u,\n"
-      "  \"gate_armed\": %s,\n"
-      "  \"gate\": \"paired-median speedup >= 1.15 (>= 4 hw threads)\",\n"
-      "  \"bitwise_equal\": true,\n"
-      "  \"task_graph\": {\"num_tasks\": %d, \"levels_fused\": %d,\n"
-      "    \"narrow_width\": %d, \"block_rows\": %d},\n"
-      "  \"flat_per_rhs_us\": %.2f,\n  \"taskgraph_per_rhs_us\": %.2f,\n"
-      "  \"speedup\": %.3f,\n  \"noise_pct\": %.2f\n}\n",
-      l.rows, static_cast<long long>(l.nnz()), num_levels,
-      static_cast<int>(kNumRhs), hw, gate_armed ? "true" : "false",
-      tg != nullptr ? tg->num_tasks : -1,
-      tg != nullptr ? tg->levels_fused : -1,
-      tuned != nullptr ? tuned->coarsen.narrow_width : -1,
-      tuned != nullptr ? tuned->coarsen.block_rows : -1, flat_per_rhs,
-      graph_per_rhs, speedup, study.noise_pct);
-  std::fclose(f);
-  std::printf("BENCH_taskgraph %d levels -> %d tasks  flat %8.2f us/rhs  "
-              "taskgraph %8.2f us/rhs  speedup %.3fx (noise %.2f%%)%s\n",
-              num_levels, tg != nullptr ? tg->num_tasks : -1, flat_per_rhs,
-              graph_per_rhs, speedup, study.noise_pct,
-              gate_armed ? "" : "  [informational: < 4 hw threads]");
-  std::printf("wrote %s\n", path.c_str());
-  if (!gate_ok) {
-    std::fprintf(stderr,
-                 "taskgraph speedup gate FAILED: coarsened schedule is not "
-                 ">= 1.15x over flat levels on the chain-heavy instance "
-                 "(see above)\n");
-    return 4;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1171,7 +1004,6 @@ int main(int argc, char** argv) {
   for (const Study& study :
        {Study{"batch", write_batch_json}, Study{"budget", write_budget_json},
         Study{"trace", write_trace_json}, Study{"kernel", write_kernel_json},
-        Study{"taskgraph", write_taskgraph_json},
         Study{"plan-io", write_plan_io_json}}) {
     int rc;
     try {

@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
   support::CliParser cli(
       "Network-tier benchmark: wire tax vs an in-process service, and the "
       "1- vs 2-shard routed scale-out study (emits BENCH_net.json)");
-  cli.add_option("backend", "cpu-syncfree", "registry backend key");
+  cli.add_option("backend", "auto", "registry backend key or preset");
   cli.add_option("n", "3000", "rows per generated factor");
   cli.add_option("num-rhs", "4", "right-hand sides per solve frame");
   cli.add_option("plans", "6", "distinct factors in the mixed workload");

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       "with breakers and failover engaged (chaos smoke driver)");
   cli.add_option("ports", "", "comma-separated shard ports (required)");
   cli.add_option("host", "127.0.0.1", "shard host");
-  cli.add_option("backend", "cpu-syncfree", "registry backend key");
+  cli.add_option("backend", "auto", "registry backend key or preset");
   cli.add_option("solves", "400", "verified solves to run");
   cli.add_option("interval-us", "5000", "pause between solves");
   cli.add_option("n", "2000", "generated factor dimension");

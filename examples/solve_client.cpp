@@ -5,7 +5,7 @@
 // template for applications talking to a remote solve fleet.
 //
 //   ./example_solve_client --port=7450 [--host 127.0.0.1]
-//                          [--backend cpu-syncfree] [--solves 32] [--n 4000]
+//                          [--backend auto] [--solves 32] [--n 4000]
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
       "verify served solutions bit-for-bit against a local plan");
   cli.add_option("host", "127.0.0.1", "server host");
   cli.add_option("port", "0", "server port (required)");
-  cli.add_option("backend", "cpu-syncfree", "registry backend key");
+  cli.add_option("backend", "auto", "registry backend key or preset");
   cli.add_option("solves", "32", "verification solves to run");
   cli.add_option("n", "4000", "generated factor dimension");
   if (!cli.parse(argc, argv)) return 0;

@@ -12,7 +12,7 @@
 //    statuses (kOverloaded triggers the client's backoff-retry tier);
 //  * the Prometheus /metrics answer and the drain barrier.
 //
-//   ./example_solve_server [--backend cpu-syncfree] [--clients 4]
+//   ./example_solve_server [--backend auto] [--clients 4]
 //                          [--requests 100] [--tenants 3]
 #include <atomic>
 #include <chrono>
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   support::CliParser cli(
       "Network solve server demo: wire-protocol clients against a loopback "
       "net::SolveServer -- opens, pipelined solves, retry, metrics, drain");
-  cli.add_option("backend", "cpu-syncfree", "registry backend key to serve");
+  cli.add_option("backend", "auto", "registry backend key or preset to serve");
   cli.add_option("clients", "4", "concurrent client connections");
   cli.add_option("requests", "100", "solves per client");
   cli.add_option("tenants", "3", "distinct factors being served");

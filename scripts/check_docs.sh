@@ -41,8 +41,7 @@ broken=$(
 docs/OPERATIONS.md	## Kernel tuning
 docs/OPERATIONS.md	### Reading BENCH_kernel.json
 docs/OPERATIONS.md	## Autotuner
-docs/OPERATIONS.md	### Reading BENCH_taskgraph.json
-docs/ARCHITECTURE.md	## The task-graph schedule and the autotuner
+docs/ARCHITECTURE.md	## The autotuner
 docs/OPERATIONS.md	## Failure modes & recovery
 docs/OPERATIONS.md	## Backpressure and overload semantics
 docs/OPERATIONS.md	## Tracing a slow solve

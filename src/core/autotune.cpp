@@ -49,35 +49,9 @@ double gang_work_ns(const std::vector<LevelLoad>& loads, double gather_ns,
 
 /// Flat level sets (cpu-levelset): every level pays one gang sync.
 double levelset_ns(const std::vector<LevelLoad>& loads,
-                   const sparse::HostCosts& costs, int width) {
+                   const HostCosts& costs, int width) {
   return gang_work_ns(loads, costs.gather_ns_per_nnz, width) +
          static_cast<double>(loads.size()) * costs.sync_ns(width);
-}
-
-/// The coarsened task graph (cpu-taskgraph, see sparse::coarsen_levels):
-/// a run of narrow levels is one sequential chain task, a wide level's
-/// block_rows-row blocks spread over the gang, and every chain and every
-/// wide level costs one hand-off.
-double taskgraph_ns(const std::vector<LevelLoad>& loads,
-                    const sparse::HostCosts& costs, int width,
-                    const sparse::CoarsenOptions& coarsen) {
-  double ns = 0.0;
-  bool in_chain = false;
-  for (const LevelLoad& l : loads) {
-    const double row_ns = l.nnz / l.rows * costs.gather_ns_per_nnz;
-    if (l.rows <= static_cast<double>(coarsen.narrow_width)) {
-      if (!in_chain) ns += costs.sync_ns(width);
-      in_chain = true;
-      ns += l.rows * row_ns;
-      continue;
-    }
-    in_chain = false;
-    const double block = static_cast<double>(coarsen.block_rows);
-    ns += std::ceil(std::ceil(l.rows / block) / width) *
-              std::min(l.rows, block) * row_ns +
-          costs.sync_ns(width);
-  }
-  return ns;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -108,7 +82,7 @@ bool timed_width(int w, int max_width) {
 
 /// Times the three host costs on the calibration factor, gang widths
 /// 2..max_width.
-sparse::HostCosts measure_host_costs(int max_width) {
+HostCosts measure_host_costs(int max_width) {
   // The calibration factor: the 7-point stencil's lower factor on a 16^3
   // grid -- 4096 rows, 46 levels, ~15.6k nonzeros, cache resident. Its
   // levels are tens to a few hundred rows, the regime where a barrier
@@ -117,7 +91,7 @@ sparse::HostCosts measure_host_costs(int max_width) {
   const sparse::LevelAnalysis levels =
       sparse::analyze_levels(lower, /*validate=*/false);
   // The two execution orders the plans store: serial's windowed level
-  // order and the parallel schedules' plain level order.
+  // order and the level-set gang's plain level order.
   const RowForm serial_rows =
       build_row_form(lower, serial_row_order(levels), /*mirrored=*/false);
   const RowForm level_rows =
@@ -127,21 +101,20 @@ sparse::HostCosts measure_host_costs(int max_width) {
   std::vector<value_t> x(b.size());
   constexpr int kReps = 9;
 
-  sparse::HostCosts costs;
+  HostCosts costs;
   costs.serial_ns_per_nnz =
       median_ns(kReps,
                 [&] { solve_lower_serial_pull(serial_rows, b, 1, x); }) /
       nnz;
-  // The level-ordered gather with no sync at all: the whole level
-  // sequence as ONE chain task on one party.
-  const sparse::TaskGraph chain =
-      sparse::coarsen_levels(lower, levels, {levels.n, 0});
+  // The level-set kernel on one party: its level-ordered sweep, with
+  // nobody to wait for at its barriers -- the work the gang's
+  // predictions divide among its parties.
   SolveWorkspace solo(1);
   costs.gather_ns_per_nnz =
       median_ns(kReps,
                 [&] {
-                  solve_lower_taskgraph_fused(chain, level_rows, b, 1, solo,
-                                              x);
+                  solve_lower_levelset_fused(level_rows, b, 1, levels, solo,
+                                             x);
                 }) /
       nnz;
 
@@ -171,20 +144,25 @@ sparse::HostCosts measure_host_costs(int max_width) {
   return costs;
 }
 
-std::atomic<const sparse::HostCosts*> g_override{nullptr};
+std::atomic<const HostCosts*> g_override{nullptr};
 
 }  // namespace
 
-const sparse::HostCosts& measured_host_costs() {
-  if (const sparse::HostCosts* o = g_override.load(std::memory_order_acquire)) {
+double HostCosts::sync_ns(int width) const {
+  if (width < 2 || level_sync_ns.size() < 3) return 0.0;
+  return level_sync_ns[static_cast<std::size_t>(std::min(width, max_width()))];
+}
+
+const HostCosts& measured_host_costs() {
+  if (const HostCosts* o = g_override.load(std::memory_order_acquire)) {
     return *o;
   }
-  static const sparse::HostCosts costs =
+  static const HostCosts costs =
       measure_host_costs(resolve_cpu_threads(0));
   return costs;
 }
 
-ScopedHostCosts::ScopedHostCosts(sparse::HostCosts costs)
+ScopedHostCosts::ScopedHostCosts(HostCosts costs)
     : costs_(std::move(costs)),
       previous_(g_override.exchange(&costs_, std::memory_order_acq_rel)) {}
 
@@ -193,42 +171,27 @@ ScopedHostCosts::~ScopedHostCosts() {
 }
 
 TunedDecision autotune_decision(const sparse::LevelAnalysis& levels,
-                                const sparse::HostCosts& costs,
-                                int thread_budget) {
+                                const HostCosts& costs, int thread_budget) {
   TunedDecision d;
   d.autotuned = true;
   d.backend = Backend::kSerial;
   d.gang_width = 1;
   const int widest = std::min(thread_budget, costs.max_width());
-  d.coarsen = sparse::resolve_coarsen_options({}, levels, costs, widest);
   if (levels.n > 0 && widest >= 2) {
     const std::vector<LevelLoad> loads = level_loads(levels);
     // Serial's predicted time, discounted by the margin: the bar every
-    // parallel candidate has to clear.
+    // gang width has to clear.
     double best_ns = static_cast<double>(levels.nnz) *
                      costs.serial_ns_per_nnz / kParallelWinMargin;
     for (int w = 2; w <= widest; ++w) {
-      const sparse::CoarsenOptions coarsen =
-          sparse::resolve_coarsen_options({}, levels, costs, w);
-      const double flat = levelset_ns(loads, costs, w);
-      if (flat < best_ns) {
-        best_ns = flat;
+      const double ns = levelset_ns(loads, costs, w);
+      if (ns < best_ns) {
+        best_ns = ns;
         d.backend = Backend::kCpuLevelSet;
         d.gang_width = w;
-        d.coarsen = coarsen;
-      }
-      const double graph = taskgraph_ns(loads, costs, w, coarsen);
-      if (graph < best_ns) {
-        best_ns = graph;
-        d.backend = Backend::kCpuTaskGraph;
-        d.gang_width = w;
-        d.coarsen = coarsen;
       }
     }
   }
-  d.schedule = d.backend == Backend::kCpuTaskGraph ? 1 : 0;
-  d.features =
-      sparse::schedule_features(levels, levels.nnz, d.coarsen.narrow_width);
   return d;
 }
 

@@ -82,22 +82,10 @@ bool backend_is_multi_gpu(Backend b) {
   }
 }
 
-bool backend_is_host_parallel(Backend b) {
-  return b == Backend::kCpuLevelSet || b == Backend::kCpuSyncFree ||
-         b == Backend::kCpuTaskGraph;
-}
-
-/// The host backends that solve through the row-form gather view: serial
-/// and every host-parallel schedule. Each keeps its level analysis, the
-/// source of the row form's execution order.
-bool backend_uses_row_form(Backend b) {
-  return b == Backend::kSerial || backend_is_host_parallel(b);
-}
-
-/// (Re)builds `snap`'s row form from `lower` in the order its backend
-/// executes: serial sweeps level order inside windows of consecutive rows
-/// (serial_row_order), the parallel schedules plain level order. An upper
-/// plan's form is mirrored into the caller's numbering.
+/// (Re)builds a host plan's row form from `lower` in the order its
+/// backend executes: serial sweeps level order inside windows of
+/// consecutive rows (serial_row_order), cpu-levelset plain level order.
+/// An upper plan's form is mirrored into the caller's numbering.
 void build_plan_row_form(const SolveOptions& options,
                          const sparse::CscMatrix& lower, PlanSnapshot& snap) {
   const sparse::LevelAnalysis& levels = *snap.levels;
@@ -108,26 +96,15 @@ void build_plan_row_form(const SolveOptions& options,
   apply_numa_hints(options, *snap.row_form);
 }
 
-/// One fused host-parallel kernel run over `snap`'s row form; `b`/`x`
-/// are column-major n x num_rhs.
-bool run_host_parallel(Backend backend, const PlanSnapshot& snap,
-                       const sparse::CscMatrix& lower,
-                       std::span<const value_t> b, index_t num_rhs,
-                       SolveWorkspace& ws, std::span<value_t> x,
-                       const CancelToken* cancel) {
-  const RowForm& rows = *snap.row_form;
-  const sparse::LevelAnalysis& levels = *snap.levels;
-  switch (backend) {
-    case Backend::kCpuLevelSet:
-      return solve_lower_levelset_fused(rows, b, num_rhs, levels, ws, x,
-                                        cancel);
-    case Backend::kCpuSyncFree:
-      return solve_lower_syncfree_fused(lower, rows, levels.order, b, num_rhs,
-                                        snap.in_degrees, ws, x, cancel);
-    default:  // Backend::kCpuTaskGraph
-      return solve_lower_taskgraph_fused(*snap.tasks, rows, b, num_rhs, ws, x,
-                                         cancel);
-  }
+/// The level-set gang's persistent execution state: parked threads and
+/// a reusable barrier per concurrent solve, materialized on first use.
+std::unique_ptr<WorkspacePool> make_workspaces(const SolveOptions& options) {
+  PoolOptions pool_opts;
+  pool_opts.numa_policy = options.numa_policy;
+  return std::make_unique<WorkspacePool>(
+      resolve_cpu_threads(options.cpu_threads),
+      options.use_shared_pool ? &SharedWorkerPool::instance() : nullptr,
+      pool_opts);
 }
 
 /// One event simulation of a multi-GPU plan at fused cost width
@@ -175,14 +152,6 @@ sim::RunReport simulated_report(const SolveOptions& options,
   return simulate_mg(options, snap, lower, num_rhs).report;
 }
 
-/// Coarsening thresholds for a cpu-taskgraph plan that has no pinned
-/// ones: the narrow cut this process's measured costs give its gang.
-sparse::CoarsenOptions measured_coarsening(const sparse::LevelAnalysis& levels,
-                                           int cpu_threads) {
-  return sparse::resolve_coarsen_options({}, levels, measured_host_costs(),
-                                         resolve_cpu_threads(cpu_threads));
-}
-
 }  // namespace
 
 struct SolverPlan::State {
@@ -202,9 +171,9 @@ struct SolverPlan::State {
   double analysis_seconds = 0.0;
   /// Wall seconds spent restoring the plan from a blob (load paths only).
   double load_seconds = 0.0;
-  /// Persistent execution state of the host-parallel backends: leased
-  /// workspaces carrying parked worker threads and generation-tagged
-  /// scratch. Internally synchronized; null for other backends.
+  /// Persistent execution state of the cpu-levelset backend: leased
+  /// workspaces carrying parked worker threads and a reusable barrier.
+  /// Internally synchronized; null for other backends.
   std::unique_ptr<WorkspacePool> workspaces;
   /// A simulated plan's replay state, built by the first solve of any
   /// copy of the plan under `replay_once` -- never at analysis (a plan may
@@ -286,8 +255,7 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   // structurally chosen one before any backend-keyed state is built. Only
   // host schedules participate -- an explicit simulated/multi-GPU request
   // is a statement about WHICH engine to model, not a tuning question.
-  if (options.autotune && (options.backend == Backend::kSerial ||
-                           backend_is_host_parallel(options.backend))) {
+  if (options.autotune && !is_simulated(options.backend)) {
     sparse::LevelAnalysis levels =
         sparse::analyze_levels(lower, /*validate=*/false);
     TunedDecision tuned =
@@ -300,7 +268,7 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
     // describe the CHOSEN configuration.
     st->snapshot.backend = tuned.backend;
     // Hand the analysis forward instead of recomputing it in the switch:
-    // every candidate is a host backend, and all of them keep it.
+    // both candidates are host backends, and both keep it.
     st->snapshot.levels = std::move(levels);
   }
 
@@ -316,15 +284,10 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   switch (options.backend) {
     case Backend::kSerial:
     case Backend::kCpuLevelSet:
-    case Backend::kCpuTaskGraph:
-    case Backend::kCpuSyncFree:
-      // Every host backend executes in an order derived from the level
+      // Both host backends execute in an order derived from the level
       // analysis; the autotune path above may have handed it forward.
       if (!st->snapshot.levels.has_value()) {
         st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
-      }
-      if (options.backend == Backend::kCpuSyncFree) {
-        st->snapshot.in_degrees = st->snapshot.levels->in_degree;
       }
       break;
     case Backend::kGpuLevelSet:
@@ -348,38 +311,14 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   // in its execution order and built here once. It snapshots the values,
   // so update_values rebuilds it and a borrowed plan does not see
   // in-place value edits.
-  if (backend_uses_row_form(options.backend)) {
+  if (!is_simulated(options.backend)) {
     build_plan_row_form(options, lower, st->snapshot);
   }
-  // Host-parallel backends solve on plan-owned persistent workspaces
-  // (parked threads, reusable scratch). The pool is lazy: workspaces (and
-  // their threads) materialize on first solve, one per concurrent caller.
-  if (backend_is_host_parallel(options.backend)) {
-    if (options.backend == Backend::kCpuTaskGraph) {
-      // Every cpu-taskgraph plan carries a tuned record, autotuned or not:
-      // the coarsening thresholds in it are what the load path rebuilds
-      // the graph from (the measured costs behind them are per-process
-      // and must not be re-derived on another machine).
-      if (!st->snapshot.tuned.has_value()) {
-        TunedDecision tuned;
-        tuned.backend = Backend::kCpuTaskGraph;
-        tuned.schedule = 1;
-        tuned.gang_width = options.cpu_threads;
-        tuned.coarsen =
-            measured_coarsening(*st->snapshot.levels, options.cpu_threads);
-        tuned.features = sparse::schedule_features(
-            *st->snapshot.levels, lower.nnz(), tuned.coarsen.narrow_width);
-        st->snapshot.tuned = tuned;
-      }
-      st->snapshot.tasks = sparse::coarsen_levels(
-          lower, *st->snapshot.levels, st->snapshot.tuned->coarsen);
-    }
-    PoolOptions pool_opts;
-    pool_opts.numa_policy = options.numa_policy;
-    st->workspaces = std::make_unique<WorkspacePool>(
-        resolve_cpu_threads(options.cpu_threads),
-        options.use_shared_pool ? &SharedWorkerPool::instance() : nullptr,
-        pool_opts);
+  // The gang solves on plan-owned persistent workspaces. The pool is
+  // lazy: workspaces (and their threads) materialize on first solve, one
+  // per concurrent caller.
+  if (options.backend == Backend::kCpuLevelSet) {
+    st->workspaces = make_workspaces(options);
   }
 
   st->analysis_seconds = seconds_since(t0);
@@ -513,14 +452,13 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
       out.report.machine_name = "host";
       break;
     }
-    case Backend::kCpuLevelSet:
-    case Backend::kCpuSyncFree:
-    case Backend::kCpuTaskGraph: {
+    case Backend::kCpuLevelSet: {
       WorkspacePool::Lease lease = st.workspaces->acquire();
       out.x.resize(total);
       const auto t0 = steady_clock::now();
-      if (!run_host_parallel(st.options.backend, st.snapshot, lower, b,
-                             num_rhs, lease.ws(), out.x, cancel)) {
+      if (!solve_lower_levelset_fused(*st.snapshot.row_form, b, num_rhs,
+                                      *st.snapshot.levels, lease.ws(), out.x,
+                                      cancel)) {
         return cancel_error(*cancel);
       }
       scratch.kernel_us += us_since(t0);
@@ -925,11 +863,8 @@ Expected<SolverPlan> SolverPlan::restore(
   const index_t n = parsed.factor.rows;
   if (n > 0) {
     const bool needs_levels = options.backend == Backend::kCpuLevelSet ||
-                              options.backend == Backend::kCpuTaskGraph ||
                               options.backend == Backend::kGpuLevelSet;
-    const bool needs_in_degrees =
-        options.backend == Backend::kCpuSyncFree ||
-        backend_is_multi_gpu(options.backend);
+    const bool needs_in_degrees = backend_is_multi_gpu(options.backend);
     if (needs_levels && !snap.levels.has_value()) {
       return Result(SolveStatus::kBadSnapshot,
                     "snapshot lacks the level analysis its backend needs");
@@ -982,16 +917,26 @@ Expected<SolverPlan> SolverPlan::restore(
     snap.partition = partition_for(options, n);
   }
 
+  // Stored levels drive execution: the gang's slices assume the rows of
+  // a level are independent, and every row form and level-cost loop
+  // walks the stored order. A CRC only proves the bytes are the ones
+  // written, so check the whole schedule against the factor -- one pass
+  // over the structure that also proves the factor a solvable lower one.
+  if (n > 0 && snap.levels.has_value() &&
+      !is_level_schedule(*st->lower, snap.levels->order,
+                         snap.levels->level_ptr)) {
+    return Result(SolveStatus::kBadSnapshot,
+                  "snapshot level analysis is not a level schedule of a "
+                  "solvable factor");
+  }
   // Host backends execute in an order derived from the level analysis.
-  // A stored order must be a topological order of a solvable factor --
-  // the row-form build relies on it, and an ascending claim over any
-  // other order would spin forever -- so check both in one pass over the
-  // structure instead of trusting the CRC alone. Blobs from before serial
-  // and sync-free plans kept levels lack them: validate the factor, then
-  // compute them. The row form is then rebuilt from the resolved factor
-  // (the borrowed matrix's values included) in execution order -- one
-  // O(nnz) scatter, the same pass analyze pays.
-  if (n > 0 && backend_uses_row_form(options.backend)) {
+  // Blobs from before serial plans kept levels lack them (so do some
+  // blobs of the retired sync-free schedule, which load as serial):
+  // validate the factor, then compute them. The row form is then rebuilt
+  // from the resolved factor (the borrowed matrix's values included) in
+  // execution order -- one O(nnz) scatter, the same pass analyze pays.
+  // The in-degrees a sync-free blob carries have no host reader: dropped.
+  if (n > 0 && !is_simulated(options.backend)) {
     if (!snap.levels.has_value()) {
       if (!sparse::diagnose_solvable_lower(*st->lower).solvable) {
         return Result(SolveStatus::kBadSnapshot,
@@ -999,35 +944,16 @@ Expected<SolverPlan> SolverPlan::restore(
                       "matrix");
       }
       snap.levels = sparse::analyze_levels(*st->lower, /*validate=*/false);
-    } else if (!is_topological_order(*st->lower, snap.levels->order)) {
-      return Result(SolveStatus::kBadSnapshot,
-                    "snapshot level order is not a topological order of a "
-                    "solvable factor");
     }
+    snap.in_degrees = {};
     build_plan_row_form(options, *st->lower, snap);
   }
 
-  // The task DAG is never serialized (like the row form): rebuild it
-  // from the stored levels under the PERSISTED coarsening thresholds --
-  // they came from the analyzing process's measured costs, and the graph
-  // the plan runs must be the graph the analysis chose. Only a record
-  // without them falls back to this process's costs.
-  if (n > 0 && options.backend == Backend::kCpuTaskGraph) {
-    sparse::CoarsenOptions coarsen =
-        snap.tuned.has_value() ? snap.tuned->coarsen : sparse::CoarsenOptions{};
-    if (coarsen.narrow_width == 0) {
-      coarsen.narrow_width =
-          measured_coarsening(*snap.levels, options.cpu_threads).narrow_width;
-    }
-    snap.tasks = sparse::coarsen_levels(*st->lower, *snap.levels, coarsen);
-  }
-
-  // The sync-free host kernel SPINS on its delivery counters: in-degrees
-  // that disagree with the factor would hang the worker threads, not just
-  // mis-answer, so re-derive them and compare (one streaming pass over
-  // the structure; the level/mg schedules degrade to wrong answers at
-  // worst and are left to the CRC).
-  if (n > 0 && options.backend == Backend::kCpuSyncFree &&
+  // The multi-GPU engine counts each component's in-degree down to zero:
+  // in-degrees that disagree with the factor would leave components
+  // unsolved (an engine deadlock at the first solve), so re-derive them
+  // and compare -- one streaming pass over the structure.
+  if (n > 0 && backend_is_multi_gpu(options.backend) &&
       sparse::compute_in_degrees(*st->lower, /*validate=*/false) !=
           snap.in_degrees) {
     return Result(SolveStatus::kBadSnapshot,
@@ -1045,13 +971,8 @@ Expected<SolverPlan> SolverPlan::restore(
   // is reported separately via load_us().
   st->snapshot.analysis_us = 0.0;
   st->analysis_seconds = 0.0;
-  if (n > 0 && backend_is_host_parallel(st->options.backend)) {
-    PoolOptions pool_opts;
-    pool_opts.numa_policy = st->options.numa_policy;
-    st->workspaces = std::make_unique<WorkspacePool>(
-        resolve_cpu_threads(st->options.cpu_threads),
-        st->options.use_shared_pool ? &SharedWorkerPool::instance() : nullptr,
-        pool_opts);
+  if (n > 0 && st->options.backend == Backend::kCpuLevelSet) {
+    st->workspaces = make_workspaces(st->options);
   }
   st->load_seconds = seconds_since(t0);
   return SolverPlan(std::move(st));
@@ -1085,10 +1006,6 @@ const RowForm* SolverPlan::row_form() const {
 
 const TunedDecision* SolverPlan::tuned() const {
   return state_->snapshot.tuned ? &*state_->snapshot.tuned : nullptr;
-}
-
-const sparse::TaskGraph* SolverPlan::task_graph() const {
-  return state_->snapshot.tasks ? &*state_->snapshot.tasks : nullptr;
 }
 
 std::size_t SolverPlan::workspace_count() const {
@@ -1131,14 +1048,6 @@ std::size_t SolverPlan::resident_bytes() const {
              vector_bytes(snap.row_form->col_idx) +
              vector_bytes(snap.row_form->val) +
              vector_bytes(snap.row_form->row_of);
-  }
-  if (snap.tasks.has_value()) {
-    bytes += vector_bytes(snap.tasks->task_ptr) +
-             vector_bytes(snap.tasks->kind) +
-             vector_bytes(snap.tasks->task_of) +
-             vector_bytes(snap.tasks->in_degree) +
-             vector_bytes(snap.tasks->succ_ptr) +
-             vector_bytes(snap.tasks->succ);
   }
   if (snap.partition.has_value()) {
     // Partition internals: per-component owner map dominates.

@@ -17,9 +17,9 @@
 //   auto r3 = plan->solve(b1);                             // ... new numerics
 //
 // Execution engine: the numeric phase runs on plan-owned persistent state.
-// Host-parallel backends lease a SolveWorkspace (parked worker threads +
-// generation-tagged scratch; see workspace.hpp), so repeated solves spawn
-// no threads and never re-zero O(n) scratch. solve_batch runs the FUSED
+// The level-set gang leases a SolveWorkspace (parked worker threads + a
+// reusable barrier; see workspace.hpp), so repeated solves spawn no
+// threads and allocate nothing. solve_batch runs the FUSED
 // multi-RHS kernel by default (SolveOptions::fuse_batch): one dependency
 // resolution and one sweep over the matrix structure per batch, identical
 // bits to looped solves, amortized launch/sync accounting on the simulated
@@ -60,10 +60,6 @@
 #include "core/status.hpp"
 #include "sparse/level_analysis.hpp"
 #include "sparse/partition.hpp"
-
-namespace msptrsv::sparse {
-struct TaskGraph;  // sparse/task_graph.hpp
-}
 
 namespace msptrsv::core {
 
@@ -118,8 +114,8 @@ class SolverPlan {
                                     index_t num_rhs) const;
 
   /// Cancellable forms: `cancel` (a CancelSource token, a budget token, or
-  /// both) is checked cooperatively inside the host kernels at level/claim
-  /// boundaries; a fired token aborts MID-SOLVE with kDeadlineExceeded
+  /// both) is checked cooperatively inside the host kernels (per level on
+  /// the gang, every few thousand rows on the serial sweep); a fired token aborts MID-SOLVE with kDeadlineExceeded
   /// (deadline) or kOverloaded (flag -- the service's abandon-on-shutdown
   /// path), leaving the plan and its workspaces immediately reusable.
   /// Composes with options().time_budget: the earlier deadline wins.
@@ -217,7 +213,7 @@ class SolverPlan {
   /// (cached for the multi-GPU backends, derived on demand otherwise).
   /// Requires a non-empty plan (a 0x0 system has no partition).
   sparse::Partition partition() const;
-  /// Per-component in-degrees (empty for backends that do not use them).
+  /// Per-component in-degrees (multi-GPU plans; empty otherwise).
   std::span<const index_t> in_degrees() const;
   /// Level-set analysis: present on every host plan (the source of its
   /// row form's execution order) and on gpu-levelset plans; null
@@ -229,15 +225,14 @@ class SolverPlan {
   /// empty plans.
   const RowForm* row_form() const;
   /// The analyze-time schedule decision: present on every autotuned plan
-  /// (SolveOptions::autotune / registry preset "auto") and on every
-  /// cpu-taskgraph plan; null otherwise. Round-trips through v3 plan
-  /// blobs, so a LOADED plan reports the choice its analysis made.
+  /// (SolveOptions::autotune / registry preset "auto") and on plans
+  /// loaded from blobs of the retired task-graph schedule; null
+  /// otherwise. Round-trips through v3 plan blobs, so a LOADED plan
+  /// reports the choice its analysis made.
   const TunedDecision* tuned() const;
-  /// The coarsened task DAG (cpu-taskgraph plans only; null otherwise).
-  const sparse::TaskGraph* task_graph() const;
 
   /// Host workspaces materialized so far: 0 before the first solve on a
-  /// host-parallel backend (and always for other backends), then one per
+  /// cpu-levelset plan (and always for other backends), then one per
   /// peak-concurrent solve -- sequential reuse never grows it. Exposed for
   /// observability and the reuse tests.
   std::size_t workspace_count() const;

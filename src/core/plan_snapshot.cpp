@@ -21,55 +21,58 @@ enum SectionFlags : std::uint32_t {
   /// v1 and fat v2 streams: a natural-order CSR copy of the factor. No
   /// writer emits it any more; the reader skips it.
   kHasRowForm = 1u << 2,
-  /// v3+: the analyze-time tuned decision (autotuner choice + features +
-  /// coarsening thresholds). Never set by v1/v2 streams.
+  /// v3+: the analyze-time tuned decision. Never set by v1/v2 streams.
   kHasTuned = 1u << 3,
 };
 
+/// The tuned section's layout: autotuned byte, backend key, then the
+/// retired task-graph fields -- a schedule byte (0 flat, 1 task graph),
+/// two coarsening thresholds and seven structural features. Nothing
+/// reads those any more; the writer zeroes them so the bytes stay v3.
 void write_tuned(support::BlobWriter& w, const TunedDecision& d) {
   w.write_u8(d.autotuned ? 1 : 0);
   // The chosen backend travels as its registry key, like the identity
   // section's backend: enumerator reordering must never flip a decision.
   w.write_string(registry::entry_of(d.backend).key);
-  w.write_u8(d.schedule);
+  w.write_u8(0);  // schedule
   w.write_i32(d.gang_width);
-  w.write_i32(static_cast<std::int32_t>(d.coarsen.narrow_width));
-  w.write_i32(static_cast<std::int32_t>(d.coarsen.block_rows));
-  w.write_f64(d.features.nnz_per_row);
-  w.write_i32(static_cast<std::int32_t>(d.features.num_levels));
-  w.write_i32(static_cast<std::int32_t>(d.features.max_level_width));
-  w.write_f64(d.features.avg_level_width);
-  w.write_f64(d.features.narrow_level_fraction);
-  w.write_i32(static_cast<std::int32_t>(d.features.longest_narrow_run));
-  w.write_f64(d.features.avg_narrow_run);
+  w.write_i32(0);    // narrow_width
+  w.write_i32(0);    // block_rows
+  w.write_f64(0.0);  // nnz_per_row
+  w.write_i32(0);    // num_levels
+  w.write_i32(0);    // max_level_width
+  w.write_f64(0.0);  // avg_level_width
+  w.write_f64(0.0);  // narrow_level_fraction
+  w.write_i32(0);    // longest_narrow_run
+  w.write_f64(0.0);  // avg_narrow_run
 }
 
 std::string read_tuned(support::BlobReader& r, TunedDecision& d) {
   d.autotuned = r.read_u8() != 0;
   const std::string backend_key = r.read_string();
-  d.schedule = r.read_u8();
+  const std::uint8_t schedule = r.read_u8();
   d.gang_width = r.read_i32();
-  d.coarsen.narrow_width = static_cast<index_t>(r.read_i32());
-  d.coarsen.block_rows = static_cast<index_t>(r.read_i32());
-  d.features.nnz_per_row = r.read_f64();
-  d.features.num_levels = static_cast<index_t>(r.read_i32());
-  d.features.max_level_width = static_cast<index_t>(r.read_i32());
-  d.features.avg_level_width = r.read_f64();
-  d.features.narrow_level_fraction = r.read_f64();
-  d.features.longest_narrow_run = static_cast<index_t>(r.read_i32());
-  d.features.avg_narrow_run = r.read_f64();
+  const std::int32_t narrow_width = r.read_i32();
+  const std::int32_t block_rows = r.read_i32();
+  // The structural features were observability only: parse and drop.
+  (void)r.read_f64();
+  (void)r.read_i32();
+  (void)r.read_i32();
+  (void)r.read_f64();
+  (void)r.read_f64();
+  (void)r.read_i32();
+  (void)r.read_f64();
   if (!r.ok()) return r.error();
   const Expected<Backend> backend = registry::parse_backend(backend_key);
   if (!backend.ok()) {
     return "tuned section names unknown backend '" + backend_key + "'";
   }
   d.backend = backend.value();
-  if (d.schedule > 1) {
+  if (schedule > 1) {
     return "tuned section carries unknown schedule value " +
-           std::to_string(d.schedule);
+           std::to_string(schedule);
   }
-  if (d.coarsen.narrow_width < 0 || d.coarsen.block_rows < 0 ||
-      d.gang_width < 0) {
+  if (narrow_width < 0 || block_rows < 0 || d.gang_width < 0) {
     return "tuned section carries negative thresholds";
   }
   return {};

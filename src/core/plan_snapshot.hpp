@@ -12,10 +12,11 @@
 // The partition is deliberately NOT serialized: it is a deterministic O(n)
 // function of (backend, n, num_gpus, tasks_per_gpu) -- partition_for --
 // and rebuilding it at load keeps the blob free of Partition's internal
-// layout. The row form and the task graph are not serialized either: they
-// are O(nnz) functions of the factor and the stored levels. Everything
-// branchy (levels, in-degrees, the tuned decision) is stored verbatim and
-// restored by memcpy-speed reads.
+// layout. The row form is not serialized either: it is an O(nnz)
+// function of the factor and the stored levels. Everything branchy
+// (levels, in-degrees, the tuned decision) is stored verbatim, restored
+// by memcpy-speed reads, and checked against the factor before a kernel
+// relies on it.
 #pragma once
 
 #include <cstdint>
@@ -29,32 +30,22 @@
 #include "sparse/level_analysis.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/serialize.hpp"
-#include "sparse/task_graph.hpp"
 
 namespace msptrsv::core {
 
-/// The analyze-time schedule decision (autotuned plans and every
-/// cpu-taskgraph plan), persisted as a v3 blob section so a loaded plan
-/// reports -- and replays -- exactly the choice the analysis made, instead
-/// of re-tuning against whatever the loading machine measures.
+/// The analyze-time schedule decision of an autotuned plan, persisted as
+/// a v3 blob section so a loaded plan reports -- and replays -- exactly
+/// the choice the analysis made, instead of re-tuning against whatever
+/// the loading machine measures.
 struct TunedDecision {
-  /// The decision came from the autotuner (vs an explicit cpu-taskgraph
-  /// request, which records only its coarsening parameters here).
+  /// The decision came from the autotuner. Blobs saved by explicit
+  /// requests of the retired task-graph schedule carry a record with
+  /// this unset.
   bool autotuned = false;
   /// Chosen backend (== PlanSnapshot::backend after analysis).
   Backend backend = Backend::kSerial;
-  /// 0 = flat (backend-native) schedule, 1 = coarsened task graph.
-  std::uint8_t schedule = 0;
   /// Chosen gang width (SolveOptions::cpu_threads semantics; 0 = hw).
   int gang_width = 0;
-  /// Coarsening thresholds the task graph was (or would be) built with.
-  /// Pinned in the blob: the per-process host-cost measurement may
-  /// differ on the loading machine, and the rebuilt graph must be THIS
-  /// one.
-  sparse::CoarsenOptions coarsen;
-  /// Structural features of the factor at the recorded narrow cut
-  /// (observability).
-  sparse::ScheduleFeatures features;
 };
 
 struct PlanSnapshot {
@@ -71,14 +62,14 @@ struct PlanSnapshot {
 
   /// Component-to-GPU distribution (multi-GPU backends; rebuilt at load).
   std::optional<sparse::Partition> partition;
-  /// Per-component in-degrees (sync-free backends).
+  /// Per-component in-degrees (multi-GPU backends).
   std::vector<index_t> in_degrees;
   /// Level-set analysis (every host backend, and gpu-levelset): the
   /// source of the row form's execution order.
   std::optional<sparse::LevelAnalysis> levels;
   /// The host backends' gather view, rows stored in the order the
   /// backend executes them (serial_row_order for serial, level order
-  /// for the parallel schedules) in the caller's numbering. Carries
+  /// for cpu-levelset) in the caller's numbering. Carries
   /// values, so value refreshes rebuild it. NEVER serialized: it is an
   /// O(nnz) function of the factor and the levels, and the load path
   /// rebuilds it. Row forms stored by v1 and fat v2 blobs are in natural
@@ -87,15 +78,9 @@ struct PlanSnapshot {
   /// One-time simulated analysis charge (comm/analysis sizing; 0 for the
   /// real host backends and for LOADED plans, which never paid it).
   sim_time_t analysis_us = 0.0;
-  /// Analyze-time schedule decision (autotune / cpu-taskgraph plans;
-  /// absent otherwise). Serialized by v3 blobs; older formats drop it and
-  /// the load path falls back to default coarsening thresholds.
+  /// Analyze-time schedule decision (autotuned plans; absent otherwise).
+  /// Serialized by v3 blobs; older formats drop it.
   std::optional<TunedDecision> tuned;
-  /// Coarsened task DAG of the cpu-taskgraph backend. NOT serialized --
-  /// like the lean row form, it is a deterministic O(n + nnz) function of
-  /// the levels and the (persisted) coarsening thresholds, and the load
-  /// path rebuilds it.
-  std::optional<sparse::TaskGraph> tasks;
 };
 
 /// On-disk format version of plan blobs. The reader accepts the current
@@ -105,8 +90,10 @@ struct PlanSnapshot {
 ///     default (no writer stores it any more; readers skip it). Every
 ///     host kernel is column-major now: writers store 1 (column-major)
 ///     and readers validate the byte (0..2) but ignore its value.
-/// v3: adds the tuned-decision section (autotuner choice + features +
-///     coarsening thresholds; the task graph itself is rebuilt at load).
+/// v3: adds the tuned-decision section: the autotuner's choice, plus a
+///     schedule byte, coarsening thresholds and structural features of
+///     the retired task-graph schedule. Writers store those as zeros;
+///     readers validate them as before and drop them.
 inline constexpr std::uint16_t kPlanBlobVersion = 3;
 
 /// Serialization knobs, defaulted to the production format. Tests use

@@ -10,16 +10,11 @@ namespace msptrsv::core::registry {
 
 namespace {
 
-constexpr std::array<BackendEntry, 9> kBackends{{
+constexpr std::array<BackendEntry, 7> kBackends{{
     {Backend::kSerial, "serial",
      "host reference, Algorithm 1 column sweep", false, false, true},
     {Backend::kCpuLevelSet, "cpu-levelset",
      "real-thread level-set (Naumov on the host)", false, false, true},
-    {Backend::kCpuSyncFree, "cpu-syncfree",
-     "real-thread sync-free (Liu on the host)", false, false, true},
-    {Backend::kCpuTaskGraph, "cpu-taskgraph",
-     "real-thread coarsened task DAG (chain-fused levels)", false, false,
-     true},
     {Backend::kGpuLevelSet, "gpu-levelset",
      "simulated cuSPARSE csrsv2 level-set baseline", true, false, true},
     {Backend::kMgUnified, "mg-unified",
@@ -67,8 +62,13 @@ Expected<Backend> parse_backend(std::string_view key) {
   if (k == "unified") return Backend::kMgUnified;
   if (k == "shmem") return Backend::kMgShmem;
   if (k == "zerocopy" || k == "zero-copy") return Backend::kMgZeroCopy;
-  if (k == "syncfree") return Backend::kCpuSyncFree;
-  if (k == "taskgraph" || k == "task-graph") return Backend::kCpuTaskGraph;
+  // The retired sync-free and task-graph host schedules: serial solves
+  // every factor they did, to the same bits, and faster. Old blobs, wire
+  // clients and cache configurations name them; they get serial.
+  if (k == "cpu-syncfree" || k == "syncfree" || k == "cpu-taskgraph" ||
+      k == "taskgraph" || k == "task-graph") {
+    return Backend::kSerial;
+  }
   return Expected<Backend>(SolveStatus::kUnknownBackend,
                            "unknown backend '" + std::string(key) +
                                "'; known backends: " + backend_keys());

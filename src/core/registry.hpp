@@ -42,8 +42,10 @@ std::span<const BackendEntry> backends();
 const BackendEntry& entry_of(Backend b);
 
 /// Resolves a key to a backend. Case-insensitive; accepts the canonical
-/// keys, the display names produced by backend_name(), and a few common
-/// short aliases ("zerocopy", "unified", "csrsv2", ...). Unknown keys come
+/// keys, the display names produced by backend_name(), a few common
+/// short aliases ("zerocopy", "unified", "csrsv2", ...), and the keys of
+/// the retired host schedules ("cpu-syncfree", "syncfree",
+/// "cpu-taskgraph", "taskgraph", "task-graph"), which name serial. Unknown keys come
 /// back as SolveStatus::kUnknownBackend with a message listing the
 /// canonical keys.
 Expected<Backend> parse_backend(std::string_view key);
@@ -55,8 +57,8 @@ SolveOptions default_options(Backend b);
 
 /// parse_backend + default_options in one step (the common bench path).
 /// Additionally accepts the preset key "auto": default host options with
-/// SolveOptions::autotune set, so the analyze phase picks backend +
-/// schedule + gang width from the matrix structure.
+/// SolveOptions::autotune set, so the analyze phase picks the backend and
+/// gang width from the matrix structure.
 Expected<SolveOptions> options_for(std::string_view key);
 
 /// Comma-separated canonical key list ("serial, cpu-levelset, ...") for

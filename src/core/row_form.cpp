@@ -97,18 +97,26 @@ std::vector<index_t> serial_row_order(const sparse::LevelAnalysis& levels) {
   return out;
 }
 
-bool is_topological_order(const sparse::CscMatrix& lower,
-                          std::span<const index_t> order) {
+bool is_level_schedule(const sparse::CscMatrix& lower,
+                       std::span<const index_t> order,
+                       std::span<const offset_t> level_ptr) {
   const std::size_t n = static_cast<std::size_t>(lower.rows);
-  if (order.size() != n) return false;
-  std::vector<index_t> pos(n, -1);
-  for (std::size_t p = 0; p < n; ++p) {
-    const index_t i = order[p];
-    if (i < 0 || static_cast<std::size_t>(i) >= n ||
-        pos[static_cast<std::size_t>(i)] >= 0) {
-      return false;
+  if (order.size() != n || level_ptr.empty() || level_ptr.front() != 0 ||
+      level_ptr.back() != static_cast<offset_t>(n)) {
+    return false;
+  }
+  // level[i]: the stored level of row i (-1 until placed).
+  std::vector<index_t> level(n, -1);
+  for (std::size_t l = 0; l + 1 < level_ptr.size(); ++l) {
+    if (level_ptr[l] > level_ptr[l + 1]) return false;
+    for (offset_t p = level_ptr[l]; p < level_ptr[l + 1]; ++p) {
+      const index_t i = order[static_cast<std::size_t>(p)];
+      if (i < 0 || static_cast<std::size_t>(i) >= n ||
+          level[static_cast<std::size_t>(i)] >= 0) {
+        return false;
+      }
+      level[static_cast<std::size_t>(i)] = static_cast<index_t>(l);
     }
-    pos[static_cast<std::size_t>(i)] = static_cast<index_t>(p);
   }
   // Column j leads with its diagonal, then lists the rows that depend on
   // row j in strictly ascending order.
@@ -122,7 +130,7 @@ bool is_topological_order(const sparse::CscMatrix& lower,
     for (offset_t k = b + 1; k < e; ++k) {
       const index_t i = lower.row_idx[static_cast<std::size_t>(k)];
       if (i <= lower.row_idx[static_cast<std::size_t>(k) - 1] ||
-          pos[static_cast<std::size_t>(i)] <= pos[j]) {
+          level[static_cast<std::size_t>(i)] <= level[j]) {
         return false;
       }
     }

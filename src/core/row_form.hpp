@@ -6,8 +6,7 @@
 // schedules, and the simulated ones through the serial pull kernel. The
 // row form holds those rows at POSITIONS: position p is the p-th row of a
 // topological order, and a kernel walks positions -- front to back on one
-// party, or in level slices / task ranges / ascending claims on a gang --
-// never row ids. Storing the rows in execution order makes every sweep a
+// party, or in level slices on a gang -- never row ids. Storing the rows in execution order makes every sweep a
 // unit-stride stream through the structure, and lets the serial sweep put
 // independent rows next to each other so the core overlaps their divides
 // instead of waiting on x[i-1] every row.
@@ -87,12 +86,16 @@ std::vector<index_t> serial_row_order(const sparse::LevelAnalysis& levels);
 
 /// True when `lower` has the structure of a solvable lower factor -- each
 /// column leads with its diagonal, then strictly ascending rows below it
-/// -- and `order` lists every row exactly once, each after all of its
-/// dependencies: what build_row_form and every host kernel's progress
-/// rest on. The load path checks stored level orders with it: an
-/// ascending claim over a non-topological order would spin forever.
-/// O(n + nnz).
-bool is_topological_order(const sparse::CscMatrix& lower,
-                          std::span<const index_t> order);
+/// -- and `order` cut at `level_ptr` is a level schedule of it: the
+/// levels tile `order` front to back, `order` lists every row exactly
+/// once, and every off-diagonal (i, j) puts row i in a strictly later
+/// level than row j. The rows of a level are then independent, which the
+/// level-set gang's slices rest on, and `order` is topological, which
+/// build_row_form and every sweep rest on; a topological order is the
+/// level schedule whose levels hold one row each. The load path checks
+/// every stored level analysis with it. O(n + nnz).
+bool is_level_schedule(const sparse::CscMatrix& lower,
+                       std::span<const index_t> order,
+                       std::span<const offset_t> level_ptr);
 
 }  // namespace msptrsv::core

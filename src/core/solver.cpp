@@ -9,8 +9,6 @@ std::string backend_name(Backend b) {
   switch (b) {
     case Backend::kSerial: return "serial";
     case Backend::kCpuLevelSet: return "cpu-levelset";
-    case Backend::kCpuSyncFree: return "cpu-syncfree";
-    case Backend::kCpuTaskGraph: return "cpu-taskgraph";
     case Backend::kGpuLevelSet: return "gpu-levelset(csrsv2)";
     case Backend::kMgUnified: return "mg-unified";
     case Backend::kMgUnifiedTask: return "mg-unified+task";

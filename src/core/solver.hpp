@@ -6,8 +6,6 @@
 //                   windows of consecutive rows (Algorithm 1's
 //                   arithmetic, gathered per row)
 //   kCpuLevelSet    real-thread level-set (Naumov on the host)
-//   kCpuSyncFree    real-thread sync-free (Liu on the host)
-//   kCpuTaskGraph   real-thread coarsened task DAG (chain-fused levels)
 //   kGpuLevelSet    simulated cuSPARSE csrsv2 (Fig. 10 baseline)
 //   kMgUnified      "4GPU-Unified":      Algorithm 2, block distribution
 //   kMgUnifiedTask  "4GPU-Unified+task": Algorithm 2 + task pool
@@ -36,8 +34,6 @@ namespace msptrsv::core {
 enum class Backend {
   kSerial,
   kCpuLevelSet,
-  kCpuSyncFree,
-  kCpuTaskGraph,
   kGpuLevelSet,
   kMgUnified,
   kMgUnifiedTask,
@@ -97,14 +93,14 @@ struct SolveOptions {
   /// test per solve).
   double time_budget = 0.0;
   /// Analyze-time schedule autotuner (registry preset "auto"): the
-  /// symbolic phase predicts the k = 1 solve time of serial, flat levels
-  /// and the coarsened task graph at every gang width from the level
-  /// structure and host costs measured once per process (core/autotune),
-  /// keeps serial unless a parallel schedule wins by a fixed margin, and
-  /// OVERWRITES `backend`/`cpu_threads` with the decision. `cpu_threads`
+  /// symbolic phase predicts the k = 1 solve time of serial and of the
+  /// level-set gang at every gang width from the level structure and
+  /// host costs measured once per process (core/autotune), keeps serial
+  /// unless the gang wins by a fixed margin, and OVERWRITES
+  /// `backend`/`cpu_threads` with the decision. `cpu_threads`
   /// is the thread budget going in; a budget of one is always serial.
-  /// The choice and its features are recorded in the plan snapshot
-  /// (SolverPlan::tuned()) and persist through v3 plan blobs; loading a
+  /// The choice is recorded in the plan snapshot (SolverPlan::tuned())
+  /// and persists through v3 plan blobs; loading a
   /// blob with autotune set adopts the stored decision instead of
   /// requiring a backend match. Schedule choice never changes bits --
   /// every candidate backend is bit-for-bit identical.

@@ -22,20 +22,6 @@ SolveWorkspace::SolveWorkspace(int parties, SharedWorkerPool* shared,
   }
 }
 
-std::atomic<std::uint64_t>* SolveWorkspace::delivered(index_t n) {
-  const std::size_t need = static_cast<std::size_t>(n);
-  if (need > delivered_capacity_) {
-    MSPTRSV_REQUIRE(delivered_capacity_ == 0,
-                    "a workspace serves one plan: n cannot grow");
-    delivered_ = std::make_unique<std::atomic<std::uint64_t>[]>(need);
-    for (std::size_t i = 0; i < need; ++i) {
-      delivered_[i].store(0, std::memory_order_relaxed);
-    }
-    delivered_capacity_ = need;
-  }
-  return delivered_.get();
-}
-
 WorkspacePool::WorkspacePool(int parties_per_workspace,
                              SharedWorkerPool* shared, PoolOptions options)
     : parties_(parties_per_workspace), shared_(shared), options_(options) {

@@ -1,10 +1,9 @@
-// Reusable per-plan solve state for the real host backends.
+// Reusable per-plan solve state for the level-set host backend.
 //
-// The PR 1 kernels spawned threads AND allocated + zeroed O(n) arrays of
-// atomics (left-sum accumulators, sync-free pending countdowns) on every
-// solve -- exactly the per-solve overhead the analyze/solve split was
-// supposed to hoist. A SolveWorkspace owns the persistent execution state
-// for the lifetime of a plan:
+// Spawning threads and allocating + zeroing O(n) scratch on every solve
+// is exactly the per-solve overhead the analyze/solve split exists to
+// hoist. A SolveWorkspace owns the persistent execution state for the
+// lifetime of a plan:
 //
 //  * an execution context of up to `parties` threads per solve. In OWNED
 //    mode that is a WorkerPool of parked threads materialized lazily on
@@ -12,25 +11,17 @@
 //    holds zero threads. In SHARED mode the workspace owns no threads at
 //    all: each run claims a gang of idle workers from the process-wide
 //    core::SharedWorkerPool and shrinks gracefully when the machine is
-//    busy (the pull-based kernels are bit-identical at any party count),
+//    busy (the pull-based kernel is bit-identical at any party count),
 //    which is what caps total host threads when many plans coexist;
 //
 //  * the reusable per-level barrier (resized to the actual gang width at
-//    the start of each run);
+//    the start of each run).
 //
-//  * MONOTONIC delivery counters tagged by a per-workspace generation,
-//    replacing the sync-free pending countdowns. Every solve (or fused
-//    batch) delivers exactly in_degree(i) updates to component i -- one
-//    per incoming edge, regardless of the batch width -- so in solve
-//    generation g the component is ready when delivered[i] reaches
-//    g * in_degree(i). The counters are never reset or re-copied; the
-//    target moves instead.
-//
-// There are no left-sum accumulators anymore: the fused kernels gather a
+// There is no O(n) scratch at all: the level-set kernel gathers a
 // component's partial sums by READING the already-final x entries of its
 // dependencies through the plan's cached row-form structure (the host
-// analogue of the paper's read-only NVSHMEM gather, Algorithm 3), so no
-// O(n) value scratch exists to zero in the first place.
+// analogue of the paper's read-only NVSHMEM gather, Algorithm 3), and the
+// level barrier is its only synchronization.
 //
 // Concurrency: a workspace is single-tenant. WorkspacePool hands out
 // exclusive leases (growing on demand), which is what makes concurrent
@@ -40,13 +31,11 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/worker_pool.hpp"
-#include "support/types.hpp"
 
 namespace msptrsv::core {
 
@@ -140,28 +129,6 @@ class SolveWorkspace {
   /// Reusable per-level barrier, sized by run_parallel for each run.
   SpinBarrier& level_barrier() { return barrier_; }
 
-  /// Monotonic per-component delivery counters (sync-free backend).
-  /// Zero-initialized once on first use, never reset afterwards.
-  std::atomic<std::uint64_t>* delivered(index_t n);
-
-  /// Starts a new sync-free solve generation and returns it (>= 1). The
-  /// ready target of component i this generation is
-  /// generation * in_degree(i).
-  std::uint64_t begin_generation() { return ++generation_; }
-
-  /// Rewinds the delivery protocol after an ABORTED sync-free solve: a
-  /// cancelled generation leaves the counters partially advanced, so the
-  /// next generation's targets would never be reached. Zeroes every
-  /// materialized counter and restarts the generation count. Must only be
-  /// called by the lease holder with no solve running (single-tenant, like
-  /// every other workspace mutation).
-  void reset_delivery() {
-    for (std::size_t i = 0; i < delivered_capacity_; ++i) {
-      delivered_[i].store(0, std::memory_order_relaxed);
-    }
-    generation_ = 0;
-  }
-
  private:
   int parties_;
   SharedWorkerPool* shared_;
@@ -171,9 +138,6 @@ class SolveWorkspace {
   std::unique_ptr<WorkerPool> pool_;
   std::atomic<bool> has_owned_pool_{false};
   SpinBarrier barrier_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> delivered_;
-  std::size_t delivered_capacity_ = 0;
-  std::uint64_t generation_ = 0;
 };
 
 /// Lease-based pool of SolveWorkspaces, owned by a SolverPlan. A solve

@@ -162,7 +162,7 @@ class SolveService {
 
   core::Expected<core::SolverPlan> plan_for(const sparse::CscMatrix& lower,
                                             core::SolveOptions options);
-  /// Registry-keyed backend ("cpu-syncfree", "mg-zerocopy", ...).
+  /// Registry-keyed backend ("cpu-levelset", "mg-zerocopy", ...).
   core::Expected<core::SolverPlan> plan_for(const sparse::CscMatrix& lower,
                                             std::string_view backend_key);
   /// Machine-preset construction ("dgx1x8", "dgx2x16", ...).

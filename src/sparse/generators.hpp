@@ -51,9 +51,9 @@ CscMatrix gen_layered_dag(index_t n, index_t num_levels, offset_t target_nnz,
 /// chain (`chain_len` rows, each depending on its predecessor) feeding a
 /// `fan_width`-wide independent fan, with the next segment's chain rooted
 /// in the fan. Produces chain_len narrow levels followed by one wide level
-/// per segment -- the regime where a flat level schedule pays a gang
-/// synchronization per chain row while a coarsened task schedule fuses
-/// each chain into one task. `extra_edges` random fan-to-fan dependencies
+/// per segment -- the regime where a level schedule pays a gang
+/// synchronization per chain row, and one sequential sweep pays none.
+/// `extra_edges` random fan-to-fan dependencies
 /// per segment add gather work without changing the level structure.
 CscMatrix gen_chain_heavy(index_t num_segments, index_t chain_len,
                           index_t fan_width, index_t extra_edges,

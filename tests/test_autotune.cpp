@@ -18,8 +18,8 @@ using core::Backend;
 /// Host costs measured by the calibration on a 4-vCPU cloud VM (Release
 /// build): a gang barrier costs microseconds there, thousands of times a
 /// row's gather work.
-sparse::HostCosts vm_costs() {
-  sparse::HostCosts c;
+core::HostCosts vm_costs() {
+  core::HostCosts c;
   c.serial_ns_per_nnz = 1.67;
   c.gather_ns_per_nnz = 6.9;
   c.level_sync_ns = {0.0, 0.0, 2400.0, 3800.0, 5100.0};
@@ -29,8 +29,8 @@ sparse::HostCosts vm_costs() {
 /// A machine where synchronization is nearly free and the gather is as
 /// cheap as the serial sweep: parallel schedules win wherever there is
 /// width to spread.
-sparse::HostCosts cheap_sync_costs() {
-  sparse::HostCosts c;
+core::HostCosts cheap_sync_costs() {
+  core::HostCosts c;
   c.serial_ns_per_nnz = 1.0;
   c.gather_ns_per_nnz = 1.0;
   c.level_sync_ns = {0.0, 0.0, 100.0, 110.0, 120.0};
@@ -38,7 +38,7 @@ sparse::HostCosts cheap_sync_costs() {
 }
 
 core::TunedDecision decide(const sparse::CscMatrix& lower,
-                           const sparse::HostCosts& costs, int budget) {
+                           const core::HostCosts& costs, int budget) {
   return core::autotune_decision(sparse::analyze_levels(lower), costs, budget);
 }
 
@@ -50,21 +50,20 @@ TEST(Autotune, OneThreadBudgetIsAlwaysSerial) {
       sparse::gen_chain_heavy(4, 120, 256, 2, 11),
       sparse::gen_diagonal(50000),
   };
-  sparse::HostCosts free_sync = cheap_sync_costs();
+  core::HostCosts free_sync = cheap_sync_costs();
   for (double& v : free_sync.level_sync_ns) v = 0.0;
   for (const sparse::CscMatrix& l : factors) {
     const core::TunedDecision d = decide(l, free_sync, 1);
     EXPECT_TRUE(d.autotuned);
     EXPECT_EQ(d.backend, Backend::kSerial);
     EXPECT_EQ(d.gang_width, 1);
-    EXPECT_EQ(d.schedule, 0);
   }
 }
 
 TEST(Autotune, NoMeasuredGangIsAlwaysSerial) {
   // Costs with no gang widths measured (a one-thread process) offer no
   // parallel candidate whatever the budget.
-  sparse::HostCosts solo = cheap_sync_costs();
+  core::HostCosts solo = cheap_sync_costs();
   solo.level_sync_ns.clear();
   const core::TunedDecision d =
       decide(sparse::gen_diagonal(50000), solo, 8);
@@ -93,35 +92,38 @@ TEST(Autotune, VmCostsKeepSerialOnGridFactors) {
 
 TEST(Autotune, CheapSyncWithWideLevelsPicksLevelSets) {
   // 40 levels of 1000 independent-ish rows: every barrier is amortized
-  // over hundreds of rows per party. Each level fits one cache-sized
-  // block, so the task graph cannot split it -- flat levels win.
+  // over hundreds of rows per party, so the gang wins.
   const sparse::CscMatrix l =
       sparse::gen_layered_dag(40000, 40, 200000, 0.5, 5);
   const core::TunedDecision d = decide(l, cheap_sync_costs(), 4);
   EXPECT_EQ(d.backend, Backend::kCpuLevelSet);
-  EXPECT_EQ(d.schedule, 0);
   EXPECT_EQ(d.gang_width, 4);
   // A narrower budget narrows the gang with it.
   EXPECT_EQ(decide(l, cheap_sync_costs(), 2).gang_width, 2);
 }
 
-TEST(Autotune, CheapSyncWithChainHeavyStructurePicksTheTaskGraph) {
-  // Four 120-row chains, each feeding a fan of 8192 rows: flat levels pay
-  // a sync per chain row, the task graph fuses each chain into one task
-  // and still splits the fans into blocks.
+TEST(Autotune, CheapSyncStillKeepsSerialOnChains) {
+  // Four 120-row chains, each feeding a fan of 8192 rows: the gang pays a
+  // barrier per chain row, which even cheap sync does not win back.
   const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 120, 8192, 2, 11);
   const core::TunedDecision d = decide(l, cheap_sync_costs(), 4);
-  EXPECT_EQ(d.backend, Backend::kCpuTaskGraph);
-  EXPECT_EQ(d.schedule, 1);
-  EXPECT_GE(d.gang_width, 2);
-  EXPECT_LE(d.gang_width, 4);
-  // The recorded thresholds are the chosen gang width's narrow cut.
-  const sparse::LevelAnalysis levels = sparse::analyze_levels(l);
-  EXPECT_EQ(d.coarsen.narrow_width,
-            sparse::resolve_coarsen_options({}, levels, cheap_sync_costs(),
-                                            d.gang_width)
-                .narrow_width);
-  EXPECT_GT(d.features.narrow_level_fraction, 0.9);
+  EXPECT_EQ(d.backend, Backend::kSerial);
+  EXPECT_EQ(d.gang_width, 1);
+}
+
+TEST(Autotune, SyncCostIsClampedIntoTheMeasuredRange) {
+  // One party never syncs; widths past the widest measured gang read the
+  // widest figure; costs with no gang measured are a one-party machine.
+  const core::HostCosts c = cheap_sync_costs();
+  EXPECT_EQ(c.max_width(), 4);
+  EXPECT_EQ(c.sync_ns(1), 0.0);
+  EXPECT_EQ(c.sync_ns(2), 100.0);
+  EXPECT_EQ(c.sync_ns(4), 120.0);
+  EXPECT_EQ(c.sync_ns(64), 120.0);
+  core::HostCosts solo = c;
+  solo.level_sync_ns.clear();
+  EXPECT_EQ(solo.max_width(), 1);
+  EXPECT_EQ(solo.sync_ns(4), 0.0);
 }
 
 TEST(Autotune, ParallelPickNeedsTheMargin) {
@@ -129,7 +131,7 @@ TEST(Autotune, ParallelPickNeedsTheMargin) {
   // only slightly faster than serial: inside the margin, serial stays.
   const sparse::CscMatrix l =
       sparse::gen_layered_dag(40000, 40, 200000, 0.5, 5);
-  sparse::HostCosts costs = cheap_sync_costs();
+  core::HostCosts costs = cheap_sync_costs();
   const core::TunedDecision fast = decide(l, costs, 4);
   ASSERT_EQ(fast.backend, Backend::kCpuLevelSet);
   // Shrink serial until it is within 10% of the winning schedule's
@@ -141,7 +143,8 @@ TEST(Autotune, ParallelPickNeedsTheMargin) {
 TEST(Autotune, AutoPresetTakesTheInjectedCosts) {
   // The plan-level path: the "auto" preset reads the process-wide costs,
   // so the seam steers it and the plan reports the decision.
-  const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 120, 8192, 2, 11);
+  const sparse::CscMatrix l =
+      sparse::gen_layered_dag(40000, 40, 200000, 0.5, 5);
   core::SolveOptions opt = core::registry::options_for("auto").value();
   opt.cpu_threads = 4;
   {
@@ -149,7 +152,7 @@ TEST(Autotune, AutoPresetTakesTheInjectedCosts) {
     const auto plan = core::SolverPlan::analyze(l, opt);
     ASSERT_TRUE(plan.ok()) << plan.message();
     ASSERT_NE(plan->tuned(), nullptr);
-    EXPECT_EQ(plan->options().backend, Backend::kCpuTaskGraph);
+    EXPECT_EQ(plan->options().backend, Backend::kCpuLevelSet);
     EXPECT_EQ(plan->options().cpu_threads, plan->tuned()->gang_width);
   }
   {
@@ -170,7 +173,7 @@ TEST(Autotune, AutoPresetTakesTheInjectedCosts) {
 TEST(Autotune, MeasuredCostsAreSaneAndCached) {
   // The real calibration: positive per-nonzero costs, a sync figure per
   // measured width, and one measurement per process.
-  const sparse::HostCosts& c = core::measured_host_costs();
+  const core::HostCosts& c = core::measured_host_costs();
   EXPECT_GT(c.serial_ns_per_nnz, 0.0);
   EXPECT_GT(c.gather_ns_per_nnz, 0.0);
   EXPECT_EQ(c.max_width(), std::max(1, core::resolve_cpu_threads(0)));

@@ -8,7 +8,7 @@
 // bit-for-bit.
 //
 // Timing discipline: the mid-solve tests never sleep-and-hope. They park
-// the kernel at a failpoint seam (kernel.level / kernel.task), PROVE it is
+// the kernel at a failpoint seam (kernel.level), PROVE it is
 // parked via failpoint_wait_hits, fire the token, release the seam, and
 // assert on the typed result -- the abort is observed at a kernel boundary
 // the test controls, not at a wall-clock coincidence.
@@ -45,17 +45,6 @@ Problem layered_problem(index_t n = 800) {
   Problem p;
   p.l = sparse::gen_layered_dag(n, 20, 5 * n, 0.5, 71);
   p.x_ref = sparse::gen_solution(n, 72);
-  p.b = sparse::gen_rhs_for_solution(p.l, p.x_ref);
-  return p;
-}
-
-/// A fully sequential chain: every component depends on its predecessor,
-/// so while one worker is parked on component i, no other worker can
-/// steal the rest of the solve out from under the test.
-Problem chain_problem(index_t n = 800) {
-  Problem p;
-  p.l = sparse::gen_chain(n);
-  p.x_ref = sparse::gen_solution(n, 73);
   p.b = sparse::gen_rhs_for_solution(p.l, p.x_ref);
   return p;
 }
@@ -135,7 +124,7 @@ TEST(CancelSolve, TimeBudgetOptionActsAsAnExecutionDeadline) {
   // refuses even the plain solve() overloads -- no token plumbing needed
   // at the call site.
   const Problem p = layered_problem();
-  core::SolveOptions o = opts("cpu-syncfree");
+  core::SolveOptions o = opts("cpu-levelset");
   o.time_budget = 1e-12;
   const auto plan = core::SolverPlan::analyze(p.l, o);
   ASSERT_TRUE(plan.ok());
@@ -193,38 +182,6 @@ TEST_F(CancelFixture, LevelsetAbortsMidSolveAndTheWorkspaceIsReusable) {
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after.value().x, good);
   }
-}
-
-TEST_F(CancelFixture, SyncfreeAbortsMidSolveAndTheWorkspaceIsReusable) {
-  if (!support::failpoints_compiled()) GTEST_SKIP();
-  // The chain gives the paused claimant a component every other worker
-  // transitively depends on: the whole gang is provably in the kernel
-  // (parked or spinning) when the flag goes up, and the spinners
-  // themselves detect it.
-  const Problem p = chain_problem();
-  const auto plan =
-      core::SolverPlan::analyze(p.l, opts("cpu-syncfree"));
-  ASSERT_TRUE(plan.ok());
-  const std::vector<value_t> good = plan->solve(p.b).value().x;
-
-  const std::uint64_t base = support::failpoint_hits("kernel.task");
-  ASSERT_TRUE(support::failpoint_set("kernel.task", "pause*1"));
-  CancelSource src;
-  core::Expected<core::SolveResult> result(SolveStatus::kOk, "");
-  std::thread solver([&] { result = plan->solve(p.b, src.token()); });
-  ASSERT_TRUE(support::failpoint_wait_hits("kernel.task", base + 1, 10000));
-  src.cancel();
-  support::failpoint_clear("kernel.task");
-  solver.join();
-
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status(), SolveStatus::kOverloaded);
-
-  // The torn generation's delivery counters were rewound on abort; a
-  // follow-up solve on the SAME workspace must neither hang nor drift.
-  const auto after = plan->solve(p.b);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().x, good);
 }
 
 TEST_F(CancelFixture, DeadlineFiresMidExecutionWithTheKernelInFlight) {

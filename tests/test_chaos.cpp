@@ -39,7 +39,7 @@ namespace fs = std::filesystem;
 using core::SolveStatus;
 
 constexpr const char* kServerd = "./solve_serverd";
-constexpr const char* kBackend = "cpu-syncfree";
+constexpr const char* kBackend = "cpu-levelset";
 
 struct ShardProc {
   pid_t pid = -1;

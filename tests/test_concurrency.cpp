@@ -194,7 +194,7 @@ TEST(ConcurrentPlan, MultiThreadedKernelsUnderConcurrentCallers) {
   const sparse::CscMatrix l = stress_matrix();
   const std::vector<value_t> b = sparse::gen_rhs_for_solution(
       l, sparse::gen_solution(l.rows, 42));
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset"}) {
     core::SolveOptions serial_opt = core::registry::options_for(key).value();
     serial_opt.cpu_threads = 1;
     const auto baseline = core::SolverPlan::analyze(l, serial_opt);

@@ -164,23 +164,36 @@ TEST(FuzzCorpus, SeedCorpusIsRegeneratedDeterministically) {
   ASSERT_TRUE(serial_bytes.ok());
   write_corpus("blob_ok_snapshot_serial_v3.bin", serial_bytes.value());
 
-  // A cpu-taskgraph plan: its blob carries the v3 tuned section, so the
-  // replay exercises the newest reader path forever.
-  core::SolveOptions tg =
-      core::registry::default_options(core::Backend::kCpuTaskGraph);
-  tg.cpu_threads = 1;
-  const auto tg_plan =
-      core::SolverPlan::analyze(sparse::gen_chain_heavy(3, 10, 6, 1, 5), tg);
-  ASSERT_TRUE(tg_plan.ok()) << tg_plan.message();
-  const auto tg_bytes = tg_plan->serialize();
-  ASSERT_TRUE(tg_bytes.ok());
-  write_corpus("blob_ok_snapshot_taskgraph_v3.bin", tg_bytes.value());
+  // An autotuned plan: its blob carries the v3 tuned section, so the
+  // replay exercises the newest reader path forever. Injected host costs
+  // and an explicit thread budget pin the decision -- a two-wide gang --
+  // and so the bytes.
+  {
+    core::HostCosts cheap_sync;
+    cheap_sync.serial_ns_per_nnz = 1.0;
+    cheap_sync.gather_ns_per_nnz = 1.0;
+    cheap_sync.level_sync_ns = {0.0, 0.0, 1.0};
+    const core::ScopedHostCosts costs(cheap_sync);
+    core::SolveOptions tuned = core::registry::options_for("auto").value();
+    tuned.cpu_threads = 2;
+    const auto auto_plan = core::SolverPlan::analyze(
+        sparse::gen_layered_dag(64, 4, 200, 0.5, 3), tuned);
+    ASSERT_TRUE(auto_plan.ok()) << auto_plan.message();
+    ASSERT_EQ(auto_plan->options().backend, core::Backend::kCpuLevelSet);
+    const auto auto_bytes = auto_plan->serialize();
+    ASSERT_TRUE(auto_bytes.ok());
+    write_corpus("blob_ok_snapshot_auto_v3.bin", auto_bytes.value());
+  }
 
-  std::vector<std::uint8_t> snap_truncated(tg_bytes.value().begin(),
-                                           tg_bytes.value().end() - 7);
+  // The hostile snapshot seeds derive from a legacy blob, whose bytes
+  // never change.
+  std::vector<std::uint8_t> legacy;
+  ASSERT_TRUE(support::read_file(
+      corpus_dir() + "/blob_ok_legacy_taskgraph_v3.bin", legacy));
+  std::vector<std::uint8_t> snap_truncated(legacy.begin(), legacy.end() - 7);
   write_corpus("reject_snapshot_truncated.bin", snap_truncated);
 
-  std::vector<std::uint8_t> snap_v99 = tg_bytes.value();
+  std::vector<std::uint8_t> snap_v99 = legacy;
   snap_v99[4] = 0x63;  // claim version 99
   write_corpus("reject_snapshot_version99.bin", snap_v99);
 
@@ -234,8 +247,12 @@ TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
   // plan whose stored row form is a natural-order CSR copy, which loading
   // must skip. The cpu-taskgraph and cpu-levelset blobs record the
   // interleaved layout their plans ran then; they load and solve
-  // column-major now. Every host backend shares one gather order, so
-  // each must solve to the bits of a fresh cpu-levelset/t1 plan.
+  // column-major now. Saved before the sync-free and task-graph
+  // schedules were retired: a cpu-syncfree lower plan (levels plus
+  // in-degrees), an explicit cpu-taskgraph lower plan and upper plan
+  // (levels plus a tuned record with coarsening thresholds); their keys
+  // now name serial. Every host backend shares one gather order, so each
+  // must solve to the bits of a fresh cpu-levelset/t1 plan.
   struct Legacy {
     const char* file;
     const char* preset;
@@ -246,7 +263,11 @@ TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
         Legacy{"blob_ok_legacy_serial_upper_v3.bin", "serial", false},
         Legacy{"blob_ok_legacy_auto_taskgraph_v3.bin", "auto", false},
         Legacy{"blob_ok_legacy_fat_levelset_upper_v2.bin", "cpu-levelset",
-               true}}) {
+               true},
+        Legacy{"blob_ok_legacy_syncfree_v3.bin", "cpu-syncfree", false},
+        Legacy{"blob_ok_legacy_taskgraph_v3.bin", "cpu-taskgraph", false},
+        Legacy{"blob_ok_legacy_taskgraph_upper_v3.bin", "cpu-taskgraph",
+               false}}) {
     SCOPED_TRACE(c.file);
     std::vector<std::uint8_t> bytes;
     ASSERT_TRUE(support::read_file(corpus_dir() + "/" + c.file, bytes));

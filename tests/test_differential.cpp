@@ -1,16 +1,15 @@
 // Cross-backend differential harness.
 //
 // One seeded sweep drives every host execution strategy through the same
-// inputs -- {lower, upper} x {serial, cpu-levelset, cpu-syncfree,
-// cpu-taskgraph} x {1, 4 threads} x {solve, solve_batch at 2, 3 and 5
-// rhs, the 5 rhs solved one by one, save-then-load-then-solve,
-// update_values-then-solve} -- and holds the results to two contracts at
-// once:
+// inputs -- {lower, upper} x {serial, cpu-levelset} x {1, 4 threads} x
+// {solve, solve_batch at 2, 3 and 5 rhs, the 5 rhs solved one by one,
+// save-then-load-then-solve, update_values-then-solve} -- and holds the
+// results to two contracts at once:
 //
 //  * numerics: every configuration reproduces the serial backend to
 //    tight relative tolerance;
 //  * bits: every host backend -- the serial windowed sweep and the
-//    parallel schedules alike -- gathers each row in the analyzed
+//    level-set gang alike -- gathers each row in the analyzed
 //    factor's ascending-column order from zero BY CONSTRUCTION,
 //    independent of the order its rows execute in, thread count, and
 //    batch width -- so all of them must agree bit for bit, across every
@@ -65,8 +64,7 @@ struct Config {
 
 std::vector<Config> configs() {
   std::vector<Config> out;
-  for (const char* b :
-       {"serial", "cpu-levelset", "cpu-syncfree", "cpu-taskgraph"}) {
+  for (const char* b : {"serial", "cpu-levelset"}) {
     for (int t : {1, 4}) out.push_back({b, t});
   }
   return out;

@@ -71,15 +71,15 @@ TEST(WorkerPool, SinglePartyOwnsNoThreadsAndRunsInline) {
 TEST(SolveWorkspace, SequentialPlanSolvesReuseOneWorkspace) {
   const sparse::CscMatrix l = test_matrix();
   const std::vector<value_t> b = batch_for(l, 1, 5);
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset"}) {
     core::SolveOptions opt = core::registry::options_for(key).value();
     opt.cpu_threads = 2;
     const auto plan = core::SolverPlan::analyze(l, opt);
     ASSERT_TRUE(plan.ok());
     EXPECT_EQ(plan->workspace_count(), 0u) << key << " (lazy until first solve)";
     for (int i = 0; i < 20; ++i) {
-      // Generation-tagged scratch: solve i must not observe solve i-1's
-      // left-sums or delivery counts; the residual catches any leakage.
+      // A reused workspace: solve i must not observe solve i-1's state;
+      // the residual catches any leakage.
       const auto r = plan->solve(b);
       ASSERT_TRUE(r.ok()) << key;
       EXPECT_LT(core::relative_residual(l, r.value().x, b), 1e-11)
@@ -142,7 +142,7 @@ TEST(FusedBatch, MultiThreadedHostBackendsStayCorrect) {
   const index_t num_rhs = 8;
   const std::vector<value_t> batch = batch_for(l, num_rhs, 900);
   const std::size_t n = static_cast<std::size_t>(l.rows);
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset"}) {
     core::SolveOptions opt = core::registry::options_for(key).value();
     opt.cpu_threads = 4;
     const auto plan = core::SolverPlan::analyze(l, opt);
@@ -263,7 +263,7 @@ TEST(UpdateValues, UpperPlansScatterThroughTheReversalMapping) {
 
 TEST(UpdateValues, RejectsBadInputWithoutMutating) {
   const sparse::CscMatrix l = test_matrix();
-  core::SolveOptions opt = core::registry::options_for("cpu-syncfree").value();
+  core::SolveOptions opt = core::registry::options_for("cpu-levelset").value();
   opt.cpu_threads = 1;
   auto plan = core::SolverPlan::analyze(l, opt);
   ASSERT_TRUE(plan.ok());

@@ -92,7 +92,7 @@ TEST(NetProtocol, OpenPlanMatrixRoundTrip) {
   net::OpenPlanFrame f;
   f.request_id = 7;
   f.mode = net::OpenMode::kMatrix;
-  f.backend_key = "cpu-syncfree";
+  f.backend_key = "cpu-levelset";
   f.matrix = net_matrix(3);
   const auto blob = blob_of(net::encode_open_plan(f));
 
@@ -101,7 +101,7 @@ TEST(NetProtocol, OpenPlanMatrixRoundTrip) {
   const auto back = net::decode_open_plan(head.value());
   ASSERT_TRUE(back.ok()) << back.message();
   EXPECT_EQ(back.value().mode, net::OpenMode::kMatrix);
-  EXPECT_EQ(back.value().backend_key, "cpu-syncfree");
+  EXPECT_EQ(back.value().backend_key, "cpu-levelset");
   EXPECT_EQ(back.value().matrix.col_ptr, f.matrix.col_ptr);
   EXPECT_EQ(back.value().matrix.row_idx, f.matrix.row_idx);
   EXPECT_EQ(back.value().matrix.val, f.matrix.val);
@@ -494,11 +494,11 @@ TEST(NetLoopback, ServedSolveIsBitForBitEqualToDirect) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok()) << handle.message();
   EXPECT_EQ(handle.value().rows, l.rows);
 
-  const auto direct = server.service().plan_for(l, "cpu-syncfree");
+  const auto direct = server.service().plan_for(l, "cpu-levelset");
   ASSERT_TRUE(direct.ok());
   const std::vector<value_t> want = direct->solve(b).value().x;
 
@@ -529,10 +529,10 @@ TEST(NetLoopback, OpensDeduplicateByContentAcrossConnections) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient a(copt), b(copt);
-  const auto first = a.open(l, "cpu-syncfree");
+  const auto first = a.open(l, "cpu-levelset");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().source, "cache");  // analyzed on first use
-  const auto second = b.open(l, "cpu-syncfree");
+  const auto second = b.open(l, "cpu-levelset");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().source, "open");  // deduped against a's open
   EXPECT_EQ(server.wire_stats().plans_open, 1u);
@@ -544,7 +544,7 @@ TEST(NetLoopback, PlanBlobUploadSkipsServerAnalysis) {
   ASSERT_TRUE(server.start().ok());
   const sparse::CscMatrix l = net_matrix(29);
 
-  const auto options = core::registry::service_options("cpu-syncfree");
+  const auto options = core::registry::service_options("cpu-levelset");
   ASSERT_TRUE(options.ok());
   const auto plan = core::SolverPlan::analyze(l, options.value());
   ASSERT_TRUE(plan.ok());
@@ -555,7 +555,7 @@ TEST(NetLoopback, PlanBlobUploadSkipsServerAnalysis) {
   copt.port = server.port();
   SolveClient client(copt);
   const auto handle =
-      client.open_plan_blob(std::move(blob.value()), "cpu-syncfree");
+      client.open_plan_blob(std::move(blob.value()), "cpu-levelset");
   ASSERT_TRUE(handle.ok()) << handle.message();
   EXPECT_EQ(handle.value().source, "deserialized");
 
@@ -585,7 +585,7 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
     net::ClientOptions copt;
     copt.port = a.port();
     SolveClient client(copt);
-    ASSERT_TRUE(client.open(l, "cpu-syncfree").ok());
+    ASSERT_TRUE(client.open(l, "cpu-levelset").ok());
     a.stop();
   }
 
@@ -598,12 +598,12 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
   net::ClientOptions copt;
   copt.port = bsrv.port();
   SolveClient client(copt);
-  const auto handle = client.open_by_hash(hash, "cpu-syncfree");
+  const auto handle = client.open_by_hash(hash, "cpu-levelset");
   ASSERT_TRUE(handle.ok()) << handle.message();
   EXPECT_EQ(handle.value().source, "disk");
 
   const std::vector<value_t> b = rhs_for(l, 1);
-  const auto direct = bsrv.service().plan_for(l, "cpu-syncfree");
+  const auto direct = bsrv.service().plan_for(l, "cpu-levelset");
   const auto x = client.solve(handle.value(), b);
   ASSERT_TRUE(x.ok());
   EXPECT_EQ(x.value(), direct->solve(b).value().x);
@@ -611,7 +611,7 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
   // An unknown hash is a typed kBadSnapshot, not a protocol error.
   sparse::StructuralHash unknown = hash;
   unknown.pattern ^= 0xDEADBEEF;
-  const auto miss = client.open_by_hash(unknown, "cpu-syncfree");
+  const auto miss = client.open_by_hash(unknown, "cpu-levelset");
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status(), SolveStatus::kBadSnapshot);
 
@@ -643,7 +643,7 @@ void expect_fail_stop(SolveServer& server,
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok()) << handle.message();
   const std::vector<value_t> b = rhs_for(l, 1);
   EXPECT_TRUE(client.solve(handle.value(), b).ok());
@@ -778,7 +778,7 @@ TEST(NetLoopback, InjectedOverloadDrivesRetryToSuccess) {
   copt.retry.max_attempts = 4;
   copt.retry.initial_backoff = std::chrono::microseconds(100);
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok());
 
   const std::vector<value_t> b = rhs_for(l, 1);
@@ -806,7 +806,7 @@ TEST(NetLoopback, RetryExhaustionReturnsOverloaded) {
   copt.retry.max_attempts = 3;
   copt.retry.initial_backoff = std::chrono::microseconds(100);
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok());
 
   const auto x = client.solve(handle.value(), rhs_for(l, 1));
@@ -827,7 +827,7 @@ TEST(NetLoopback, NonRetryableStatusesAreNotRetried) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok());
 
   // A shed deadline comes back on the FIRST attempt: re-sending the same
@@ -855,7 +855,7 @@ TEST(NetLoopback, DrainCompletesEverythingAdmitted) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok());
 
   const std::vector<value_t> b = rhs_for(l, 1);
@@ -884,7 +884,7 @@ TEST(NetLoopback, PrometheusMetricsRenderTheServedTraffic) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok());
   ASSERT_TRUE(
       client.solve(handle.value(), rhs_for(l, 1), service::Priority::kHigh)
@@ -946,7 +946,7 @@ TEST(NetRouter, PlansGetAHomeShardAndBothShardsTakeTraffic) {
   std::set<std::size_t> shards_used;
   for (const std::uint64_t seed : seeds) {
     const sparse::CscMatrix l = net_matrix(seed, 300);
-    const auto routed = router.open(l, "cpu-syncfree");
+    const auto routed = router.open(l, "cpu-levelset");
     ASSERT_TRUE(routed.ok()) << routed.message();
     EXPECT_EQ(routed.value().shard,
               router.shard_of(sparse::hash_csc(l).pattern));
@@ -957,7 +957,7 @@ TEST(NetRouter, PlansGetAHomeShardAndBothShardsTakeTraffic) {
     ASSERT_TRUE(x.ok());
     // Bit-for-bit against a direct plan on the HOME shard's service.
     SolveServer& home = routed.value().shard == 0 ? s0 : s1;
-    const auto direct = home.service().plan_for(l, "cpu-syncfree");
+    const auto direct = home.service().plan_for(l, "cpu-levelset");
     EXPECT_EQ(x.value(), direct->solve(b).value().x);
   }
   EXPECT_EQ(shards_used.size(), 2u);

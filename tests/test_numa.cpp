@@ -76,7 +76,7 @@ TEST(Numa, PlacementPoliciesReproduceTheBitsExactly) {
   const sparse::CscMatrix l = layered();
   const index_t k = 8;
   const std::vector<value_t> batch = batch_for(l, k, 1500);
-  for (const char* key : {"cpu-levelset", "cpu-syncfree"}) {
+  for (const char* key : {"cpu-levelset"}) {
     SCOPED_TRACE(key);
     core::SolveOptions none = core::registry::options_for(key).value();
     none.cpu_threads = 2;

@@ -59,7 +59,7 @@ TEST(PlanCache, KeyCoversContentAndConfiguration) {
   for (value_t& v : scaled.val) v *= 2.0;
   ASSERT_TRUE(cache.get_or_analyze(scaled, opts("mg-zerocopy")).ok());
   // Same content, different backend: miss.
-  ASSERT_TRUE(cache.get_or_analyze(a, opts("cpu-syncfree")).ok());
+  ASSERT_TRUE(cache.get_or_analyze(a, opts("cpu-levelset")).ok());
   // Same content, different machine size: miss.
   core::SolveOptions two_gpus = opts("mg-zerocopy");
   two_gpus.machine = sim::Machine::dgx1(2);
@@ -183,7 +183,7 @@ TEST(PlanCache, ConcurrentGetOrAnalyzeIsSafe) {
 TEST(PlanCache, ByteBudgetEvictsByResidentFootprint) {
   const sparse::CscMatrix a = matrix_seeded(1);
   const sparse::CscMatrix b = matrix_seeded(2);
-  const core::SolveOptions o = opts("cpu-syncfree");
+  const core::SolveOptions o = opts("cpu-levelset");
 
   // Size the budget from a real plan: room for one resident plan of this
   // matrix family but not two.

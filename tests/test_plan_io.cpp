@@ -140,17 +140,16 @@ TEST(PlanIo, SerializeDeserializeRoundTripsInMemory) {
 TEST(PlanIo, AutotunedDecisionRoundTripsThroughTheBlob) {
   // The "auto" preset picks a backend at analyze time; the v3 blob must
   // carry that decision so a fresh process (here: deserialize into a new
-  // plan, the same reader load() uses) reports the SAME backend /
-  // schedule / gang choice instead of re-tuning, and the task graph
-  // rebuilt from the pinned coarsening thresholds solves identically.
-  // Injected cheap-sync host costs and a 4-thread budget make the
-  // decision a parallel one, the same wherever this runs; the load below
-  // happens under different (default, measured) costs, as a fresh
-  // process would.
-  const sparse::CscMatrix l = sparse::gen_chain_heavy(4, 120, 8192, 2, 11);
+  // plan, the same reader load() uses) reports the SAME backend and gang
+  // width instead of re-tuning, and solves identically. Injected
+  // cheap-sync host costs and a 4-thread budget make the decision a
+  // parallel one, the same wherever this runs; the load below happens
+  // under different (default, measured) costs, as a fresh process would.
+  const sparse::CscMatrix l =
+      sparse::gen_layered_dag(40000, 40, 200000, 0.5, 5);
   core::SolveOptions opt = core::registry::options_for("auto").value();
   opt.cpu_threads = 4;
-  sparse::HostCosts cheap_sync;
+  core::HostCosts cheap_sync;
   cheap_sync.serial_ns_per_nnz = 1.0;
   cheap_sync.gather_ns_per_nnz = 1.0;
   cheap_sync.level_sync_ns = {0.0, 0.0, 100.0, 110.0, 120.0};
@@ -162,13 +161,9 @@ TEST(PlanIo, AutotunedDecisionRoundTripsThroughTheBlob) {
   const core::TunedDecision* td = fresh->tuned();
   ASSERT_NE(td, nullptr);
   EXPECT_TRUE(td->autotuned);
-  // Chain-heavy structure: the tuner must land on the coarsened schedule.
-  EXPECT_EQ(td->backend, core::Backend::kCpuTaskGraph);
-  EXPECT_EQ(td->schedule, 1);
-  EXPECT_GT(td->gang_width, 0);
-  EXPECT_GT(td->coarsen.narrow_width, 0);
-  EXPECT_GT(td->coarsen.block_rows, 0);
-  ASSERT_NE(fresh->task_graph(), nullptr);
+  // Wide levels under cheap sync: the tuner must land on the gang.
+  EXPECT_EQ(td->backend, core::Backend::kCpuLevelSet);
+  EXPECT_GE(td->gang_width, 2);
 
   const auto blob = fresh->serialize();
   ASSERT_TRUE(blob.ok());
@@ -179,17 +174,9 @@ TEST(PlanIo, AutotunedDecisionRoundTripsThroughTheBlob) {
   ASSERT_NE(ld, nullptr);
   EXPECT_EQ(ld->autotuned, td->autotuned);
   EXPECT_EQ(ld->backend, td->backend);
-  EXPECT_EQ(ld->schedule, td->schedule);
   EXPECT_EQ(ld->gang_width, td->gang_width);
-  // The coarsening thresholds are PINNED in the blob (the sync-cost
-  // measurement on the loading machine may differ); the rebuilt graph
-  // must therefore coarsen identically.
-  EXPECT_EQ(ld->coarsen.narrow_width, td->coarsen.narrow_width);
-  EXPECT_EQ(ld->coarsen.block_rows, td->coarsen.block_rows);
-  ASSERT_NE(loaded->task_graph(), nullptr);
-  EXPECT_EQ(loaded->task_graph()->num_tasks, fresh->task_graph()->num_tasks);
-  EXPECT_EQ(loaded->task_graph()->levels_fused,
-            fresh->task_graph()->levels_fused);
+  EXPECT_EQ(loaded->options().backend, td->backend);
+  EXPECT_EQ(loaded->options().cpu_threads, td->gang_width);
 
   const std::vector<value_t> b =
       sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 9));
@@ -240,8 +227,7 @@ TEST(PlanIoLayout, BlobsCarryNoRowFormAndLoadBitForBit) {
   // version's image parses without one, and the load path rebuilds it in
   // execution order to solve exactly like the fresh plan, lower and upper.
   const sparse::CscMatrix l = test_matrix();
-  for (const char* key :
-       {"serial", "cpu-levelset", "cpu-syncfree", "cpu-taskgraph"}) {
+  for (const char* key : {"serial", "cpu-levelset"}) {
     for (const bool upper : {false, true}) {
       SCOPED_TRACE(std::string(key) + (upper ? " upper" : " lower"));
       core::SolveOptions opt = core::registry::options_for(key).value();
@@ -279,7 +265,7 @@ TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
   // A cache written by the previous binary must outlive the upgrade: the
   // v1 stream (no layout byte) loads and solves bit-for-bit.
   const sparse::CscMatrix l = test_matrix();
-  for (const char* key : {"cpu-levelset", "cpu-syncfree", "serial"}) {
+  for (const char* key : {"cpu-levelset", "serial"}) {
     SCOPED_TRACE(key);
     core::SolveOptions opt = core::registry::options_for(key).value();
     opt.cpu_threads = 1;
@@ -402,7 +388,7 @@ TEST(PlanIo, GpuCountMismatchIsBadSnapshot) {
 TEST(PlanIo, BorrowedLoadChecksStructuralHash) {
   const sparse::CscMatrix l = test_matrix();
   const core::SolveOptions opt =
-      core::registry::options_for("cpu-syncfree").value();
+      core::registry::options_for("cpu-levelset").value();
   const std::string path = temp_plan_path("borrowed");
   ASSERT_TRUE(core::SolverPlan::analyze(l, opt)->save(path).ok());
 
@@ -442,113 +428,94 @@ TEST(PlanIo, BorrowedLoadChecksStructuralHash) {
 }
 
 TEST(PlanIo, InDegreeDriftIsRejectedNotHung) {
-  // A CRC-valid blob whose in-degrees disagree with its factor would make
-  // the sync-free kernel spin forever on its delivery counters; the load
-  // must reject it, not hand the hang to the first solve.
+  // The multi-GPU engine counts each component's in-degree down to zero:
+  // a CRC-valid blob whose in-degrees disagree with its factor would
+  // leave components unsolved and deadlock the engine at the first
+  // solve. The load must reject it instead.
   const sparse::CscMatrix l = test_matrix();
-  core::SolveOptions opt = core::registry::options_for("cpu-syncfree").value();
-  opt.cpu_threads = 1;
+  const core::SolveOptions opt =
+      core::registry::options_for("mg-zerocopy").value();
 
   core::PlanSnapshot snap;
-  snap.backend = core::Backend::kCpuSyncFree;
+  snap.backend = core::Backend::kMgZeroCopy;
   snap.tasks_per_gpu = opt.tasks_per_gpu;
   snap.num_gpus = opt.machine.num_gpus();
   snap.in_degrees = sparse::compute_in_degrees(l);
-  snap.in_degrees[0] += 1;  // one undeliverable dependency
-  const std::vector<std::uint8_t> blob = core::serialize_snapshot(snap, l);
-
-  const auto r = core::SolverPlan::deserialize(blob, opt);
+  ASSERT_TRUE(core::SolverPlan::deserialize(core::serialize_snapshot(snap, l),
+                                            opt)
+                  .ok());
+  for (index_t& d : snap.in_degrees) d += 1;  // undeliverable dependencies
+  const auto r =
+      core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
   EXPECT_NE(r.message().find("in-degree"), std::string::npos) << r.message();
 }
 
 TEST(PlanIo, NonTopologicalOrUnsolvableStateIsRejectedNotHung) {
-  // Host plans execute the stored level order: the sync-free gang claims
-  // its positions front to back, so a CRC-valid blob whose order puts a
-  // row before one of its dependencies would spin forever. The load must
-  // reject it -- and a level-less (older) blob whose factor is not a
-  // solvable lower factor -- instead of handing either to a solve.
+  // Stored levels drive execution: the level-set gang solves the rows of
+  // a level in parallel slices, and every row form follows the stored
+  // order. A CRC-valid blob whose levels put a row beside or before one
+  // of its dependencies would race or read unsolved entries. The load
+  // must reject it -- for every backend that stores levels -- and a
+  // level-less (older) blob whose factor is not a solvable lower factor,
+  // instead of handing either to a solve.
   const sparse::CscMatrix l = test_matrix();
-  core::SolveOptions opt = core::registry::options_for("cpu-syncfree").value();
-  opt.cpu_threads = 2;
-
-  core::PlanSnapshot snap;
-  snap.backend = core::Backend::kCpuSyncFree;
-  snap.tasks_per_gpu = opt.tasks_per_gpu;
-  snap.num_gpus = opt.machine.num_gpus();
-  snap.in_degrees = sparse::compute_in_degrees(l);
-  snap.levels = sparse::analyze_levels(l);
-  std::reverse(snap.levels->order.begin(), snap.levels->order.end());
-  const auto r =
-      core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
-  EXPECT_NE(r.message().find("topological"), std::string::npos)
-      << r.message();
+  const index_t n = l.rows;
+  const auto rejected = [&](const char* key, auto mangle) {
+    SCOPED_TRACE(key);
+    core::SolveOptions opt = core::registry::options_for(key).value();
+    opt.cpu_threads = 2;
+    core::PlanSnapshot snap;
+    snap.backend = opt.backend;
+    snap.tasks_per_gpu = opt.tasks_per_gpu;
+    snap.num_gpus = opt.machine.num_gpus();
+    snap.levels = sparse::analyze_levels(l);
+    ASSERT_TRUE(core::SolverPlan::deserialize(
+                    core::serialize_snapshot(snap, l), opt)
+                    .ok());
+    mangle(*snap.levels);
+    const auto r =
+        core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
+    EXPECT_NE(r.message().find("level schedule"), std::string::npos)
+        << r.message();
+  };
+  const auto reversed = [](sparse::LevelAnalysis& a) {
+    std::reverse(a.order.begin(), a.order.end());
+  };
+  // One level: the order is still topological, but the gang would solve
+  // every row at once.
+  const auto one_level = [n](sparse::LevelAnalysis& a) {
+    a.num_levels = 1;
+    a.level_ptr = {0, n};
+  };
+  // Every position names the same row: the level count and boundaries
+  // stay in bounds, so only the schedule check can refuse it.
+  const auto one_row = [n](sparse::LevelAnalysis& a) {
+    std::fill(a.order.begin(), a.order.end(), n - 1);
+  };
+  for (const char* key : {"serial", "cpu-levelset", "gpu-levelset"}) {
+    rejected(key, reversed);
+    rejected(key, one_level);
+    rejected(key, one_row);
+  }
 
   // No levels, and column 1 lacks its diagonal.
   sparse::CscMatrix broken = l;
   broken.row_idx[static_cast<std::size_t>(broken.col_ptr[1])] = 0;
+  const core::SolveOptions serial_opt =
+      core::registry::options_for("serial").value();
   core::PlanSnapshot serial;
   serial.backend = core::Backend::kSerial;
-  serial.tasks_per_gpu = opt.tasks_per_gpu;
-  serial.num_gpus = opt.machine.num_gpus();
+  serial.tasks_per_gpu = serial_opt.tasks_per_gpu;
+  serial.num_gpus = serial_opt.machine.num_gpus();
   const auto s = core::SolverPlan::deserialize(
-      core::serialize_snapshot(serial, broken),
-      core::registry::options_for("serial").value());
+      core::serialize_snapshot(serial, broken), serial_opt);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.status(), core::SolveStatus::kBadSnapshot);
   EXPECT_NE(s.message().find("solvable"), std::string::npos) << s.message();
-}
-
-TEST(PlanIo, HostileLevelOrderNeverReachesGpuLevelSetNumerics) {
-  // gpu-levelset keeps its level analysis for the cost model only: its
-  // replay form runs in natural order. A CRC-valid blob whose stored
-  // order is reversed, or names one row n times, must still solve to a
-  // fresh analysis's x bit for bit -- never a crash or a wrong x.
-  const sparse::CscMatrix l = test_matrix();
-  const index_t n = l.rows;
-  ASSERT_GT(n, 256);  // past one serial window, where a bucket pass splits
-  const core::SolveOptions opt =
-      core::registry::options_for("gpu-levelset").value();
-  std::vector<value_t> batch;
-  for (index_t j = 0; j < 3; ++j) {
-    const std::vector<value_t> bj = sparse::gen_rhs_for_solution(
-        l, sparse::gen_solution(n, 40 + static_cast<std::uint64_t>(j)));
-    batch.insert(batch.end(), bj.begin(), bj.end());
-  }
-  const std::span<const value_t> b = std::span<const value_t>(batch).first(
-      static_cast<std::size_t>(n));
-  const auto fresh = core::SolverPlan::analyze(l, opt);
-  ASSERT_TRUE(fresh.ok()) << fresh.message();
-  const std::vector<value_t> x = fresh->solve(b).value().x;
-  const std::vector<value_t> xs = fresh->solve_batch(batch, 3).value().x;
-
-  const auto check = [&](const char* name, auto mangle) {
-    SCOPED_TRACE(name);
-    core::PlanSnapshot snap;
-    snap.backend = core::Backend::kGpuLevelSet;
-    snap.tasks_per_gpu = opt.tasks_per_gpu;
-    snap.num_gpus = opt.machine.num_gpus();
-    snap.levels = sparse::analyze_levels(l);
-    mangle(snap.levels->order);
-    const auto loaded =
-        core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
-    ASSERT_TRUE(loaded.ok()) << loaded.message();
-    const auto r = loaded->solve(b);
-    ASSERT_TRUE(r.ok()) << r.message();
-    EXPECT_EQ(r->x, x);
-    const auto rb = loaded->solve_batch(batch, 3);
-    ASSERT_TRUE(rb.ok()) << rb.message();
-    EXPECT_EQ(rb->x, xs);
-  };
-  check("reversed", [](std::vector<index_t>& o) {
-    std::reverse(o.begin(), o.end());
-  });
-  check("one row", [n](std::vector<index_t>& o) {
-    std::fill(o.begin(), o.end(), n - 1);
-  });
 }
 
 TEST(PlanIo, BorrowedLoadOfUpperPlanIsRejected) {

@@ -15,7 +15,7 @@ namespace {
 namespace registry = core::registry;
 
 TEST(Registry, CatalogueCoversEveryBackendWithUniqueKeys) {
-  ASSERT_EQ(registry::backends().size(), 9u);
+  ASSERT_EQ(registry::backends().size(), 7u);
   std::set<std::string> keys;
   std::set<core::Backend> seen;
   for (const registry::BackendEntry& e : registry::backends()) {
@@ -73,6 +73,36 @@ TEST(Registry, OptionsForResolvesKeyOrReportsError) {
 
   EXPECT_EQ(registry::options_for("nope").status(),
             core::SolveStatus::kUnknownBackend);
+}
+
+TEST(Registry, RetiredHostScheduleKeysAreAliasesOfSerial) {
+  // Blobs, wire clients and cache configurations that name the retired
+  // sync-free and task-graph schedules keep working: they get serial,
+  // with serial's options.
+  const core::SolveOptions serial = registry::options_for("serial").value();
+  for (const char* key : {"cpu-syncfree", "syncfree", "cpu-taskgraph",
+                          "taskgraph", "task-graph", "CPU-SyncFree"}) {
+    SCOPED_TRACE(key);
+    const auto parsed = registry::parse_backend(key);
+    ASSERT_TRUE(parsed.ok()) << parsed.message();
+    EXPECT_EQ(parsed.value(), core::Backend::kSerial);
+    const auto opt = registry::options_for(key);
+    ASSERT_TRUE(opt.ok()) << opt.message();
+    EXPECT_EQ(opt.value().backend, serial.backend);
+    EXPECT_EQ(opt.value().machine.name, serial.machine.name);
+    EXPECT_EQ(opt.value().machine.num_gpus(), serial.machine.num_gpus());
+    EXPECT_EQ(opt.value().tasks_per_gpu, serial.tasks_per_gpu);
+    EXPECT_EQ(opt.value().cpu_threads, serial.cpu_threads);
+    EXPECT_EQ(opt.value().numa_policy, serial.numa_policy);
+    EXPECT_EQ(opt.value().include_analysis, serial.include_analysis);
+    EXPECT_EQ(opt.value().fuse_batch, serial.fuse_batch);
+    EXPECT_EQ(opt.value().use_shared_pool, serial.use_shared_pool);
+    EXPECT_EQ(opt.value().time_budget, serial.time_budget);
+    EXPECT_EQ(opt.value().autotune, serial.autotune);
+  }
+  // The catalogue lists canonical keys only.
+  EXPECT_EQ(registry::backend_keys().find("syncfree"), std::string::npos);
+  EXPECT_EQ(registry::backend_keys().find("taskgraph"), std::string::npos);
 }
 
 TEST(Registry, EveryBackendDefaultConfigurationSolves) {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +26,14 @@
 
 namespace msptrsv {
 namespace {
+
+/// Level pointers that give every position its own level: the level
+/// schedule a plain topological order is.
+std::vector<offset_t> one_row_levels(std::size_t n) {
+  std::vector<offset_t> ptr(n + 1);
+  std::iota(ptr.begin(), ptr.end(), offset_t{0});
+  return ptr;
+}
 
 struct Factor {
   std::string tag;
@@ -116,8 +125,7 @@ TEST(RowForm, HostPlansStoreATopologicalPermutationInFactorEntryOrder) {
     for (const bool upper : {false, true}) {
       const sparse::CscMatrix caller =
           upper ? sparse::transpose(f.lower) : f.lower;
-      for (const char* key :
-           {"serial", "cpu-levelset", "cpu-syncfree", "cpu-taskgraph"}) {
+      for (const char* key : {"serial", "cpu-levelset"}) {
         SCOPED_TRACE(f.tag + (upper ? " upper " : " lower ") + key);
         core::SolveOptions opt = core::registry::options_for(key).value();
         opt.cpu_threads = 2;
@@ -129,7 +137,7 @@ TEST(RowForm, HostPlansStoreATopologicalPermutationInFactorEntryOrder) {
         check_row_form(*plan->row_form(), caller, upper);
 
         // The schedules run the positions they were built for: plain
-        // level order for the parallel ones (mirrored for upper plans).
+        // level order for the gang (mirrored for upper plans).
         const sparse::LevelAnalysis& levels = *plan->level_analysis();
         if (opt.backend != core::Backend::kSerial) {
           for (std::size_t p = 0; p < levels.order.size(); ++p) {
@@ -188,23 +196,41 @@ TEST(RowForm, SerialWindowFollowsTheLevelStructure) {
       ASSERT_TRUE(la < lb || (la == lb && a < b)) << "position " << p;
     }
   }
-  EXPECT_TRUE(core::is_topological_order(l, order));
+  EXPECT_TRUE(core::is_level_schedule(l, order, one_row_levels(order.size())));
 }
 
-TEST(RowForm, TopologicalOrderCheckRejectsBadOrders) {
+TEST(RowForm, LevelScheduleCheckRejectsBadSchedules) {
   const sparse::CscMatrix l = sparse::gen_layered_dag(300, 12, 1500, 0.5, 7);
   const sparse::LevelAnalysis levels = sparse::analyze_levels(l);
-  EXPECT_TRUE(core::is_topological_order(l, levels.order));
+  const std::size_t n = levels.order.size();
+  const auto check = [&](std::span<const index_t> order,
+                         std::span<const offset_t> level_ptr) {
+    return core::is_level_schedule(l, order, level_ptr);
+  };
+  EXPECT_TRUE(check(levels.order, levels.level_ptr));
+  // A topological order is the schedule of one row per level.
+  EXPECT_TRUE(check(levels.order, one_row_levels(n)));
   std::vector<index_t> reversed(levels.order.rbegin(), levels.order.rend());
-  EXPECT_FALSE(core::is_topological_order(l, reversed));
+  EXPECT_FALSE(check(reversed, levels.level_ptr));
+  EXPECT_FALSE(check(reversed, one_row_levels(n)));
   std::vector<index_t> repeated = levels.order;
   repeated.back() = repeated.front();
-  EXPECT_FALSE(core::is_topological_order(l, repeated));
+  EXPECT_FALSE(check(repeated, levels.level_ptr));
   std::vector<index_t> out_of_range = levels.order;
   out_of_range.back() = l.rows;
-  EXPECT_FALSE(core::is_topological_order(l, out_of_range));
-  EXPECT_FALSE(core::is_topological_order(
-      l, std::span<const index_t>(levels.order).first(10)));
+  EXPECT_FALSE(check(out_of_range, levels.level_ptr));
+  EXPECT_FALSE(check(std::span<const index_t>(levels.order).first(10),
+                     levels.level_ptr));
+  // Topological, but dependent rows share a level: the gang would race.
+  const std::vector<offset_t> one_level = {0, static_cast<offset_t>(n)};
+  EXPECT_FALSE(check(levels.order, one_level));
+  // Boundaries that do not tile the order.
+  std::vector<offset_t> short_ptr = levels.level_ptr;
+  short_ptr.back() -= 1;
+  EXPECT_FALSE(check(levels.order, short_ptr));
+  std::vector<offset_t> backwards = levels.level_ptr;
+  std::swap(backwards[1], backwards[2]);
+  EXPECT_FALSE(check(levels.order, backwards));
   // The builder refuses a non-permutation instead of writing out of
   // bounds.
   EXPECT_THROW(core::build_row_form(l, repeated, false),

@@ -74,7 +74,7 @@ TEST(SolveService, SingleSubmitMatchesDirectSolveBitForBit) {
   const std::vector<value_t> b = rhs_for(l, 1);
 
   SolveService svc;
-  const auto plan = svc.plan_for(l, "cpu-syncfree");
+  const auto plan = svc.plan_for(l, "cpu-levelset");
   ASSERT_TRUE(plan.ok()) << plan.message();
 
   const std::vector<value_t> want = plan->solve(b).value().x;
@@ -255,7 +255,7 @@ TEST(SolveService, ContendedMixedTrafficStaysBitExact) {
   constexpr int kClients = 6;
   constexpr int kItersPerClient = 8;
   constexpr index_t kBatchRhs = 3;
-  const char* kBackends[] = {"serial", "cpu-levelset", "cpu-syncfree"};
+  const char* kBackends[] = {"serial", "cpu-levelset", "cpu-levelset"};
 
   SolveService svc;
 
@@ -332,9 +332,9 @@ TEST(SolveService, PlanForIsAnalyzeOnFirstUse) {
   const sparse::CscMatrix l = service_matrix(21);
   SolveService svc;
 
-  const auto first = svc.plan_for(l, "cpu-syncfree");
+  const auto first = svc.plan_for(l, "cpu-levelset");
   ASSERT_TRUE(first.ok());
-  const auto second = svc.plan_for(l, "cpu-syncfree");
+  const auto second = svc.plan_for(l, "cpu-levelset");
   ASSERT_TRUE(second.ok());
   // Same symbolic state: submits through either copy coalesce together.
   EXPECT_EQ(first->state_id(), second->state_id());
@@ -418,8 +418,8 @@ TEST(SolveServiceScheduling, HighPriorityDispatchesBeforeBackground) {
   ServiceOptions opt;
   opt.pool = &pool;
   SolveService svc(opt);
-  const auto plan_bg = svc.plan_for(la, "cpu-syncfree");
-  const auto plan_hi = svc.plan_for(lb, "cpu-syncfree");
+  const auto plan_bg = svc.plan_for(la, "cpu-levelset");
+  const auto plan_hi = svc.plan_for(lb, "cpu-levelset");
   ASSERT_TRUE(plan_bg.ok());
   ASSERT_TRUE(plan_hi.ok());
   const std::vector<value_t> b_bg = rhs_for(la, 1);
@@ -562,8 +562,8 @@ TEST(SolveServiceScheduling, HighPriorityStreamSurvivesBackgroundFlood) {
   opt.max_pending_rhs = 256;
   opt.pool = &pool;
   SolveService svc(opt);
-  const auto plan_hi = svc.plan_for(l_hi, "cpu-syncfree");
-  const auto plan_bg = svc.plan_for(l_bg, "cpu-syncfree");
+  const auto plan_hi = svc.plan_for(l_hi, "cpu-levelset");
+  const auto plan_bg = svc.plan_for(l_bg, "cpu-levelset");
   ASSERT_TRUE(plan_hi.ok());
   ASSERT_TRUE(plan_bg.ok());
   const std::vector<value_t> b_hi = rhs_for(l_hi, 3);
@@ -674,7 +674,7 @@ TEST(SolveServiceScheduling, PackedDispatchAnswersBitForBit) {
     std::vector<core::SolverPlan> plans;
     for (int t = 0; t < kTenants; ++t) {
       factors.push_back(service_matrix(80 + static_cast<std::uint64_t>(t)));
-      const auto plan = svc.plan_for(factors.back(), "cpu-syncfree");
+      const auto plan = svc.plan_for(factors.back(), "cpu-levelset");
       ASSERT_TRUE(plan.ok());
       plans.push_back(*plan);
       rhs.push_back(rhs_for(factors.back(), static_cast<std::uint64_t>(t)));
@@ -714,7 +714,7 @@ TEST(SolveServiceScheduling, PackedDispatchShowsUpInStats) {
   std::vector<std::vector<value_t>> rhs;
   for (int t = 0; t < kTenants; ++t) {
     factors.push_back(service_matrix(90 + static_cast<std::uint64_t>(t)));
-    const auto plan = svc.plan_for(factors.back(), "cpu-syncfree");
+    const auto plan = svc.plan_for(factors.back(), "cpu-levelset");
     ASSERT_TRUE(plan.ok());
     plans.push_back(*plan);
     rhs.push_back(rhs_for(factors.back(), static_cast<std::uint64_t>(t)));
@@ -1007,14 +1007,14 @@ TEST(SharedWorkerPool, GangsShrinkInsteadOfDeadlocking) {
 TEST(SharedWorkerPool, SharedPlansHoldZeroOwnedThreads) {
   const sparse::CscMatrix l = service_matrix(31);
   core::SolveOptions opt =
-      core::registry::service_options("cpu-syncfree").value();
+      core::registry::service_options("cpu-levelset").value();
   const auto plan = core::SolverPlan::analyze(l, opt);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->owned_thread_count(), 0u);
   const std::vector<value_t> b = rhs_for(l, 2);
 
   // Same bits as an owned-pool plan, before and after solving.
-  core::SolveOptions owned = core::registry::options_for("cpu-syncfree").value();
+  core::SolveOptions owned = core::registry::options_for("cpu-levelset").value();
   const auto baseline = core::SolverPlan::analyze(l, owned);
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(plan->solve(b).value().x, baseline->solve(b).value().x);

@@ -175,7 +175,7 @@ TEST(TraceSpans, ExplicitSlowThresholdRetainsTheSpanTree) {
 TEST(TraceDeterminism, SolvesAreBitForBitIdenticalTracingOnOrOff) {
   const sparse::CscMatrix l = trace_matrix(7);
   const std::vector<value_t> b = rhs_for(l, 1);
-  for (const char* key : {"cpu-syncfree", "cpu-levelset"}) {
+  for (const char* key : {"serial", "cpu-levelset"}) {
     const auto plan =
         core::SolverPlan::analyze(l, core::registry::options_for(key).value());
     ASSERT_TRUE(plan.ok()) << plan.message();
@@ -438,7 +438,7 @@ TEST(TraceEndToEnd, SolvesAreBitForBitOverTheWireTracingOnOrOff) {
   net::ClientOptions copt;
   copt.port = server.port();
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok()) << handle.message();
 
   trace::trace_set_enabled(false);
@@ -471,7 +471,7 @@ TEST(TraceEndToEnd, TraceIdSurvivesInjectedOverloadRetries) {
   copt.retry.max_attempts = 4;
   copt.retry.initial_backoff = std::chrono::microseconds(100);
   SolveClient client(copt);
-  const auto handle = client.open(l, "cpu-syncfree");
+  const auto handle = client.open(l, "cpu-levelset");
   ASSERT_TRUE(handle.ok());
 
   ArmedTracing armed;
@@ -535,7 +535,7 @@ TEST(TraceFleet, ProbeRttGaugeAndFleetTraceStitchAcrossFailover) {
 
   const sparse::CscMatrix l = trace_matrix(53);
   const std::vector<value_t> b = rhs_for(l, 5);
-  const auto h = router.open(l, "cpu-syncfree");
+  const auto h = router.open(l, "cpu-levelset");
   ASSERT_TRUE(h.ok()) << h.message();
   const std::size_t home = h.value().shard;
   const std::size_t backup = 1 - home;

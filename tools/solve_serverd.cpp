@@ -1,7 +1,7 @@
 // solve_serverd: the deployable solve-server daemon. Usage, one command
 // line:
 //
-//   solve_serverd --port=7450 --backend=cpu-syncfree --threads=8
+//   solve_serverd --port=7450 --threads=8
 //                 --cache-dir=/var/lib/msptrsv/plans
 //
 // Serves the wire protocol (docs/PROTOCOL.md) until SIGTERM/SIGINT, then
