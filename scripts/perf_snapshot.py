@@ -59,10 +59,28 @@ def configured_source(build_dir):
     return None
 
 
-def run_workload(repo, env, workload, seconds, trace):
+def checked_env(repo, prog):
+    """build_env(repo), or None after saying why on stderr when the build
+    directory it names was configured from another checkout: run.py
+    configures a build directory once and rebuilds it from whichever
+    checkout configured it, so its binary would be another tree's."""
+    env = build_env(repo)
+    build_dir = os.path.join(repo, env.get("CARGO_TARGET_DIR") or ".bench_build")
+    configured = configured_source(build_dir)
+    wanted = os.path.join(repo, "perfbench")
+    if configured is not None and \
+            os.path.realpath(configured) != os.path.realpath(wanted):
+        sys.stderr.write("%s: %s was configured from %s, not %s; "
+                         "set CARGO_TARGET_DIR per checkout\n"
+                         % (prog, build_dir, configured, wanted))
+        return None
+    return env
+
+
+def run_workload(repo, env, workload, seconds, trace, seed=SEED):
     """Runs one workload; returns its JSON result, or None on failure."""
     cmd = [sys.executable, os.path.join(repo, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(SEED),
+           "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=repo, env=env, stdout=subprocess.PIPE,
                           text=True)
@@ -118,19 +136,8 @@ def main():
     ap.add_argument("--label", default="")
     args = ap.parse_args()
     repo = os.path.abspath(args.repo)
-    env = build_env(repo)
-
-    # run.py configures a build directory once and rebuilds it from
-    # whichever checkout configured it: refuse to record another tree's
-    # binary under this one's commit.
-    build_dir = os.path.join(repo, env.get("CARGO_TARGET_DIR") or ".bench_build")
-    configured = configured_source(build_dir)
-    wanted = os.path.join(repo, "perfbench")
-    if configured is not None and \
-            os.path.realpath(configured) != os.path.realpath(wanted):
-        sys.stderr.write("perf_snapshot: %s was configured from %s, not %s; "
-                         "set CARGO_TARGET_DIR per checkout\n"
-                         % (build_dir, configured, wanted))
+    env = checked_env(repo, "perf_snapshot")
+    if env is None:
         return 1
 
     workloads = {}

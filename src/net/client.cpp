@@ -62,15 +62,14 @@ void SolveClient::close() {
   std::thread stale;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (connected_) {
-      connected_ = false;
-      sock_.shutdown_read();
-      fail_pending_locked("client closed");
-    }
+    if (connected_) disconnect_locked("client closed");
     stale = std::move(reader_);
   }
   if (stale.joinable()) stale.join();
-  std::lock_guard<std::mutex> lock(state_mutex_);
+  std::unique_lock<std::mutex> lock(state_mutex_);
+  // A caller reading the socket was kicked by the shutdown; the fd is
+  // released only once it has let go.
+  reader_cv_.wait(lock, [&] { return !reading_; });
   sock_.close();
 }
 
@@ -79,17 +78,33 @@ Expected<bool> SolveClient::connect() {
   // join must not hold state_mutex_ -- the reader takes it to finish.
   std::thread stale;
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (connected_) return true;
+    std::unique_lock<std::mutex> lock(state_mutex_);
+    // A connection is usable once its plan opens are replayed: before
+    // that, a request could name a plan id the server has not assigned.
+    reader_cv_.wait(lock, [&] { return !replaying_; });
+    if (connected_) {
+      // Nobody reads an idle connection, so a server that closed it (a
+      // restart, a crash) is noticed here, before a request is sent into
+      // the dead socket.
+      if (reading_ || !pending_.empty() || !sock_.peer_closed()) return true;
+      disconnect_locked("server closed the connection");
+    }
     stale = std::move(reader_);
   }
   if (stale.joinable()) stale.join();
 
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::unique_lock<std::mutex> lock(state_mutex_);
+    // A caller may still be reading the dead socket (shut down, so it is
+    // on its way out): the socket is replaced only once it has let go --
+    // or another caller has replaced it already, and then this one waits
+    // for that caller's replay, not for reads that wake nobody.
+    reader_cv_.wait(lock,
+                    [&] { return connected_ ? !replaying_ : !reading_; });
     if (connected_) return true;  // raced with another caller's connect
     Expected<bool> handshake = connect_locked();
     if (!handshake.ok()) return handshake;
+    replaying_ = true;
   }
 
   // Replay plan opens (reader is live; these ride the pending map like
@@ -107,17 +122,19 @@ Expected<bool> SolveClient::connect() {
       spec = specs_[i];  // copy: the open runs unlocked
     }
     Expected<OpenOkFrame> ok = open_on_wire(spec);
+    std::lock_guard<std::mutex> lock(state_mutex_);
     if (!ok.ok()) {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (connected_) {
-        connected_ = false;
-        sock_.shutdown_read();
-        fail_pending_locked("open replay failed: " + ok.message());
-      }
+      replaying_ = false;
+      if (connected_) disconnect_locked("open replay failed: " + ok.message());
+      reader_cv_.notify_all();
       return Expected<bool>(ok.error());
     }
-    std::lock_guard<std::mutex> lock(state_mutex_);
     specs_[i].plan_id = ok.value().plan_id;
+  }
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    replaying_ = false;
+    reader_cv_.notify_all();
   }
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
@@ -162,34 +179,78 @@ Expected<bool> SolveClient::connect_locked() {
 }
 
 void SolveClient::reader_loop(std::uint64_t epoch) {
+  std::unique_lock<std::mutex> lock(state_mutex_);
   for (;;) {
-    // Unlocked read and verify: this thread is the socket's only reader,
-    // and the socket object stays alive until this thread is joined. The
-    // CRC is computed here, once; callers decode the verified frame.
-    Expected<std::optional<std::vector<std::uint8_t>>> frame =
-        read_frame(sock_, frame_bytes_);
-    RawReply reply =
-        !frame.ok() ? RawReply(frame.error())
-        : !frame.value().has_value()
-            ? RawReply(SolveStatus::kNetworkError,
-                       "server closed the connection")
-            : VerifiedFrame::verify(std::move(*frame.value()));
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    // Sleep while nobody is owed a reply, or while a caller reads.
+    reader_cv_.wait(lock, [&] {
+      return epoch_ != epoch || !connected_ ||
+             (!reading_ && !pending_.empty());
+    });
     if (epoch_ != epoch || !connected_) return;  // superseded
-    if (!reply.ok()) {
-      // A dead socket, or the server is speaking garbage: fail-stop our
-      // side too.
-      connected_ = false;
-      sock_.shutdown_read();
-      fail_pending_locked(reply.message());
-      return;
-    }
-    auto it = pending_.find(reply.value().head().request_id);
-    if (it == pending_.end()) continue;  // unsolicited; ignore
-    std::promise<RawReply> promise = std::move(it->second);
-    pending_.erase(it);
-    promise.set_value(std::move(reply));
+    reading_ = true;
+    route_one(lock);
+    release_read_locked();
   }
+}
+
+bool SolveClient::route_one(std::unique_lock<std::mutex>& lock) {
+  lock.unlock();
+  // Unlocked read and verify: reading_ makes this thread the socket's only
+  // reader, and the socket is not replaced or released while reading_ is
+  // set. The CRC is computed here, once; callers decode the verified frame.
+  Expected<std::optional<std::vector<std::uint8_t>>> frame =
+      read_frame(sock_, frame_bytes_);
+  RawReply reply =
+      !frame.ok() ? RawReply(frame.error())
+      : !frame.value().has_value()
+          ? RawReply(SolveStatus::kNetworkError,
+                     "server closed the connection")
+          : VerifiedFrame::verify(std::move(*frame.value()));
+  lock.lock();
+  if (!connected_) return false;  // torn down meanwhile; pending failed
+  if (!reply.ok()) {
+    // A dead socket, or the server is speaking garbage: fail-stop our
+    // side too.
+    disconnect_locked(reply.message());
+    return false;
+  }
+  auto it = pending_.find(reply.value().head().request_id);
+  if (it == pending_.end()) return true;  // unsolicited; ignore
+  std::promise<RawReply> promise = std::move(it->second);
+  pending_.erase(it);
+  promise.set_value(std::move(reply));
+  return true;
+}
+
+void SolveClient::release_read_locked() {
+  reading_ = false;
+  // Wake the reader thread only when a reply is still owed, and the
+  // connect()/close() waiting to replace the socket only when it is dead:
+  // a caller that read its own reply on an idle connection wakes nobody.
+  if (!pending_.empty() || !connected_) reader_cv_.notify_all();
+}
+
+SolveClient::RawReply SolveClient::await_reply(std::uint64_t request_id,
+                                               std::future<RawReply> reply) {
+  {
+    std::unique_lock<std::mutex> lock(state_mutex_);
+    if (!reading_ && pending_.count(request_id) != 0) {
+      // Nobody is reading: read on this thread until this reply is in,
+      // routing every other reply met on the way.
+      reading_ = true;
+      while (pending_.count(request_id) != 0 && route_one(lock)) {
+      }
+      release_read_locked();
+    }
+  }
+  return reply.get();
+}
+
+void SolveClient::disconnect_locked(const std::string& why) {
+  connected_ = false;
+  sock_.shutdown_read();  // kicks whoever is reading
+  fail_pending_locked(why);
+  reader_cv_.notify_all();
 }
 
 void SolveClient::fail_pending_locked(const std::string& why) {
@@ -200,10 +261,10 @@ void SolveClient::fail_pending_locked(const std::string& why) {
 }
 
 std::future<SolveClient::RawReply> SolveClient::request_solve_locked(
-    std::uint64_t plan_id, std::span<const value_t> rhs, index_t num_rhs,
-    service::Priority priority, std::chrono::microseconds deadline,
-    const support::trace::TraceId& trace_id) {
-  const std::uint64_t id = next_request_id_++;
+    std::uint64_t id, std::uint64_t plan_id, std::span<const value_t> rhs,
+    index_t num_rhs, service::Priority priority,
+    std::chrono::microseconds deadline,
+    const support::trace::TraceId& trace_id, bool caller_reads) {
   SolveFrame frame;
   frame.request_id = id;
   frame.plan_id = plan_id;
@@ -212,11 +273,12 @@ std::future<SolveClient::RawReply> SolveClient::request_solve_locked(
   frame.deadline_us = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, deadline.count()));
   frame.trace_id = trace_id;
-  return request_locked(id, encode_solve(frame, rhs));
+  return request_locked(id, encode_solve(frame, rhs), caller_reads);
 }
 
 std::future<SolveClient::RawReply> SolveClient::request_locked(
-    std::uint64_t request_id, const std::vector<std::uint8_t>& wire) {
+    std::uint64_t request_id, const std::vector<std::uint8_t>& wire,
+    bool caller_reads) {
   std::promise<RawReply> promise;
   std::future<RawReply> future = promise.get_future();
   if (!connected_) {
@@ -231,9 +293,9 @@ std::future<SolveClient::RawReply> SolveClient::request_locked(
       it->second.set_value(RawReply(sent.error()));
       pending_.erase(it);
     }
-    connected_ = false;
-    sock_.shutdown_read();  // kick the reader
-    fail_pending_locked("send failed: " + sent.message());
+    disconnect_locked("send failed: " + sent.message());
+  } else if (!caller_reads && !reading_) {
+    reader_cv_.notify_all();  // nobody is reading: the reader thread will
   }
   return future;
 }
@@ -378,16 +440,19 @@ Expected<std::vector<value_t>> SolveClient::solve_with_retry(
     if (!up.ok()) {
       last = up.error();
     } else {
+      std::uint64_t id;
       std::future<RawReply> future;
       {
         std::lock_guard<std::mutex> lock(state_mutex_);
-        future = request_solve_locked(specs_[spec].plan_id, rhs, num_rhs,
-                                      priority, deadline, trace_id);
+        id = next_request_id_++;
+        future = request_solve_locked(id, specs_[spec].plan_id, rhs, num_rhs,
+                                      priority, deadline, trace_id,
+                                      /*caller_reads=*/true);
       }
       if (solve_span) solve_span->set_arg("attempts", attempt);
       Expected<std::vector<value_t>> result =
           [&]() -> Expected<std::vector<value_t>> {
-        RawReply raw = future.get();
+        RawReply raw = await_reply(id, std::move(future));
         if (!raw.ok()) {
           return Expected<std::vector<value_t>>(raw.error());
         }
@@ -434,8 +499,10 @@ std::future<SolveClient::RawReply> SolveClient::submit_batch_raw(
   // Pipelined path: no auto-minting -- callers owning their own policy
   // also own their trace identity (the thread context, when set, rides).
   return request_solve_locked(
+      next_request_id_++,
       plan.spec < specs_.size() ? specs_[plan.spec].plan_id : 0, rhs,
-      num_rhs, priority, deadline, support::trace::current_trace_id());
+      num_rhs, priority, deadline, support::trace::current_trace_id(),
+      /*caller_reads=*/false);
 }
 
 std::future<Expected<std::vector<value_t>>> SolveClient::submit_batch(
@@ -517,10 +584,8 @@ Expected<bool> SolveClient::ping(std::chrono::milliseconds timeout) {
     // reconnects instead of queueing behind a hung server.
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (connected_) {
-      connected_ = false;
-      sock_.shutdown_read();
-      fail_pending_locked("ping timed out after " +
-                          std::to_string(timeout.count()) + "ms");
+      disconnect_locked("ping timed out after " +
+                        std::to_string(timeout.count()) + "ms");
     }
     return Expected<bool>(SolveStatus::kNetworkError,
                           "ping timed out after " +

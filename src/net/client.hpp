@@ -2,9 +2,21 @@
 // net::SolveServer.
 //
 // One connection, many requests in flight: submits are PIPELINED (each
-// carries a fresh request id; a reader thread matches replies by id and
-// completes the caller's future), so N outstanding solves cost one
-// round-trip of latency each, not N.
+// carries a fresh request id; replies are matched by id and complete the
+// caller's future), so N outstanding solves cost one round-trip of
+// latency each, not N.
+//
+// Who reads the socket: at most one thread at a time. A synchronous
+// solve()/solve_batch() whose request finds nobody reading reads frames
+// itself until its own reply is routed, routing any other reply it meets
+// on the way, and then hands the socket to the connection's reader thread
+// if replies are still owed. The reader thread reads only while a reply
+// is owed and no caller is reading: for pipelined submits, opens, pings,
+// stats and drains, and for synchronous calls that found the socket
+// taken. It sleeps otherwise, so nobody watches an idle connection:
+// connect(), which every solve attempt, open, ping, stats and drain calls
+// first, checks without blocking whether the server closed it and then
+// reconnects before sending (connected() stays true until that check).
 //
 // The synchronous solve()/solve_batch() calls add the RETRY tier, driven
 // by the server's TYPED statuses -- which is the whole reason the wire
@@ -27,6 +39,7 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -105,9 +118,13 @@ class SolveClient {
   SolveClient& operator=(const SolveClient&) = delete;
 
   /// Connects and performs the hello handshake (version negotiation; the
-  /// effective frame bound becomes min(ours, server's)). Idempotent when
-  /// already connected.
+  /// effective frame bound becomes min(ours, server's)), then replays the
+  /// plan opens; concurrent callers wait for that replay. Idempotent when
+  /// already connected, unless the server has closed an idle connection.
   core::Expected<bool> connect();
+  /// True from a successful connect() until this client sees the
+  /// connection fail (or closes it). Nobody reads an idle connection, so a
+  /// server that went away shows here only after the next connect().
   bool connected() const;
   void close();
 
@@ -204,18 +221,35 @@ class SolveClient {
   };
 
   core::Expected<bool> connect_locked();
-  /// Sends `wire` and registers a pending reply future. state_mutex_ held.
+  /// Sends `wire` and registers a pending reply future; wakes the reader
+  /// thread unless the caller will read the reply itself (await_reply).
+  /// state_mutex_ held.
   std::future<RawReply> request_locked(std::uint64_t request_id,
-                                       const std::vector<std::uint8_t>& wire);
-  /// Encodes one solve straight from the caller's `rhs`, sends it and
+                                       const std::vector<std::uint8_t>& wire,
+                                       bool caller_reads = false);
+  /// Encodes solve `id` straight from the caller's `rhs`, sends it and
   /// registers its reply future. state_mutex_ held.
   std::future<RawReply> request_solve_locked(
-      std::uint64_t plan_id, std::span<const value_t> rhs, index_t num_rhs,
-      service::Priority priority, std::chrono::microseconds deadline,
-      const support::trace::TraceId& trace_id);
+      std::uint64_t id, std::uint64_t plan_id, std::span<const value_t> rhs,
+      index_t num_rhs, service::Priority priority,
+      std::chrono::microseconds deadline,
+      const support::trace::TraceId& trace_id, bool caller_reads);
+  /// Waits for request `request_id`'s reply, reading the socket on this
+  /// thread when nobody else is (see the file comment).
+  RawReply await_reply(std::uint64_t request_id, std::future<RawReply> reply);
   /// Performs one open against the live connection (takes the lock itself).
   core::Expected<OpenOkFrame> open_on_wire(OpenSpec& spec);
   void reader_loop(std::uint64_t epoch);
+  /// Reads one frame with the lock dropped and routes it by request id.
+  /// The caller holds `lock` on state_mutex_ and has set reading_. False
+  /// once the connection is down (every pending reply failed).
+  bool route_one(std::unique_lock<std::mutex>& lock);
+  /// Clears reading_ and wakes whoever now needs the socket.
+  /// state_mutex_ held.
+  void release_read_locked();
+  /// Marks the connection down, kicks the reading thread and fails every
+  /// pending reply. state_mutex_ held.
+  void disconnect_locked(const std::string& why);
   void fail_pending_locked(const std::string& why);
   std::chrono::microseconds backoff_for(int retry_index);
 
@@ -228,6 +262,15 @@ class SolveClient {
   mutable std::mutex state_mutex_;
   Socket sock_;
   bool connected_ = false;
+  /// A thread (the reader or a synchronous caller) is reading sock_.
+  bool reading_ = false;
+  /// connect() is replaying the plan opens on a fresh connection; other
+  /// connect() calls wait for it, so no request names a plan id the new
+  /// server has not assigned yet.
+  bool replaying_ = false;
+  /// The reader thread sleeps here until a reply is owed and nobody reads;
+  /// connect()/close() wait here for reading_ or replaying_ to clear.
+  std::condition_variable reader_cv_;
   /// Bumped on every (re)connect; a reader learns it is stale by epoch.
   std::uint64_t epoch_ = 0;
   std::thread reader_;

@@ -265,9 +265,9 @@ std::string render_prometheus(const WireStats& s,
   // ---- per-phase latency attribution ----------------------------------------
   // The seven phases (support/trace.hpp) partition each reply's latency:
   // queue/coalesce/claim/pack/kernel/unpack measured by the service and
-  // core layers, reply by the completion pump. One histogram family with
-  // a phase label, plus a pre-digested summary family for dashboards
-  // that want quantiles without a histogram_quantile() query.
+  // core layers, reply by the server thread that writes it. One histogram
+  // family with a phase label, plus a pre-digested summary family for
+  // dashboards that want quantiles without a histogram_quantile() query.
   const auto phase_label = [](std::size_t p) {
     return "phase=\"" + std::string(support::trace::kPhaseNames[p]) + "\"";
   };

@@ -22,35 +22,41 @@ using core::SolveStatus;
 
 }  // namespace
 
-/// Per-connection state. The reader and pump threads hold a shared_ptr,
-/// so the struct outlives whichever side tears the connection down first.
+/// Per-connection state. Both peer threads hold a shared_ptr, so the
+/// struct outlives whichever side tears the connection down first.
 struct SolveServer::Connection {
   Socket sock;
   std::mutex write_mutex;
-  std::thread reader;
-  std::thread pump;
+  std::thread peers[2];
 
-  /// Replies in flight, answered strictly in arrival order: the reader
-  /// submits, the pump completes.
+  /// A queued reply, written strictly in arrival order after any inline
+  /// reply ahead of it.
   struct Pending {
     std::uint64_t request_id = 0;
     std::future<service::SolveService::Reply> reply;
     /// Trace identity the reader decoded (all-zero = untraced) and the rx
-    /// span the reply span parents under -- the pump thread has no
-    /// thread-local context of its own.
+    /// span the reply span parents under -- the writing thread may not be
+    /// the one that read the frame.
     support::trace::TraceId trace_id{};
     std::uint64_t parent_span = 0;
     /// Set instead of `reply` for a control answer that must observe
-    /// everything the pump did for EARLIER requests (a trace dump sees
-    /// their reply spans): encoded by the pump when its turn comes.
+    /// everything written for EARLIER requests (a trace dump sees their
+    /// reply spans): encoded when its turn comes.
     std::function<std::vector<std::uint8_t>()> deferred;
   };
-  std::mutex pump_mutex;
-  std::condition_variable pump_cv;
-  std::deque<Pending> pump_queue;
-  bool pump_closed = false;  ///< no more pushes; pump drains and exits
 
-  std::atomic<bool> finished{false};  ///< reader has exited (reapable)
+  /// The peers' roles, under `mutex`. At most one thread holds the read
+  /// side, at most one flushes `replies`, and `replies` is not flushed
+  /// while an inline solve owes the reply ahead of it.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::deque<Pending> replies;
+  bool reading = false;
+  bool writing = false;
+  bool solving = false;      ///< an inline solve is running
+  bool read_closed = false;  ///< no more frames will be read
+
+  std::atomic<bool> finished{false};  ///< every reply is out (reapable)
 };
 
 SolveServer::SolveServer(ServerOptions options)
@@ -81,9 +87,9 @@ void SolveServer::stop() {
   listener_.shutdown();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.close();
-  // No new requests: half-close every read side. Readers fall out of
-  // read_frame with a clean EOF, close their pump (which flushes every
-  // queued reply -- the service answers all admitted work), and exit.
+  // No new requests: half-close every read side. The reading peer falls
+  // out of read_frame with a clean EOF; the peers flush every queued reply
+  // (the service answers all admitted work) and exit.
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     for (const std::shared_ptr<Connection>& c : connections_) {
@@ -118,8 +124,9 @@ void SolveServer::accept_loop() {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       connections_.push_back(conn);
     }
-    conn->pump = std::thread([this, conn] { pump_loop(conn); });
-    conn->reader = std::thread([this, conn] { serve_connection(conn); });
+    for (std::thread& peer : conn->peers) {
+      peer = std::thread([this, conn] { connection_loop(conn); });
+    }
   }
 }
 
@@ -138,8 +145,9 @@ void SolveServer::reap_finished(bool join_all) {
     connections_.erase(keep, connections_.end());
   }
   for (const std::shared_ptr<Connection>& c : reap) {
-    if (c->reader.joinable()) c->reader.join();
-    if (c->pump.joinable()) c->pump.join();
+    for (std::thread& peer : c->peers) {
+      if (peer.joinable()) peer.join();
+    }
   }
 }
 
@@ -149,21 +157,70 @@ void SolveServer::write_reply(Connection& conn,
   Expected<bool> sent = conn.sock.send_all(wire);
   if (!sent.ok()) {
     // Peer is gone: kick the reader out of its blocking read so the
-    // connection unwinds (the pump keeps draining futures -- the service
-    // owes every admitted request an answer, delivered or not).
+    // connection unwinds (queued futures are still waited out -- the
+    // service owes every admitted request an answer, delivered or not).
     conn.sock.shutdown_read();
   }
 }
 
-void SolveServer::serve_connection(const std::shared_ptr<Connection>& conn) {
+void SolveServer::connection_loop(const std::shared_ptr<Connection>& conn) {
+  Connection& c = *conn;
+  std::unique_lock<std::mutex> lock(c.mutex);
+  for (;;) {
+    if (!c.replies.empty() && !c.writing && !c.solving) {
+      c.writing = true;
+      while (!c.replies.empty()) {
+        Connection::Pending next = std::move(c.replies.front());
+        c.replies.pop_front();
+        lock.unlock();
+        if (next.deferred) {
+          write_reply(c, next.deferred());
+        } else {
+          write_solve_reply(c, next.request_id, next.reply.get(),
+                            next.trace_id, next.parent_span);
+        }
+        lock.lock();
+      }
+      c.writing = false;
+    } else if (!c.reading && !c.read_closed) {
+      c.reading = true;
+      lock.unlock();
+      read_frames(c);
+      lock.lock();
+    } else if (c.read_closed && !c.reading && !c.writing && !c.solving) {
+      break;  // nothing is owed and nothing more will be read
+    } else {
+      c.cv.wait(lock);
+    }
+  }
+  lock.unlock();
+  c.cv.notify_all();  // the other peer sees the same state and exits too
+  if (!c.finished.exchange(true, std::memory_order_acq_rel)) {
+    // Every reply is flushed: send FIN so the peer sees EOF instead of a
+    // connection that lingers half-dead until the next reap.
+    c.sock.shutdown_write();
+  }
+}
+
+void SolveServer::close_read(Connection& conn) {
+  {
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    conn.reading = false;
+    conn.read_closed = true;
+  }
+  conn.cv.notify_all();
+  connections_active_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void SolveServer::read_frames(Connection& conn) {
   for (;;) {
     Expected<std::optional<std::vector<std::uint8_t>>> frame =
-        read_frame(conn->sock, options_.max_frame_bytes);
+        read_frame(conn.sock, options_.max_frame_bytes);
     if (!frame.ok()) {
       if (frame.status() == SolveStatus::kProtocolError) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        write_reply(*conn, encode_error({0, SolveStatus::kProtocolError,
-                                         frame.message()}));
+        write_reply(conn, encode_error({0, SolveStatus::kProtocolError,
+                                        frame.message()}));
       }
       break;
     }
@@ -173,8 +230,8 @@ void SolveServer::serve_connection(const std::shared_ptr<Connection>& conn) {
     Expected<FrameHead> head = peek_frame(blob);
     if (!head.ok()) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      write_reply(*conn, encode_error({0, SolveStatus::kProtocolError,
-                                       head.message()}));
+      write_reply(conn, encode_error({0, SolveStatus::kProtocolError,
+                                      head.message()}));
       break;
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
@@ -182,33 +239,34 @@ void SolveServer::serve_connection(const std::shared_ptr<Connection>& conn) {
     bool protocol_ok = true;
     switch (head.value().type) {
       case FrameType::kHello:
-        handle_hello(*conn, head.value());
+        handle_hello(conn, head.value());
         break;
       case FrameType::kOpenPlan:
-        handle_open(*conn, head.value());
+        handle_open(conn, head.value());
         break;
       case FrameType::kSolve:
-        handle_solve(*conn, head.value());
+        // Solved inline: the read side already went to the other peer.
+        if (handle_solve(conn, head.value())) return;
         break;
       case FrameType::kStats:
-        handle_stats(*conn, head.value());
+        handle_stats(conn, head.value());
         break;
       case FrameType::kDrain:
-        handle_drain(*conn, head.value());
+        handle_drain(conn, head.value());
         break;
       case FrameType::kPing:
-        handle_ping(*conn, head.value());
+        handle_ping(conn, head.value());
         break;
       case FrameType::kFailpoint:
-        handle_failpoint(*conn, head.value());
+        handle_failpoint(conn, head.value());
         break;
       case FrameType::kTraceDump:
-        handle_trace_dump(*conn, head.value());
+        handle_trace_dump(conn, head.value());
         break;
       default:
         // A reply type arriving at the server: the peer is not a client.
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        write_reply(*conn,
+        write_reply(conn,
                     encode_error({head.value().request_id,
                                   SolveStatus::kProtocolError,
                                   "reply-type frame sent to a server"}));
@@ -218,69 +276,42 @@ void SolveServer::serve_connection(const std::shared_ptr<Connection>& conn) {
     // Handlers latch decode failures on the reader; fail-stop on them.
     if (!protocol_ok || !head.value().reader.ok()) break;
   }
-  // Close the pump: it drains what is queued, then exits.
-  {
-    std::lock_guard<std::mutex> lock(conn->pump_mutex);
-    conn->pump_closed = true;
-  }
-  conn->pump_cv.notify_all();
-  connections_active_.fetch_sub(1, std::memory_order_relaxed);
-  conn->finished.store(true, std::memory_order_release);
+  close_read(conn);
 }
 
-void SolveServer::pump_loop(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
-    Connection::Pending next;
-    {
-      std::unique_lock<std::mutex> lock(conn->pump_mutex);
-      conn->pump_cv.wait(lock, [&] {
-        return !conn->pump_queue.empty() || conn->pump_closed;
-      });
-      if (conn->pump_queue.empty()) {
-        // Closed and drained: the reader is gone and every queued reply
-        // is flushed. Send FIN so the peer sees EOF instead of a
-        // connection that lingers half-dead until the next reap.
-        conn->sock.shutdown_write();
-        return;
-      }
-      next = std::move(conn->pump_queue.front());
-      conn->pump_queue.pop_front();
-    }
-    if (next.deferred) {
-      write_reply(*conn, next.deferred());
-      continue;
-    }
-    service::SolveService::Reply reply = next.reply.get();
-    if (reply.ok()) {
-      SolveOkFrame ok;
-      ok.request_id = next.request_id;
-      ok.server_us = reply.value().wall_seconds * 1e6;
-      ok.x = std::move(reply.value().x);
-      // Reply-phase attribution: completion -> here covers the pump's
-      // FIFO wait plus the result move; what rides IN the frame cannot
-      // include its own socket flush, so the histogram figure recorded
-      // after write_reply below is the fuller (and authoritative) one.
-      const std::uint64_t done_ns = reply.value().completed_ns;
-      ok.has_phases = true;
-      ok.phases = reply.value().phases;
-      if (done_ns != 0) {
-        ok.phases.reply_us =
-            static_cast<double>(support::trace::trace_now_ns() - done_ns) *
-            1e-3;
-      }
-      write_reply(*conn, encode_solve_ok(ok));
-      const std::uint64_t flushed_ns = support::trace::trace_now_ns();
-      if (done_ns != 0) {
-        service_.record_reply_us(static_cast<double>(flushed_ns - done_ns) *
-                                 1e-3);
-        support::trace::trace_emit("net.reply", done_ns, flushed_ns,
-                                   next.trace_id, next.parent_span);
-      }
-    } else {
-      write_reply(*conn, encode_error({next.request_id,
-                                       reply.error().status,
-                                       reply.error().message}));
-    }
+void SolveServer::write_solve_reply(Connection& conn,
+                                    std::uint64_t request_id,
+                                    service::SolveService::Reply reply,
+                                    const support::trace::TraceId& trace_id,
+                                    std::uint64_t parent_span) {
+  if (!reply.ok()) {
+    write_reply(conn, encode_error({request_id, reply.error().status,
+                                    reply.error().message}));
+    return;
+  }
+  SolveOkFrame ok;
+  ok.request_id = request_id;
+  ok.server_us = reply.value().wall_seconds * 1e6;
+  ok.x = std::move(reply.value().x);
+  // Reply-phase attribution: completion -> here covers the wait for the
+  // replies ahead of this one plus the result move; what rides IN the
+  // frame cannot include its own socket flush, so the histogram figure
+  // recorded after write_reply below is the fuller (and authoritative)
+  // one.
+  const std::uint64_t done_ns = reply.value().completed_ns;
+  ok.has_phases = true;
+  ok.phases = reply.value().phases;
+  if (done_ns != 0) {
+    ok.phases.reply_us =
+        static_cast<double>(support::trace::trace_now_ns() - done_ns) * 1e-3;
+  }
+  write_reply(conn, encode_solve_ok(ok));
+  const std::uint64_t flushed_ns = support::trace::trace_now_ns();
+  if (done_ns != 0) {
+    service_.record_reply_us(static_cast<double>(flushed_ns - done_ns) *
+                             1e-3);
+    support::trace::trace_emit("net.reply", done_ns, flushed_ns, trace_id,
+                               parent_span);
   }
 }
 
@@ -416,14 +447,14 @@ void SolveServer::handle_open(Connection& conn, FrameHead& head) {
   write_reply(conn, encode_open_ok(ok));
 }
 
-void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
+bool SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   Expected<SolveFrame> solve = decode_solve(head);
   if (!solve.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     write_reply(conn, encode_error({head.request_id,
                                     SolveStatus::kProtocolError,
                                     solve.message()}));
-    return;
+    return false;
   }
   SolveFrame& frame = solve.value();
 
@@ -436,7 +467,7 @@ void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
       write_reply(conn, encode_error({head.request_id,
                                       options_.inject_status,
                                       "injected fault (testing)"}));
-      return;
+      return false;
     }
   }
 
@@ -451,7 +482,7 @@ void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
                                     SolveStatus::kBadSnapshot,
                                     "unknown plan id " +
                                         std::to_string(frame.plan_id)}));
-    return;
+    return false;
   }
   const std::size_t expected =
       static_cast<std::size_t>(plan->rows()) *
@@ -462,7 +493,7 @@ void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
                               "rhs has " + std::to_string(frame.rhs.size()) +
                                   " entries, want rows*num_rhs = " +
                                   std::to_string(expected)}));
-    return;
+    return false;
   }
 
   // Traced request: the rx span is the server-side ROOT of this
@@ -487,17 +518,56 @@ void SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   submit.deadline = std::chrono::microseconds(frame.deadline_us);
   submit.trace_id = frame.trace_id;
   submit.parent_span = rx_span ? rx_span->span_id() : 0;
+
+  // Idle connection, idle shard: solve on this thread. Nothing is owed
+  // ahead of this reply, so it can be written the moment it exists, and
+  // the read side goes to the other peer first so pings and pipelined
+  // frames keep flowing during the solve. `solving` belongs to whichever
+  // thread set it: a frame read during another thread's inline solve
+  // must leave it set, or that solve's reply could be overtaken and its
+  // connection closed under it.
+  bool run_here;
+  {
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    run_here = conn.replies.empty() && !conn.writing && !conn.solving;
+    if (run_here) conn.solving = true;
+  }
+  if (run_here) {
+    rx_span.reset();  // the frame is read; what follows is the solve
+    std::optional<service::SolveService::Reply> reply = service_.solve_here(
+        *plan, frame.rhs, frame.num_rhs, submit, [&conn] {
+          {
+            std::lock_guard<std::mutex> lock(conn.mutex);
+            conn.reading = false;
+          }
+          conn.cv.notify_all();
+        });
+    if (reply) {
+      write_solve_reply(conn, head.request_id, std::move(*reply),
+                        frame.trace_id, submit.parent_span);
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn.mutex);
+      conn.solving = false;
+    }
+    if (reply) {
+      conn.cv.notify_all();  // replies queued behind this one may go now
+      return true;
+    }
+  }
+
   // Plans are never erased while the server lives, and SolverPlan copies
   // share state, so the pointer into plans_ stays valid across the
   // asynchronous solve.
   std::future<service::SolveService::Reply> reply = service_.submit_batch(
       *plan, std::move(frame.rhs), frame.num_rhs, submit);
   {
-    std::lock_guard<std::mutex> lock(conn.pump_mutex);
-    conn.pump_queue.push_back({head.request_id, std::move(reply),
-                               frame.trace_id, submit.parent_span, {}});
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    conn.replies.push_back({head.request_id, std::move(reply),
+                            frame.trace_id, submit.parent_span, {}});
   }
-  conn.pump_cv.notify_one();
+  conn.cv.notify_all();
+  return false;
 }
 
 void SolveServer::handle_trace_dump(Connection& conn, FrameHead& head) {
@@ -511,10 +581,10 @@ void SolveServer::handle_trace_dump(Connection& conn, FrameHead& head) {
   }
   // Served even when span recording is compiled out or disarmed: the
   // reply is then an empty trace document, which a stitching router
-  // treats the same as "this shard saw nothing". Answered by the pump,
-  // FIFO behind this connection's earlier solves: the pump records each
-  // solve's net.reply span after flushing it, so a dump requested after
-  // a reply arrived must not be collected before that span exists.
+  // treats the same as "this shard saw nothing". Queued FIFO behind this
+  // connection's earlier solves: each solve's net.reply span is recorded
+  // after its reply is flushed, so a dump requested after a reply arrived
+  // must not be collected before that span exists.
   auto collect = [request_id = head.request_id,
                   filter = std::move(frame.value().filter),
                   include_slow = frame.value().include_slow] {
@@ -532,13 +602,13 @@ void SolveServer::handle_trace_dump(Connection& conn, FrameHead& head) {
     return encode_trace_dump_ok(ok);
   };
   {
-    std::lock_guard<std::mutex> lock(conn.pump_mutex);
+    std::lock_guard<std::mutex> lock(conn.mutex);
     Connection::Pending pending;
     pending.request_id = head.request_id;
     pending.deferred = std::move(collect);
-    conn.pump_queue.push_back(std::move(pending));
+    conn.replies.push_back(std::move(pending));
   }
-  conn.pump_cv.notify_one();
+  conn.cv.notify_all();
 }
 
 void SolveServer::handle_stats(Connection& conn, FrameHead& head) {
@@ -588,9 +658,11 @@ void SolveServer::handle_ping(Connection& conn, FrameHead& head) {
                                     ping.message()}));
     return;
   }
-  // Answered from the reader thread without touching the solve path: a
-  // pong certifies the process, acceptor, and this connection are alive,
-  // nothing more (health probers want exactly that and no queue coupling).
+  // Answered by the thread holding the read side, without touching the
+  // solve path (an inline solve hands the read side over before it
+  // starts): a pong certifies the process, acceptor, and this connection
+  // are alive, nothing more (health probers want exactly that and no
+  // queue coupling).
   write_reply(conn, encode_pong({head.request_id}));
 }
 

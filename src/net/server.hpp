@@ -1,18 +1,29 @@
 // The network-facing solve server: a bounded TCP acceptor speaking the
 // frame protocol (net/protocol.hpp) in front of a service::SolveService.
 //
-// Threading model, per connection:
-//  * a READER thread decodes frames and dispatches them. Control frames
-//    (hello, open, stats, drain, ping) are answered inline; solve frames
-//    are submitted to the service and their futures queued to...
-//  * ...a COMPLETION-PUMP thread, which waits each future out in FIFO
-//    order and writes the reply. Pipelined solves therefore never block
-//    the reader: a client can keep dozens of request ids in flight and
-//    the connection stays responsive to control traffic throughout.
-//    Trace dumps queue to the pump too, so a dump asked for after a
-//    reply arrived always contains that reply's span.
+// Threading model, per connection: two PEER threads that take turns.
+//  * Whichever peer holds the READ SIDE decodes frames and handles them.
+//    Control frames (hello, open, stats, drain, ping) are answered by it
+//    directly.
+//  * A solve frame that arrives on an IDLE connection is solved by the
+//    thread that read it, when the service has a dispatch slot free and
+//    nothing queued on the plan's shard (SolveService::solve_here). Idle
+//    means no earlier reply is queued or being written and no other
+//    inline solve is running. The thread hands the read side to its peer
+//    before the solve starts, so pings and pipelined frames keep flowing
+//    while it solves; then it writes the reply itself. On an idle
+//    connection a request's critical path therefore crosses one server
+//    thread instead of four (reader, dispatcher, pool worker, reply
+//    writer); the peer woken by the hand-off is off that path.
+//  * Any other solve frame is submitted to the service (queue, dispatcher,
+//    pool), and its future is queued. The peer that does not hold the
+//    read side waits the queued futures out in FIFO order, behind any
+//    inline reply still owed, and writes the replies. Pipelined solves
+//    never block the reader, and under load coalescing, priorities and
+//    packing apply as before. Trace dumps queue the same way, so a dump
+//    asked for after a reply arrived always contains that reply's span.
 //  * all writes to one socket are serialized by a per-connection mutex
-//    (the pump and the reader both reply).
+//    (control replies, inline replies and queued replies interleave).
 //
 // Failure policy is FAIL-STOP PER CONNECTION: the first malformed frame
 // (bad length prefix, CRC mismatch, unknown type, out-of-range field)
@@ -23,9 +34,9 @@
 //
 // Graceful drain: stop() closes the acceptor, half-closes every
 // connection's read side (no NEW requests), lets the service finish every
-// admitted solve, flushes the pumps, and joins. A serving process wraps
-// stop() in its SIGTERM handler (tools/solve_serverd.cpp) so a deploy
-// never drops an in-flight solve.
+// admitted solve, flushes every queued reply, and joins. A serving
+// process wraps stop() in its SIGTERM handler (tools/solve_serverd.cpp)
+// so a deploy never drops an in-flight solve.
 #pragma once
 
 #include <atomic>
@@ -102,16 +113,31 @@ class SolveServer {
 
   void accept_loop();
   void reap_finished(bool join_all);
-  void serve_connection(const std::shared_ptr<Connection>& conn);
-  void pump_loop(const std::shared_ptr<Connection>& conn);
+  /// Each of a connection's two peer threads runs this: it takes the read
+  /// side when nobody holds it, flushes queued replies when nobody is
+  /// flushing and no inline reply is owed ahead of them, and exits once
+  /// the read side is closed and nothing is owed.
+  void connection_loop(const std::shared_ptr<Connection>& conn);
+  /// Holds the read side: reads and handles frames until one is solved
+  /// inline (the read side has then passed to the other peer) or the
+  /// connection stops reading.
+  void read_frames(Connection& conn);
+  void close_read(Connection& conn);
 
   /// Writes `wire` on the connection (serialized); on failure the
   /// connection is torn down (reader kicked via shutdown).
   void write_reply(Connection& conn, const std::vector<std::uint8_t>& wire);
+  /// Encodes and writes one solve reply, then records its reply phase and
+  /// its net.reply span.
+  void write_solve_reply(Connection& conn, std::uint64_t request_id,
+                         service::SolveService::Reply reply,
+                         const support::trace::TraceId& trace_id,
+                         std::uint64_t parent_span);
 
   void handle_hello(Connection& conn, FrameHead& head);
   void handle_open(Connection& conn, FrameHead& head);
-  void handle_solve(Connection& conn, FrameHead& head);
+  /// True when the solve ran inline and the read side was handed over.
+  bool handle_solve(Connection& conn, FrameHead& head);
   void handle_stats(Connection& conn, FrameHead& head);
   void handle_drain(Connection& conn, FrameHead& head);
   void handle_ping(Connection& conn, FrameHead& head);

@@ -107,6 +107,16 @@ Expected<bool> Socket::recv_exact(std::span<std::uint8_t> bytes, bool* eof) {
   return true;
 }
 
+bool Socket::peer_closed() const {
+  if (fd_ < 0) return true;
+  std::uint8_t byte;
+  ssize_t n;
+  do {
+    n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
 void Socket::shutdown_read() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }

@@ -49,6 +49,10 @@ class Socket {
   /// EOF mid-buffer or any error is kNetworkError.
   core::Expected<bool> recv_exact(std::span<std::uint8_t> bytes, bool* eof);
 
+  /// Non-blocking check, consuming nothing: true when the peer has closed
+  /// or reset the connection and no unread byte precedes that.
+  bool peer_closed() const;
+
   /// Half-closes: no more reads will see data / no more writes allowed.
   void shutdown_read();
   void shutdown_write();

@@ -152,7 +152,8 @@ void ServiceStats::on_phases(const support::trace::PhaseBreakdown& phases) {
   hist_phase_[3].record(phases.pack_us);
   hist_phase_[4].record(phases.kernel_us);
   hist_phase_[5].record(phases.unpack_us);
-  // [6] (reply) is recorded by on_reply_phase from the server pump.
+  // [6] (reply) is recorded by on_reply_phase from the server thread that
+  // writes the reply.
 }
 
 void ServiceStats::on_reply_phase(double reply_us) {

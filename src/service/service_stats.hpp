@@ -152,8 +152,9 @@ class ServiceStats {
   /// Per-phase attribution of one completed request. The first six phases
   /// (queue..unpack) are known at completion time and recorded here;
   /// reply_us is ignored -- the reply phase ends on the SOCKET, after the
-  /// service handed the result off, so the server pump reports it
-  /// separately through on_reply_phase once the frame is flushed.
+  /// service handed the result off, so the server thread that writes the
+  /// reply reports it separately through on_reply_phase once the frame is
+  /// flushed.
   void on_phases(const support::trace::PhaseBreakdown& phases);
   void on_reply_phase(double reply_us);
   /// Queue-depth gauge (pending rhs, total and per class); also tracks

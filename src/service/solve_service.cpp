@@ -39,6 +39,26 @@ std::future<SolveService::Reply> ready_reply(SolveService::Reply reply) {
   return f;
 }
 
+/// One admitted request as the queue and the dispatch path carry it.
+SolveRequest make_request(const core::SolverPlan& plan,
+                          std::vector<value_t> rhs, index_t num_rhs,
+                          const SubmitOptions& submit,
+                          Clock::time_point submitted) {
+  SolveRequest request{plan,
+                       std::move(rhs),
+                       num_rhs,
+                       submit.priority,
+                       Clock::time_point::max(),
+                       {},
+                       submitted};
+  if (submit.deadline.count() > 0) {
+    request.deadline = request.submitted + submit.deadline;
+  }
+  request.trace_id = submit.trace_id;
+  request.parent_span = submit.parent_span;
+  return request;
+}
+
 QueueOptions queue_options(const ServiceOptions& o) {
   QueueOptions q;
   q.max_width = o.max_coalesce;
@@ -140,18 +160,8 @@ std::future<SolveService::Reply> SolveService::enqueue(
                   "ServiceOptions::max_pending_rhs"));
   }
 
-  SolveRequest request{plan,
-                       std::move(rhs),
-                       num_rhs,
-                       submit.priority,
-                       Clock::time_point::max(),
-                       {},
-                       Clock::now()};
-  if (submit.deadline.count() > 0) {
-    request.deadline = request.submitted + submit.deadline;
-  }
-  request.trace_id = submit.trace_id;
-  request.parent_span = submit.parent_span;
+  SolveRequest request =
+      make_request(plan, std::move(rhs), num_rhs, submit, Clock::now());
   std::future<Reply> future = request.promise.get_future();
 
   // Admission counts OUTSTANDING rhs -- admitted but not yet answered --
@@ -198,6 +208,42 @@ std::future<SolveService::Reply> SolveService::enqueue(
   stats_.on_submit(priority, static_cast<std::uint64_t>(num_rhs));
   publish_depth();
   return future;
+}
+
+std::optional<SolveService::Reply> SolveService::solve_here(
+    const core::SolverPlan& plan, std::vector<value_t>& rhs, index_t num_rhs,
+    SubmitOptions submit, const std::function<void()>& admitted) {
+  const Clock::time_point submitted = Clock::now();
+  const std::size_t k = static_cast<std::size_t>(num_rhs);
+  if (num_rhs < 1 ||
+      rhs.size() != static_cast<std::size_t>(plan.rows()) * k) {
+    return std::nullopt;
+  }
+  // Queued work on the shard goes first (and is already waiting for the
+  // next free slot): running past it would reorder the shard.
+  if (shards_[shard_of(plan.state_id())]->depth_rhs() != 0) {
+    return std::nullopt;
+  }
+  {
+    // The slot and the admission are taken together or not at all.
+    std::lock_guard<std::mutex> slot(slot_mutex_);
+    if (dispatches_in_flight_ >= slot_limit_) return std::nullopt;
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    if (outstanding_rhs_ + k > options_.max_pending_rhs) return std::nullopt;
+    ++dispatches_in_flight_;
+    ++unanswered_;
+    outstanding_rhs_ += k;
+  }
+  stats_.on_submit(submit.priority, static_cast<std::uint64_t>(num_rhs));
+  admitted();
+  PoppedDispatch dispatch;
+  dispatch.groups.emplace_back().push_back(
+      make_request(plan, std::move(rhs), num_rhs, submit, submitted));
+  std::future<Reply> reply =
+      dispatch.groups.front().front().promise.get_future();
+  execute_dispatch(dispatch);
+  release_slot();
+  return reply.get();
 }
 
 void SolveService::publish_depth() {
@@ -448,7 +494,8 @@ void SolveService::execute_group(std::vector<SolveRequest>& batch) noexcept {
     // Per-request phase attribution: claim/pack/kernel/unpack are batch
     // figures from the core (shared by every rider -- the fused run IS
     // their solve); queue/coalesce are each request's own wait. reply_us
-    // stays 0 here -- the server pump stamps it once the frame flushes.
+    // stays 0 here -- the server thread that writes the reply stamps it
+    // once the frame flushes.
     const auto stamp_phases = [&](SolveRequest& r, core::SolveResult& reply) {
       reply.phases.queue_us = us_since(r.submitted, exec_start);
       reply.phases.coalesce_us = us_since(r.submitted, youngest);

@@ -68,9 +68,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -155,6 +157,22 @@ class SolveService {
                                   std::vector<value_t> rhs, index_t num_rhs,
                                   SubmitOptions submit = {});
 
+  /// Runs one multi-RHS request on the CALLING thread when queueing it
+  /// would buy nothing: a dispatch slot is free and the plan's shard has
+  /// nothing queued. The request is admitted, holds a slot, and is shed,
+  /// traced, counted and answered exactly as a dispatched request of its
+  /// own would be. `admitted` runs once, after admission and the slot are
+  /// taken and before the solve starts (the network server hands its
+  /// socket's read side to the connection's other thread there). Returns
+  /// nullopt -- with no side effect, `rhs` untouched -- when it declines:
+  /// a busy slot set, queued work on the shard, a shape error or a full
+  /// admission bound. submit_batch is then the way in, and answers the
+  /// last two with their typed errors.
+  std::optional<Reply> solve_here(const core::SolverPlan& plan,
+                                  std::vector<value_t>& rhs, index_t num_rhs,
+                                  SubmitOptions submit,
+                                  const std::function<void()>& admitted);
+
   // ---- analyze-on-first-use ------------------------------------------------
   // All plan_for paths stamp use_shared_pool and go through the service's
   // own PlanCache: the first request against a factor pays the symbolic
@@ -185,7 +203,8 @@ class SolveService {
 
   ServiceStatsSnapshot stats() const { return stats_.snapshot(); }
   /// Reply-phase figure from the layer that actually flushes replies (the
-  /// network server's completion pump): completion-to-socket-flush, in
+  /// network server's connection thread that writes each reply):
+  /// completion-to-socket-flush, in
   /// microseconds. Completes the per-phase histograms the first six
   /// phases of which the service records itself.
   void record_reply_us(double us) { stats_.on_reply_phase(us); }

@@ -108,9 +108,9 @@ class ScopedTraceContext {
 /// escape hatch for (a) synthetic spans reconstructed after the fact (the
 /// queue-wait span is emitted at dispatch time from the request's stored
 /// submit stamp) and (b) threads that hold a request's identity in hand
-/// rather than in thread-local context (the completion pump). `name` and
-/// arg names must be string literals (stored by pointer). No-op unless
-/// compiled + armed.
+/// rather than in thread-local context (the server thread writing a
+/// reply). `name` and arg names must be string literals (stored by
+/// pointer). No-op unless compiled + armed.
 void trace_emit(const char* name, std::uint64_t t0_ns, std::uint64_t t1_ns,
                 const TraceId& id, std::uint64_t parent_span,
                 const char* a0_name = nullptr, std::int64_t a0 = 0,
@@ -200,11 +200,11 @@ std::size_t trace_slow_count();
 
 /// Wall-clock attribution of one reply's latency, in microseconds. The
 /// first six are measured by the service/core layers; reply_us is stamped
-/// by the server's completion pump. claim_us is measured inside the
-/// kernel region but reported separately (kernel_us excludes it), so the
-/// seven phases partition the observable latency. Rides the solve-ok
-/// frame as an optional tail (docs/PROTOCOL.md) and feeds the per-phase
-/// histograms in ServiceStats.
+/// by whichever server thread writes the reply. claim_us is measured
+/// inside the kernel region but reported separately (kernel_us excludes
+/// it), so the seven phases partition the observable latency. Rides the
+/// solve-ok frame as an optional tail (docs/PROTOCOL.md) and feeds the
+/// per-phase histograms in ServiceStats.
 struct PhaseBreakdown {
   double queue_us = 0;     ///< submit -> dispatch start (total queue wait)
   double coalesce_us = 0;  ///< part of the wait spent gathering companions

@@ -309,6 +309,46 @@ TEST_F(ChaosFleetTest, BreakerWalksOpenHalfOpenClosed) {
   EXPECT_TRUE(stop_clean(backup));
 }
 
+/// A clean restart of an IDLE shard. Nobody reads an idle connection, so
+/// the router's client learns of the restart only when it next uses the
+/// connection: the next probe's ping must find the old connection closed,
+/// reconnect onto the new process and pass -- a live shard is never
+/// reported unreachable, and its breaker never opens.
+TEST_F(ChaosFleetTest, IdleShardRestartPassesTheNextProbe) {
+  const Problem p = make_problem(707);
+  net::Router router(router_options(std::chrono::minutes(10)));
+  const auto h = router.open(p.l, kBackend);
+  ASSERT_TRUE(h.ok()) << h.message();
+  const std::size_t home = h.value().shard;
+  const std::size_t backup = 1 - home;
+  const auto baseline = router.solve(h.value(), p.b);
+  ASSERT_TRUE(baseline.ok()) << baseline.message();
+  EXPECT_EQ(baseline.value(), p.want);
+  EXPECT_EQ(router.probe_now(), 2u);
+
+  EXPECT_TRUE(stop_clean(home));
+  ASSERT_TRUE(spawn(home, shards_[home].port));
+  EXPECT_EQ(router.probe_now(), 2u);
+  const std::vector<net::ShardStatus> st = router.fleet_status();
+  EXPECT_EQ(st[home].breaker, net::BreakerState::kClosed);
+  EXPECT_TRUE(st[home].reachable);
+  EXPECT_EQ(st[home].failures_total, 0u);
+  EXPECT_EQ(st[home].breaker_opens, 0u);
+
+  // Traffic stays home, on the first attempt.
+  const net::ClientMetrics before = router.shard_client(home).metrics_local();
+  const auto healed = router.solve(h.value(), p.b);
+  ASSERT_TRUE(healed.ok()) << healed.message();
+  EXPECT_EQ(healed.value(), p.want);
+  const net::ClientMetrics after = router.shard_client(home).metrics_local();
+  EXPECT_EQ(after.solves - before.solves, 1u);
+  EXPECT_EQ(after.retries, before.retries);
+  EXPECT_EQ(router.shard_client(backup).metrics_local().failovers, 0u);
+
+  EXPECT_TRUE(stop_clean(home));
+  EXPECT_TRUE(stop_clean(backup));
+}
+
 /// A shard that is alive but WEDGED (its reply path parked at the
 /// net.sock.send seam) is the nasty case: TCP stays up, connects still
 /// succeed. The ping's hard deadline is what catches it -- the probe

@@ -23,12 +23,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -41,6 +43,8 @@
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "service/latency_histogram.hpp"
+#include "support/failpoint.hpp"
+#include "support/trace.hpp"
 
 namespace msptrsv {
 namespace {
@@ -909,6 +913,449 @@ TEST(NetLoopback, PrometheusMetricsRenderTheServedTraffic) {
   EXPECT_EQ(stats.value().completed, 1u);
   EXPECT_EQ(stats.value().per_class[0].completed, 1u);  // kHigh
   server.stop();
+}
+
+// ---- connection threading ---------------------------------------------------
+// A solve alone on an idle connection runs on the server thread that read
+// it, which hands the read side to the connection's other thread first, and
+// the synchronous caller reads its own reply. Each case below fails when
+// one of those hand-offs is missing or misordered.
+
+TEST(NetThreading, PingIsAnsweredWhileAnInlineSolveStalls) {
+  if (!support::failpoints_compiled()) {
+    GTEST_SKIP() << "MSPTRSV_FAILPOINTS=OFF build";
+  }
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  const sparse::CscMatrix l = net_matrix(61);
+  const std::vector<value_t> b = rhs_for(l, 1);
+  const auto direct = server.service().plan_for(l, "cpu-levelset");
+  ASSERT_TRUE(direct.ok());
+  const std::vector<value_t> want = direct->solve(b).value().x;
+
+  net::ClientOptions copt;
+  copt.port = server.port();
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+
+  // The solve is alone on an idle connection, so the server thread that
+  // reads it solves it -- and stalls there for 400 ms.
+  const std::uint64_t hits = support::failpoint_hits("core.solve");
+  ASSERT_TRUE(support::failpoint_set("core.solve", "delay(400000)*1"));
+  auto solved = std::async(std::launch::async,
+                           [&] { return client.solve(handle.value(), b); });
+  ASSERT_TRUE(support::failpoint_wait_hits("core.solve", hits + 1, 5000));
+  // The pong does not wait for the solve: the read side went to the
+  // connection's other thread before the solve started, and the caller
+  // reading the socket for its own reply routes the pong on the way.
+  const auto pong = client.ping(std::chrono::milliseconds(250));
+  EXPECT_TRUE(pong.ok()) << pong.message();
+  EXPECT_TRUE(client.connected());
+  const auto x = solved.get();
+  support::failpoint_clear_all();
+  ASSERT_TRUE(x.ok()) << x.message();
+  EXPECT_EQ(x.value(), want);
+  EXPECT_EQ(client.metrics_local().retries, 0u);
+  server.stop();
+}
+
+TEST(NetThreading, PipelinedSolvesDoNotQueueBehindAnInlineSolve) {
+  if (!support::failpoints_compiled()) {
+    GTEST_SKIP() << "MSPTRSV_FAILPOINTS=OFF build";
+  }
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  const sparse::CscMatrix l = net_matrix(67);
+  const auto direct = server.service().plan_for(l, "cpu-levelset");
+  ASSERT_TRUE(direct.ok());
+  constexpr int kRequests = 8;
+  std::vector<std::vector<value_t>> rhs, want;
+  for (int i = 0; i < kRequests; ++i) {
+    rhs.push_back(rhs_for(l, 100 + static_cast<std::uint64_t>(i)));
+    want.push_back(direct->solve(rhs.back()).value().x);
+  }
+
+  net::ClientOptions copt;
+  copt.port = server.port();
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+
+  // Every solve call sleeps 50 ms. The first request runs inline; the
+  // other seven are read while it sleeps and go through the service's
+  // queue, running on the free slots or coalescing: about two delays end
+  // to end. Read one at a time behind the inline solve they would take
+  // eight. (The delay is long enough that scheduling noise on a loaded
+  // machine stays far below the one-delay margin.)
+  constexpr auto kDelay = std::chrono::milliseconds(50);
+  ASSERT_TRUE(support::failpoint_set("core.solve", "delay(50000)*8"));
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::future<SolveClient::RawReply>> replies;
+  for (int i = 0; i < kRequests; ++i) {
+    replies.push_back(client.submit_batch_raw(handle.value(), rhs[i], 1));
+  }
+  std::vector<core::Expected<std::vector<value_t>>> got;
+  for (auto& reply : replies) {
+    SolveClient::RawReply raw = reply.get();
+    got.push_back(raw.ok() ? net::decode_solve_reply(std::move(raw.value()))
+                           : core::Expected<std::vector<value_t>>(raw.error()));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  support::failpoint_clear_all();
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].message();
+    EXPECT_EQ(got[i].value(), want[i]) << i;
+  }
+  EXPECT_LT(elapsed, 3 * kDelay);
+  server.stop();
+}
+
+TEST(NetThreading, SyncAndPipelinedCallersShareOneClient) {
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  const sparse::CscMatrix l = net_matrix(71);
+  const std::vector<value_t> b_sync = rhs_for(l, 1);
+  const std::vector<value_t> b_piped = rhs_for(l, 2);
+  const auto direct = server.service().plan_for(l, "cpu-levelset");
+  ASSERT_TRUE(direct.ok());
+  const std::vector<value_t> want_sync = direct->solve(b_sync).value().x;
+  const std::vector<value_t> want_piped = direct->solve(b_piped).value().x;
+  ASSERT_NE(want_sync, want_piped);
+
+  net::ClientOptions copt;
+  copt.port = server.port();
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+
+  // Whichever thread holds the socket -- the synchronous caller reading
+  // its own reply, or the reader thread serving the pipelined one --
+  // routes the other's reply to it.
+  constexpr int kRounds = 200;
+  std::atomic<int> wrong_sync{0}, wrong_piped{0};
+  std::thread sync([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      const auto x = client.solve(handle.value(), b_sync);
+      if (!x.ok() || x.value() != want_sync) ++wrong_sync;
+    }
+  });
+  std::thread piped([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      SolveClient::RawReply raw =
+          client.submit_batch_raw(handle.value(), b_piped, 1).get();
+      const auto x = raw.ok()
+                         ? net::decode_solve_reply(std::move(raw.value()))
+                         : core::Expected<std::vector<value_t>>(raw.error());
+      if (!x.ok() || x.value() != want_piped) ++wrong_piped;
+    }
+  });
+  sync.join();
+  piped.join();
+  EXPECT_EQ(wrong_sync.load(), 0);
+  EXPECT_EQ(wrong_piped.load(), 0);
+  EXPECT_EQ(client.metrics_local().retries, 0u);
+  EXPECT_EQ(server.wire_stats().completed, 2u * kRounds);
+  server.stop();
+}
+
+/// Arms span recording for one scope.
+struct ArmedTracing {
+  ArmedTracing() {
+    support::trace::trace_clear();
+    support::trace::trace_set_enabled(true);
+  }
+  ~ArmedTracing() {
+    support::trace::trace_set_enabled(false);
+    support::trace::trace_clear();
+  }
+};
+
+std::size_t count_occurrences(const std::string& hay,
+                              const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetThreading, TracedInlineSolveKeepsItsSpansAndPhases) {
+  namespace trace = support::trace;
+  if (!trace::trace_compiled()) GTEST_SKIP() << "MSPTRSV_TRACE=OFF build";
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  const sparse::CscMatrix l = net_matrix(73);
+  const std::vector<value_t> b = rhs_for(l, 1);
+  const auto direct = server.service().plan_for(l, "cpu-levelset");
+  ASSERT_TRUE(direct.ok());
+  const std::vector<value_t> want = direct->solve(b).value().x;
+
+  net::ClientOptions copt;
+  copt.port = server.port();
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+
+  ArmedTracing armed;
+  const service::ServiceStatsSnapshot before = server.service().stats();
+  const trace::TraceId id = trace::make_trace_id();
+  const auto t0 = std::chrono::steady_clock::now();
+  core::Expected<std::vector<value_t>> x = [&] {
+    trace::ScopedTraceContext ctx(id);
+    return client.solve(handle.value(), b);
+  }();
+  const double round_trip_us = std::chrono::duration<double, std::micro>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+  ASSERT_TRUE(x.ok()) << x.message();
+  EXPECT_EQ(x.value(), want);
+
+  // Asked for after the reply arrived, so it holds the reply's span too.
+  const auto dump = client.trace_dump(trace::trace_id_hex(id));
+  ASSERT_TRUE(dump.ok()) << dump.message();
+  const service::ServiceStatsSnapshot after = server.service().stats();
+  const std::string& json = dump.value().json;
+  for (const char* span : {"client.solve", "net.rx", "service.queue",
+                           "service.execute", "kernel.level", "net.reply"}) {
+    EXPECT_NE(json.find("\"" + std::string(span) + "\""), std::string::npos)
+        << span;
+  }
+  EXPECT_EQ(count_occurrences(json, trace::trace_id_hex(id)),
+            count_occurrences(json, "\"name\":"))
+      << "every filtered event carries the request's trace id";
+
+  // One sample in each phase histogram, the reply's included, and the
+  // server-side phases (coalesce is a part of queue) fit inside the round
+  // trip the client saw. Each phase sum is in whole microseconds.
+  double parts_us = 0.0;
+  for (std::size_t p = 0; p < trace::kNumPhases; ++p) {
+    EXPECT_EQ(after.phase_hist[p].count - before.phase_hist[p].count, 1u)
+        << trace::kPhaseNames[p];
+    if (p != 1) {
+      parts_us += static_cast<double>(after.phase_hist[p].sum_us -
+                                      before.phase_hist[p].sum_us);
+    }
+  }
+  EXPECT_LE(parts_us, round_trip_us + static_cast<double>(trace::kNumPhases));
+  EXPECT_LE(after.phase_hist[1].sum_us - before.phase_hist[1].sum_us,
+            after.phase_hist[0].sum_us - before.phase_hist[0].sum_us);
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_EQ(after.coalesced_rhs, before.coalesced_rhs);
+  server.stop();
+}
+
+TEST(NetThreading, TraceDumpAfterAReplyHoldsItsReplySpan) {
+  namespace trace = support::trace;
+  if (!trace::trace_compiled()) GTEST_SKIP() << "MSPTRSV_TRACE=OFF build";
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  const sparse::CscMatrix l = net_matrix(79);
+  const std::vector<value_t> b = rhs_for(l, 1);
+
+  net::ClientOptions copt;
+  copt.port = server.port();
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+
+  // The reply's span is recorded after its flush; the dump is read by the
+  // connection's other thread and must still wait for it.
+  ArmedTracing armed;
+  for (int i = 0; i < 20; ++i) {
+    const trace::TraceId id = trace::make_trace_id();
+    {
+      trace::ScopedTraceContext ctx(id);
+      ASSERT_TRUE(client.solve(handle.value(), b).ok());
+    }
+    const auto dump = client.trace_dump(trace::trace_id_hex(id), false);
+    ASSERT_TRUE(dump.ok()) << dump.message();
+    EXPECT_EQ(count_occurrences(dump.value().json, "\"net.reply\""), 1u)
+        << "request " << i;
+  }
+  server.stop();
+}
+
+TEST(NetThreading, GracefulStopAnswersAnInlineSolveAndTheSolveQueuedBehindIt) {
+  if (!support::failpoints_compiled()) {
+    GTEST_SKIP() << "MSPTRSV_FAILPOINTS=OFF build";
+  }
+  SolveServer server;
+  ASSERT_TRUE(server.start().ok());
+  const sparse::CscMatrix l = net_matrix(89);
+  const std::vector<value_t> b_inline = rhs_for(l, 1);
+  const std::vector<value_t> b_queued = rhs_for(l, 2);
+  const auto direct = server.service().plan_for(l, "cpu-levelset");
+  ASSERT_TRUE(direct.ok());
+  const std::vector<value_t> want_inline = direct->solve(b_inline).value().x;
+  const std::vector<value_t> want_queued = direct->solve(b_queued).value().x;
+
+  net::ClientOptions copt;
+  copt.port = server.port();
+  copt.retry.max_attempts = 1;  // a dropped reply must show, not be retried
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+
+  // One solve stalls inline for 400 ms; a pipelined one is read by the
+  // connection's other thread meanwhile and queued behind it.
+  const std::uint64_t hits = support::failpoint_hits("core.solve");
+  ASSERT_TRUE(support::failpoint_set("core.solve", "delay(400000)*1"));
+  auto inline_solve = std::async(std::launch::async, [&] {
+    return client.solve(handle.value(), b_inline);
+  });
+  ASSERT_TRUE(support::failpoint_wait_hits("core.solve", hits + 1, 5000));
+  const std::uint64_t frames = server.wire_stats().frames_received;
+  std::future<SolveClient::RawReply> queued =
+      client.submit_batch_raw(handle.value(), b_queued, 1);
+  for (int i = 0; i < 500 && server.wire_stats().frames_received == frames;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(server.wire_stats().frames_received, frames);
+
+  // The drain half-closes the read side while the inline solve still
+  // runs: the connection must stay up until both replies are written.
+  server.stop();
+  support::failpoint_clear_all();
+  const auto x_inline = inline_solve.get();
+  ASSERT_TRUE(x_inline.ok()) << x_inline.message();
+  EXPECT_EQ(x_inline.value(), want_inline);
+  SolveClient::RawReply raw = queued.get();
+  ASSERT_TRUE(raw.ok()) << raw.message();
+  const auto x_queued = net::decode_solve_reply(std::move(raw.value()));
+  ASSERT_TRUE(x_queued.ok()) << x_queued.message();
+  EXPECT_EQ(x_queued.value(), want_queued);
+}
+
+TEST(NetThreading, IdleClientReconnectsToARestartedServerOrFailsTyped) {
+  auto server = std::make_unique<SolveServer>();
+  ASSERT_TRUE(server->start().ok());
+  const std::uint16_t port = server->port();
+  const sparse::CscMatrix l = net_matrix(83);
+  const std::vector<value_t> b = rhs_for(l, 1);
+
+  net::ClientOptions copt;
+  copt.port = port;
+  copt.retry.max_attempts = 1;  // no retry tier: connect() alone heals
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+  const auto first = client.solve(handle.value(), b);
+  ASSERT_TRUE(first.ok()) << first.message();
+  const net::ClientMetrics m0 = client.metrics_local();
+
+  // Nobody reads an idle connection, so connected() has not seen the
+  // server go away.
+  server->stop();
+  server.reset();
+  EXPECT_TRUE(client.connected());
+
+  // A server restarted on the same port: the next request's connect()
+  // finds the old connection closed before sending on it, reconnects and
+  // replays the open, and the one attempt is answered.
+  net::ServerOptions sopt;
+  sopt.port = port;
+  server = std::make_unique<SolveServer>(sopt);
+  ASSERT_TRUE(server->start().ok());
+  const auto healed = client.solve(handle.value(), b);
+  ASSERT_TRUE(healed.ok()) << healed.message();
+  EXPECT_EQ(healed.value(), first.value());
+  const net::ClientMetrics m1 = client.metrics_local();
+  EXPECT_EQ(m1.attempts - m0.attempts, 1u);
+  EXPECT_EQ(m1.retries - m0.retries, 0u);
+  EXPECT_EQ(m1.reconnects - m0.reconnects, 1u);
+  EXPECT_TRUE(client.connected());
+
+  // The same for a ping, which the router's health probe sends.
+  server->stop();
+  server.reset();
+  server = std::make_unique<SolveServer>(sopt);
+  ASSERT_TRUE(server->start().ok());
+  const auto pong = client.ping(std::chrono::milliseconds(1000));
+  EXPECT_TRUE(pong.ok()) << pong.message();
+  EXPECT_EQ(client.metrics_local().reconnects - m1.reconnects, 1u);
+
+  // No server at all: a typed transport failure, never a hang.
+  server->stop();
+  server.reset();
+  EXPECT_TRUE(client.connected());
+  auto lost = std::async(std::launch::async,
+                         [&] { return client.solve(handle.value(), b); });
+  ASSERT_EQ(lost.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const auto x = lost.get();
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.status(), SolveStatus::kNetworkError);
+  EXPECT_FALSE(client.connected());
+}
+
+TEST(NetThreading, CallersSharingOneClientAllReconnectAfterARestart) {
+  auto server = std::make_unique<SolveServer>();
+  ASSERT_TRUE(server->start().ok());
+  const std::uint16_t port = server->port();
+  const sparse::CscMatrix l = net_matrix(97);
+  const std::vector<value_t> b = rhs_for(l, 1);
+  const auto direct = server->service().plan_for(l, "cpu-levelset");
+  ASSERT_TRUE(direct.ok());
+  const std::vector<value_t> want = direct->solve(b).value().x;
+
+  net::ClientOptions copt;
+  copt.port = port;
+  SolveClient client(copt);
+  const auto handle = client.open(l, "cpu-levelset");
+  ASSERT_TRUE(handle.ok()) << handle.message();
+  ASSERT_TRUE(client.solve(handle.value(), b).ok());
+
+  // Each round restarts the server while the client is idle, then lets
+  // every caller's first solve race to reconnect: one replaces the
+  // socket and replays the open. The others must not send before that
+  // replay is answered (the new server would not know the plan id yet),
+  // and must return from connect() whichever thread is reading by then.
+  net::ServerOptions sopt;
+  sopt.port = port;
+  constexpr int kRestarts = 10;
+  constexpr int kCallers = 6;
+  constexpr int kSolves = 3;
+  for (int round = 0; round < kRestarts; ++round) {
+    server->stop();
+    server.reset();
+    server = std::make_unique<SolveServer>(sopt);
+    ASSERT_TRUE(server->start().ok());
+    std::atomic<bool> go{false};
+    std::vector<std::future<std::string>> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.push_back(std::async(std::launch::async, [&] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int i = 0; i < kSolves; ++i) {
+          const auto x = client.solve(handle.value(), b);
+          if (!x.ok()) return x.message();
+          if (x.value() != want) return std::string("wrong bits");
+        }
+        return std::string();
+      }));
+    }
+    go.store(true, std::memory_order_release);
+    bool hung = false;
+    for (auto& caller : callers) {
+      if (caller.wait_for(std::chrono::seconds(30)) !=
+          std::future_status::ready) {
+        // A caller waiting for a wake-up that never came: a pipelined
+        // request wakes every waiter, so the test ends with a failure.
+        hung = true;
+        (void)client.submit_batch_raw(handle.value(), b, 1);
+        caller.wait();
+      }
+    }
+    EXPECT_FALSE(hung) << "round " << round;
+    for (auto& caller : callers) {
+      EXPECT_EQ(caller.get(), "") << "round " << round;
+    }
+    if (hung) break;
+  }
+  EXPECT_EQ(client.metrics_local().retries, 0u);
+  server->stop();
 }
 
 // ---- router / fleet --------------------------------------------------------
