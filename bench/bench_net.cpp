@@ -1,6 +1,14 @@
 // Network-tier benchmark: what the wire costs, and what scale-out buys.
 //
-// Two studies:
+// Three studies:
+//
+//  * CODEC -- one serve-sized solve frame (a 140^2 grid factor, 19,600
+//    rows) through each codec step of the idle-connection inline path,
+//    timed alone: the CRC implementation and its GB/s, encode, verify and
+//    decode on both sides, the value-array copies and zero-fills per
+//    request, and the wire tax of one request (client.solve round trip
+//    minus the kernel) split into codec, a raw TCP ping-pong of the same
+//    size, and the rest (thread wake-ups, syscalls).
 //
 //  * WIRE TAX -- the same closed-loop workload is driven twice: straight
 //    into an in-process SolveService (no sockets), then through a
@@ -32,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +140,199 @@ LoopResult drive_closed_loop(const std::vector<Workload>& workloads,
   r.p50_us = snap.quantile(0.50);
   r.p99_us = snap.quantile(0.99);
   return r;
+}
+
+// ---- codec study -------------------------------------------------------------
+
+/// One solve frame of a 140^2 grid factor (19,600 rows, one rhs: the size
+/// perfbench's serve workload sends) through each codec step of the inline
+/// path, timed alone, and the round trip those steps sit in.
+struct CodecStudy {
+  index_t rows = 0;
+  std::size_t frame_bytes = 0;
+  std::string crc_path;
+  double crc_gb_per_s = 0.0;
+  // Per request, in order: client encode (rhs copied into the frame, CRC),
+  // server verify (CRC), server decode (in place), server reply seal (x is
+  // already in the frame: CRC), client verify, client decode (x copied out).
+  double encode_us = 0.0, verify_us = 0.0, decode_us = 0.0;
+  double reply_seal_us = 0.0, reply_verify_us = 0.0, reply_decode_us = 0.0;
+  int value_copies = 0;
+  int zero_fills = 0;
+  // The round trip: client.solve on an idle loopback connection, the same
+  // solve straight into a caller buffer, and a raw socket ping-pong of the
+  // frame's size each way.
+  double request_us = 0.0, kernel_us = 0.0, raw_tcp_us = 0.0;
+  double codec_us() const {
+    return encode_us + verify_us + decode_us + reply_seal_us +
+           reply_verify_us + reply_decode_us;
+  }
+  double wire_tax_us() const { return request_us - kernel_us; }
+};
+
+/// Median microseconds of `reps` calls of `fn`.
+template <typename Fn>
+double median_us(int reps, Fn&& fn) {
+  std::vector<double> us(static_cast<std::size_t>(reps));
+  for (double& t : us) {
+    const auto t0 = Clock::now();
+    fn();
+    t = std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+  }
+  std::nth_element(us.begin(), us.begin() + reps / 2, us.end());
+  return us[static_cast<std::size_t>(reps / 2)];
+}
+
+/// Median microseconds of peek_frame (the CRC check) and of `decode` on
+/// the head it returns, over `reps` rounds on `blob`; false when either
+/// fails.
+template <typename Decode>
+bool time_verify_decode(int reps, const net::FrameBytes& blob, Decode decode,
+                        double* verify_us, double* decode_us) {
+  std::vector<double> verify(static_cast<std::size_t>(reps));
+  std::vector<double> decoded(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    core::Expected<net::FrameHead> head = net::peek_frame(blob);
+    const auto t1 = Clock::now();
+    const bool ok = head.ok() && decode(head.value());
+    const auto t2 = Clock::now();
+    if (!ok) return false;
+    verify[r] = std::chrono::duration<double, std::micro>(t1 - t0).count();
+    decoded[r] = std::chrono::duration<double, std::micro>(t2 - t1).count();
+  }
+  std::sort(verify.begin(), verify.end());
+  std::sort(decoded.begin(), decoded.end());
+  *verify_us = verify[static_cast<std::size_t>(reps / 2)];
+  *decode_us = decoded[static_cast<std::size_t>(reps / 2)];
+  return true;
+}
+
+bool within(const void* p, const net::FrameBytes& buf) {
+  const auto* b = static_cast<const std::uint8_t*>(p);
+  return b >= buf.data() && b < buf.data() + buf.size();
+}
+
+bool run_codec_study(const std::string& backend, CodecStudy* out) {
+  constexpr int kReps = 2000;
+  const sparse::CscMatrix lower = sparse::gen_grid2d_lower(140, 140);
+  const std::vector<value_t> rhs = sparse::gen_rhs_for_solution(
+      lower, sparse::gen_solution(lower.rows, 7));
+  CodecStudy& c = *out;
+  c.rows = lower.rows;
+
+  net::SolveFrame frame;
+  frame.request_id = 1;
+  frame.plan_id = 1;
+  net::FrameBytes send_buf, rx, tx;
+  std::span<const std::uint8_t> wire =
+      net::encode_solve_into(send_buf, frame, rhs);
+  c.frame_bytes = wire.size();
+  c.encode_us = median_us(
+      kReps, [&] { wire = net::encode_solve_into(send_buf, frame, rhs); });
+  rx.assign(wire.begin() + 4, wire.end());
+  c.crc_path = support::crc32_implementation();
+  const double crc_us = median_us(kReps, [&] {
+    volatile std::uint32_t sink = support::crc32(rx);
+    (void)sink;
+  });
+  c.crc_gb_per_s = static_cast<double>(rx.size()) / crc_us * 1e-3;
+
+  std::span<const value_t> view;
+  if (!time_verify_decode(
+          kReps, rx,
+          [&view](net::FrameHead& head) {
+            return net::decode_solve_in_place(head, view).ok();
+          },
+          &c.verify_us, &c.decode_us) ||
+      view.size() != rhs.size()) {
+    return false;
+  }
+  const bool rhs_in_place = within(view.data(), rx);
+
+  // The reply: the kernel writes x into the frame, so what the codec adds
+  // is laying the frame out and sealing it.
+  bool x_in_place = false;
+  std::span<const std::uint8_t> reply_wire;
+  const support::trace::PhaseBreakdown phases{};
+  c.reply_seal_us = median_us(kReps, [&] {
+    net::SolveOkWriter w(tx, 1, rhs.size());
+    x_in_place = within(w.x().data(), tx);
+    reply_wire = w.finish(42.0, &phases);
+  });
+  const net::FrameBytes reply_rx(reply_wire.begin() + 4, reply_wire.end());
+  if (!time_verify_decode(
+          kReps, reply_rx,
+          [](net::FrameHead& head) { return net::decode_solve_ok(head).ok(); },
+          &c.reply_verify_us, &c.reply_decode_us)) {
+    return false;
+  }
+
+  // Copies of the value arrays per request: the client's rhs into its
+  // frame and its x out of the reply always; the server's only when the
+  // rhs is not read in place or x is not written in place. Zero-fills:
+  // the two received frames, when resizing a FrameBytes writes its bytes
+  // (the poisoned bytes below survive a resize otherwise); the solution
+  // buffer is the reply frame itself.
+  net::FrameBytes poison(4096, 0xAB);
+  poison.clear();
+  poison.resize(4096);
+  const bool resize_zero_fills =
+      std::any_of(poison.begin(), poison.end(),
+                  [](std::uint8_t b) { return b != 0xAB; });
+  c.value_copies = 2 + (rhs_in_place ? 0 : 1) + (x_in_place ? 0 : 1);
+  c.zero_fills = resize_zero_fills ? 2 : 0;
+
+  // The round trip on an idle connection (the inline path) against the
+  // kernel alone, and a raw ping-pong of the frame's size.
+  net::SolveServer server;
+  if (!server.start().ok()) return false;
+  {
+    net::ClientOptions copt;
+    copt.port = server.port();
+    net::SolveClient client(copt);
+    const auto handle = client.open(lower, backend);
+    if (!handle.ok()) return false;
+    const auto plan = server.service().plan_for(lower, backend);
+    if (!plan.ok()) return false;
+    std::vector<value_t> x(rhs.size());
+    if (!plan->solve_batch(rhs, 1, x).ok()) return false;
+    bool right = true;
+    for (int warm = 0; warm < 50; ++warm) {
+      const auto got = client.solve(handle.value(), rhs);
+      right = right && got.ok() && got.value() == x;
+    }
+    if (!right) return false;
+    c.request_us =
+        median_us(kReps, [&] { (void)client.solve(handle.value(), rhs); });
+    c.kernel_us = median_us(kReps, [&] { (void)plan->solve_batch(rhs, 1, x); });
+  }
+  server.stop();
+
+  auto listener = net::ListenSocket::open(0, 4);
+  if (!listener.ok()) return false;
+  std::vector<std::uint8_t> ping(c.frame_bytes, 0x5A);
+  std::thread echo([&listener, n = c.frame_bytes] {
+    auto peer = listener.value().accept();
+    if (!peer.ok()) return;
+    std::vector<std::uint8_t> buf(n);
+    bool eof = false;
+    while (peer.value().recv_exact(buf, &eof).ok() && !eof &&
+           peer.value().send_all(buf).ok()) {
+    }
+  });
+  {
+    auto sock = net::tcp_connect("127.0.0.1", listener.value().port());
+    if (sock.ok()) {
+      c.raw_tcp_us = median_us(kReps, [&] {
+        (void)sock.value().send_all(ping);
+        (void)sock.value().recv_exact(ping, nullptr);
+      });
+    }
+  }  // closing the client ends the echo loop
+  listener.value().shutdown();
+  echo.join();
+  return c.raw_tcp_us > 0.0;
 }
 
 // ---- child server processes ------------------------------------------------
@@ -276,6 +478,27 @@ int main(int argc, char** argv) {
               "%.1fs/point, %u hw threads (%d per shard)\n\n",
               plans, n, num_rhs, drivers, seconds, hw, threads_per_shard);
 
+  // ---- study 0: the codec on one serve-sized frame ------------------------
+  CodecStudy codec;
+  if (!run_codec_study(backend, &codec)) {
+    std::fprintf(stderr, "codec study failed\n");
+    return 2;
+  }
+  std::printf(
+      "codec, %zu-byte solve frame: crc %s %.1f GB/s; encode %.1f, verify "
+      "%.1f, decode %.1f, reply seal %.1f, reply verify %.1f, reply decode "
+      "%.1f us; %d value-array copies, %d zero-fills per request\n",
+      codec.frame_bytes, codec.crc_path.c_str(), codec.crc_gb_per_s,
+      codec.encode_us, codec.verify_us, codec.decode_us, codec.reply_seal_us,
+      codec.reply_verify_us, codec.reply_decode_us, codec.value_copies,
+      codec.zero_fills);
+  std::printf(
+      "request %.1f us = kernel %.1f + wire tax %.1f (codec %.1f, raw tcp "
+      "ping-pong %.1f, rest %.1f)\n\n",
+      codec.request_us, codec.kernel_us, codec.wire_tax_us(), codec.codec_us(),
+      codec.raw_tcp_us,
+      codec.wire_tax_us() - codec.codec_us() - codec.raw_tcp_us);
+
   const std::vector<Workload> workloads =
       make_workloads(plans, n, num_rhs, backend);
 
@@ -387,6 +610,21 @@ int main(int argc, char** argv) {
                "  \"matrix\": {\"rows\": %d, \"plans\": %d, \"num_rhs\": %d},\n"
                "  \"drivers\": %d,\n  \"hw_threads\": %u,\n",
                backend.c_str(), n, plans, num_rhs, drivers, hw);
+  std::fprintf(
+      f,
+      "  \"codec_study\": {\"rows\": %d, \"frame_bytes\": %zu, "
+      "\"crc_path\": \"%s\", \"crc_gb_per_s\": %.2f, \"encode_us\": %.2f, "
+      "\"verify_us\": %.2f, \"decode_us\": %.2f, \"reply_seal_us\": %.2f, "
+      "\"reply_verify_us\": %.2f, \"reply_decode_us\": %.2f, "
+      "\"codec_us\": %.2f, \"value_copies\": %d, \"zero_fills\": %d, "
+      "\"request_us\": %.2f, \"kernel_us\": %.2f, \"wire_tax_us\": %.2f, "
+      "\"raw_tcp_us\": %.2f},\n",
+      codec.rows, codec.frame_bytes, codec.crc_path.c_str(),
+      codec.crc_gb_per_s, codec.encode_us, codec.verify_us, codec.decode_us,
+      codec.reply_seal_us, codec.reply_verify_us, codec.reply_decode_us,
+      codec.codec_us(),
+      codec.value_copies, codec.zero_fills, codec.request_us, codec.kernel_us,
+      codec.wire_tax_us(), codec.raw_tcp_us);
   std::fprintf(f,
                "  \"wire_tax\": {\"direct_rhs_per_s\": %.1f, "
                "\"loopback_rhs_per_s\": %.1f, \"ratio\": %.3f, "

@@ -403,6 +403,7 @@ Expected<SolverPlan> SolverPlan::analyze_upper(sparse::CscMatrix upper,
 
 Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
                                             index_t num_rhs,
+                                            std::span<value_t> x,
                                             const CancelToken* cancel) const {
   const State& st = *state_;
   const sparse::CscMatrix& lower = *st.lower;
@@ -436,13 +437,10 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
   }
   // Every row form speaks the caller's numbering, so upper plans solve in
   // place on every backend.
-  const std::size_t total = static_cast<std::size_t>(lower.rows) *
-                            static_cast<std::size_t>(num_rhs);
   switch (st.options.backend) {
     case Backend::kSerial: {
-      out.x.resize(total);
       const auto t0 = steady_clock::now();
-      if (!solve_lower_serial_pull(*st.snapshot.row_form, b, num_rhs, out.x,
+      if (!solve_lower_serial_pull(*st.snapshot.row_form, b, num_rhs, x,
                                    cancel)) {
         return cancel_error(*cancel);
       }
@@ -454,10 +452,9 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
     }
     case Backend::kCpuLevelSet: {
       WorkspacePool::Lease lease = st.workspaces->acquire();
-      out.x.resize(total);
       const auto t0 = steady_clock::now();
       if (!solve_lower_levelset_fused(*st.snapshot.row_form, b, num_rhs,
-                                      *st.snapshot.levels, lease.ws(), out.x,
+                                      *st.snapshot.levels, lease.ws(), x,
                                       cancel)) {
         return cancel_error(*cancel);
       }
@@ -492,9 +489,8 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
       // The numerics follow the one-rhs form at every width, which is
       // what makes fused x bit-for-bit equal to looped x. No token: a
       // simulated solve checks cancellation at entry only.
-      out.x.resize(total);
       const auto t0 = steady_clock::now();
-      solve_lower_serial_pull(st.replay, b, num_rhs, out.x, nullptr);
+      solve_lower_serial_pull(st.replay, b, num_rhs, x, nullptr);
       scratch.kernel_us += us_since(t0);
       // A batch's timing is ONE simulation under the fused cost model
       // (per-component work scales with the batch; launches, lock-waits,
@@ -539,7 +535,10 @@ Expected<SolveResult> SolverPlan::solve(std::span<const value_t> b,
             " does not match the matrix dimension " + std::to_string(rows()));
   }
   const CancelToken tok = effective_token(cancel);
-  return run_batch(b, 1, tok.active() ? &tok : nullptr);
+  std::vector<value_t> x(b.size());
+  Expected<SolveResult> r = run_batch(b, 1, x, tok.active() ? &tok : nullptr);
+  if (r.ok()) r.value().x = std::move(x);
+  return r;
 }
 
 Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
@@ -549,6 +548,16 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
 
 Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
                                               index_t num_rhs,
+                                              const CancelToken& cancel) const {
+  std::vector<value_t> x(rhs.size());
+  Expected<SolveResult> r = solve_batch(rhs, num_rhs, x, cancel);
+  if (r.ok()) r.value().x = std::move(x);
+  return r;
+}
+
+Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
+                                              index_t num_rhs,
+                                              std::span<value_t> x,
                                               const CancelToken& cancel) const {
   if (num_rhs < 1) {
     return Expected<SolveResult>(
@@ -564,6 +573,12 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
             std::to_string(expected) + " values (column-major), got " +
             std::to_string(rhs.size()));
   }
+  if (x.size() != expected) {
+    return Expected<SolveResult>(
+        SolveStatus::kShapeMismatch,
+        "solution buffer holds " + std::to_string(x.size()) +
+            " values, the batch needs " + std::to_string(expected));
+  }
 
   const CancelToken tok = effective_token(cancel);
   const CancelToken* cancel_ptr = tok.active() ? &tok : nullptr;
@@ -573,12 +588,11 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
     // accumulate. The budget covers the WHOLE batch (the token is shared
     // across the loop), so a slow batch aborts partway with nothing kept.
     SolveResult out;
-    out.x.reserve(expected);
     for (index_t j = 0; j < num_rhs; ++j) {
-      Expected<SolveResult> r = run_batch(
-          rhs.subspan(static_cast<std::size_t>(j) * n, n), 1, cancel_ptr);
+      const std::size_t at = static_cast<std::size_t>(j) * n;
+      Expected<SolveResult> r =
+          run_batch(rhs.subspan(at, n), 1, x.subspan(at, n), cancel_ptr);
       if (!r.ok()) return r;
-      out.x.insert(out.x.end(), r.value().x.begin(), r.value().x.end());
       out.wall_seconds += r.value().wall_seconds;
       out.phases.claim_us += r.value().phases.claim_us;
       out.phases.kernel_us += r.value().phases.kernel_us;
@@ -592,7 +606,7 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
     return out;
   }
 
-  return run_batch(rhs, num_rhs, cancel_ptr);
+  return run_batch(rhs, num_rhs, x, cancel_ptr);
 }
 
 Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {

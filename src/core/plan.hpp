@@ -129,6 +129,16 @@ class SolverPlan {
                                     index_t num_rhs,
                                     const CancelToken& cancel) const;
 
+  /// solve_batch into a caller-owned `x` of rhs's size and layout: the
+  /// bits are the allocating overload's, the result's x stays empty, and
+  /// nothing is allocated or zero-filled for the solution -- so warm calls
+  /// take no page fault. `x` must not overlap `rhs`; its contents on entry
+  /// are never read. kShapeMismatch when x.size() != rhs.size(); on any
+  /// error x's contents are unspecified.
+  Expected<SolveResult> solve_batch(std::span<const value_t> rhs,
+                                    index_t num_rhs, std::span<value_t> x,
+                                    const CancelToken& cancel = {}) const;
+
   /// Value-only refresh: replaces the factor's numeric values while
   /// reusing every cached analysis (levels, in-degrees, partition,
   /// comm sizing, a simulated plan's one-rhs report) -- the sparsity
@@ -285,9 +295,11 @@ class SolverPlan {
                                       std::chrono::steady_clock::time_point t0);
 
   /// Fused execution of num_rhs rhs (column-major, caller numbering) for
-  /// lower and upper plans alike. `cancel` may be null (no checks); a
-  /// fired token maps to kDeadlineExceeded / kOverloaded.
+  /// lower and upper plans alike, into `x` (sized like `b`; the result's
+  /// x stays empty). `cancel` may be null (no checks); a fired token maps
+  /// to kDeadlineExceeded / kOverloaded.
   Expected<SolveResult> run_batch(std::span<const value_t> b, index_t num_rhs,
+                                  std::span<value_t> x,
                                   const CancelToken* cancel) const;
   /// The caller-visible token composed with options().time_budget
   /// (earlier deadline wins); inert when neither is set.

@@ -117,8 +117,9 @@ struct SolveResult {
   /// backends; queue/coalesce/reply stamped by the layers above;
   /// pack/unpack always 0).
   support::trace::PhaseBreakdown phases;
-  /// trace_now_ns() at batch completion -- lets the completion pump
-  /// attribute the reply phase without re-deriving the finish time.
+  /// trace_now_ns() at batch completion -- lets the server thread that
+  /// writes the reply attribute the reply phase without re-deriving the
+  /// finish time.
   std::uint64_t completed_ns = 0;
 };
 

@@ -155,15 +155,15 @@ Expected<bool> SolveClient::connect_locked() {
   hello.client_name = options_.client_name;
   Expected<bool> sent = sock_.send_all(encode_hello(hello));
   if (!sent.ok()) return sent;
-  Expected<std::optional<std::vector<std::uint8_t>>> frame =
-      read_frame(sock_, options_.max_frame_bytes);
-  if (!frame.ok()) return Expected<bool>(frame.error());
-  if (!frame.value().has_value()) {
+  FrameBytes blob;
+  Expected<bool> got = read_frame(sock_, options_.max_frame_bytes, blob);
+  if (!got.ok()) return got;
+  if (!got.value()) {
     return Expected<bool>(SolveStatus::kNetworkError,
                           "server closed during the hello exchange");
   }
   Expected<HelloOkFrame> ok =
-      decode_reply(VerifiedFrame::verify(std::move(*frame.value())),
+      decode_reply(VerifiedFrame::verify(std::move(blob)),
                    FrameType::kHelloOk, decode_hello_ok);
   if (!ok.ok()) return Expected<bool>(ok.error());
   frame_bytes_ = static_cast<std::uint32_t>(
@@ -197,15 +197,15 @@ bool SolveClient::route_one(std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   // Unlocked read and verify: reading_ makes this thread the socket's only
   // reader, and the socket is not replaced or released while reading_ is
-  // set. The CRC is computed here, once; callers decode the verified frame.
-  Expected<std::optional<std::vector<std::uint8_t>>> frame =
-      read_frame(sock_, frame_bytes_);
-  RawReply reply =
-      !frame.ok() ? RawReply(frame.error())
-      : !frame.value().has_value()
-          ? RawReply(SolveStatus::kNetworkError,
-                     "server closed the connection")
-          : VerifiedFrame::verify(std::move(*frame.value()));
+  // set. The CRC is computed here, once; callers decode the verified frame,
+  // which owns its bytes (the caller may be another thread).
+  FrameBytes blob;
+  Expected<bool> got = read_frame(sock_, frame_bytes_, blob);
+  RawReply reply = !got.ok() ? RawReply(got.error())
+                   : !got.value()
+                       ? RawReply(SolveStatus::kNetworkError,
+                                  "server closed the connection")
+                       : VerifiedFrame::verify(std::move(blob));
   lock.lock();
   if (!connected_) return false;  // torn down meanwhile; pending failed
   if (!reply.ok()) {
@@ -273,11 +273,12 @@ std::future<SolveClient::RawReply> SolveClient::request_solve_locked(
   frame.deadline_us = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, deadline.count()));
   frame.trace_id = trace_id;
-  return request_locked(id, encode_solve(frame, rhs), caller_reads);
+  return request_locked(id, encode_solve_into(send_buf_, frame, rhs),
+                        caller_reads);
 }
 
 std::future<SolveClient::RawReply> SolveClient::request_locked(
-    std::uint64_t request_id, const std::vector<std::uint8_t>& wire,
+    std::uint64_t request_id, std::span<const std::uint8_t> wire,
     bool caller_reads) {
   std::promise<RawReply> promise;
   std::future<RawReply> future = promise.get_future();
@@ -495,6 +496,15 @@ Expected<std::vector<value_t>> SolveClient::solve_batch(
 std::future<SolveClient::RawReply> SolveClient::submit_batch_raw(
     const PlanHandle& plan, std::span<const value_t> rhs, index_t num_rhs,
     service::Priority priority, std::chrono::microseconds deadline) {
+  // Through connect() like every other request: an idle connection the
+  // server closed is replaced, and a reconnect's replay of the plan opens
+  // is waited out, so the plan id sent is the current connection's.
+  Expected<bool> up = connect();
+  if (!up.ok()) {
+    std::promise<RawReply> failed;
+    failed.set_value(RawReply(up.error()));
+    return failed.get_future();
+  }
   std::lock_guard<std::mutex> lock(state_mutex_);
   // Pipelined path: no auto-minting -- callers owning their own policy
   // also own their trace identity (the thread context, when set, rides).

@@ -14,9 +14,10 @@
 // is owed and no caller is reading: for pipelined submits, opens, pings,
 // stats and drains, and for synchronous calls that found the socket
 // taken. It sleeps otherwise, so nobody watches an idle connection:
-// connect(), which every solve attempt, open, ping, stats and drain calls
-// first, checks without blocking whether the server closed it and then
-// reconnects before sending (connected() stays true until that check).
+// connect(), which every solve attempt, pipelined submit, open, ping,
+// stats and drain calls first, checks without blocking whether the server
+// closed it and then reconnects before sending (connected() stays true
+// until that check).
 //
 // The synchronous solve()/solve_batch() calls add the RETRY tier, driven
 // by the server's TYPED statuses -- which is the whole reason the wire
@@ -157,6 +158,7 @@ class SolveClient {
 
   /// One pipelined attempt, NO retries: the future resolves to the
   /// solution or the server's typed error; kNetworkError on disconnect.
+  /// Like every request, it goes through connect() first.
   std::future<core::Expected<std::vector<value_t>>> submit_batch(
       const PlanHandle& plan, std::span<const value_t> rhs, index_t num_rhs,
       service::Priority priority = service::Priority::kNormal,
@@ -225,10 +227,10 @@ class SolveClient {
   /// thread unless the caller will read the reply itself (await_reply).
   /// state_mutex_ held.
   std::future<RawReply> request_locked(std::uint64_t request_id,
-                                       const std::vector<std::uint8_t>& wire,
+                                       std::span<const std::uint8_t> wire,
                                        bool caller_reads = false);
-  /// Encodes solve `id` straight from the caller's `rhs`, sends it and
-  /// registers its reply future. state_mutex_ held.
+  /// Encodes solve `id` straight from the caller's `rhs` into send_buf_,
+  /// sends it and registers its reply future. state_mutex_ held.
   std::future<RawReply> request_solve_locked(
       std::uint64_t id, std::uint64_t plan_id, std::span<const value_t> rhs,
       index_t num_rhs, service::Priority priority,
@@ -275,6 +277,9 @@ class SolveClient {
   std::uint64_t epoch_ = 0;
   std::thread reader_;
   std::uint64_t next_request_id_ = 1;
+  /// Solve frames are built here and sent from here, under state_mutex_:
+  /// a warm buffer takes no allocation.
+  FrameBytes send_buf_;
   std::unordered_map<std::uint64_t, std::promise<RawReply>> pending_;
   std::vector<OpenSpec> specs_;
   std::uint32_t frame_bytes_ = kDefaultMaxFrameBytes;

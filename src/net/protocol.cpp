@@ -1,6 +1,7 @@
 #include "net/protocol.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -49,6 +50,79 @@ std::vector<std::uint8_t> seal(BlobWriter&& w) {
   return wire;
 }
 
+/// Frames built in place (a solve and its reply) sit in their buffer
+/// behind 4 lead bytes and the length prefix, so the blob -- and, through
+/// write_span's padding, every array in it -- starts 8-aligned.
+constexpr std::size_t kLeadBytes = 4;
+constexpr std::size_t kBlobAt = kLeadBytes + kLengthPrefixBytes;
+constexpr std::size_t kPayloadAt = kBlobAt + support::kBlobHeaderBytes;
+
+/// Writes a frame in place in a FrameBytes, byte for byte what begin_frame,
+/// the same BlobWriter calls and seal() produce. Nothing is zero-filled
+/// but write_span's padding.
+class InPlaceFrame {
+ public:
+  /// Starts a frame with room for `body_bytes` of type-specific payload.
+  InPlaceFrame(FrameBytes& buf, FrameType type, std::uint64_t request_id,
+               std::size_t body_bytes)
+      : buf_(buf), pos_(kPayloadAt) {
+    buf_.clear();  // so a reallocation does not copy the previous frame
+    buf_.resize(kPayloadAt + 1 + 8 + body_bytes + support::kBlobTrailerBytes);
+    support::write_blob_header(buf_.data() + kBlobAt, kProtocolVersion);
+    put(static_cast<std::uint8_t>(type));
+    put(request_id);
+  }
+  /// Resumes a frame started earlier, at buffer offset `pos`.
+  InPlaceFrame(FrameBytes& buf, std::size_t pos) : buf_(buf), pos_(pos) {}
+
+  template <typename T>
+  void put(T v) {
+    std::memcpy(buf_.data() + pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
+  }
+
+  /// write_span's padding and count, with the elements left to the
+  /// caller: returns where they go (T-aligned).
+  template <typename T>
+  T* put_array(std::size_t count) {
+    while ((pos_ - kBlobAt) % 8 != 0) buf_[pos_++] = 0;
+    put(static_cast<std::uint64_t>(count));
+    T* at = reinterpret_cast<T*>(buf_.data() + pos_);
+    pos_ += count * sizeof(T);
+    return at;
+  }
+
+  std::size_t pos() const { return pos_; }
+
+  /// Appends the CRC trailer, fills the length prefix and returns the
+  /// wire bytes.
+  std::span<const std::uint8_t> seal() {
+    put(support::crc32(std::span<const std::uint8_t>(
+        buf_.data() + kPayloadAt, pos_ - kPayloadAt)));
+    const std::uint32_t len = static_cast<std::uint32_t>(pos_ - kBlobAt);
+    std::memcpy(buf_.data() + kLeadBytes, &len, kLengthPrefixBytes);
+    return {buf_.data() + kLeadBytes, pos_ - kLeadBytes};
+  }
+
+ private:
+  FrameBytes& buf_;
+  std::size_t pos_;
+};
+
+/// Where SolveOk's server_us sits: right behind the type and request id.
+constexpr std::size_t kServerUsAt = kPayloadAt + 1 + 8;
+
+/// The 16-byte trace id travels as two little-endian u64 halves.
+std::array<std::uint64_t, 2> trace_id_halves(
+    const support::trace::TraceId& id) {
+  std::uint64_t hi = 0, lo = 0;
+  for (int i = 0; i < 8; ++i) {
+    hi |= static_cast<std::uint64_t>(id[i]) << (8 * i);
+    lo |= static_cast<std::uint64_t>(id[8 + i]) << (8 * i);
+  }
+  return {hi, lo};
+}
+
 /// Shared tail of every decoder: the reader must be clean AND fully
 /// consumed (a frame with trailing bytes is from a different grammar).
 template <typename T>
@@ -91,17 +165,6 @@ service::LatencyHistogramSnapshot read_hist(BlobReader& r) {
     h = {};
   }
   return h;
-}
-
-/// The 16-byte trace id travels as two little-endian u64 halves.
-void write_trace_id(BlobWriter& w, const support::trace::TraceId& id) {
-  std::uint64_t hi = 0, lo = 0;
-  for (int i = 0; i < 8; ++i) {
-    hi |= static_cast<std::uint64_t>(id[i]) << (8 * i);
-    lo |= static_cast<std::uint64_t>(id[8 + i]) << (8 * i);
-  }
-  w.write_u64(hi);
-  w.write_u64(lo);
 }
 
 support::trace::TraceId read_trace_id(BlobReader& r) {
@@ -215,43 +278,64 @@ std::vector<std::uint8_t> encode_open_ok(const OpenOkFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_solve(const SolveFrame& f) {
-  return encode_solve(f, f.rhs);
+  FrameBytes buf;
+  const std::span<const std::uint8_t> wire = encode_solve_into(buf, f, f.rhs);
+  return {wire.begin(), wire.end()};
 }
 
-std::vector<std::uint8_t> encode_solve(const SolveFrame& f,
-                                       std::span<const value_t> rhs) {
-  BlobWriter w = begin_frame(FrameType::kSolve, f.request_id,
-                             8 + 4 + 1 + 8 + span_bytes<value_t>(rhs.size()) +
-                                 16);
-  w.write_u64(f.plan_id);
-  w.write_i32(f.num_rhs);
-  w.write_u8(static_cast<std::uint8_t>(f.priority));
-  w.write_u64(f.deadline_us);
-  w.write_span<value_t>(rhs);
+std::span<const std::uint8_t> encode_solve_into(FrameBytes& buf,
+                                                const SolveFrame& f,
+                                                std::span<const value_t> rhs) {
+  InPlaceFrame w(buf, FrameType::kSolve, f.request_id,
+                 8 + 4 + 1 + 8 + span_bytes<value_t>(rhs.size()) + 16);
+  w.put(f.plan_id);
+  w.put(static_cast<std::int32_t>(f.num_rhs));
+  w.put(static_cast<std::uint8_t>(f.priority));
+  w.put(f.deadline_us);
+  value_t* at = w.put_array<value_t>(rhs.size());
+  if (!rhs.empty()) std::memcpy(at, rhs.data(), rhs.size_bytes());
   // Optional tail: the trace id rides only when set, so untraced frames
   // are byte-identical to the pre-trace grammar.
   if (support::trace::trace_id_set(f.trace_id)) {
-    write_trace_id(w, f.trace_id);
+    for (const std::uint64_t half : trace_id_halves(f.trace_id)) w.put(half);
   }
-  return seal(std::move(w));
+  return w.seal();
 }
 
 std::vector<std::uint8_t> encode_solve_ok(const SolveOkFrame& f) {
-  BlobWriter w = begin_frame(FrameType::kSolveOk, f.request_id,
-                             8 + span_bytes<value_t>(f.x.size()) + 7 * 8);
-  w.write_f64(f.server_us);
-  w.write_span<value_t>(f.x);
+  FrameBytes buf;
+  SolveOkWriter w(buf, f.request_id, f.x.size());
+  std::copy(f.x.begin(), f.x.end(), w.x().begin());
+  const std::span<const std::uint8_t> wire =
+      w.finish(f.server_us, f.has_phases ? &f.phases : nullptr);
+  return {wire.begin(), wire.end()};
+}
+
+SolveOkWriter::SolveOkWriter(FrameBytes& buf, std::uint64_t request_id,
+                             std::size_t x_len)
+    : buf_(buf) {
+  InPlaceFrame w(buf, FrameType::kSolveOk, request_id,
+                 8 + span_bytes<value_t>(x_len) + 7 * 8);
+  w.put(0.0);  // server_us, known at finish()
+  x_ = {w.put_array<value_t>(x_len), x_len};
+  tail_at_ = w.pos();
+}
+
+std::span<const std::uint8_t> SolveOkWriter::finish(
+    double server_us, const support::trace::PhaseBreakdown* phases) {
+  std::memcpy(buf_.data() + kServerUsAt, &server_us, sizeof(server_us));
+  InPlaceFrame w(buf_, tail_at_);
   // Optional tail: seven f64 microsecond fields in PhaseBreakdown order.
-  if (f.has_phases) {
-    w.write_f64(f.phases.queue_us);
-    w.write_f64(f.phases.coalesce_us);
-    w.write_f64(f.phases.claim_us);
-    w.write_f64(f.phases.pack_us);
-    w.write_f64(f.phases.kernel_us);
-    w.write_f64(f.phases.unpack_us);
-    w.write_f64(f.phases.reply_us);
+  if (phases != nullptr) {
+    w.put(phases->queue_us);
+    w.put(phases->coalesce_us);
+    w.put(phases->claim_us);
+    w.put(phases->pack_us);
+    w.put(phases->kernel_us);
+    w.put(phases->unpack_us);
+    w.put(phases->reply_us);
   }
-  return seal(std::move(w));
+  return w.seal();
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorFrame& f) {
@@ -390,8 +474,7 @@ Expected<FrameHead> peek_frame(std::span<const std::uint8_t> blob) {
   return FrameHead{static_cast<FrameType>(type), request_id, std::move(r)};
 }
 
-Expected<VerifiedFrame> VerifiedFrame::verify(
-    std::vector<std::uint8_t> blob) {
+Expected<VerifiedFrame> VerifiedFrame::verify(FrameBytes blob) {
   Expected<FrameHead> head = peek_frame(blob);
   if (!head.ok()) return Expected<VerifiedFrame>(head.error());
   // The head's reader points into blob's heap buffer, which the move
@@ -459,14 +542,18 @@ Expected<OpenOkFrame> decode_open_ok(FrameHead& head) {
   return finish_decode(head, std::move(f), "open-ok");
 }
 
-Expected<SolveFrame> decode_solve(FrameHead& head) {
+namespace {
+
+/// The solve frame's grammar; `read_rhs` consumes its array.
+template <typename ReadRhs>
+Expected<SolveFrame> decode_solve_with(FrameHead& head, ReadRhs read_rhs) {
   SolveFrame f;
   f.request_id = head.request_id;
   f.plan_id = head.reader.read_u64();
   f.num_rhs = head.reader.read_i32();
   const std::uint8_t priority = head.reader.read_u8();
   f.deadline_us = head.reader.read_u64();
-  f.rhs = head.reader.read_vector<value_t>();
+  read_rhs(f);
   if (f.num_rhs < 1) {
     head.reader.fail("num_rhs must be >= 1 (got " +
                      std::to_string(f.num_rhs) + ")");
@@ -481,6 +568,20 @@ Expected<SolveFrame> decode_solve(FrameHead& head) {
     f.trace_id = read_trace_id(head.reader);
   }
   return finish_decode(head, std::move(f), "solve");
+}
+
+}  // namespace
+
+Expected<SolveFrame> decode_solve(FrameHead& head) {
+  return decode_solve_with(head, [&head](SolveFrame& f) {
+    f.rhs = head.reader.read_vector<value_t>();
+  });
+}
+
+Expected<SolveFrame> decode_solve_in_place(FrameHead& head,
+                                           std::span<const value_t>& rhs) {
+  return decode_solve_with(
+      head, [&](SolveFrame&) { rhs = head.reader.read_view<value_t>(); });
 }
 
 Expected<SolveOkFrame> decode_solve_ok(FrameHead& head) {
@@ -648,34 +749,34 @@ Expected<bool> write_frame(Socket& sock,
   return sock.send_all(wire);
 }
 
-Expected<std::optional<std::vector<std::uint8_t>>> read_frame(
-    Socket& sock, std::uint32_t max_frame_bytes) {
-  using Out = std::optional<std::vector<std::uint8_t>>;
+Expected<bool> read_frame(Socket& sock, std::uint32_t max_frame_bytes,
+                          FrameBytes& blob) {
   std::uint8_t prefix[4];
   bool eof = false;
   Expected<bool> got = sock.recv_exact(prefix, &eof);
-  if (!got.ok()) return Expected<Out>(got.error());
-  if (eof) return Expected<Out>(Out{});
+  if (!got.ok()) return got;
+  if (eof) return false;
   std::uint32_t len = 0;
   std::memcpy(&len, prefix, 4);
   // Bounds on the ATTACKER-CHOSEN length, checked before any allocation:
   // too small to be a blob, or larger than the negotiated cap, is a
   // protocol violation -- never an allocation attempt.
   if (len < support::kBlobMinBytes + 9 || len > max_frame_bytes) {
-    return Expected<Out>(
+    return Expected<bool>(
         SolveStatus::kProtocolError,
         "frame length " + std::to_string(len) + " outside [" +
             std::to_string(support::kBlobMinBytes + 9) + ", " +
             std::to_string(max_frame_bytes) + "]");
   }
-  std::vector<std::uint8_t> blob(len);
+  blob.clear();  // so a reallocation does not copy the previous frame
+  blob.resize(len);
   got = sock.recv_exact(blob, &eof);
-  if (!got.ok()) return Expected<Out>(got.error());
+  if (!got.ok()) return got;
   if (eof) {
-    return Expected<Out>(SolveStatus::kNetworkError,
-                         "peer closed between length prefix and frame body");
+    return Expected<bool>(SolveStatus::kNetworkError,
+                          "peer closed between length prefix and frame body");
   }
-  return Expected<Out>(Out{std::move(blob)});
+  return true;
 }
 
 }  // namespace msptrsv::net

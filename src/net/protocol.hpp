@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -310,6 +309,12 @@ struct TraceDumpOkFrame {
   std::string slow_json;
 };
 
+/// Bytes of a frame a connection reads or builds in place. Its allocator
+/// default-initializes, so sizing the buffer writes nothing: the recv or
+/// the in-place writer that fills it is the one pass over its bytes.
+using FrameBytes =
+    std::vector<std::uint8_t, support::DefaultInitAllocator<std::uint8_t>>;
+
 // ---- encoding --------------------------------------------------------------
 // Each encode_* returns the complete WIRE bytes: length prefix + blob
 // image. Writers never fail.
@@ -319,12 +324,38 @@ std::vector<std::uint8_t> encode_hello_ok(const HelloOkFrame& f);
 std::vector<std::uint8_t> encode_open_plan(const OpenPlanFrame& f);
 std::vector<std::uint8_t> encode_open_ok(const OpenOkFrame& f);
 std::vector<std::uint8_t> encode_solve(const SolveFrame& f);
-/// encode_solve with the right-hand sides read from `rhs` instead of
-/// f.rhs (which is not read): the caller's span is copied once, straight
-/// into the frame buffer.
-std::vector<std::uint8_t> encode_solve(const SolveFrame& f,
-                                       std::span<const value_t> rhs);
+/// encode_solve built in `buf` (reused: a warm buffer takes no allocation)
+/// with the right-hand sides read from `rhs` instead of f.rhs, which is
+/// not read: `rhs` is copied once, straight into the frame. Returns the
+/// wire bytes, a view into `buf`.
+std::span<const std::uint8_t> encode_solve_into(FrameBytes& buf,
+                                                const SolveFrame& f,
+                                                std::span<const value_t> rhs);
 std::vector<std::uint8_t> encode_solve_ok(const SolveOkFrame& f);
+
+/// A SolveOk reply built in place in `buf`, so a solver can write x
+/// straight into the frame: construct it for the reply's id and x length,
+/// fill x(), then finish() with the fields that exist only after the
+/// solve. The bytes finish() returns are encode_solve_ok's for the same
+/// fields. The blob starts 8-aligned in `buf` (the length prefix sits in
+/// the four bytes before it), so x() is 8-aligned. `buf` must not be
+/// touched between construction and finish(); it is reused, so a warm
+/// buffer takes no allocation, and nothing in it is zero-filled.
+class SolveOkWriter {
+ public:
+  SolveOkWriter(FrameBytes& buf, std::uint64_t request_id, std::size_t x_len);
+
+  std::span<value_t> x() const { return x_; }
+  /// Writes server_us and, when `phases` is set, the phase tail; seals the
+  /// CRC and the length prefix. Returns the wire bytes, a view into `buf`.
+  std::span<const std::uint8_t> finish(
+      double server_us, const support::trace::PhaseBreakdown* phases);
+
+ private:
+  FrameBytes& buf_;
+  std::span<value_t> x_;
+  std::size_t tail_at_ = 0;  ///< buffer offset just past x
+};
 std::vector<std::uint8_t> encode_error(const ErrorFrame& f);
 std::vector<std::uint8_t> encode_stats(const StatsFrame& f);
 std::vector<std::uint8_t> encode_stats_ok(const StatsOkFrame& f);
@@ -360,7 +391,7 @@ core::Expected<FrameHead> peek_frame(std::span<const std::uint8_t> blob);
 class VerifiedFrame {
  public:
   /// peek_frame over `blob`; on success the frame owns the bytes.
-  static core::Expected<VerifiedFrame> verify(std::vector<std::uint8_t> blob);
+  static core::Expected<VerifiedFrame> verify(FrameBytes blob);
 
   VerifiedFrame(VerifiedFrame&&) noexcept = default;
   VerifiedFrame& operator=(VerifiedFrame&&) noexcept = default;
@@ -370,10 +401,10 @@ class VerifiedFrame {
   FrameHead& head() { return head_; }
 
  private:
-  VerifiedFrame(std::vector<std::uint8_t> bytes, FrameHead head)
+  VerifiedFrame(FrameBytes bytes, FrameHead head)
       : bytes_(std::move(bytes)), head_(std::move(head)) {}
 
-  std::vector<std::uint8_t> bytes_;
+  FrameBytes bytes_;
   FrameHead head_;
 };
 
@@ -385,6 +416,13 @@ core::Expected<HelloOkFrame> decode_hello_ok(FrameHead& head);
 core::Expected<OpenPlanFrame> decode_open_plan(FrameHead& head);
 core::Expected<OpenOkFrame> decode_open_ok(FrameHead& head);
 core::Expected<SolveFrame> decode_solve(FrameHead& head);
+/// decode_solve without the copy: the frame's rhs is left empty and `rhs`
+/// views the right-hand sides in the frame's own bytes, which must stay
+/// alive and unchanged while it is used. The blob must start 8-aligned,
+/// as read_frame's do; on a misaligned one the reader fails (a protocol
+/// error).
+core::Expected<SolveFrame> decode_solve_in_place(FrameHead& head,
+                                                 std::span<const value_t>& rhs);
 core::Expected<SolveOkFrame> decode_solve_ok(FrameHead& head);
 core::Expected<ErrorFrame> decode_error(FrameHead& head);
 core::Expected<StatsFrame> decode_stats(FrameHead& head);
@@ -406,13 +444,16 @@ class Socket;  // net/socket.hpp
 core::Expected<bool> write_frame(Socket& sock,
                                  std::span<const std::uint8_t> wire);
 
-/// Reads one frame: the u32 length prefix (validated against
-/// `max_frame_bytes` BEFORE allocating), then exactly that many blob
-/// bytes. Returns the blob image (length prefix stripped); an empty
-/// optional means the peer closed cleanly between frames. kProtocolError
-/// for an oversized or undersized length, kNetworkError for socket
-/// failures.
-core::Expected<std::optional<std::vector<std::uint8_t>>> read_frame(
-    Socket& sock, std::uint32_t max_frame_bytes);
+/// Reads one frame into `blob`: the u32 length prefix (validated against
+/// `max_frame_bytes` BEFORE sizing anything), then exactly that many blob
+/// bytes, received straight into `blob`, which is resized to the blob
+/// image (length prefix stripped; its allocation is reused when large
+/// enough, and nothing is zero-filled). The image starts at blob.data(),
+/// so it is 8-aligned. Returns false when the peer closed cleanly between
+/// frames. kProtocolError for an oversized or undersized length,
+/// kNetworkError for socket failures; `blob`'s contents are unspecified
+/// after either.
+core::Expected<bool> read_frame(Socket& sock, std::uint32_t max_frame_bytes,
+                                FrameBytes& blob);
 
 }  // namespace msptrsv::net

@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -152,7 +153,7 @@ void SolveServer::reap_finished(bool join_all) {
 }
 
 void SolveServer::write_reply(Connection& conn,
-                              const std::vector<std::uint8_t>& wire) {
+                              std::span<const std::uint8_t> wire) {
   std::lock_guard<std::mutex> lock(conn.write_mutex);
   Expected<bool> sent = conn.sock.send_all(wire);
   if (!sent.ok()) {
@@ -165,6 +166,11 @@ void SolveServer::write_reply(Connection& conn,
 
 void SolveServer::connection_loop(const std::shared_ptr<Connection>& conn) {
   Connection& c = *conn;
+  // This thread's frame buffers, reused from frame to frame: what it reads
+  // and the solve replies it builds. Never the peer's, so a frame this
+  // thread solves inline is not the buffer the peer's next read fills.
+  FrameBytes rx;
+  FrameBytes tx;
   std::unique_lock<std::mutex> lock(c.mutex);
   for (;;) {
     if (!c.replies.empty() && !c.writing && !c.solving) {
@@ -176,8 +182,15 @@ void SolveServer::connection_loop(const std::shared_ptr<Connection>& conn) {
         if (next.deferred) {
           write_reply(c, next.deferred());
         } else {
-          write_solve_reply(c, next.request_id, next.reply.get(),
-                            next.trace_id, next.parent_span);
+          const service::SolveService::Reply reply = next.reply.get();
+          SolveOkWriter frame(tx, next.request_id,
+                              reply.ok() ? reply.value().x.size() : 0);
+          if (reply.ok()) {
+            std::copy(reply.value().x.begin(), reply.value().x.end(),
+                      frame.x().begin());
+          }
+          write_solve_reply(c, next.request_id, reply, next.trace_id,
+                            next.parent_span, frame);
         }
         lock.lock();
       }
@@ -185,7 +198,7 @@ void SolveServer::connection_loop(const std::shared_ptr<Connection>& conn) {
     } else if (!c.reading && !c.read_closed) {
       c.reading = true;
       lock.unlock();
-      read_frames(c);
+      read_frames(c, rx, tx);
       lock.lock();
     } else if (c.read_closed && !c.reading && !c.writing && !c.solving) {
       break;  // nothing is owed and nothing more will be read
@@ -212,22 +225,21 @@ void SolveServer::close_read(Connection& conn) {
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void SolveServer::read_frames(Connection& conn) {
+void SolveServer::read_frames(Connection& conn, FrameBytes& rx,
+                              FrameBytes& tx) {
   for (;;) {
-    Expected<std::optional<std::vector<std::uint8_t>>> frame =
-        read_frame(conn.sock, options_.max_frame_bytes);
-    if (!frame.ok()) {
-      if (frame.status() == SolveStatus::kProtocolError) {
+    Expected<bool> got = read_frame(conn.sock, options_.max_frame_bytes, rx);
+    if (!got.ok()) {
+      if (got.status() == SolveStatus::kProtocolError) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         write_reply(conn, encode_error({0, SolveStatus::kProtocolError,
-                                        frame.message()}));
+                                        got.message()}));
       }
       break;
     }
-    if (!frame.value().has_value()) break;  // clean close
-    const std::vector<std::uint8_t>& blob = *frame.value();
+    if (!got.value()) break;  // clean close
 
-    Expected<FrameHead> head = peek_frame(blob);
+    Expected<FrameHead> head = peek_frame(rx);
     if (!head.ok()) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       write_reply(conn, encode_error({0, SolveStatus::kProtocolError,
@@ -246,7 +258,7 @@ void SolveServer::read_frames(Connection& conn) {
         break;
       case FrameType::kSolve:
         // Solved inline: the read side already went to the other peer.
-        if (handle_solve(conn, head.value())) return;
+        if (handle_solve(conn, head.value(), tx)) return;
         break;
       case FrameType::kStats:
         handle_stats(conn, head.value());
@@ -275,37 +287,35 @@ void SolveServer::read_frames(Connection& conn) {
     }
     // Handlers latch decode failures on the reader; fail-stop on them.
     if (!protocol_ok || !head.value().reader.ok()) break;
+    // An open carries a whole factor or plan blob: its buffer is not kept
+    // for the solves that follow.
+    if (head.value().type == FrameType::kOpenPlan) rx = FrameBytes();
   }
   close_read(conn);
 }
 
 void SolveServer::write_solve_reply(Connection& conn,
                                     std::uint64_t request_id,
-                                    service::SolveService::Reply reply,
+                                    const service::SolveService::Reply& reply,
                                     const support::trace::TraceId& trace_id,
-                                    std::uint64_t parent_span) {
+                                    std::uint64_t parent_span,
+                                    SolveOkWriter& frame) {
   if (!reply.ok()) {
     write_reply(conn, encode_error({request_id, reply.error().status,
                                     reply.error().message}));
     return;
   }
-  SolveOkFrame ok;
-  ok.request_id = request_id;
-  ok.server_us = reply.value().wall_seconds * 1e6;
-  ok.x = std::move(reply.value().x);
   // Reply-phase attribution: completion -> here covers the wait for the
-  // replies ahead of this one plus the result move; what rides IN the
-  // frame cannot include its own socket flush, so the histogram figure
-  // recorded after write_reply below is the fuller (and authoritative)
-  // one.
+  // replies ahead of this one; what rides IN the frame cannot include its
+  // own sealing and socket flush, so the histogram figure recorded after
+  // write_reply below is the fuller (and authoritative) one.
   const std::uint64_t done_ns = reply.value().completed_ns;
-  ok.has_phases = true;
-  ok.phases = reply.value().phases;
+  support::trace::PhaseBreakdown phases = reply.value().phases;
   if (done_ns != 0) {
-    ok.phases.reply_us =
+    phases.reply_us =
         static_cast<double>(support::trace::trace_now_ns() - done_ns) * 1e-3;
   }
-  write_reply(conn, encode_solve_ok(ok));
+  write_reply(conn, frame.finish(reply.value().wall_seconds * 1e6, &phases));
   const std::uint64_t flushed_ns = support::trace::trace_now_ns();
   if (done_ns != 0) {
     service_.record_reply_us(static_cast<double>(flushed_ns - done_ns) *
@@ -447,8 +457,12 @@ void SolveServer::handle_open(Connection& conn, FrameHead& head) {
   write_reply(conn, encode_open_ok(ok));
 }
 
-bool SolveServer::handle_solve(Connection& conn, FrameHead& head) {
-  Expected<SolveFrame> solve = decode_solve(head);
+bool SolveServer::handle_solve(Connection& conn, FrameHead& head,
+                               FrameBytes& tx) {
+  // The right-hand sides stay where read_frame put them: the inline solve
+  // reads them in place, and only a queued submit copies them out.
+  std::span<const value_t> rhs;
+  Expected<SolveFrame> solve = decode_solve_in_place(head, rhs);
   if (!solve.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     write_reply(conn, encode_error({head.request_id,
@@ -487,10 +501,10 @@ bool SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   const std::size_t expected =
       static_cast<std::size_t>(plan->rows()) *
       static_cast<std::size_t>(frame.num_rhs);
-  if (frame.rhs.size() != expected) {
+  if (rhs.size() != expected) {
     write_reply(conn,
                 encode_error({head.request_id, SolveStatus::kShapeMismatch,
-                              "rhs has " + std::to_string(frame.rhs.size()) +
+                              "rhs has " + std::to_string(rhs.size()) +
                                   " entries, want rows*num_rhs = " +
                                   std::to_string(expected)}));
     return false;
@@ -534,8 +548,10 @@ bool SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   }
   if (run_here) {
     rx_span.reset();  // the frame is read; what follows is the solve
+    // The reply frame is laid out first, and the kernel writes x into it.
+    SolveOkWriter out(tx, head.request_id, rhs.size());
     std::optional<service::SolveService::Reply> reply = service_.solve_here(
-        *plan, frame.rhs, frame.num_rhs, submit, [&conn] {
+        *plan, rhs, frame.num_rhs, out.x(), submit, [&conn] {
           {
             std::lock_guard<std::mutex> lock(conn.mutex);
             conn.reading = false;
@@ -543,8 +559,8 @@ bool SolveServer::handle_solve(Connection& conn, FrameHead& head) {
           conn.cv.notify_all();
         });
     if (reply) {
-      write_solve_reply(conn, head.request_id, std::move(*reply),
-                        frame.trace_id, submit.parent_span);
+      write_solve_reply(conn, head.request_id, *reply, frame.trace_id,
+                        submit.parent_span, out);
     }
     {
       std::lock_guard<std::mutex> lock(conn.mutex);
@@ -560,7 +576,8 @@ bool SolveServer::handle_solve(Connection& conn, FrameHead& head) {
   // share state, so the pointer into plans_ stays valid across the
   // asynchronous solve.
   std::future<service::SolveService::Reply> reply = service_.submit_batch(
-      *plan, std::move(frame.rhs), frame.num_rhs, submit);
+      *plan, std::vector<value_t>(rhs.begin(), rhs.end()), frame.num_rhs,
+      submit);
   {
     std::lock_guard<std::mutex> lock(conn.mutex);
     conn.replies.push_back({head.request_id, std::move(reply),

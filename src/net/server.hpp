@@ -118,26 +118,30 @@ class SolveServer {
   /// flushing and no inline reply is owed ahead of them, and exits once
   /// the read side is closed and nothing is owed.
   void connection_loop(const std::shared_ptr<Connection>& conn);
-  /// Holds the read side: reads and handles frames until one is solved
-  /// inline (the read side has then passed to the other peer) or the
-  /// connection stops reading.
-  void read_frames(Connection& conn);
+  /// Holds the read side: reads frames into `rx` and handles them until
+  /// one is solved inline (the read side has then passed to the other
+  /// peer) or the connection stops reading. `rx` and `tx` are the calling
+  /// thread's own buffers.
+  void read_frames(Connection& conn, FrameBytes& rx, FrameBytes& tx);
   void close_read(Connection& conn);
 
   /// Writes `wire` on the connection (serialized); on failure the
   /// connection is torn down (reader kicked via shutdown).
-  void write_reply(Connection& conn, const std::vector<std::uint8_t>& wire);
-  /// Encodes and writes one solve reply, then records its reply phase and
+  void write_reply(Connection& conn, std::span<const std::uint8_t> wire);
+  /// Writes one solve reply -- `frame` sealed, x already in it, or an
+  /// error frame when `reply` failed -- then records its reply phase and
   /// its net.reply span.
   void write_solve_reply(Connection& conn, std::uint64_t request_id,
-                         service::SolveService::Reply reply,
+                         const service::SolveService::Reply& reply,
                          const support::trace::TraceId& trace_id,
-                         std::uint64_t parent_span);
+                         std::uint64_t parent_span, SolveOkWriter& frame);
 
   void handle_hello(Connection& conn, FrameHead& head);
   void handle_open(Connection& conn, FrameHead& head);
   /// True when the solve ran inline and the read side was handed over.
-  bool handle_solve(Connection& conn, FrameHead& head);
+  /// An inline solve reads its rhs in place in the frame and writes x
+  /// straight into its reply frame, built in `tx`.
+  bool handle_solve(Connection& conn, FrameHead& head, FrameBytes& tx);
   void handle_stats(Connection& conn, FrameHead& head);
   void handle_drain(Connection& conn, FrameHead& head);
   void handle_ping(Connection& conn, FrameHead& head);

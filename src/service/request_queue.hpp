@@ -38,6 +38,7 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +67,11 @@ struct SolveRequest {
   /// under the client's tree. See support/trace.hpp.
   support::trace::TraceId trace_id{};
   std::uint64_t parent_span = 0;
+  /// Set instead of `rhs` by SolveService::solve_here, whose caller owns
+  /// both buffers: the solve reads `in` and writes x into `out`, and the
+  /// reply's x stays empty. Such a request is never queued or coalesced.
+  std::span<const value_t> in{};
+  std::span<value_t> out{};
 };
 
 /// Scheduling configuration of one queue shard.

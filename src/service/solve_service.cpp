@@ -211,12 +211,14 @@ std::future<SolveService::Reply> SolveService::enqueue(
 }
 
 std::optional<SolveService::Reply> SolveService::solve_here(
-    const core::SolverPlan& plan, std::vector<value_t>& rhs, index_t num_rhs,
-    SubmitOptions submit, const std::function<void()>& admitted) {
+    const core::SolverPlan& plan, std::span<const value_t> rhs,
+    index_t num_rhs, std::span<value_t> x, SubmitOptions submit,
+    const std::function<void()>& admitted) {
   const Clock::time_point submitted = Clock::now();
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   if (num_rhs < 1 ||
-      rhs.size() != static_cast<std::size_t>(plan.rows()) * k) {
+      rhs.size() != static_cast<std::size_t>(plan.rows()) * k ||
+      x.size() != rhs.size()) {
     return std::nullopt;
   }
   // Queued work on the shard goes first (and is already waiting for the
@@ -237,8 +239,10 @@ std::optional<SolveService::Reply> SolveService::solve_here(
   stats_.on_submit(submit.priority, static_cast<std::uint64_t>(num_rhs));
   admitted();
   PoppedDispatch dispatch;
-  dispatch.groups.emplace_back().push_back(
-      make_request(plan, std::move(rhs), num_rhs, submit, submitted));
+  SolveRequest& request = dispatch.groups.emplace_back().emplace_back(
+      make_request(plan, {}, num_rhs, submit, submitted));
+  request.in = rhs;
+  request.out = x;
   std::future<Reply> reply =
       dispatch.groups.front().front().promise.get_future();
   execute_dispatch(dispatch);
@@ -471,9 +475,13 @@ void SolveService::execute_group(std::vector<SolveRequest>& batch) noexcept {
       const core::CancelToken cancel = abandon_.token();
       if (batch.size() == 1) {
         // The common un-coalesced case: solve straight from the client's
-        // buffer, no concatenation copy.
-        return plan.solve_batch(batch.front().rhs, batch.front().num_rhs,
-                                cancel);
+        // buffer, no concatenation copy -- and for solve_here, straight
+        // into the caller's.
+        const SolveRequest& r = batch.front();
+        if (!r.out.empty()) {
+          return plan.solve_batch(r.in, r.num_rhs, r.out, cancel);
+        }
+        return plan.solve_batch(r.rhs, r.num_rhs, cancel);
       }
       std::vector<value_t> concat;
       concat.reserve(n * static_cast<std::size_t>(total_rhs));

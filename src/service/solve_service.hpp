@@ -161,15 +161,18 @@ class SolveService {
   /// would buy nothing: a dispatch slot is free and the plan's shard has
   /// nothing queued. The request is admitted, holds a slot, and is shed,
   /// traced, counted and answered exactly as a dispatched request of its
-  /// own would be. `admitted` runs once, after admission and the slot are
-  /// taken and before the solve starts (the network server hands its
-  /// socket's read side to the connection's other thread there). Returns
-  /// nullopt -- with no side effect, `rhs` untouched -- when it declines:
-  /// a busy slot set, queued work on the shard, a shape error or a full
-  /// admission bound. submit_batch is then the way in, and answers the
-  /// last two with their typed errors.
+  /// own would be. It reads `rhs` in place and writes the solution into
+  /// `x` (the caller's buffers, the same size; the reply's x stays empty),
+  /// so nothing is copied or zero-filled on the way. `admitted` runs
+  /// once, after admission and the slot are taken and before the solve
+  /// starts (the network server hands its socket's read side to the
+  /// connection's other thread there). Returns nullopt -- with no side
+  /// effect -- when it declines: a busy slot set, queued work on the
+  /// shard, a shape error or a full admission bound. submit_batch is then
+  /// the way in, and answers the last two with their typed errors.
   std::optional<Reply> solve_here(const core::SolverPlan& plan,
-                                  std::vector<value_t>& rhs, index_t num_rhs,
+                                  std::span<const value_t> rhs,
+                                  index_t num_rhs, std::span<value_t> x,
                                   SubmitOptions submit,
                                   const std::function<void()>& admitted);
 

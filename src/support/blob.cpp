@@ -2,11 +2,16 @@
 
 #include <unistd.h>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <iterator>
 
 #include "support/failpoint.hpp"
 
@@ -78,6 +83,17 @@ std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
   return product;
 }
 
+/// x^n mod P, in multmodp's register convention.
+std::uint32_t xpow_mod_p(std::uint64_t n) {
+  std::uint32_t power = 1u << 31;   // x^0
+  std::uint32_t square = 1u << 30;  // x^1
+  for (; n != 0; n >>= 1) {
+    if ((n & 1) != 0) power = multmodp(square, power);
+    square = multmodp(square, square);
+  }
+  return power;
+}
+
 /// Moves a CRC register past `len` zero bytes: multiplies it by
 /// x^(8*len) mod P, one byte of the register per table. This is what
 /// merges chains: the register over A then B equals shift(reg over A)
@@ -85,12 +101,7 @@ std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
 class CrcShift {
  public:
   explicit CrcShift(std::size_t len) {
-    std::uint32_t op = 1u << 31;      // x^0
-    std::uint32_t square = 1u << 23;  // x^8
-    for (; len != 0; len >>= 1) {
-      if ((len & 1) != 0) op = multmodp(square, op);
-      square = multmodp(square, square);
-    }
+    const std::uint32_t op = xpow_mod_p(8 * len);
     for (std::uint32_t k = 0; k < 4; ++k) {
       for (std::uint32_t i = 0; i < 256; ++i) {
         t_[k][i] = multmodp(op, i << (8 * k));
@@ -177,14 +188,150 @@ bool have_hw_crc() {
 }
 #endif
 
+#if defined(MSPTRSV_HAS_HW_CRC) && defined(__x86_64__)
+#define MSPTRSV_HAS_FOLD_CRC 1
+#define MSPTRSV_FOLD_TARGET \
+  __attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.2")))
+
+/// Carry-less folding, the other way to run a CRC at memory speed. A
+/// 16-byte lane loaded little-endian holds, in bit j, the coefficient of
+/// x^(127-j) of the polynomial its bytes are (counted from the lane's
+/// end). Moving a lane d bits further from the message end multiplies it
+/// by x^d; done modulo P on each 64-bit half, that is a 64 x 32-bit
+/// carry-less product per half: the low half (the high-degree one) by
+/// x^(d+31) mod P and the high half by x^(d-33) mod P, both in multmodp's
+/// convention, where the 33 lines a product's bits up with the lane's.
+/// The result is congruent to the lane moved, not reduced, which is all a
+/// CRC needs until the end. Spans shorter than this keep the crc32 chains.
+constexpr std::size_t kFoldMinBytes = 512;
+
+/// One {x^(d+31), x^(d-33)} key pair per folding distance d used below.
+struct FoldKeys {
+  static constexpr std::size_t kDistances[] = {256, 192, 128, 64, 48, 32, 16};
+  std::array<std::uint64_t, 2> by[std::size(kDistances)];
+};
+
+const FoldKeys& fold_keys() {
+  static const FoldKeys keys = [] {
+    FoldKeys k{};
+    for (std::size_t i = 0; i < std::size(FoldKeys::kDistances); ++i) {
+      const std::uint64_t bits = 8 * FoldKeys::kDistances[i];
+      k.by[i] = {xpow_mod_p(bits + 31), xpow_mod_p(bits - 33)};
+    }
+    return k;
+  }();
+  return keys;
+}
+
+MSPTRSV_FOLD_TARGET inline __m128i key128(const std::array<std::uint64_t, 2>& k) {
+  return _mm_set_epi64x(static_cast<long long>(k[1]),
+                        static_cast<long long>(k[0]));
+}
+
+MSPTRSV_FOLD_TARGET inline __m512i key512(const std::array<std::uint64_t, 2>& k) {
+  return _mm512_set4_epi64(
+      static_cast<long long>(k[1]), static_cast<long long>(k[0]),
+      static_cast<long long>(k[1]), static_cast<long long>(k[0]));
+}
+
+/// acc moved forward by the key's distance, xor data (every 128-bit lane).
+MSPTRSV_FOLD_TARGET inline __m512i fold512(__m512i acc, __m512i key,
+                                           __m512i data) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, key, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, key, 0x11),
+                                   data, 0x96);
+}
+
+MSPTRSV_FOLD_TARGET inline __m128i fold128(__m128i acc, __m128i key,
+                                           __m128i data) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, key, 0x00),
+                                     _mm_clmulepi64_si128(acc, key, 0x11)),
+                       data);
+}
+
+/// Four 512-bit accumulators fold 256-byte strides; at the end they fold
+/// into one 16-byte lane, whose residue two crc32 instructions take from a
+/// zero register. What is left after the last whole stride goes through
+/// crc32c_hw. `bytes` must hold at least 256 bytes.
+MSPTRSV_FOLD_TARGET std::uint32_t crc32c_fold(
+    std::span<const std::uint8_t> bytes, std::uint32_t c) {
+  const FoldKeys& k = fold_keys();
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  // The incoming register is the same as xoring it into the first 4 bytes.
+  __m512i a0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(c))));
+  __m512i a1 = _mm512_loadu_si512(p + 64);
+  __m512i a2 = _mm512_loadu_si512(p + 128);
+  __m512i a3 = _mm512_loadu_si512(p + 192);
+  p += 256;
+  n -= 256;
+  const __m512i stride = key512(k.by[0]);
+  for (; n >= 256; p += 256, n -= 256) {
+    a0 = fold512(a0, stride, _mm512_loadu_si512(p));
+    a1 = fold512(a1, stride, _mm512_loadu_si512(p + 64));
+    a2 = fold512(a2, stride, _mm512_loadu_si512(p + 128));
+    a3 = fold512(a3, stride, _mm512_loadu_si512(p + 192));
+  }
+  // a0..a2 sit 192, 128 and 64 bytes behind a3; then a3's four lanes sit
+  // 48, 32, 16 and 0 bytes behind the stride's end.
+  // (Lanes go through memory: GCC 12's lane broadcast and extract
+  // intrinsics trip -Wuninitialized.)
+  alignas(64) std::uint8_t lanes[64];
+  _mm512_store_si512(
+      lanes, fold512(a0, key512(k.by[1]),
+                     fold512(a1, key512(k.by[2]),
+                             fold512(a2, key512(k.by[3]), a3))));
+  const auto lane_at = [&lanes](int i) {
+    __m128i v;
+    std::memcpy(&v, lanes + 16 * i, 16);
+    return v;
+  };
+  const __m128i lane = fold128(
+      lane_at(0), key128(k.by[4]),
+      fold128(lane_at(1), key128(k.by[5]),
+              fold128(lane_at(2), key128(k.by[6]), lane_at(3))));
+  std::uint64_t crc = _mm_crc32_u64(
+      0, static_cast<std::uint64_t>(_mm_cvtsi128_si64(lane)));
+  crc = _mm_crc32_u64(
+      crc, static_cast<std::uint64_t>(_mm_extract_epi64(lane, 1)));
+  return crc32c_hw(std::span<const std::uint8_t>(p, n),
+                   static_cast<std::uint32_t>(crc));
+}
+
+bool have_fold_crc() {
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("vpclmulqdq") &&
+                         __builtin_cpu_supports("pclmul") &&
+                         __builtin_cpu_supports("sse4.2");
+  return ok;
+}
+#endif
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   std::uint32_t c = 0xFFFFFFFFu;
+#ifdef MSPTRSV_HAS_FOLD_CRC
+  if (bytes.size() >= kFoldMinBytes && have_fold_crc()) {
+    return crc32c_fold(bytes, c) ^ 0xFFFFFFFFu;
+  }
+#endif
 #ifdef MSPTRSV_HAS_HW_CRC
   if (have_hw_crc()) return crc32c_hw(bytes, c) ^ 0xFFFFFFFFu;
 #endif
   return crc32c_sw(bytes, c) ^ 0xFFFFFFFFu;
+}
+
+const char* crc32_implementation() {
+#ifdef MSPTRSV_HAS_FOLD_CRC
+  if (have_fold_crc()) return "vpclmulqdq-fold";
+#endif
+#ifdef MSPTRSV_HAS_HW_CRC
+  if (have_hw_crc()) return "sse4.2-crc32";
+#endif
+  return "slice-by-8";
 }
 
 std::uint32_t detail::crc32_portable(std::span<const std::uint8_t> bytes) {
@@ -195,6 +342,14 @@ std::uint8_t host_endian_tag() {
   return std::endian::native == std::endian::little ? 1 : 2;
 }
 
+void write_blob_header(std::uint8_t* out, std::uint16_t format_version) {
+  std::copy(kMagic.begin(), kMagic.end(), out);
+  out[4] = static_cast<std::uint8_t>(format_version & 0xFFu);
+  out[5] = static_cast<std::uint8_t>(format_version >> 8);
+  out[6] = host_endian_tag();
+  out[7] = 0;  // reserved
+}
+
 // ---- BlobWriter ------------------------------------------------------------
 
 BlobWriter::BlobWriter(std::uint16_t format_version,
@@ -202,12 +357,8 @@ BlobWriter::BlobWriter(std::uint16_t format_version,
     : prefix_(prefix_bytes) {
   buf_.reserve(prefix_bytes + kBlobHeaderBytes + payload_capacity +
                kBlobTrailerBytes);
-  buf_.resize(prefix_bytes);
-  buf_.insert(buf_.end(), kMagic.begin(), kMagic.end());
-  buf_.push_back(static_cast<std::uint8_t>(format_version & 0xFFu));
-  buf_.push_back(static_cast<std::uint8_t>(format_version >> 8));
-  buf_.push_back(host_endian_tag());
-  buf_.push_back(0);  // reserved
+  buf_.resize(prefix_bytes + kBlobHeaderBytes);
+  write_blob_header(buf_.data() + prefix_bytes, format_version);
 }
 
 void BlobWriter::append(const void* data, std::size_t bytes) {
@@ -279,6 +430,18 @@ BlobReader::BlobReader(std::span<const std::uint8_t> bytes,
 void BlobReader::fail(std::string message) {
   if (error_.empty()) error_ = std::move(message);
   pos_ = end_ = 0;
+}
+
+std::uint64_t BlobReader::array_count(std::size_t elem_bytes) {
+  align8();
+  const std::uint64_t count = read_u64();
+  if (ok() && count > remaining() / elem_bytes) {
+    fail("array of " + std::to_string(count) + " x " +
+         std::to_string(elem_bytes) + "B elements exceeds the " +
+         std::to_string(remaining()) + " payload bytes left");
+    return 0;
+  }
+  return count;
 }
 
 void BlobReader::extract(void* out, std::size_t bytes) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -28,17 +29,24 @@
 namespace msptrsv::support {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41 reflected) of a byte range.
-/// Uses the SSE4.2 crc32 instruction when the host has it (three
-/// independent chains over adjacent blocks, merged by shift-by-length
-/// tables) and a slice-by-8 table fallback otherwise -- both compute the
-/// same function, so blobs verify across machines. Chosen over classic
-/// CRC-32 because plan loads checksum the whole multi-megabyte blob on the
-/// cold path, and every wire frame is checksummed by both of its ends.
+/// Three implementations of the same function, picked at run time from
+/// what the host has, so blobs verify across machines: carry-less folding
+/// with 512-bit VPCLMULQDQ for spans of 512 bytes or more (AVX-512F,
+/// VPCLMULQDQ, PCLMUL and SSE4.2 hosts), the SSE4.2 crc32 instruction
+/// (three independent chains over adjacent blocks, merged by
+/// shift-by-length tables), and a slice-by-8 table fallback. Chosen over
+/// classic CRC-32 because plan loads checksum the whole multi-megabyte
+/// blob on the cold path, and every wire frame is checksummed by both of
+/// its ends.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+
+/// The implementation crc32() takes on this host for spans of 512 bytes
+/// or more: "vpclmulqdq-fold", "sse4.2-crc32" or "slice-by-8".
+const char* crc32_implementation();
 
 namespace detail {
 /// The slice-by-8 fallback of crc32(), callable on any host so tests can
-/// hold it against the instruction path crc32() takes on SSE4.2 hosts.
+/// hold it against the paths crc32() takes on the host at hand.
 std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes);
 }  // namespace detail
 
@@ -53,6 +61,32 @@ inline constexpr std::size_t kBlobHeaderBytes = 8;
 inline constexpr std::size_t kBlobTrailerBytes = 4;
 inline constexpr std::size_t kBlobMinBytes =
     kBlobHeaderBytes + kBlobTrailerBytes;
+
+/// Writes the blob header for `format_version` -- magic, version, this
+/// host's endian tag, reserved byte -- at `out` (kBlobHeaderBytes). For
+/// writers that lay a blob out in their own buffer; BlobWriter uses it.
+void write_blob_header(std::uint8_t* out, std::uint16_t format_version);
+
+/// An allocator whose value construction is default-initialization, so
+/// resize() on a vector of bytes leaves the new bytes unwritten -- for
+/// buffers a recv or an in-place writer overwrites anyway.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  /// Value construction; construction from arguments keeps the default
+  /// (std::allocator_traits falls back to std::construct_at).
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 class BlobWriter {
  public:
@@ -148,15 +182,8 @@ class BlobReader {
   template <typename T>
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
-    align8();
-    const std::uint64_t count = read_u64();
+    const std::uint64_t count = array_count(sizeof(T));
     if (!ok()) return {};
-    if (count > remaining() / sizeof(T)) {
-      fail("array of " + std::to_string(count) + " x " +
-           std::to_string(sizeof(T)) + "B elements exceeds the " +
-           std::to_string(remaining()) + " payload bytes left");
-      return {};
-    }
     const std::uint8_t* p = bytes_.data() + pos_;
     if (reinterpret_cast<std::uintptr_t>(p) % alignof(T) == 0) {
       const T* first = reinterpret_cast<const T*>(p);
@@ -176,17 +203,30 @@ class BlobReader {
   template <typename T>
   std::uint64_t skip_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
-    align8();
-    const std::uint64_t count = read_u64();
+    const std::uint64_t count = array_count(sizeof(T));
     if (!ok()) return 0;
-    if (count > remaining() / sizeof(T)) {
-      fail("array of " + std::to_string(count) + " x " +
-           std::to_string(sizeof(T)) + "B elements exceeds the " +
-           std::to_string(remaining()) + " payload bytes left");
-      return 0;
-    }
     pos_ += static_cast<std::size_t>(count) * sizeof(T);
     return count;
+  }
+
+  /// Reads a write_span-encoded array IN PLACE: the span views the bytes
+  /// the reader wraps, which must outlive it. Same bounds checks as
+  /// read_vector; the reader fails instead when the elements are not
+  /// T-aligned in memory (the writer's padding makes them so in any blob
+  /// that starts at an 8-aligned address, as net::read_frame's do).
+  template <typename T>
+  std::span<const T> read_view() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const std::uint64_t count = array_count(sizeof(T));
+    if (!ok()) return {};
+    const std::uint8_t* p = bytes_.data() + pos_;
+    if (reinterpret_cast<std::uintptr_t>(p) % alignof(T) != 0) {
+      fail("array of " + std::to_string(sizeof(T)) +
+           "B elements is not aligned in memory for an in-place read");
+      return {};
+    }
+    pos_ += static_cast<std::size_t>(count) * sizeof(T);
+    return {reinterpret_cast<const T*>(p), static_cast<std::size_t>(count)};
   }
 
   /// Payload bytes not yet consumed.
@@ -195,6 +235,10 @@ class BlobReader {
 
  private:
   void extract(void* out, std::size_t bytes);
+  /// Consumes a write_span array's padding and u64 element count, and
+  /// fails the reader when that many `elem_bytes` elements overrun the
+  /// payload left.
+  std::uint64_t array_count(std::size_t elem_bytes);
   /// Consumes the writer's padding up to the next 8-byte blob offset.
   void align8() {
     const std::size_t aligned = (pos_ + 7) & ~std::size_t{7};

@@ -71,6 +71,13 @@ std::vector<std::uint8_t> blob_of(const std::vector<std::uint8_t>& wire) {
   return {wire.begin() + 4, wire.end()};
 }
 
+/// A raw reply decoded the way SolveClient::submit_batch does it.
+core::Expected<std::vector<value_t>> decode_solve_reply_or_error(
+    SolveClient::RawReply raw) {
+  if (!raw.ok()) return core::Expected<std::vector<value_t>>(raw.error());
+  return net::decode_solve_reply(std::move(raw.value()));
+}
+
 // ---- frame layer -----------------------------------------------------------
 
 TEST(NetProtocol, HelloRoundTrip) {
@@ -238,6 +245,75 @@ TEST(NetProtocol, GoldenFramesPinTheWireBytes) {
     EXPECT_EQ(support::crc32(g.wire), g.crc)
         << g.name << ": 0x" << std::hex << support::crc32(g.wire);
   }
+}
+
+TEST(NetProtocol, InPlaceSolveFramesMatchTheEncodersAndAlignTheirArrays) {
+  // The solve frames the client and server build in reused buffers are
+  // the encode_* bytes, whatever the buffer held before; their arrays sit
+  // 8-aligned, and a solve read by read_frame decodes in place.
+  net::FrameBytes buf;
+  for (const std::size_t n : {40u, 3u, 0u, 17u}) {
+    net::SolveFrame f;
+    f.request_id = 11 + n;
+    f.plan_id = 4;
+    f.num_rhs = 1;
+    f.deadline_us = 250;
+    for (std::size_t i = 0; i < n; ++i) f.rhs.push_back(0.75 * i - 3.0);
+    if (n % 2 == 1) f.trace_id[3] = 9;
+    const std::span<const std::uint8_t> wire =
+        net::encode_solve_into(buf, f, f.rhs);
+    const std::vector<std::uint8_t> want = net::encode_solve(f);
+    EXPECT_TRUE(std::equal(wire.begin(), wire.end(), want.begin(), want.end()))
+        << n << " rhs";
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(wire.data() + 4) % 8, 0u);
+
+    // Received the way read_frame stores it: the blob at the start of a
+    // FrameBytes. The in-place decode views the frame's own bytes.
+    net::FrameBytes rx(wire.begin() + 4, wire.end());
+    auto head = net::peek_frame(rx);
+    ASSERT_TRUE(head.ok());
+    std::span<const value_t> rhs;
+    const auto view = net::decode_solve_in_place(head.value(), rhs);
+    ASSERT_TRUE(view.ok()) << view.message();
+    EXPECT_TRUE(view.value().rhs.empty());
+    EXPECT_EQ(view.value().trace_id, f.trace_id);
+    EXPECT_TRUE(std::equal(rhs.begin(), rhs.end(), f.rhs.begin(), f.rhs.end()));
+    if (n > 0) {
+      EXPECT_GE(reinterpret_cast<const std::uint8_t*>(rhs.data()), rx.data());
+      EXPECT_LT(reinterpret_cast<const std::uint8_t*>(rhs.data()),
+                rx.data() + rx.size());
+    }
+
+    net::SolveOkFrame ok;
+    ok.request_id = f.request_id;
+    ok.server_us = 3.5 * n;
+    ok.x = f.rhs;
+    ok.has_phases = n != 3;
+    ok.phases = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+    net::SolveOkWriter reply(buf, ok.request_id, n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(reply.x().data()) % 8, 0u);
+    std::copy(ok.x.begin(), ok.x.end(), reply.x().begin());
+    const std::span<const std::uint8_t> reply_wire =
+        reply.finish(ok.server_us, ok.has_phases ? &ok.phases : nullptr);
+    const std::vector<std::uint8_t> reply_want = net::encode_solve_ok(ok);
+    EXPECT_TRUE(std::equal(reply_wire.begin(), reply_wire.end(),
+                           reply_want.begin(), reply_want.end()))
+        << n << " x";
+  }
+  // A blob that does not start 8-aligned cannot be read in place: the
+  // reader fails the frame rather than hand out misaligned doubles.
+  net::SolveFrame f;
+  f.rhs = {1.0, 2.0};
+  const std::vector<std::uint8_t> wire = net::encode_solve(f);
+  std::vector<std::uint8_t> shifted(wire.size() + 1);
+  std::copy(wire.begin(), wire.end(), shifted.begin() + 1);
+  auto head = net::peek_frame(
+      std::span<const std::uint8_t>(shifted).subspan(1 + 4));
+  ASSERT_TRUE(head.ok());
+  std::span<const value_t> rhs;
+  const auto misaligned = net::decode_solve_in_place(head.value(), rhs);
+  EXPECT_FALSE(misaligned.ok());
+  EXPECT_EQ(misaligned.status(), SolveStatus::kProtocolError);
 }
 
 TEST(NetProtocol, CorruptCrcIsProtocolError) {
@@ -731,14 +807,15 @@ TEST(NetLoopback, CorruptReplyFailStopsTheClientConnection) {
     auto conn = listener.value().accept();
     if (!conn.ok()) return;
     net::Socket& sock = conn.value();
-    auto hello = net::read_frame(sock, net::kDefaultMaxFrameBytes);
-    if (!hello.ok() || !hello.value().has_value()) return;
+    net::FrameBytes blob;
+    auto hello = net::read_frame(sock, net::kDefaultMaxFrameBytes, blob);
+    if (!hello.ok() || !hello.value()) return;
     net::HelloOkFrame ok;
     ok.server_name = "corrupting-peer";
     if (!net::write_frame(sock, net::encode_hello_ok(ok)).ok()) return;
-    auto solve = net::read_frame(sock, net::kDefaultMaxFrameBytes);
-    if (!solve.ok() || !solve.value().has_value()) return;
-    auto head = net::peek_frame(*solve.value());
+    auto solve = net::read_frame(sock, net::kDefaultMaxFrameBytes, blob);
+    if (!solve.ok() || !solve.value()) return;
+    auto head = net::peek_frame(blob);
     if (!head.ok()) return;
     net::SolveOkFrame reply;
     reply.request_id = head.value().request_id;
@@ -1355,6 +1432,88 @@ TEST(NetThreading, CallersSharingOneClientAllReconnectAfterARestart) {
     if (hung) break;
   }
   EXPECT_EQ(client.metrics_local().retries, 0u);
+  server->stop();
+}
+
+TEST(NetThreading, PipelinedSubmitsAfterAnIdleRestartReconnectAndUseNewIds) {
+  // Pipelined submits go through connect() like every other request: on
+  // an idle connection whose server restarted they reconnect (replaying
+  // the opens), and while another caller's replay runs they wait for it,
+  // so they never send a plan id the new server has not assigned. A
+  // second client opens first on the first server, so this client's ids
+  // there are not the ones the restarted server assigns to the replay.
+  auto server = std::make_unique<SolveServer>();
+  ASSERT_TRUE(server->start().ok());
+  const std::uint16_t port = server->port();
+  net::ClientOptions copt;
+  copt.port = port;
+  {
+    SolveClient other(copt);
+    ASSERT_TRUE(other.open(net_matrix(71, 300), "serial").ok());
+  }
+  SolveClient client(copt);
+  constexpr int kPlans = 4;
+  std::vector<net::PlanHandle> handles;
+  std::vector<std::vector<value_t>> b, want;
+  for (int p = 0; p < kPlans; ++p) {
+    const sparse::CscMatrix l = net_matrix(110 + p, 1500);
+    const auto h = client.open(l, "cpu-levelset");
+    ASSERT_TRUE(h.ok()) << h.message();
+    handles.push_back(h.value());
+    b.push_back(rhs_for(l, 5 + p));
+    const auto x = client.solve(h.value(), b.back());
+    ASSERT_TRUE(x.ok()) << x.message();
+    want.push_back(x.value());
+  }
+
+  net::ServerOptions sopt;
+  sopt.port = port;
+  for (int round = 0; round < 4; ++round) {
+    server->stop();
+    server.reset();
+    server = std::make_unique<SolveServer>(sopt);
+    ASSERT_TRUE(server->start().ok());
+    // Alone: the first pipelined submit notices the restart itself.
+    {
+      const auto x = decode_solve_reply_or_error(
+          client.submit_batch_raw(handles[kPlans - 1], b[kPlans - 1], 1).get());
+      ASSERT_TRUE(x.ok()) << "round " << round << ": " << x.message();
+      EXPECT_EQ(x.value(), want[kPlans - 1]);
+    }
+    server->stop();
+    server.reset();
+    server = std::make_unique<SolveServer>(sopt);
+    ASSERT_TRUE(server->start().ok());
+    // Racing a synchronous caller's reconnect and replay.
+    std::atomic<bool> go{false};
+    auto sync = std::async(std::launch::async, [&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      return client.solve(handles[0], b[0]);
+    });
+    std::vector<std::future<std::string>> piped;
+    for (int t = 0; t < 2; ++t) {
+      piped.push_back(std::async(std::launch::async, [&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int i = 0; i < 20; ++i) {
+          const int p = (t + i) % kPlans;
+          const auto x = decode_solve_reply_or_error(
+              client.submit_batch_raw(handles[p], b[p], 1).get());
+          if (x.ok()) {
+            if (x.value() != want[p]) return std::string("wrong bits");
+          } else if (x.status() != SolveStatus::kNetworkError &&
+                     x.status() != SolveStatus::kOverloaded) {
+            return x.message();
+          }
+        }
+        return std::string();
+      }));
+    }
+    go.store(true, std::memory_order_release);
+    const auto x = sync.get();
+    ASSERT_TRUE(x.ok()) << "round " << round << ": " << x.message();
+    EXPECT_EQ(x.value(), want[0]);
+    for (auto& f : piped) EXPECT_EQ(f.get(), "") << "round " << round;
+  }
   server->stop();
 }
 

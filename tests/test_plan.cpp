@@ -4,7 +4,9 @@
 // charged exactly once, and user-input errors must come back through the
 // SolveStatus channel instead of thrown contract violations.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -150,6 +152,75 @@ TEST(SolverPlanBatch, MatchesLoopedSolveOnEveryBackend) {
       EXPECT_GT(rb.value().report.max_solve_us, 0.0);
       EXPECT_LE(rb.value().report.max_solve_us, rb.value().report.solve_us);
     }
+  }
+}
+
+TEST(SolverPlanBatch, CallerBufferOverloadMatchesAndTakesNoFaultWhenWarm) {
+  // 16^3 grid, 16 rhs: a 512 KB x, the size glibc hands back to the OS
+  // on free, so an allocating solve faults it in again on every call.
+  // Into a caller buffer, warm calls must take no minor fault at all, and
+  // give the allocating overload's bits, fused and looped.
+  const sparse::CscMatrix l = sparse::gen_grid3d_lower(16, 16, 16);
+  constexpr index_t kRhs = 16;
+  std::vector<value_t> rhs;
+  for (index_t j = 0; j < kRhs; ++j) {
+    const std::vector<value_t> b = rhs_for(l, 100 + static_cast<std::uint64_t>(j));
+    rhs.insert(rhs.end(), b.begin(), b.end());
+  }
+  for (const std::string key : {"serial", "cpu-levelset"}) {
+    for (const bool fuse : {true, false}) {
+      core::SolveOptions opt = core::registry::options_for(key).value();
+      opt.cpu_threads = 1;
+      opt.fuse_batch = fuse;
+      const auto plan = core::SolverPlan::analyze(l, opt);
+      ASSERT_TRUE(plan.ok()) << key << ": " << plan.message();
+      const auto want = plan->solve_batch(rhs, kRhs);
+      ASSERT_TRUE(want.ok()) << key;
+
+      std::vector<value_t> x(rhs.size());
+      for (int warm = 0; warm < 3; ++warm) {
+        ASSERT_TRUE(plan->solve_batch(rhs, kRhs, x).ok()) << key;
+      }
+      rusage before{};
+      ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+      int equal = 0;
+      for (int call = 0; call < 100; ++call) {
+        const auto r = plan->solve_batch(rhs, kRhs, x);
+        equal += r.ok() && r.value().x.empty() && x == want.value().x;
+      }
+      rusage after{};
+      ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+      EXPECT_EQ(equal, 100) << key << (fuse ? " fused" : " looped");
+      EXPECT_EQ(after.ru_minflt - before.ru_minflt, 0)
+          << key << (fuse ? " fused" : " looped");
+    }
+  }
+}
+
+TEST(SolverPlanBatch, CallerBufferOverloadMatchesOnEveryBackend) {
+  const sparse::CscMatrix l = test_matrix();
+  constexpr index_t kRhs = 3;
+  std::vector<value_t> rhs;
+  for (index_t j = 0; j < kRhs; ++j) {
+    const std::vector<value_t> b = rhs_for(l, 40 + static_cast<std::uint64_t>(j));
+    rhs.insert(rhs.end(), b.begin(), b.end());
+  }
+  for (const core::SolveOptions& opt : all_backend_options()) {
+    const auto plan = core::SolverPlan::analyze(l, opt);
+    ASSERT_TRUE(plan.ok()) << core::backend_name(opt.backend);
+    const auto want = plan->solve_batch(rhs, kRhs);
+    ASSERT_TRUE(want.ok());
+    // Garbage in the buffer must not matter: its contents are never read.
+    std::vector<value_t> x(rhs.size(), std::numeric_limits<value_t>::quiet_NaN());
+    const auto got = plan->solve_batch(rhs, kRhs, x);
+    ASSERT_TRUE(got.ok()) << core::backend_name(opt.backend);
+    EXPECT_TRUE(got.value().x.empty());
+    EXPECT_EQ(x, want.value().x) << core::backend_name(opt.backend);
+    EXPECT_EQ(got.value().report.num_rhs, kRhs);
+    std::vector<value_t> short_x(rhs.size() - 1);
+    const auto bad = plan->solve_batch(rhs, kRhs, short_x);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status(), core::SolveStatus::kShapeMismatch);
   }
 }
 

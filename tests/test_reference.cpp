@@ -2,6 +2,15 @@
 // reduction used by the parallel backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <span>
+#include <vector>
+
 #include "core/reference.hpp"
 #include "core/residual.hpp"
 #include "sparse/generators.hpp"
@@ -99,6 +108,49 @@ TEST(Reference, ReverseUpperToLowerAgreesWithBackward) {
 TEST(Reference, ReversedIsInvolution) {
   const std::vector<value_t> v = {1.0, 2.0, 3.0, 4.0};
   EXPECT_EQ(reversed(reversed(v)), v);
+}
+
+/// max_relative_difference as one scalar loop: the definition the
+/// vectorized version must reproduce bit for bit.
+value_t max_relative_difference_scalar(std::span<const value_t> x,
+                                       std::span<const value_t> y) {
+  value_t worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const value_t denom = std::max<value_t>(1.0, std::abs(y[i]));
+    worst = std::max(worst, std::abs(x[i] - y[i]) / denom);
+  }
+  return worst;
+}
+
+TEST(Reference, MaxRelativeDifferenceMatchesTheScalarLoop) {
+  // NaN, infinities, signed zeros and near-overflow values in both
+  // vectors, at every length whose two-lane body and scalar tail split
+  // differently: the result must be the scalar loop's, bit for bit.
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  const std::vector<value_t> specials = {nan,     inf,    -inf,  0.0,
+                                         -0.0,    1e308,  -1e308, 1.0,
+                                         -1.0,    0.5,    3.0,    -7.25,
+                                         1e-300,  2.0,    -2.0,   1e300};
+  std::mt19937_64 rng(0x5EEDu);
+  std::size_t mismatches = 0;
+  for (std::size_t len = 0; len <= 67; ++len) {
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<value_t> x(len), y(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        x[i] = specials[rng() % specials.size()];
+        y[i] = rng() % 4 == 0 ? x[i] : specials[rng() % specials.size()];
+      }
+      const value_t got = max_relative_difference(x, y);
+      const value_t want = max_relative_difference_scalar(x, y);
+      if (std::bit_cast<std::uint64_t>(got) !=
+              std::bit_cast<std::uint64_t>(want) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "length " << len << ": " << got << " vs " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // and the versioned/CRC-guarded blob format underneath plan persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -401,6 +402,69 @@ TEST(Blob, Crc32PathsAgreeWithBitwiseReference) {
     if (crc32(window) != detail::crc32_portable(window)) ++window_mismatches;
   }
   EXPECT_EQ(window_mismatches, 0u);
+}
+
+TEST(Blob, Crc32FoldPathAgreesWithPortable) {
+  // The carry-less fold takes spans of 512 bytes or more in 256-byte
+  // strides and hands the rest to the crc32 chains: every length across
+  // the threshold and every stride boundary up to 4 KiB (and its two
+  // neighbours) at every start offset mod 64, then one multi-MB span.
+  if (std::string(crc32_implementation()) != "vpclmulqdq-fold") {
+    GTEST_SKIP() << "crc32() takes '" << crc32_implementation()
+                 << "' on this CPU (no VPCLMULQDQ): no fold path to test";
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 480; len <= 544; ++len) lengths.push_back(len);
+  for (std::size_t stride = 768; stride <= 4096; stride += 256) {
+    for (std::size_t len = stride - 1; len <= stride + 1; ++len) {
+      lengths.push_back(len);
+    }
+  }
+  std::vector<std::uint8_t> buf(4096 + 1 + 64);
+  Xoshiro256 rng(0xF01Du);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (const std::size_t len : lengths) {
+      const std::span<const std::uint8_t> bytes(buf.data() + offset, len);
+      const std::uint32_t want = detail::crc32_portable(bytes);
+      if (crc32(bytes) != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "offset " << offset << ", length " << len;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  std::vector<std::uint8_t> big((6u << 20) + 77);
+  for (std::uint8_t& b : big) b = static_cast<std::uint8_t>(rng.next());
+  EXPECT_EQ(crc32(big), detail::crc32_portable(big));
+}
+
+TEST(Blob, InPlaceArrayReadsViewTheBlobOrFail) {
+  BlobWriter w(1);
+  w.write_u8(7);
+  const std::vector<double> values = {1.5, -2.0, 0.25};
+  w.write_span<double>(values);
+  std::vector<std::uint8_t> blob = std::move(w).finish();
+  // The vector's own storage starts aligned: the view points into it.
+  BlobReader aligned(blob, 1);
+  EXPECT_EQ(aligned.read_u8(), 7);
+  const std::span<const double> view = aligned.read_view<double>();
+  ASSERT_TRUE(aligned.ok()) << aligned.error();
+  EXPECT_TRUE(aligned.at_end());
+  ASSERT_EQ(view.size(), values.size());
+  EXPECT_EQ(static_cast<const void*>(view.data()),
+            static_cast<const void*>(blob.data() + 8 + 8 + 8));
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), values.begin()));
+  // The same image one byte further on: the elements are misaligned, so
+  // the reader fails instead of handing out a misaligned span.
+  std::vector<std::uint8_t> shifted(blob.size() + 1);
+  std::copy(blob.begin(), blob.end(), shifted.begin() + 1);
+  BlobReader misaligned(std::span<const std::uint8_t>(shifted).subspan(1), 1);
+  EXPECT_EQ(misaligned.read_u8(), 7);
+  EXPECT_TRUE(misaligned.read_view<double>().empty());
+  EXPECT_FALSE(misaligned.ok());
+  EXPECT_NE(misaligned.error().find("aligned"), std::string::npos)
+      << misaligned.error();
 }
 
 }  // namespace
