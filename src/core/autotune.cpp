@@ -113,8 +113,8 @@ HostCosts measure_host_costs(int max_width) {
   costs.gather_ns_per_nnz =
       median_ns(kReps,
                 [&] {
-                  solve_lower_levelset_fused(level_rows, b, 1, levels, solo,
-                                             x);
+                  solve_lower_levelset_fused(level_rows, b, 1,
+                                             levels.level_ptr, solo, x);
                 }) /
       nnz;
 
@@ -128,7 +128,8 @@ HostCosts measure_host_costs(int max_width) {
     if (!timed_width(w, max_width)) continue;
     SolveWorkspace gang(w);
     const double sweep = median_ns(kReps, [&] {
-      solve_lower_levelset_fused(level_rows, b, 1, levels, gang, x);
+      solve_lower_levelset_fused(level_rows, b, 1, levels.level_ptr, gang,
+                                 x);
     });
     const double work = gang_work_ns(loads, costs.gather_ns_per_nnz, w);
     costs.level_sync_ns[static_cast<std::size_t>(w)] =

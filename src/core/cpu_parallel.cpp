@@ -128,12 +128,13 @@ bool solve_lower_serial_pull(const RowForm& rows, std::span<const value_t> b,
 
 bool solve_lower_levelset_fused(const RowForm& rows,
                                 std::span<const value_t> b, index_t num_rhs,
-                                const sparse::LevelAnalysis& analysis,
+                                std::span<const offset_t> level_ptr,
                                 SolveWorkspace& ws, std::span<value_t> x,
                                 const CancelToken* cancel) {
   require_batch(rows, b, num_rhs, x);
-  MSPTRSV_REQUIRE(analysis.n == rows.rows(),
-                  "analysis belongs to a different matrix");
+  MSPTRSV_REQUIRE(!level_ptr.empty() && level_ptr.back() == rows.rows(),
+                  "level boundaries belong to a different matrix");
+  const auto num_levels = static_cast<index_t>(level_ptr.size() - 1);
   const std::size_t n = static_cast<std::size_t>(rows.rows());
   const std::size_t k = static_cast<std::size_t>(num_rhs);
   const Rows view(rows);
@@ -154,12 +155,11 @@ bool solve_lower_levelset_fused(const RowForm& rows,
     // so its thread-local context carries the request's trace id into the
     // kernel; one span per LEVEL (start -> barrier passed), never per row.
     const bool lead_trace = tid == 0 && MSPTRSV_TRACE_ARMED();
-    for (index_t l = 0; l < analysis.num_levels; ++l) {
+    for (index_t l = 0; l < num_levels; ++l) {
       const std::uint64_t lvl_t0 =
           lead_trace ? support::trace::trace_now_ns() : 0;
-      const offset_t begin = analysis.level_ptr[static_cast<std::size_t>(l)];
-      const offset_t width =
-          analysis.level_ptr[static_cast<std::size_t>(l) + 1] - begin;
+      const offset_t begin = level_ptr[static_cast<std::size_t>(l)];
+      const offset_t width = level_ptr[static_cast<std::size_t>(l) + 1] - begin;
       // Each party sweeps ONE contiguous slice of the level's positions:
       // its rows' structure is one unit-stride stream. Every dependency
       // sits in an earlier level, already final behind the barrier; ONE

@@ -37,7 +37,6 @@
 #include "core/cancel.hpp"
 #include "core/row_form.hpp"
 #include "core/workspace.hpp"
-#include "sparse/level_analysis.hpp"
 
 namespace msptrsv::core {
 
@@ -56,12 +55,12 @@ bool solve_lower_serial_pull(const RowForm& rows, std::span<const value_t> b,
                              const CancelToken* cancel = nullptr);
 
 /// Fused level-set forward substitution for `num_rhs` right-hand sides.
-/// `rows` is the row form built in `analysis.order`, so level l is the
+/// `rows` is the row form built in level order, so level l is the
 /// positions [level_ptr[l], level_ptr[l+1]); `b` and `x` are column-major
 /// n x num_rhs (entry i of rhs r at [r*n + i], caller numbering); `x`
 /// must be sized n*num_rhs. No input validation: the caller (SolverPlan)
-/// established the solvable-lower invariants and the level boundaries at
-/// analysis or restore time.
+/// built the form and its level boundaries at analysis, or proved them at
+/// restore (is_row_schedule).
 ///
 /// Cancellation: `cancel` (may be null) is checked by tid 0 once per level
 /// BEFORE the level barrier; the abort flag is read by every party after
@@ -70,7 +69,7 @@ bool solve_lower_serial_pull(const RowForm& rows, std::span<const value_t> b,
 /// partially written, contents unspecified -- on abort, true on completion.
 bool solve_lower_levelset_fused(const RowForm& rows,
                                 std::span<const value_t> b, index_t num_rhs,
-                                const sparse::LevelAnalysis& analysis,
+                                std::span<const offset_t> level_ptr,
                                 SolveWorkspace& ws, std::span<value_t> x,
                                 const CancelToken* cancel = nullptr);
 

@@ -40,6 +40,11 @@ double us_since(steady_clock::time_point t0) {
       .count();
 }
 
+Expected<SolverPlan> unreadable_blob(const std::string& path) {
+  return Expected<SolverPlan>(SolveStatus::kBadSnapshot,
+                              "cannot read plan blob '" + path + "'");
+}
+
 /// What a fired token means for the caller: a passed deadline is the
 /// time_budget contract (kDeadlineExceeded); a raised flag with no passed
 /// deadline is an administrative abandon (service shutdown), which reports
@@ -82,18 +87,15 @@ bool backend_is_multi_gpu(Backend b) {
   }
 }
 
-/// (Re)builds a host plan's row form from `lower` in the order its
-/// backend executes: serial sweeps level order inside windows of
-/// consecutive rows (serial_row_order), cpu-levelset plain level order.
-/// An upper plan's form is mirrored into the caller's numbering.
-void build_plan_row_form(const SolveOptions& options,
-                         const sparse::CscMatrix& lower, PlanSnapshot& snap) {
-  const sparse::LevelAnalysis& levels = *snap.levels;
-  snap.row_form = options.backend == Backend::kSerial
-                      ? build_row_form(lower, serial_row_order(levels),
-                                       snap.upper)
-                      : build_row_form(lower, levels.order, snap.upper);
-  apply_numa_hints(options, *snap.row_form);
+/// The internal row order a row form stores: its row_of with an upper
+/// plan's mirroring undone. A form rebuilt from a refreshed factor in
+/// this order keeps every row at its position.
+std::vector<index_t> stored_order(const RowForm& rf, bool upper) {
+  std::vector<index_t> order(rf.row_of);
+  if (upper) {
+    for (index_t& i : order) i = rf.rows() - 1 - i;
+  }
+  return order;
 }
 
 /// The level-set gang's persistent execution state: parked threads and
@@ -155,19 +157,28 @@ sim::RunReport simulated_report(const SolveOptions& options,
 }  // namespace
 
 struct SolverPlan::State {
-  /// Owned factor storage. Borrowed plans (analyze_borrowed /
-  /// load_borrowed) leave it empty and point `lower` at the caller's
-  /// matrix instead.
+  index_t n = 0;
+  /// The CSC factor of a simulated plan, which its engines, level-cost
+  /// loop and replay build walk: `storage`, or the caller's matrix on a
+  /// borrowed plan. A host plan drops it once its row form -- then its
+  /// only copy of the factor -- is built, and keeps it only while empty
+  /// (0x0); `lower` is null then.
   sparse::CscMatrix storage;
-  /// The lower-triangular factor solves execute against; always non-null
-  /// on a constructed plan.
   const sparse::CscMatrix* lower = nullptr;
+  /// Built by analyze_borrowed or load_borrowed: refuses update_values.
+  bool borrowed = false;
   SolveOptions options;
   /// The whole symbolic result in its explicit, serializable form:
-  /// orientation flag, partition, in-degrees, level analysis, row-form
-  /// gather view, and the one-time simulated analysis charge. save()/
-  /// load() round-trip exactly this plus the factor.
+  /// orientation flag, partition, in-degrees, levels, the host row form
+  /// and its level boundaries, and the one-time simulated analysis
+  /// charge. save()/load() round-trip exactly this (plus a simulated
+  /// plan's factor).
   PlanSnapshot snapshot;
+  /// The factor's content hash as the blob this plan was loaded from
+  /// recorded it (on a borrowed load: the caller's matrix's), which a
+  /// re-save carries. Unset on analyzed plans -- analysis hashes nothing
+  /// -- and after update_values.
+  std::optional<sparse::StructuralHash> recorded_hash;
   double analysis_seconds = 0.0;
   /// Wall seconds spent restoring the plan from a blob (load paths only).
   double load_seconds = 0.0;
@@ -233,11 +244,16 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   st->snapshot.backend = options.backend;
   st->snapshot.tasks_per_gpu = options.tasks_per_gpu;
   st->snapshot.num_gpus = options.machine.num_gpus();
+  st->n = lower.rows;
 
   if (lower.rows == 0) {
     // A 0x0 system is vacuously solvable by every backend: the plan
-    // short-circuits (no partition, no analysis state) and run_lower
-    // returns the empty solution.
+    // short-circuits (no partition, no analysis state) and run_batch
+    // returns the empty solution. A host plan's blob stores its (empty)
+    // row form.
+    if (!is_simulated(options.backend)) {
+      st->snapshot.row_form = build_row_form(lower, {}, st->snapshot.upper);
+    }
     st->analysis_seconds = seconds_since(t0);
     return Result(std::move(st));
   }
@@ -255,9 +271,10 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   // structurally chosen one before any backend-keyed state is built. Only
   // host schedules participate -- an explicit simulated/multi-GPU request
   // is a statement about WHICH engine to model, not a tuning question.
+  // Host plans: the level analysis their row form's order derives from.
+  sparse::LevelAnalysis levels;
   if (options.autotune && !is_simulated(options.backend)) {
-    sparse::LevelAnalysis levels =
-        sparse::analyze_levels(lower, /*validate=*/false);
+    levels = sparse::analyze_levels(lower, /*validate=*/false);
     TunedDecision tuned =
         autotune_decision(levels, measured_host_costs(),
                           resolve_cpu_threads(options.cpu_threads));
@@ -267,9 +284,6 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
     // Re-stamp the identity the tuner just changed: the snapshot must
     // describe the CHOSEN configuration.
     st->snapshot.backend = tuned.backend;
-    // Hand the analysis forward instead of recomputing it in the switch:
-    // both candidates are host backends, and both keep it.
-    st->snapshot.levels = std::move(levels);
   }
 
   // Only the multi-GPU engines consume a partition; host/single-GPU plans
@@ -283,13 +297,30 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
   // so the derived analyses skip their own validation pass.
   switch (options.backend) {
     case Backend::kSerial:
-    case Backend::kCpuLevelSet:
-      // Both host backends execute in an order derived from the level
-      // analysis; the autotune path above may have handed it forward.
-      if (!st->snapshot.levels.has_value()) {
-        st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
+    case Backend::kCpuLevelSet: {
+      // Both host backends gather through a row form of the factor in the
+      // order they execute, derived from the level analysis (which the
+      // autotune path above may have computed): serial sweeps level order
+      // inside windows of consecutive rows (serial_row_order),
+      // cpu-levelset plain level order. An upper plan's form is mirrored
+      // into the caller's numbering. The form snapshots the values, so
+      // update_values rebuilds it and a borrowed plan does not see
+      // in-place value edits. The gang keeps its level boundaries; the
+      // rest of the analysis is dropped.
+      if (levels.n == 0) {
+        levels = sparse::analyze_levels(lower, /*validate=*/false);
+      }
+      const bool upper = st->snapshot.upper;
+      RowForm rf = options.backend == Backend::kSerial
+                       ? build_row_form(lower, serial_row_order(levels), upper)
+                       : build_row_form(lower, levels.order, upper);
+      apply_numa_hints(options, rf);
+      st->snapshot.row_form = std::move(rf);
+      if (options.backend == Backend::kCpuLevelSet) {
+        st->snapshot.level_ptr = std::move(levels.level_ptr);
       }
       break;
+    }
     case Backend::kGpuLevelSet:
       st->snapshot.levels = sparse::analyze_levels(lower, /*validate=*/false);
       st->snapshot.analysis_us = levelset_analysis_us(lower, options.machine.cost);
@@ -307,12 +338,10 @@ Expected<std::shared_ptr<SolverPlan::State>> SolverPlan::analyze_state(
                     "unrecognized backend enumerator");
   }
 
-  // Every host backend gathers through a row form of the factor, stored
-  // in its execution order and built here once. It snapshots the values,
-  // so update_values rebuilds it and a borrowed plan does not see
-  // in-place value edits.
+  // The row form is now a host plan's only copy of the factor.
   if (!is_simulated(options.backend)) {
-    build_plan_row_form(options, lower, st->snapshot);
+    st->storage = {};
+    st->lower = nullptr;
   }
   // The gang solves on plan-owned persistent workspaces. The pool is
   // lazy: workspaces (and their threads) materialize on first solve, one
@@ -341,6 +370,7 @@ Expected<SolverPlan> SolverPlan::analyze_borrowed(
   auto st = std::make_shared<State>();
   st->options = std::move(options);
   st->lower = &lower;
+  st->borrowed = true;
   Expected<std::shared_ptr<State>> built = analyze_state(std::move(st));
   if (!built.ok()) return Expected<SolverPlan>(built.error());
   return SolverPlan(std::move(built.value()));
@@ -406,7 +436,6 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
                                             std::span<value_t> x,
                                             const CancelToken* cancel) const {
   const State& st = *state_;
-  const sparse::CscMatrix& lower = *st.lower;
   // Chaos seam: `delay` stretches a solve (the "hung shard" script);
   // `error(N)` injects the SolveStatus with that code, generalizing the
   // old server-side inject_status knob down to the core.
@@ -426,7 +455,7 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
   scratch.reset();
   MSPTRSV_TRACE_SPAN("core.solve_batch", "num_rhs", num_rhs);
   SolveResult out;
-  if (lower.rows == 0) {
+  if (st.n == 0) {
     // Vacuous system: every backend returns the empty solution for free.
     out.report.solver_name = backend_name(st.options.backend);
     out.report.machine_name =
@@ -454,7 +483,7 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
       WorkspacePool::Lease lease = st.workspaces->acquire();
       const auto t0 = steady_clock::now();
       if (!solve_lower_levelset_fused(*st.snapshot.row_form, b, num_rhs,
-                                      *st.snapshot.levels, lease.ws(), x,
+                                      st.snapshot.level_ptr, lease.ws(), x,
                                       cancel)) {
         return cancel_error(*cancel);
       }
@@ -469,6 +498,7 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
     case Backend::kMgUnifiedTask:
     case Backend::kMgShmem:
     case Backend::kMgZeroCopy: {
+      const sparse::CscMatrix& lower = *st.lower;
       std::call_once(st.replay_once, [&] {
         std::vector<index_t> order;
         if (st.options.backend == Backend::kGpuLevelSet) {
@@ -476,7 +506,7 @@ Expected<SolveResult> SolverPlan::run_batch(std::span<const value_t> b,
                                                st.options.machine, 1);
           // Natural order, not the stored level order: it is topological
           // for every lower factor, so no blob data reaches the numerics.
-          order.resize(static_cast<std::size_t>(lower.rows));
+          order.resize(static_cast<std::size_t>(st.n));
           std::iota(order.begin(), order.end(), index_t{0});
         } else {
           EngineResult schedule = simulate_mg(st.options, st.snapshot, lower, 1);
@@ -581,37 +611,12 @@ Expected<SolveResult> SolverPlan::solve_batch(std::span<const value_t> rhs,
   }
 
   const CancelToken tok = effective_token(cancel);
-  const CancelToken* cancel_ptr = tok.active() ? &tok : nullptr;
-
-  if (!state_->options.fuse_batch) {
-    // Looped mode (the PR 1 semantics): independent solves, reports
-    // accumulate. The budget covers the WHOLE batch (the token is shared
-    // across the loop), so a slow batch aborts partway with nothing kept.
-    SolveResult out;
-    for (index_t j = 0; j < num_rhs; ++j) {
-      const std::size_t at = static_cast<std::size_t>(j) * n;
-      Expected<SolveResult> r =
-          run_batch(rhs.subspan(at, n), 1, x.subspan(at, n), cancel_ptr);
-      if (!r.ok()) return r;
-      out.wall_seconds += r.value().wall_seconds;
-      out.phases.claim_us += r.value().phases.claim_us;
-      out.phases.kernel_us += r.value().phases.kernel_us;
-      out.completed_ns = r.value().completed_ns;
-      if (j == 0) {
-        out.report = std::move(r.value().report);
-      } else {
-        out.report.accumulate(r.value().report);
-      }
-    }
-    return out;
-  }
-
-  return run_batch(rhs, num_rhs, x, cancel_ptr);
+  return run_batch(rhs, num_rhs, x, tok.active() ? &tok : nullptr);
 }
 
 Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
   State& st = *state_;
-  if (st.lower != &st.storage) {
+  if (st.borrowed) {
     return Expected<bool>(
         SolveStatus::kInvalidOptions,
         "update_values requires an owning plan; every backend snapshots a "
@@ -619,84 +624,57 @@ Expected<bool> SolverPlan::update_values(std::span<const value_t> values) {
         "simulated plans at their first solve), so a borrowed plan whose "
         "matrix changes must be re-analyzed");
   }
-  const offset_t nnz = st.storage.nnz();
-  if (values.size() != static_cast<std::size_t>(nnz)) {
+  // `values` follows the caller's CSC order: an upper plan's caller
+  // factor is the mirror of its analyzed lower form (the reversal is its
+  // own inverse).
+  const bool upper = st.snapshot.upper;
+  sparse::CscMatrix f = factor();
+  if (upper) f = reverse_upper_to_lower_prevalidated(f);
+  if (values.size() != static_cast<std::size_t>(f.nnz())) {
     return Expected<bool>(
         SolveStatus::kShapeMismatch,
         "value refresh needs one value per stored nonzero (" +
-            std::to_string(nnz) + "), got " + std::to_string(values.size()));
+            std::to_string(f.nnz()) + "), got " +
+            std::to_string(values.size()));
   }
-  const index_t n = st.storage.rows;
-  // Every row form snapshots the values: rebuild the ones built so far. A
-  // replay form keeps its rows' positions; their internal ids are its
-  // row_of with an upper plan's mirroring undone.
-  auto rebuild_row_forms = [&st, n] {
-    if (st.snapshot.row_form) {
-      build_plan_row_form(st.options, st.storage, st.snapshot);
-    }
-    if (!st.replay.row_of.empty()) {
-      std::vector<index_t> order(st.replay.row_of);
-      if (st.snapshot.upper) {
-        for (index_t& i : order) i = n - 1 - i;
-      }
-      st.replay = build_row_form(st.storage, order, st.snapshot.upper,
-                                 EntryOrder::kSolveOrder);
-    }
-  };
-  if (!st.snapshot.upper) {
-    // The diagonal leads each column of the analyzed lower factor; check
-    // every new diagonal before mutating anything.
-    for (index_t j = 0; j < n; ++j) {
-      if (values[static_cast<std::size_t>(st.storage.col_ptr[j])] == 0.0) {
-        return Expected<bool>(SolveStatus::kSingularDiagonal,
-                              "zero diagonal at column " + std::to_string(j) +
-                                  " (singular); plan values unchanged");
-      }
-    }
-    std::copy(values.begin(), values.end(), st.storage.val.begin());
-    rebuild_row_forms();
-    return true;
-  }
-  // Upper plan: `values` follows the ORIGINAL upper factor's CSC order,
-  // but storage holds the reversed lower form. Column j of the upper maps
-  // to lower column n-1-j with its entries in reverse order, so the upper
-  // column lengths (and the whole permutation) are recoverable from the
-  // stored structure alone.
-  offset_t base = 0;
-  for (index_t j = 0; j < n; ++j) {
-    const index_t rj = n - 1 - j;  // the mirrored lower column
-    const offset_t count = st.storage.col_ptr[rj + 1] - st.storage.col_ptr[rj];
-    // The diagonal terminates each upper column.
-    if (values[static_cast<std::size_t>(base + count - 1)] == 0.0) {
+  // The diagonal leads every lower column and ends every upper one:
+  // check each new one before mutating anything.
+  for (index_t j = 0; j < st.n; ++j) {
+    const offset_t d = upper ? f.col_ptr[j + 1] - 1 : f.col_ptr[j];
+    if (values[static_cast<std::size_t>(d)] == 0.0) {
       return Expected<bool>(SolveStatus::kSingularDiagonal,
                             "zero diagonal at column " + std::to_string(j) +
                                 " (singular); plan values unchanged");
     }
-    base += count;
   }
-  base = 0;
-  for (index_t j = 0; j < n; ++j) {
-    const index_t rj = n - 1 - j;
-    const offset_t begin = st.storage.col_ptr[rj];
-    const offset_t count = st.storage.col_ptr[rj + 1] - begin;
-    for (offset_t t = 0; t < count; ++t) {
-      st.storage.val[static_cast<std::size_t>(begin + (count - 1 - t))] =
-          values[static_cast<std::size_t>(base + t)];
-    }
-    base += count;
+  std::copy(values.begin(), values.end(), f.val.begin());
+  if (upper) f = reverse_upper_to_lower_prevalidated(f);
+  // Every row form snapshots the values: rebuild the ones built so far,
+  // each in its own stored order.
+  if (st.snapshot.row_form) {
+    RowForm rf = build_row_form(f, stored_order(*st.snapshot.row_form, upper),
+                                upper);
+    apply_numa_hints(st.options, rf);
+    st.snapshot.row_form = std::move(rf);
   }
-  rebuild_row_forms();
+  if (!st.replay.row_of.empty()) {
+    st.replay = build_row_form(f, stored_order(st.replay, upper), upper,
+                               EntryOrder::kSolveOrder);
+  }
+  if (st.lower != nullptr) st.storage = std::move(f);
+  st.recorded_hash.reset();
   return true;
 }
 
 Expected<bool> SolverPlan::update_values(const sparse::CscMatrix& m) {
-  const State& st = *state_;
-  if (st.lower != &st.storage) {
-    // The span overload would reject borrowed plans anyway; do it before
-    // the O(nnz) pattern comparison, with the same diagnostic.
+  if (state_->borrowed) {
+    // The span overload rejects borrowed plans; do it before the O(nnz)
+    // pattern comparison, with the same diagnostic.
     return update_values(m.val);
   }
-  const sparse::CscMatrix& cur = *st.lower;
+  // Compared in the caller's frame, as the span overload maps values.
+  sparse::CscMatrix cur = factor();
+  if (state_->snapshot.upper) cur = reverse_upper_to_lower_prevalidated(cur);
   const index_t n = cur.rows;
   if (m.rows != n || m.cols != cur.cols) {
     return Expected<bool>(
@@ -711,39 +689,13 @@ Expected<bool> SolverPlan::update_values(const sparse::CscMatrix& m) {
         "value refresh matrix has " + std::to_string(m.nnz()) +
             " nonzeros, plan factor has " + std::to_string(cur.nnz()));
   }
-  if (!st.snapshot.upper) {
-    // Exact pattern equality against the analyzed lower factor.
-    if (m.col_ptr != cur.col_ptr || m.row_idx != cur.row_idx) {
-      for (index_t j = 0; j < n; ++j) {
-        if (m.col_ptr[j + 1] != cur.col_ptr[j + 1] ||
-            !std::equal(m.row_idx.begin() + m.col_ptr[j],
-                        m.row_idx.begin() + m.col_ptr[j + 1],
-                        cur.row_idx.begin() + cur.col_ptr[j])) {
-          return Expected<bool>(
-              SolveStatus::kShapeMismatch,
-              "sparsity pattern differs from the analyzed factor at column " +
-                  std::to_string(j) + "; re-analyze instead of update_values");
-        }
-      }
-    }
-    return update_values(m.val);
-  }
-  // Upper plan: `m` is the caller's upper factor; the cached pattern is the
-  // reversed lower form. Column j of the upper mirrors lower column n-1-j
-  // with its entries in reverse order.
-  for (index_t j = 0; j < n; ++j) {
-    const index_t rj = n - 1 - j;
-    const offset_t begin = cur.col_ptr[rj];
-    const offset_t count = cur.col_ptr[rj + 1] - begin;
-    if (m.col_ptr[j + 1] - m.col_ptr[j] != count) {
-      return Expected<bool>(
-          SolveStatus::kShapeMismatch,
-          "sparsity pattern differs from the analyzed factor at column " +
-              std::to_string(j) + "; re-analyze instead of update_values");
-    }
-    for (offset_t t = 0; t < count; ++t) {
-      if (m.row_idx[static_cast<std::size_t>(m.col_ptr[j] + t)] !=
-          n - 1 - cur.row_idx[static_cast<std::size_t>(begin + (count - 1 - t))]) {
+  // Exact pattern equality.
+  if (m.col_ptr != cur.col_ptr || m.row_idx != cur.row_idx) {
+    for (index_t j = 0; j < n; ++j) {
+      if (m.col_ptr[j + 1] != cur.col_ptr[j + 1] ||
+          !std::equal(m.row_idx.begin() + m.col_ptr[j],
+                      m.row_idx.begin() + m.col_ptr[j + 1],
+                      cur.row_idx.begin() + cur.col_ptr[j])) {
         return Expected<bool>(
             SolveStatus::kShapeMismatch,
             "sparsity pattern differs from the analyzed factor at column " +
@@ -757,18 +709,24 @@ Expected<bool> SolverPlan::update_values(const sparse::CscMatrix& m) {
 // ---- persistence -----------------------------------------------------------
 
 Expected<std::vector<std::uint8_t>> SolverPlan::serialize() const {
-  return serialize_snapshot(state_->snapshot, *state_->lower);
-}
-
-Expected<std::vector<std::uint8_t>> SolverPlan::serialize(
-    SnapshotWriteOptions write_options) const {
-  return serialize_snapshot(state_->snapshot, *state_->lower, write_options);
+  const State& st = *state_;
+  // A loaded plan re-saves the hash its blob recorded. An analyzed plan
+  // hashes its factor here, not at analysis: a host plan's is rebuilt
+  // from its row form.
+  sparse::StructuralHash hash;
+  if (st.recorded_hash) {
+    hash = *st.recorded_hash;
+  } else if (st.lower != nullptr) {
+    hash = sparse::hash_csc(*st.lower);
+  } else {
+    hash = sparse::hash_csc(factor());
+  }
+  if (st.lower != nullptr) return serialize_snapshot(st.snapshot, hash, *st.lower);
+  return serialize_snapshot(st.snapshot, hash);
 }
 
 Expected<bool> SolverPlan::save(const std::string& path) const {
-  const std::vector<std::uint8_t> blob =
-      serialize_snapshot(state_->snapshot, *state_->lower);
-  if (!support::write_file(path, blob)) {
+  if (!support::write_file(path, serialize().value())) {
     return Expected<bool>(SolveStatus::kBadSnapshot,
                           "cannot write plan blob to '" + path + "'");
   }
@@ -777,28 +735,15 @@ Expected<bool> SolverPlan::save(const std::string& path) const {
 
 Expected<SolverPlan> SolverPlan::deserialize(
     std::span<const std::uint8_t> bytes, SolveOptions options) {
-  const auto t0 = steady_clock::now();
-  SnapshotBlob parsed;
-  const std::string err = deserialize_snapshot(bytes, parsed);
-  if (!err.empty()) return Expected<SolverPlan>(SolveStatus::kBadSnapshot, err);
-  return restore(std::move(parsed), std::move(options), nullptr, t0);
+  return restore(bytes, std::move(options), nullptr, steady_clock::now());
 }
 
 Expected<SolverPlan> SolverPlan::load(const std::string& path,
                                       SolveOptions options) {
   const auto t0 = steady_clock::now();
   std::vector<std::uint8_t> bytes;
-  if (!support::read_file(path, bytes)) {
-    return Expected<SolverPlan>(SolveStatus::kBadSnapshot,
-                                "cannot read plan blob '" + path + "'");
-  }
-  SnapshotBlob parsed;
-  const std::string err = deserialize_snapshot(bytes, parsed);
-  if (!err.empty()) {
-    return Expected<SolverPlan>(SolveStatus::kBadSnapshot,
-                                "'" + path + "': " + err);
-  }
-  return restore(std::move(parsed), std::move(options), nullptr, t0);
+  if (!support::read_file(path, bytes)) return unreadable_blob(path);
+  return restore(bytes, std::move(options), nullptr, t0);
 }
 
 Expected<SolverPlan> SolverPlan::load_borrowed(const std::string& path,
@@ -806,29 +751,24 @@ Expected<SolverPlan> SolverPlan::load_borrowed(const std::string& path,
                                                SolveOptions options) {
   const auto t0 = steady_clock::now();
   std::vector<std::uint8_t> bytes;
-  if (!support::read_file(path, bytes)) {
-    return Expected<SolverPlan>(SolveStatus::kBadSnapshot,
-                                "cannot read plan blob '" + path + "'");
-  }
-  SnapshotBlob parsed;
-  // The caller supplies the matrix: skip materializing the embedded one
-  // (about half of a host-backend blob's bytes).
-  const std::string err =
-      deserialize_snapshot(bytes, parsed, SnapshotRead::kSkipFactor);
-  if (!err.empty()) {
-    return Expected<SolverPlan>(SolveStatus::kBadSnapshot,
-                                "'" + path + "': " + err);
-  }
-  return restore(std::move(parsed), std::move(options), &lower, t0);
+  if (!support::read_file(path, bytes)) return unreadable_blob(path);
+  return restore(bytes, std::move(options), &lower, t0);
 }
 
 double SolverPlan::load_us() const { return state_->load_seconds * 1e6; }
 
 Expected<SolverPlan> SolverPlan::restore(
-    SnapshotBlob parsed, SolveOptions options,
+    std::span<const std::uint8_t> bytes, SolveOptions options,
     const sparse::CscMatrix* borrow,
     std::chrono::steady_clock::time_point t0) {
   using Result = Expected<SolverPlan>;
+  SnapshotBlob parsed;
+  // A borrowed load takes the caller's values (and a simulated plan's
+  // whole factor): skip materializing the stored ones.
+  const std::string err = deserialize_snapshot(
+      bytes, parsed,
+      borrow != nullptr ? SnapshotRead::kSkipValues : SnapshotRead::kFull);
+  if (!err.empty()) return Result(SolveStatus::kBadSnapshot, err);
   PlanSnapshot& snap = parsed.snapshot;
 
   // An autotune load ADOPTS the stored decision instead of demanding the
@@ -874,24 +814,26 @@ Expected<SolverPlan> SolverPlan::restore(
 
   // Backend-required sections must have survived the trip (a hand-crafted
   // blob could claim a backend but omit its state).
-  const index_t n = parsed.factor.rows;
+  const index_t n = parsed.rows;
   if (n > 0) {
-    const bool needs_levels = options.backend == Backend::kCpuLevelSet ||
-                              options.backend == Backend::kGpuLevelSet;
-    const bool needs_in_degrees = backend_is_multi_gpu(options.backend);
-    if (needs_levels && !snap.levels.has_value()) {
+    if (options.backend == Backend::kGpuLevelSet && !snap.levels.has_value()) {
       return Result(SolveStatus::kBadSnapshot,
                     "snapshot lacks the level analysis its backend needs");
     }
-    if (needs_in_degrees && snap.in_degrees.empty()) {
+    if (backend_is_multi_gpu(options.backend) && snap.in_degrees.empty()) {
       return Result(SolveStatus::kBadSnapshot,
                     "snapshot lacks the in-degree state its backend needs");
     }
-    // The row form is NOT in the blob: it is rebuilt below, in execution
-    // order, from whichever factor the plan ends up solving against.
+    if ((options.backend == Backend::kCpuLevelSet) == snap.level_ptr.empty()) {
+      return Result(SolveStatus::kBadSnapshot,
+                    "snapshot level boundaries do not match its backend");
+    }
   }
 
+  const bool host = !is_simulated(options.backend);
   auto st = std::make_shared<State>();
+  st->n = n;
+  st->recorded_hash = parsed.factor_hash;
   if (borrow != nullptr) {
     // Borrowed-load: solve against the CALLER's matrix. Upper plans have
     // no caller-visible lower form to borrow.
@@ -907,20 +849,24 @@ Expected<SolverPlan> SolverPlan::restore(
                     "structural hash mismatch: the supplied matrix does not "
                     "have the sparsity pattern this plan was analyzed for");
     }
-    st->lower = borrow;
-    if (caller_hash.values != parsed.factor_hash.values) {
-      // Refreshed values: the saved plan's diagonal guarantee no longer
-      // covers them. The pattern matches the analyzed factor, so the
-      // diagonal still leads every column -- an O(n) re-check.
-      for (index_t j = 0; j < borrow->cols; ++j) {
-        if (borrow->val[static_cast<std::size_t>(borrow->col_ptr[j])] == 0.0) {
-          return Result(SolveStatus::kSingularDiagonal,
-                        "zero diagonal at column " + std::to_string(j) +
-                            " in the supplied matrix (singular)");
+    st->recorded_hash = caller_hash;
+    if (!host) {
+      st->lower = borrow;
+      if (caller_hash.values != parsed.factor_hash.values) {
+        // Refreshed values: the saved plan's diagonal guarantee no longer
+        // covers them. The pattern matches the analyzed factor, so the
+        // diagonal still leads every column -- an O(n) re-check.
+        for (index_t j = 0; j < borrow->cols; ++j) {
+          if (borrow->val[static_cast<std::size_t>(borrow->col_ptr[j])] ==
+              0.0) {
+            return Result(SolveStatus::kSingularDiagonal,
+                          "zero diagonal at column " + std::to_string(j) +
+                              " in the supplied matrix (singular)");
+          }
         }
       }
     }
-  } else {
+  } else if (!host) {
     st->storage = std::move(parsed.factor);
     st->lower = &st->storage;
   }
@@ -931,11 +877,19 @@ Expected<SolverPlan> SolverPlan::restore(
     snap.partition = partition_for(options, n);
   }
 
-  // Stored levels drive execution: the gang's slices assume the rows of
-  // a level are independent, and every row form and level-cost loop
-  // walks the stored order. A CRC only proves the bytes are the ones
-  // written, so check the whole schedule against the factor -- one pass
-  // over the structure that also proves the factor a solvable lower one.
+  // A host plan runs its stored row form as it stands, and a CRC only
+  // proves the bytes are the ones written: prove the form before any
+  // kernel reads it -- one pass, where analysis pays a level analysis and
+  // a scatter. A borrowed load proves the structure; its values come
+  // from the caller below, through the diagonal-checked refresh.
+  if (host && !is_row_schedule(*snap.row_form, snap.level_ptr, snap.upper)) {
+    return Result(SolveStatus::kBadSnapshot,
+                  "snapshot row form is not a schedule of a solvable factor");
+  }
+  if (host && borrow == nullptr) apply_numa_hints(options, *snap.row_form);
+  // A gpu-levelset plan's stored levels drive its level-cost loop: check
+  // the whole schedule against the factor -- one pass over the structure
+  // that also proves the factor a solvable lower one.
   if (n > 0 && snap.levels.has_value() &&
       !is_level_schedule(*st->lower, snap.levels->order,
                          snap.levels->level_ptr)) {
@@ -943,26 +897,6 @@ Expected<SolverPlan> SolverPlan::restore(
                   "snapshot level analysis is not a level schedule of a "
                   "solvable factor");
   }
-  // Host backends execute in an order derived from the level analysis.
-  // Blobs from before serial plans kept levels lack them (so do some
-  // blobs of the retired sync-free schedule, which load as serial):
-  // validate the factor, then compute them. The row form is then rebuilt
-  // from the resolved factor (the borrowed matrix's values included) in
-  // execution order -- one O(nnz) scatter, the same pass analyze pays.
-  // The in-degrees a sync-free blob carries have no host reader: dropped.
-  if (n > 0 && !is_simulated(options.backend)) {
-    if (!snap.levels.has_value()) {
-      if (!sparse::diagnose_solvable_lower(*st->lower).solvable) {
-        return Result(SolveStatus::kBadSnapshot,
-                      "snapshot factor is not a solvable lower-triangular "
-                      "matrix");
-      }
-      snap.levels = sparse::analyze_levels(*st->lower, /*validate=*/false);
-    }
-    snap.in_degrees = {};
-    build_plan_row_form(options, *st->lower, snap);
-  }
-
   // The multi-GPU engine counts each component's in-degree down to zero:
   // in-degrees that disagree with the factor would leave components
   // unsolved (an engine deadlock at the first solve), so re-derive them
@@ -988,17 +922,33 @@ Expected<SolverPlan> SolverPlan::restore(
   if (n > 0 && st->options.backend == Backend::kCpuLevelSet) {
     st->workspaces = make_workspaces(st->options);
   }
-  st->load_seconds = seconds_since(t0);
-  return SolverPlan(std::move(st));
+  SolverPlan plan(std::move(st));
+  if (borrow != nullptr) {
+    if (host) {
+      // The caller's values fill the proven structure, every new diagonal
+      // checked before the form is rebuilt.
+      const sparse::StructuralHash caller_hash = *plan.state_->recorded_hash;
+      const Expected<bool> filled = plan.update_values(borrow->val);
+      if (!filled.ok()) return Result(filled.error());
+      plan.state_->recorded_hash = caller_hash;
+    }
+    plan.state_->borrowed = true;
+  }
+  plan.state_->load_seconds = seconds_since(t0);
+  return plan;
 }
 
-index_t SolverPlan::rows() const { return state_->lower->rows; }
+index_t SolverPlan::rows() const { return state_->n; }
 
 bool SolverPlan::is_upper() const { return state_->snapshot.upper; }
 
 const SolveOptions& SolverPlan::options() const { return state_->options; }
 
-const sparse::CscMatrix& SolverPlan::factor() const { return *state_->lower; }
+sparse::CscMatrix SolverPlan::factor() const {
+  const State& st = *state_;
+  if (st.lower != nullptr) return *st.lower;
+  return factor_of(*st.snapshot.row_form, st.snapshot.upper);
+}
 
 sparse::Partition SolverPlan::partition() const {
   MSPTRSV_REQUIRE(rows() > 0, "an empty (0x0) plan has no partition");
@@ -1008,6 +958,10 @@ sparse::Partition SolverPlan::partition() const {
 
 std::span<const index_t> SolverPlan::in_degrees() const {
   return state_->snapshot.in_degrees;
+}
+
+const sparse::StructuralHash* SolverPlan::recorded_hash() const {
+  return state_->recorded_hash ? &*state_->recorded_hash : nullptr;
 }
 
 const sparse::LevelAnalysis* SolverPlan::level_analysis() const {
@@ -1049,9 +1003,10 @@ std::size_t csc_bytes(const sparse::CscMatrix& m) {
 std::size_t SolverPlan::resident_bytes() const {
   const State& st = *state_;
   std::size_t bytes = sizeof(State);
-  bytes += csc_bytes(st.storage);  // empty (0) for borrowed plans
+  // Simulated plans only: empty on host and borrowed plans.
+  bytes += csc_bytes(st.storage);
   const PlanSnapshot& snap = st.snapshot;
-  bytes += vector_bytes(snap.in_degrees);
+  bytes += vector_bytes(snap.in_degrees) + vector_bytes(snap.level_ptr);
   if (snap.levels.has_value()) {
     bytes += vector_bytes(snap.levels->level_of) +
              vector_bytes(snap.levels->level_ptr) +
@@ -1093,7 +1048,10 @@ sparse::FootprintEstimate SolverPlan::footprint() const {
       (b == Backend::kMgShmem || b == Backend::kMgZeroCopy)
           ? sparse::StateLayout::kSymmetricHeap
           : sparse::StateLayout::kUnifiedManaged;
-  return sparse::estimate_footprint(*state_->lower, partition(), layout);
+  if (state_->lower != nullptr) {
+    return sparse::estimate_footprint(*state_->lower, partition(), layout);
+  }
+  return sparse::estimate_footprint(factor(), partition(), layout);
 }
 
 }  // namespace msptrsv::core

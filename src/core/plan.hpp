@@ -19,12 +19,16 @@
 // Execution engine: the numeric phase runs on plan-owned persistent state.
 // The level-set gang leases a SolveWorkspace (parked worker threads + a
 // reusable barrier; see workspace.hpp), so repeated solves spawn no
-// threads and allocate nothing. solve_batch runs the FUSED
-// multi-RHS kernel by default (SolveOptions::fuse_batch): one dependency
-// resolution and one sweep over the matrix structure per batch, identical
-// bits to looped solves, amortized launch/sync accounting on the simulated
-// backends. Concurrent solve()/solve_batch() calls on one plan are safe on
-// every backend (concurrent callers lease disjoint workspaces).
+// threads and allocate nothing. solve_batch runs the FUSED multi-RHS
+// kernel: one dependency resolution and one sweep over the matrix
+// structure per batch, identical bits to one solve() per rhs, amortized
+// launch/sync accounting on the simulated backends. Concurrent
+// solve()/solve_batch() calls on one plan are safe on every backend
+// (concurrent callers lease disjoint workspaces).
+//
+// A host plan (serial, cpu-levelset) holds its factor once: as the row
+// form its kernels read (row_form.hpp), plus the gang's level boundaries.
+// factor() rebuilds the CSC from it on demand.
 //
 // Reports from plan solves charge the analysis phase exactly once: the
 // per-solve RunReport carries analysis_us == 0 and the plan exposes the
@@ -34,9 +38,11 @@
 // Persistence: the symbolic state is an explicit PlanSnapshot
 // (core/plan_snapshot.hpp) that save()/load() round-trip through a
 // versioned, CRC-guarded blob -- the durable-schedule artifact of the
-// inspector-executor model. A loaded plan never pays analysis again
-// (analysis_us() == 0; the read cost is exposed via load_us()) and solves
-// bit-for-bit like the freshly analyzed plan it was saved from:
+// inspector-executor model. A host blob stores the row form itself, so a
+// load reads it and proves it in one pass instead of re-running analysis
+// (analysis_us() == 0; the read cost is exposed via load_us()), and the
+// loaded plan solves bit-for-bit like the freshly analyzed plan it was
+// saved from:
 //
 //   plan->save("factor.plan");
 //   // ... later, any process:
@@ -61,18 +67,21 @@
 #include "sparse/level_analysis.hpp"
 #include "sparse/partition.hpp"
 
+namespace msptrsv::sparse {
+struct StructuralHash;  // sparse/serialize.hpp
+}  // namespace msptrsv::sparse
+
 namespace msptrsv::core {
 
-struct RowForm;               // core/row_form.hpp
-struct SnapshotBlob;          // core/plan_snapshot.hpp
-struct SnapshotWriteOptions;  // core/plan_snapshot.hpp
-struct TunedDecision;         // core/plan_snapshot.hpp
+struct RowForm;        // core/row_form.hpp
+struct TunedDecision;  // core/plan_snapshot.hpp
 
 class SolverPlan {
  public:
   /// Symbolic phase for a lower-triangular factor: validates the input,
   /// builds the partition and the backend's analysis state, and captures
-  /// the matrix (pass an rvalue to avoid the copy). A 0x0 system is
+  /// the matrix -- a host plan only as its row form (pass an rvalue to
+  /// avoid the copy). A 0x0 system is
   /// vacuously solvable (the plan short-circuits). Errors:
   /// kNotTriangular, kSingularDiagonal, kInvalidOptions.
   static Expected<SolverPlan> analyze(sparse::CscMatrix lower,
@@ -83,8 +92,9 @@ class SolverPlan {
   /// contract). Use when the factor is large and already owned elsewhere;
   /// the one-shot core::solve wrappers use this for their throwaway plans.
   /// Every backend still copies the VALUES into its row form -- host
-  /// backends here, simulated ones at their first solve -- so later
-  /// in-place edits of `lower` need a re-analysis.
+  /// backends here (and then no longer read `lower`), simulated ones at
+  /// their first solve -- so later in-place edits of `lower` need a
+  /// re-analysis.
   static Expected<SolverPlan> analyze_borrowed(const sparse::CscMatrix& lower,
                                                SolveOptions options);
 
@@ -103,13 +113,10 @@ class SolverPlan {
   /// Batched numeric phase: `rhs` holds `num_rhs` right-hand sides of
   /// length rows() each, column-major (rhs[j*n + i] is entry i of rhs j).
   /// The solution uses the same layout; x is bit-for-bit what num_rhs
-  /// looped solve() calls would produce, in either mode:
-  ///  * fused (options().fuse_batch, the registry default): one kernel
-  ///    sweep solves the whole batch; report.solve_us is the amortized
-  ///    batch makespan (== max_solve_us) and launch/update counters are
-  ///    per-batch, not per-rhs.
-  ///  * looped: num_rhs independent solves; reports accumulate (solve_us
-  ///    sums, max_solve_us tracks the slowest single solve).
+  /// solve() calls would produce. One fused kernel sweep solves the whole
+  /// batch: report.solve_us is the amortized batch makespan
+  /// (== max_solve_us) and launch/update counters are per-batch, not
+  /// per-rhs.
   Expected<SolveResult> solve_batch(std::span<const value_t> rhs,
                                     index_t num_rhs) const;
 
@@ -145,7 +152,8 @@ class SolverPlan {
   /// pattern MUST be unchanged. `values` follows the analyzed matrix's
   /// CSC nonzero order (for upper plans: the original upper factor's
   /// order; the plan re-applies the reversal mapping internally), and the
-  /// plan rebuilds its row form from them in the same order. Rejects
+  /// plan rebuilds its row form from them in the same order (a host plan
+  /// from the factor() it materializes). Rejects
   /// kShapeMismatch when values.size() != nnz, kSingularDiagonal (before
   /// mutating) when a new diagonal entry is zero, and kInvalidOptions on
   /// borrowed plans: every backend snapshots values into a row form --
@@ -155,39 +163,40 @@ class SolverPlan {
   /// copy of this plan.
   Expected<bool> update_values(std::span<const value_t> values);
 
-  /// As the span overload, but sparsity-checks `m` against the cached
-  /// pattern first (dims + col_ptr + row_idx must be IDENTICAL; for upper
-  /// plans `m` is the upper factor and is checked against the mirrored
+  /// As the span overload, but sparsity-checks `m` against factor()
+  /// first (dims + col_ptr + row_idx must be IDENTICAL; for upper plans
+  /// `m` is the upper factor and is checked against the mirrored
   /// pattern). kShapeMismatch names the first divergence; on success
   /// delegates to the span path (same rejection rules).
   Expected<bool> update_values(const sparse::CscMatrix& m);
 
   // ---- persistence ---------------------------------------------------------
   // The symbolic phase as a durable artifact: serialize() captures the
-  // analyzed factor plus the PlanSnapshot (levels, in-degrees, tuned
-  // decision, comm sizing) into a versioned, endianness-tagged,
+  // PlanSnapshot -- a host plan's row form and level boundaries, or a
+  // simulated plan's factor with its levels or in-degrees -- and the
+  // factor's content hash into a versioned, endianness-tagged,
   // CRC-guarded blob; the load paths restore it without re-running ANY
-  // analysis.
+  // analysis. The reader accepts the current format only: a blob of any
+  // other version is kBadSnapshot, naming the version.
 
-  /// Sealed blob image of this plan (works on borrowed plans too -- the
-  /// factor is read through the plan's view). Cheap relative to analysis:
-  /// one pass over the stored arrays. The image is LEAN: the row form is
-  /// rebuilt at load in execution order instead of stored (it duplicates
-  /// every factor value). The overload takes an explicit format version
-  /// for compatibility tests.
+  /// Sealed blob image of this plan (works on borrowed plans too). One
+  /// pass over the stored arrays, plus, on an analyzed plan, hashing its
+  /// factor (a host plan's materialized from the row form); a loaded
+  /// plan re-records its blob's hash, so load + serialize reproduces the
+  /// blob's bytes.
   Expected<std::vector<std::uint8_t>> serialize() const;
-  Expected<std::vector<std::uint8_t>> serialize(
-      SnapshotWriteOptions write_options) const;
 
   /// serialize() + atomic-enough file write. kBadSnapshot on I/O failure.
   Expected<bool> save(const std::string& path) const;
 
   /// Restores a plan from a blob image, owning the embedded factor.
   /// `options` supplies the runtime configuration (machine cost model,
-  /// cpu_threads, fuse_batch, nvshmem ablations...); the blob's identity
+  /// cpu_threads, nvshmem ablations...); the blob's identity
   /// section must agree with it on backend, GPU count, and task
   /// granularity -- a mismatched pairing would silently execute a schedule
-  /// computed for a different configuration, so it is kBadSnapshot.
+  /// computed for a different configuration, so it is kBadSnapshot. A
+  /// host blob's row form is proved (is_row_schedule) before the plan
+  /// exists: a form no analysis could have built is kBadSnapshot too.
   /// Loaded plans report analysis_us() == 0 and expose the restore cost
   /// via load_us().
   static Expected<SolverPlan> deserialize(std::span<const std::uint8_t> bytes,
@@ -201,7 +210,9 @@ class SolverPlan {
   /// against the CALLER's matrix (which must outlive the plan, the
   /// analyze_borrowed contract). The caller's matrix must hash-match the
   /// blob's recorded sparsity pattern (kBadSnapshot otherwise); its VALUES
-  /// may differ -- the row form is built from the caller's matrix. Only
+  /// may differ. A host plan skips the stored values, proves the stored
+  /// structure, and fills it from the caller's values through the
+  /// update_values path (kSingularDiagonal on a zero diagonal). Only
   /// lower-triangular plans support borrowed loading (an upper plan's
   /// internal factor is the reversed form, which no caller owns).
   static Expected<SolverPlan> load_borrowed(const std::string& path,
@@ -217,28 +228,34 @@ class SolverPlan {
   bool is_upper() const;
   const SolveOptions& options() const;
   /// The lower-triangular factor solves execute against (for upper plans:
-  /// the reversed form).
-  const sparse::CscMatrix& factor() const;
+  /// the reversed form), by value. A host plan rebuilds it from its row
+  /// form, one O(n + nnz) scatter; no solve or load path calls it.
+  sparse::CscMatrix factor() const;
+  /// The factor's content hash as the blob this plan was loaded from
+  /// recorded it (on a borrowed load: the caller's matrix's). It is what
+  /// a re-save records and what PlanCache and the server check against
+  /// the key a blob was filed under. Null on analyzed plans -- analysis
+  /// hashes nothing -- and after update_values.
+  const sparse::StructuralHash* recorded_hash() const;
   /// The component-to-GPU distribution this backend/options pair implies
   /// (cached for the multi-GPU backends, derived on demand otherwise).
   /// Requires a non-empty plan (a 0x0 system has no partition).
   sparse::Partition partition() const;
   /// Per-component in-degrees (multi-GPU plans; empty otherwise).
   std::span<const index_t> in_degrees() const;
-  /// Level-set analysis: present on every host plan (the source of its
-  /// row form's execution order) and on gpu-levelset plans; null
-  /// otherwise.
+  /// Level-set analysis of a gpu-levelset plan (its level-cost loop walks
+  /// it); null otherwise. A host plan keeps only its row form, whose
+  /// order the analysis fixed, and cpu-levelset its level boundaries.
   const sparse::LevelAnalysis* level_analysis() const;
-  /// The host gather view, rows stored in execution order and the
-  /// caller's numbering (row_form.hpp); null for simulated backends (their
-  /// replay form is built at the first solve and stays internal) and
-  /// empty plans.
+  /// The host gather view and a host plan's only copy of the factor, rows
+  /// stored in execution order and the caller's numbering (row_form.hpp);
+  /// null for simulated backends (their replay form is built at the
+  /// first solve and stays internal).
   const RowForm* row_form() const;
   /// The analyze-time schedule decision: present on every autotuned plan
-  /// (SolveOptions::autotune / registry preset "auto") and on plans
-  /// loaded from blobs of the retired task-graph schedule; null
-  /// otherwise. Round-trips through v3 plan blobs, so a LOADED plan
-  /// reports the choice its analysis made.
+  /// (SolveOptions::autotune / registry preset "auto"); null otherwise.
+  /// Round-trips through plan blobs, so a LOADED plan reports the choice
+  /// its analysis made.
   const TunedDecision* tuned() const;
 
   /// Host workspaces materialized so far: 0 before the first solve on a
@@ -262,11 +279,11 @@ class SolverPlan {
   const void* state_id() const;
 
   /// Approximate resident footprint of this plan's shared state in bytes:
-  /// the owned factor plus every snapshot section (row form, levels,
-  /// in-degrees, partition) and, for simulated plans, the replay form
-  /// their first solve builds -- charged from analysis on, so the figure
-  /// never grows. What a byte-budgeted PlanCache charges per entry.
-  /// Borrowed plans exclude the caller's matrix.
+  /// every snapshot section (a host plan's row form and level boundaries;
+  /// a simulated plan's owned factor, levels, in-degrees and partition,
+  /// and the replay form its first solve builds -- charged from analysis
+  /// on, so the figure never grows). What a byte-budgeted PlanCache
+  /// charges per entry. Borrowed plans exclude the caller's matrix.
   std::size_t resident_bytes() const;
 
   /// One-time simulated analysis charge (0 for the real host backends).
@@ -286,10 +303,11 @@ class SolverPlan {
   static Expected<std::shared_ptr<State>> analyze_state(
       std::shared_ptr<State> st);
 
-  /// Shared blob-restore path: validates the parsed snapshot against
-  /// `options`, optionally borrows the caller's matrix, rebuilds derived
+  /// Shared blob-restore path: parses `bytes`, validates the snapshot
+  /// against `options`, proves a host row form, optionally borrows the
+  /// caller's matrix (or, on a host plan, its values), rebuilds derived
   /// runtime state (partition, workspace pool), and stamps load_us().
-  static Expected<SolverPlan> restore(SnapshotBlob parsed,
+  static Expected<SolverPlan> restore(std::span<const std::uint8_t> bytes,
                                       SolveOptions options,
                                       const sparse::CscMatrix* borrow,
                                       std::chrono::steady_clock::time_point t0);

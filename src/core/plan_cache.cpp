@@ -58,12 +58,14 @@ std::string PlanCache::key_of(const sparse::StructuralHash& h,
   const int nvshmem_bits = (options.nvshmem.naive_get_update_put ? 4 : 0) |
                            (options.nvshmem.gather_from_all_pes ? 2 : 0) |
                            (options.nvshmem.linear_reduction ? 1 : 0);
+  // An autotuned request names no backend: the tuner picks one per
+  // factor, so it must not share entries with an explicit request.
+  const bool tuned = options.autotune && !is_simulated(options.backend);
   return hex64(h.pattern) + "-" + hex64(h.values) + "-" +
-         registry::entry_of(options.backend).key + "-g" +
+         (tuned ? "auto" : registry::entry_of(options.backend).key) + "-g" +
          std::to_string(options.machine.num_gpus()) + "-t" +
          std::to_string(options.tasks_per_gpu) + "-c" +
-         std::to_string(options.cpu_threads) + "-" +
-         (options.fuse_batch ? "fb" : "lb") + "-n" +
+         std::to_string(options.cpu_threads) + "-n" +
          std::to_string(nvshmem_bits) +
          // Unconditional fixed-width token: a conditional one adjacent to
          // the free-form machine tag would let (no flag, machine "sp-x")
@@ -124,7 +126,8 @@ void PlanCache::evict_to_budget_locked() {
 
 Expected<SolverPlan> PlanCache::get_or_analyze(const sparse::CscMatrix& lower,
                                                const SolveOptions& options) {
-  const std::string key = key_of(lower, options);
+  const sparse::StructuralHash hash = sparse::hash_csc(lower);
+  const std::string key = key_of(hash, options);
   std::string disk_dir;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -140,13 +143,16 @@ Expected<SolverPlan> PlanCache::get_or_analyze(const sparse::CscMatrix& lower,
   if (!disk_dir.empty()) {
     const std::string path = disk_dir + "/" + key + ".plan";
     Expected<SolverPlan> from_disk = SolverPlan::load(path, options);
-    if (from_disk.ok()) {
+    // A blob serves only the factor its key names: one recorded for
+    // another factor is a miss, re-analyzed and overwritten below.
+    if (from_disk.ok() && *from_disk.value().recorded_hash() == hash) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.disk_hits;
       insert_locked(key, from_disk.value());
       return from_disk;
     }
-    // Missing or stale blob: fall through to analysis (and overwrite it).
+    // Missing, stale, misnamed or older-format blob: fall through to
+    // analysis (and overwrite it).
   }
 
   Expected<SolverPlan> analyzed =
@@ -249,11 +255,12 @@ PlanCache::FsckReport PlanCache::fsck(bool repair) {
       corrupt = true;
     } else {
       // Full-format parse: verifies magic, version, endianness, the
-      // whole-payload CRC, and every section's internal consistency.
-      // kSkipFactor still CRC-checks the factor bytes, so the sweep is
-      // allocation-light even on multi-MB blobs.
+      // whole-payload CRC, and every section's internal consistency. A
+      // blob of an older format is corrupt here, as a lookup refuses it.
+      // kSkipValues still CRC-checks the value bytes, so the sweep stays
+      // allocation-light on multi-MB blobs.
       const std::string err =
-          deserialize_snapshot(bytes, parsed, SnapshotRead::kSkipFactor);
+          deserialize_snapshot(bytes, parsed, SnapshotRead::kSkipValues);
       if (!err.empty()) {
         problem = err;
         corrupt = true;
@@ -262,13 +269,17 @@ PlanCache::FsckReport PlanCache::fsck(bool repair) {
     if (!corrupt) {
       // The filename key leads with <pattern>-<values> (16 hex chars
       // each); a blob that parses but no longer matches its name is a
-      // stale leftover -- a lookup under this key would reject it with
-      // kBadSnapshot and re-analyze every time.
+      // stale leftover -- a lookup under this key treats it as a miss and
+      // overwrites it.
       const std::string want_hash = hex64(parsed.factor_hash.pattern) + "-" +
                                     hex64(parsed.factor_hash.values);
+      // An autotuned blob is filed under "auto", not the backend it chose.
       const std::string want_config =
           std::string("-") +
-          registry::entry_of(parsed.snapshot.backend).key + "-g" +
+          (parsed.snapshot.tuned
+               ? "auto"
+               : registry::entry_of(parsed.snapshot.backend).key) +
+          "-g" +
           std::to_string(parsed.snapshot.num_gpus) + "-t" +
           std::to_string(parsed.snapshot.tasks_per_gpu) + "-";
       if (name.rfind(want_hash, 0) != 0) {

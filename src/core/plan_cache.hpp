@@ -14,7 +14,10 @@
 // (SolverPlan::save format): a memory miss probes `<dir>/<key>.plan`
 // before re-analyzing, and freshly analyzed plans are written back
 // best-effort. That is the cross-process half of the amortization story --
-// a restarted service warm-starts from the blob directory at O(read).
+// a restarted service warm-starts from the blob directory at O(read). A
+// blob is served only when the factor hash it recorded is its key's;
+// any other blob there (misnamed, stale, an older format) is a miss that
+// one re-analysis overwrites.
 // The directory is operable: fsck() sweeps it, validating every blob's
 // CRC and checking its content hash and configuration against the
 // filename key, pruning anything stale or corrupt.
@@ -47,11 +50,11 @@ struct CacheOptions {
   std::size_t capacity = 32;
   /// Byte budget over the summed resident footprints; 0 = unbounded.
   /// An entry larger than the whole budget is returned to the caller but
-  /// does not stay resident (the budget is honest, not advisory). Every
-  /// plan holds its factor twice: the matrix plus a row form -- a host
-  /// plan from analysis on, a simulated plan once it has solved (its
-  /// replay form, charged from insert on: 12 B per nonzero plus 12 B per
-  /// row beyond the factor).
+  /// does not stay resident (the budget is honest, not advisory). A host
+  /// plan holds its factor once, as its row form; a simulated plan holds
+  /// it twice: the matrix plus the replay form its first solve builds,
+  /// charged from insert on (12 B per nonzero plus 12 B per row beyond
+  /// the factor).
   std::size_t max_bytes = 0;
 };
 
@@ -117,12 +120,13 @@ class PlanCache {
     /// `*.plan` files examined.
     int scanned = 0;
     int valid = 0;
-    /// Unreadable, truncated, CRC-corrupt, or wrong-format blobs.
+    /// Unreadable, truncated, CRC-corrupt, or wrong-format blobs (an
+    /// older format version included).
     int corrupt = 0;
     /// Blobs that parse but whose content hash or analysis configuration
     /// disagrees with their filename key: stale leftovers of a renamed /
-    /// refreshed matrix or an options change. A lookup would reject them
-    /// at load anyway; fsck reclaims the bytes.
+    /// refreshed matrix or an options change. A lookup treats them as a
+    /// miss and overwrites them; fsck reclaims the bytes sooner.
     int mismatched = 0;
     /// Bad files actually deleted (repair mode only).
     int pruned = 0;

@@ -12,19 +12,19 @@ namespace {
 
 constexpr std::array<BackendEntry, 7> kBackends{{
     {Backend::kSerial, "serial",
-     "host reference, Algorithm 1 column sweep", false, false, true},
+     "host reference, Algorithm 1 column sweep", false, false},
     {Backend::kCpuLevelSet, "cpu-levelset",
-     "real-thread level-set (Naumov on the host)", false, false, true},
+     "real-thread level-set (Naumov on the host)", false, false},
     {Backend::kGpuLevelSet, "gpu-levelset",
-     "simulated cuSPARSE csrsv2 level-set baseline", true, false, true},
+     "simulated cuSPARSE csrsv2 level-set baseline", true, false},
     {Backend::kMgUnified, "mg-unified",
-     "Algorithm 2: Unified Memory, block distribution", true, true, true},
+     "Algorithm 2: Unified Memory, block distribution", true, true},
     {Backend::kMgUnifiedTask, "mg-unified-task",
-     "Algorithm 2 + round-robin task pool", true, true, true},
+     "Algorithm 2 + round-robin task pool", true, true},
     {Backend::kMgShmem, "mg-shmem",
-     "Algorithm 3: NVSHMEM read-only, block distribution", true, true, true},
+     "Algorithm 3: NVSHMEM read-only, block distribution", true, true},
     {Backend::kMgZeroCopy, "mg-zerocopy",
-     "Algorithm 3 + task pool (the paper's design)", true, true, true},
+     "Algorithm 3 + task pool (the paper's design)", true, true},
 }};
 
 std::string lower_key(std::string_view key) {
@@ -82,9 +82,6 @@ SolveOptions default_options(Backend b) {
   // DGX-1 with 8 tasks/GPU; everything else on a single GPU / the host.
   opt.machine = e.multi_gpu ? sim::Machine::dgx1(4) : sim::Machine::dgx1(1);
   opt.tasks_per_gpu = 8;
-  // Batch-aware default: every catalogued backend that supports the fused
-  // multi-RHS kernel gets it out of the box.
-  opt.fuse_batch = e.fused_batch;
   return opt;
 }
 

@@ -29,10 +29,6 @@ struct BackendEntry {
   bool simulated;
   /// Distributes components across multiple simulated GPUs.
   bool multi_gpu;
-  /// solve_batch runs the fused multi-RHS kernel (one dependency
-  /// resolution per batch). default_options seeds SolveOptions::fuse_batch
-  /// from this, so batch-capable backends are batch-fast by default.
-  bool fused_batch;
 };
 
 /// The full catalogue, one entry per Backend enumerator, in enum order.

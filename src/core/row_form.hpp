@@ -84,6 +84,27 @@ index_t serial_window_rows(const sparse::LevelAnalysis& levels);
 /// levels.order is.
 std::vector<index_t> serial_row_order(const sparse::LevelAnalysis& levels);
 
+/// The analyzed lower factor a host row form (EntryOrder::kAscending)
+/// was built from: the inverse of build_row_form, one counting pass and
+/// one scatter over the form, O(n + nnz). Rows ascend in every column, so
+/// the result is the CSC the analysis read, bit for bit. `mirrored` as in
+/// build_row_form. An empty rows.val gives a pattern with zero values.
+sparse::CscMatrix factor_of(const RowForm& rows, bool mirrored);
+
+/// True when `rows` is a host row form a kernel may run: row_ptr starts
+/// at 0, never decreases and ends at nnz; row_of is a permutation; every
+/// row ends with its own diagonal, nonzero (checked only when rows.val is
+/// non-empty); its other columns are in range, strictly ascend in
+/// internal numbering (descending caller ids when `mirrored`) -- the one
+/// gather order of every host kernel, so the bits equal a fresh
+/// analysis's -- and each lies in a strictly earlier level, the levels
+/// cut at `level_ptr`, which must tile 0..n. An empty `level_ptr` makes
+/// every position its own level: serial's windowed order is topological
+/// but not cut into levels. The load path proves every stored host form
+/// with it. One pass, O(n + nnz).
+bool is_row_schedule(const RowForm& rows, std::span<const offset_t> level_ptr,
+                     bool mirrored);
+
 /// True when `lower` has the structure of a solvable lower factor -- each
 /// column leads with its diagonal, then strictly ascending rows below it
 /// -- and `order` cut at `level_ptr` is a level schedule of it: the
@@ -93,7 +114,7 @@ std::vector<index_t> serial_row_order(const sparse::LevelAnalysis& levels);
 /// level-set gang's slices rest on, and `order` is topological, which
 /// build_row_form and every sweep rest on; a topological order is the
 /// level schedule whose levels hold one row each. The load path checks
-/// every stored level analysis with it. O(n + nnz).
+/// a gpu-levelset plan's stored level analysis with it. O(n + nnz).
 bool is_level_schedule(const sparse::CscMatrix& lower,
                        std::span<const index_t> order,
                        std::span<const offset_t> level_ptr);

@@ -66,13 +66,6 @@ struct SolveOptions {
   NvshmemCommOptions nvshmem;
   /// Include the analysis phase in reported simulated time.
   bool include_analysis = true;
-  /// solve_batch execution mode. true (the registry default for every
-  /// backend) runs the fused multi-RHS kernel: one dependency resolution
-  /// and one sweep over the matrix structure per batch, launches/syncs
-  /// amortized across the rhs, report.solve_us = the batch makespan.
-  /// false loops single solves (the PR 1 semantics: per-rhs reports
-  /// accumulate). Both modes produce bit-for-bit identical x.
-  bool fuse_batch = true;
   /// Host-parallel kernel threads come from the process-wide
   /// core::SharedWorkerPool (claimed as a per-solve gang that shrinks
   /// under contention) instead of plan-owned WorkerPools. Caps total host
@@ -100,7 +93,7 @@ struct SolveOptions {
   /// `backend`/`cpu_threads` with the decision. `cpu_threads`
   /// is the thread budget going in; a budget of one is always serial.
   /// The choice is recorded in the plan snapshot (SolverPlan::tuned())
-  /// and persists through v3 plan blobs; loading a
+  /// and persists through plan blobs; loading a
   /// blob with autotune set adopts the stored decision instead of
   /// requiring a backend match. Schedule choice never changes bits --
   /// every candidate backend is bit-for-bit identical.

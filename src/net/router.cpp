@@ -247,6 +247,12 @@ Expected<PlanHandle> Router::handle_on(std::size_t s,
   }
   Expected<PlanHandle> opened =
       shards_[s]->client->open_by_hash(plan.handle.hash, plan.backend_key);
+  // Only a plan of the routed factor may stand in for it.
+  if (opened.ok() && opened.value().hash != plan.handle.hash) {
+    opened = Expected<PlanHandle>(
+        SolveStatus::kBadSnapshot,
+        "shard answered a hash-ref open with another factor's plan");
+  }
   if (opened.ok()) {
     std::lock_guard<std::mutex> lock(failover_mutex_);
     failover_handles_.emplace(key, opened.value());

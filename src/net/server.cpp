@@ -377,7 +377,7 @@ void SolveServer::handle_open(Connection& conn, FrameHead& head) {
   sparse::StructuralHash hash = frame.hash;
   if (frame.mode == OpenMode::kMatrix) hash = sparse::hash_csc(frame.matrix);
   if (frame.mode == OpenMode::kPlanBlob) {
-    // The hash is computable only after deserializing; probe below.
+    // Computable only after deserializing; probe below.
     hash = {};
   }
   std::string key;
@@ -427,14 +427,25 @@ void SolveServer::handle_open(Connection& conn, FrameHead& head) {
       break;
     }
   }
+  if (plan.ok() && frame.mode != OpenMode::kMatrix) {
+    // A blob answers only for the factor whose hash it recorded: on a
+    // hash-ref open, the requested one; an uploaded blob, whose record its
+    // peer wrote, the factor it carries -- else a crafted record would
+    // answer other clients' opens of another factor.
+    if (frame.mode == OpenMode::kPlanBlob) {
+      hash = sparse::hash_csc(plan.value().factor());
+      key = core::PlanCache::key_of(hash, options.value());
+    }
+    if (*plan.value().recorded_hash() != hash) {
+      plan = Expected<core::SolverPlan>(
+          SolveStatus::kBadSnapshot,
+          "plan blob records another factor's hash than the one opened");
+    }
+  }
   if (!plan.ok()) {
     write_reply(conn, encode_error({head.request_id, plan.error().status,
                                     plan.error().message}));
     return;
-  }
-  if (frame.mode != OpenMode::kMatrix) {
-    hash = sparse::hash_csc(plan.value().factor());
-    key = core::PlanCache::key_of(hash, options.value());
   }
 
   OpenOkFrame ok;

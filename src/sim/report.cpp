@@ -7,44 +7,6 @@
 
 namespace msptrsv::sim {
 
-void RunReport::accumulate(const RunReport& other) {
-  solve_us += other.solve_us;
-  analysis_us += other.analysis_us;
-  max_solve_us = std::max(max_solve_us,
-                          other.num_rhs > 1 ? other.max_solve_us
-                                            : other.solve_us);
-  num_rhs += other.num_rhs;
-
-  if (busy_us_per_gpu.size() < other.busy_us_per_gpu.size()) {
-    busy_us_per_gpu.resize(other.busy_us_per_gpu.size(), 0.0);
-  }
-  for (std::size_t g = 0; g < other.busy_us_per_gpu.size(); ++g) {
-    busy_us_per_gpu[g] += other.busy_us_per_gpu[g];
-  }
-  if (page_faults_per_gpu.size() < other.page_faults_per_gpu.size()) {
-    page_faults_per_gpu.resize(other.page_faults_per_gpu.size(), 0);
-  }
-  for (std::size_t g = 0; g < other.page_faults_per_gpu.size(); ++g) {
-    page_faults_per_gpu[g] += other.page_faults_per_gpu[g];
-  }
-
-  local_updates += other.local_updates;
-  remote_updates += other.remote_updates;
-  page_faults += other.page_faults;
-  page_migrations += other.page_migrations;
-  page_migrated_bytes += other.page_migrated_bytes;
-  page_pins += other.page_pins;
-  direct_remote_accesses += other.direct_remote_accesses;
-  nvshmem_gets += other.nvshmem_gets;
-  nvshmem_puts += other.nvshmem_puts;
-  nvshmem_fences += other.nvshmem_fences;
-  gather_reductions += other.gather_reductions;
-  nvshmem_bytes += other.nvshmem_bytes;
-  link_bytes += other.link_bytes;
-  link_messages += other.link_messages;
-  kernel_launches += other.kernel_launches;
-}
-
 double RunReport::load_imbalance() const {
   return support::imbalance_factor(busy_us_per_gpu);
 }

@@ -14,12 +14,10 @@ struct RunReport {
   std::string machine_name;
   int num_gpus = 1;
 
-  /// Total simulated time of the solver phase. For a fused batch
-  /// (SolveOptions::fuse_batch, the default) this is the amortized batch
-  /// makespan; for a looped batch it is the sum over all right-hand
-  /// sides. Launch/update counters follow the same convention: a fused
-  /// batch counts one kernel per level/task and one update message per
-  /// edge per batch, not per rhs.
+  /// Total simulated time of the solver phase. For a batch this is the
+  /// amortized makespan of its one fused solve. Launch/update counters
+  /// follow the same convention: a batch counts one kernel per level/task
+  /// and one update message per edge, not per rhs.
   sim_time_t solve_us = 0.0;
   /// Simulated time of the preprocessing (in-degree / level analysis).
   /// Under the phase-split API this is charged exactly once: a
@@ -30,9 +28,8 @@ struct RunReport {
 
   /// Right-hand sides this report covers (> 1 for solve_batch).
   int num_rhs = 1;
-  /// Simulated time of the slowest single solve in a looped batch; a
-  /// fused batch is ONE solve, so this equals solve_us there (and when
-  /// num_rhs == 1).
+  /// Simulated time of the slowest single solve this report covers: a
+  /// batch is ONE fused solve, so this equals solve_us.
   sim_time_t max_solve_us = 0.0;
 
   /// Per-GPU busy time of warp slots (computation only).
@@ -69,10 +66,6 @@ struct RunReport {
 
   /// Kernel launches issued (1 per task per GPU in the task model).
   std::uint64_t kernel_launches = 0;
-
-  /// Folds another solve's report into this one (batched execution):
-  /// times and traffic counters add; names/num_gpus must already agree.
-  void accumulate(const RunReport& other);
 
   /// max/mean of per-GPU busy time; 1.0 is perfectly balanced.
   double load_imbalance() const;

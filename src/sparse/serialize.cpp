@@ -39,43 +39,33 @@ std::uint64_t fnv1a_span(std::uint64_t h, const std::vector<T>& v) {
 
 /// Structural safety of a freshly read matrix: shape consistency plus the
 /// bounds every consumer indexes through (monotone pointer array covering
-/// exactly the stored nonzeros, indices within the minor dimension). Fails
-/// the reader (rather than throwing) so corrupt records surface as blob
-/// errors -- the CRC catches accidental damage, these checks make even a
-/// resealed hostile blob memory-safe to solve with. Within-segment
+/// exactly the stored nonzeros, row indices in range). read_csc fails the
+/// reader (rather than throwing) on violation so corrupt records surface
+/// as blob errors -- the CRC catches accidental damage, these checks make
+/// even a resealed hostile blob memory-safe to solve with. Within-segment
 /// sortedness is deliberately NOT re-checked (it cannot cause
 /// out-of-bounds access, only wrong answers, and costs a full extra
 /// branchy pass).
-bool matrix_ok(support::BlobReader& r, const char* what, index_t major,
-               index_t minor, const std::vector<offset_t>& ptr,
-               const std::vector<index_t>& idx, std::size_t val_len) {
+bool csc_ok(const CscMatrix& m) {
+  const std::vector<offset_t>& ptr = m.col_ptr;
   // An all-default (0x0) matrix legitimately has an EMPTY pointer array
   // (never materialized), so accept both spellings of emptiness.
-  const bool ptr_len_ok = ptr.size() == static_cast<std::size_t>(major) + 1 ||
-                          (major == 0 && ptr.empty());
-  bool ok = major >= 0 && minor >= 0 && ptr_len_ok && idx.size() == val_len &&
-            (ptr.empty() ||
-             (ptr.front() == 0 &&
-              ptr.back() == static_cast<offset_t>(idx.size())));
-  // Branchless accumulation so the two sweeps vectorize -- this runs on
-  // the plan-load hot path (the unsigned cast folds the negative check
-  // into the upper bound).
-  if (ok) {
-    bool bad = false;
-    for (std::size_t j = 1; j < ptr.size(); ++j) {
-      bad |= ptr[j - 1] > ptr[j];
-    }
-    const auto bound = static_cast<std::uint32_t>(minor);
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      bad |= static_cast<std::uint32_t>(idx[k]) >= bound;
-    }
-    ok = !bad;
-  }
-  if (!ok) {
-    r.fail(std::string(what) + " record has inconsistent structure");
+  const bool ptr_len_ok = ptr.size() == static_cast<std::size_t>(m.cols) + 1 ||
+                          (m.cols == 0 && ptr.empty());
+  if (m.rows < 0 || m.cols < 0 || !ptr_len_ok ||
+      m.row_idx.size() != m.val.size() ||
+      (!ptr.empty() && (ptr.front() != 0 || ptr.back() != m.nnz()))) {
     return false;
   }
-  return true;
+  // Branchless accumulation so the two sweeps vectorize (the unsigned
+  // cast folds the negative check into the upper bound).
+  bool bad = false;
+  for (std::size_t j = 1; j < ptr.size(); ++j) bad |= ptr[j - 1] > ptr[j];
+  const auto bound = static_cast<std::uint32_t>(m.rows);
+  for (const index_t i : m.row_idx) {
+    bad |= static_cast<std::uint32_t>(i) >= bound;
+  }
+  return !bad;
 }
 
 }  // namespace
@@ -100,14 +90,6 @@ void write_csc(support::BlobWriter& w, const CscMatrix& m) {
   w.write_span(std::span<const value_t>(m.val));
 }
 
-void write_csr(support::BlobWriter& w, const CsrMatrix& m) {
-  w.write_i32(m.rows);
-  w.write_i32(m.cols);
-  w.write_span(std::span<const offset_t>(m.row_ptr));
-  w.write_span(std::span<const index_t>(m.col_idx));
-  w.write_span(std::span<const value_t>(m.val));
-}
-
 CscMatrix read_csc(support::BlobReader& r) {
   CscMatrix m;
   m.rows = r.read_i32();
@@ -115,22 +97,21 @@ CscMatrix read_csc(support::BlobReader& r) {
   m.col_ptr = r.read_vector<offset_t>();
   m.row_idx = r.read_vector<index_t>();
   m.val = r.read_vector<value_t>();
-  if (!r.ok() ||
-      !matrix_ok(r, "CSC", m.cols, m.rows, m.col_ptr, m.row_idx,
-                 m.val.size())) {
+  if (!r.ok()) return {};
+  if (!csc_ok(m)) {
+    r.fail("CSC record has inconsistent structure");
     return {};
   }
   return m;
 }
 
-CscMatrix skip_csc(support::BlobReader& r, offset_t& nnz_out) {
+CscMatrix skip_csc(support::BlobReader& r) {
   CscMatrix m;
   m.rows = r.read_i32();
   m.cols = r.read_i32();
   const std::uint64_t ptr_count = r.skip_vector<offset_t>();
   const std::uint64_t idx_count = r.skip_vector<index_t>();
   const std::uint64_t val_count = r.skip_vector<value_t>();
-  nnz_out = static_cast<offset_t>(idx_count);
   if (!r.ok()) return {};
   const bool ptr_ok =
       ptr_count == static_cast<std::uint64_t>(m.cols) + 1 ||
@@ -143,21 +124,6 @@ CscMatrix skip_csc(support::BlobReader& r, offset_t& nnz_out) {
   dims_only.rows = m.rows;
   dims_only.cols = m.cols;
   return dims_only;
-}
-
-CsrMatrix read_csr(support::BlobReader& r) {
-  CsrMatrix m;
-  m.rows = r.read_i32();
-  m.cols = r.read_i32();
-  m.row_ptr = r.read_vector<offset_t>();
-  m.col_idx = r.read_vector<index_t>();
-  m.val = r.read_vector<value_t>();
-  if (!r.ok() ||
-      !matrix_ok(r, "CSR", m.rows, m.cols, m.row_ptr, m.col_idx,
-                 m.val.size())) {
-    return {};
-  }
-  return m;
 }
 
 void write_levels(support::BlobWriter& w, const LevelAnalysis& a) {

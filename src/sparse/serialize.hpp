@@ -1,8 +1,8 @@
 // Sparse-matrix (de)serialization and stable structural hashing.
 //
 // Two consumers:
-//  * plan persistence (core/plan_snapshot) embeds the analyzed factor and
-//    its row-form view in a plan blob;
+//  * plan persistence (core/plan_snapshot) embeds a simulated plan's
+//    factor and a gpu-levelset plan's levels in its blob;
 //  * the content-addressed PlanCache keys plans by the structural hash, so
 //    "same matrix" is decided without ever comparing matrices.
 //
@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "sparse/csc.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/level_analysis.hpp"
 #include "support/blob.hpp"
 
@@ -38,9 +37,8 @@ StructuralHash hash_csc(const CscMatrix& m);
 /// Writes the matrix as a length-prefixed record (dims + the three
 /// arrays). Appended to the writer's payload in place.
 void write_csc(support::BlobWriter& w, const CscMatrix& m);
-void write_csr(support::BlobWriter& w, const CsrMatrix& m);
 
-/// Reads a write_csc/write_csr record. Validates everything a consumer
+/// Reads a write_csc record. Validates everything a consumer
 /// indexes through -- shape vs the recorded dims, a monotone pointer
 /// array covering exactly the stored nonzeros, indices within the minor
 /// dimension -- so even a hostile blob with a recomputed CRC is
@@ -49,14 +47,12 @@ void write_csr(support::BlobWriter& w, const CsrMatrix& m);
 /// sortedness is NOT re-checked (it cannot cause out-of-bounds access,
 /// and a CRC-verified blob written by this library is already sorted).
 CscMatrix read_csc(support::BlobReader& r);
-CsrMatrix read_csr(support::BlobReader& r);
 
 /// Consumes a write_csc record WITHOUT materializing the arrays (for
 /// loads where the caller already holds the matrix): only the dims
-/// survive, in an otherwise-empty matrix; `nnz_out` reports the stored
-/// nonzero count. Shape consistency is still checked; content is not
-/// (it is never used).
-CscMatrix skip_csc(support::BlobReader& r, offset_t& nnz_out);
+/// survive, in an otherwise-empty matrix. Shape consistency is still
+/// checked; content is not (it is never used).
+CscMatrix skip_csc(support::BlobReader& r);
 
 /// Level-set analysis results round-trip with the plans that cached them
 /// (the expensive half of the csrsv2-style symbolic phase).

@@ -15,10 +15,13 @@
 // The canonical seed files are regenerated (deterministically,
 // byte-identical) by the first test, so the corpus is self-healing and
 // reviewable; test_net's mutation fuzzer appends surviving mutants as
-// frame_ok_fuzz_*.bin, which land in the same replay. blob_ok_legacy_*
-// files are NEVER regenerated: they are plans saved by an earlier
-// release, which must keep loading and solving to the same bits.
+// frame_ok_fuzz_*.bin, which land in the same replay. reject_legacy_*
+// files are NEVER regenerated: they are plans saved by earlier releases
+// in formats v2 and v3, which the v4 reader refuses and PlanCache
+// re-analyzes once.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -162,9 +165,9 @@ TEST(FuzzCorpus, SeedCorpusIsRegeneratedDeterministically) {
   ASSERT_TRUE(serial_plan.ok());
   const auto serial_bytes = serial_plan->serialize();
   ASSERT_TRUE(serial_bytes.ok());
-  write_corpus("blob_ok_snapshot_serial_v3.bin", serial_bytes.value());
+  write_corpus("blob_ok_snapshot_serial_v4.bin", serial_bytes.value());
 
-  // An autotuned plan: its blob carries the v3 tuned section, so the
+  // An autotuned plan: its blob carries the tuned section, so the
   // replay exercises the newest reader path forever. Injected host costs
   // and an explicit thread budget pin the decision -- a two-wide gang --
   // and so the bytes.
@@ -182,18 +185,15 @@ TEST(FuzzCorpus, SeedCorpusIsRegeneratedDeterministically) {
     ASSERT_EQ(auto_plan->options().backend, core::Backend::kCpuLevelSet);
     const auto auto_bytes = auto_plan->serialize();
     ASSERT_TRUE(auto_bytes.ok());
-    write_corpus("blob_ok_snapshot_auto_v3.bin", auto_bytes.value());
+    write_corpus("blob_ok_snapshot_auto_v4.bin", auto_bytes.value());
   }
 
-  // The hostile snapshot seeds derive from a legacy blob, whose bytes
-  // never change.
-  std::vector<std::uint8_t> legacy;
-  ASSERT_TRUE(support::read_file(
-      corpus_dir() + "/blob_ok_legacy_taskgraph_v3.bin", legacy));
-  std::vector<std::uint8_t> snap_truncated(legacy.begin(), legacy.end() - 7);
+  // The hostile snapshot seeds derive from the serial seed.
+  const std::vector<std::uint8_t>& seed = serial_bytes.value();
+  std::vector<std::uint8_t> snap_truncated(seed.begin(), seed.end() - 7);
   write_corpus("reject_snapshot_truncated.bin", snap_truncated);
 
-  std::vector<std::uint8_t> snap_v99 = legacy;
+  std::vector<std::uint8_t> snap_v99 = seed;
   snap_v99[4] = 0x63;  // claim version 99
   write_corpus("reject_snapshot_version99.bin", snap_v99);
 
@@ -238,79 +238,69 @@ TEST(FuzzCorpus, EveryCorpusFileFailStopsOrDecodesAsNamed) {
   EXPECT_GE(replayed, 15u);
 }
 
-TEST(FuzzCorpus, LegacyPlanBlobsLoadAndSolveBitForBit) {
-  // Saved before the serial backend became a pull sweep over the row
-  // form: a serial plan that asked for the interleaved layout, a serial
-  // upper plan, and an autotuned cpu-taskgraph plan. Serial plans never
-  // stored a row form or levels; loading rebuilds both. Saved before row
-  // forms were stored in execution order: a fat v2 cpu-levelset upper
-  // plan whose stored row form is a natural-order CSR copy, which loading
-  // must skip. The cpu-taskgraph and cpu-levelset blobs record the
-  // interleaved layout their plans ran then; they load and solve
-  // column-major now. Saved before the sync-free and task-graph
-  // schedules were retired: a cpu-syncfree lower plan (levels plus
-  // in-degrees), an explicit cpu-taskgraph lower plan and upper plan
-  // (levels plus a tuned record with coarsening thresholds); their keys
-  // now name serial. Every host backend shares one gather order, so each
-  // must solve to the bits of a fresh cpu-levelset/t1 plan.
+TEST(FuzzCorpus, LegacyPlanBlobsAreRefusedAndReanalyzedOnce) {
+  // Plans saved by earlier releases: serial plans that asked for the
+  // interleaved layout or were upper, an autotuned cpu-taskgraph plan, a
+  // fat v2 cpu-levelset upper plan carrying a natural-order CSR copy, a
+  // cpu-syncfree plan, and explicit cpu-taskgraph lower and upper plans.
+  // Format v4 stores a host plan's row form instead of its CSC, so each
+  // is refused by version. Planted in a cache directory under a factor's
+  // key, it is a miss: the cache re-analyzes once and overwrites it with
+  // a v4 blob that fsck calls valid and that serves the next cold cache
+  // the fresh analysis's bits.
   struct Legacy {
     const char* file;
     const char* preset;
-    bool fat;  // carries a stored row form
+    int version;
   };
+  const sparse::CscMatrix l = sparse::gen_layered_dag(300, 12, 1500, 0.5, 7);
+  const std::vector<value_t> b =
+      sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 60));
+  const std::string dir = ::testing::TempDir() + "corpus_legacy_" +
+                          std::to_string(static_cast<unsigned>(::getpid()));
   for (const Legacy& c :
-       {Legacy{"blob_ok_legacy_serial_interleaved_v3.bin", "serial", false},
-        Legacy{"blob_ok_legacy_serial_upper_v3.bin", "serial", false},
-        Legacy{"blob_ok_legacy_auto_taskgraph_v3.bin", "auto", false},
-        Legacy{"blob_ok_legacy_fat_levelset_upper_v2.bin", "cpu-levelset",
-               true},
-        Legacy{"blob_ok_legacy_syncfree_v3.bin", "cpu-syncfree", false},
-        Legacy{"blob_ok_legacy_taskgraph_v3.bin", "cpu-taskgraph", false},
-        Legacy{"blob_ok_legacy_taskgraph_upper_v3.bin", "cpu-taskgraph",
-               false}}) {
+       {Legacy{"reject_legacy_serial_interleaved_v3.bin", "serial", 3},
+        Legacy{"reject_legacy_serial_upper_v3.bin", "serial", 3},
+        Legacy{"reject_legacy_auto_taskgraph_v3.bin", "auto", 3},
+        Legacy{"reject_legacy_fat_levelset_upper_v2.bin", "cpu-levelset", 2},
+        Legacy{"reject_legacy_syncfree_v3.bin", "cpu-syncfree", 3},
+        Legacy{"reject_legacy_taskgraph_v3.bin", "cpu-taskgraph", 3},
+        Legacy{"reject_legacy_taskgraph_upper_v3.bin", "cpu-taskgraph", 3}}) {
     SCOPED_TRACE(c.file);
+    const core::SolveOptions opt =
+        core::registry::options_for(c.preset).value();
     std::vector<std::uint8_t> bytes;
     ASSERT_TRUE(support::read_file(corpus_dir() + "/" + c.file, bytes));
-    const auto loaded = core::SolverPlan::deserialize(
-        bytes, core::registry::options_for(c.preset).value());
-    ASSERT_TRUE(loaded.ok()) << loaded.message();
-    if (c.fat) {
-      // The stored row form duplicates the factor's values; the lean
-      // re-save drops it.
-      EXPECT_GT(bytes.size(), loaded->serialize().value().size() +
-                                  loaded->factor().val.size() *
-                                      sizeof(value_t));
-    }
+    const auto refused = core::SolverPlan::deserialize(bytes, opt);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status(), core::SolveStatus::kBadSnapshot);
+    EXPECT_NE(refused.message().find("version " + std::to_string(c.version)),
+              std::string::npos)
+        << refused.message();
 
-    // The reference solves the plan's internal lower form (the reversed
-    // factor for an upper plan) and undoes the reversal around it.
-    core::SolveOptions ref_opt =
-        core::registry::options_for("cpu-levelset").value();
-    ref_opt.cpu_threads = 1;
-    const auto ref = core::SolverPlan::analyze(loaded->factor(), ref_opt);
-    ASSERT_TRUE(ref.ok()) << ref.message();
-    const index_t n = loaded->rows();
-    const auto expected = [&](const std::vector<value_t>& b) {
-      if (!loaded->is_upper()) return ref->solve(b).value().x;
-      return core::reversed(ref->solve(core::reversed(b)).value().x);
-    };
-    std::vector<value_t> batch;
-    for (std::uint64_t j = 0; j < 3; ++j) {
-      const std::vector<value_t> b = sparse::gen_solution(n, 60 + j);
-      EXPECT_EQ(loaded->solve(b).value().x, expected(b)) << "rhs " << j;
-      batch.insert(batch.end(), b.begin(), b.end());
-    }
-    const std::vector<value_t> x = loaded->solve_batch(batch, 3).value().x;
-    for (std::size_t j = 0; j < 3; ++j) {
-      const std::size_t un = static_cast<std::size_t>(n);
-      const std::vector<value_t> bj(batch.begin() + j * un,
-                                    batch.begin() + (j + 1) * un);
-      EXPECT_EQ(std::vector<value_t>(x.begin() + j * un,
-                                     x.begin() + (j + 1) * un),
-                expected(bj))
-          << "batch column " << j;
-    }
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path =
+        dir + "/" + core::PlanCache::key_of(l, opt) + ".plan";
+    ASSERT_TRUE(support::write_file(path, bytes));
+    core::PlanCache cache(4);
+    cache.set_disk_directory(dir);
+    ASSERT_TRUE(cache.get_or_analyze(l, opt).ok());
+    EXPECT_EQ(cache.stats().disk_hits, 0u);
+    EXPECT_EQ(cache.stats().disk_stores, 1u);
+    const core::PlanCache::FsckReport report = cache.fsck(/*repair=*/false);
+    EXPECT_EQ(report.scanned, 1);
+    EXPECT_EQ(report.valid, 1);
+
+    core::PlanCache cold(4);
+    cold.set_disk_directory(dir);
+    const auto loaded = cold.get_or_analyze(l, opt);
+    ASSERT_TRUE(loaded.ok()) << loaded.message();
+    EXPECT_EQ(cold.stats().disk_hits, 1u);
+    EXPECT_EQ(loaded->solve(b).value().x,
+              core::SolverPlan::analyze(l, opt)->solve(b).value().x);
   }
+  fs::remove_all(dir);
 }
 
 }  // namespace

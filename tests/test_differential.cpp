@@ -3,8 +3,10 @@
 // One seeded sweep drives every host execution strategy through the same
 // inputs -- {lower, upper} x {serial, cpu-levelset} x {1, 4 threads} x
 // {solve, solve_batch at 2, 3 and 5 rhs, the 5 rhs solved one by one,
-// save-then-load-then-solve, update_values-then-solve} -- and holds the
-// results to two contracts at once:
+// save-then-load-then-solve, load-then-update_values-then-solve,
+// load-then-save (the same bytes), borrowed load of refreshed values,
+// update_values-then-solve} -- and holds the results to two contracts at
+// once:
 //
 //  * numerics: every configuration reproduces the serial backend to
 //    tight relative tolerance;
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -92,6 +95,13 @@ struct Results {
   /// The plan saved, restored, then solve + widest batch.
   std::vector<value_t> loaded_solve;
   std::vector<value_t> loaded_batch;
+  /// The restored plan re-saved gives the bytes it was restored from.
+  bool resaved_same_bytes = false;
+  /// The restored plan refreshed to the scaled values, then solve.
+  std::vector<value_t> loaded_updated;
+  /// Lower factors: the blob loaded borrowing the scaled matrix, then
+  /// solve (upper plans refuse borrowed loads).
+  std::vector<value_t> borrowed_scaled;
   std::vector<value_t> updated;
 };
 
@@ -131,10 +141,22 @@ Results run_all_ops(const sparse::CscMatrix& factor, bool upper,
   }
   const auto blob = plan->serialize();
   EXPECT_TRUE(blob.ok()) << blob.message();
-  const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
+  auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
   EXPECT_TRUE(loaded.ok()) << loaded.message();
   r.loaded_solve = loaded->solve(b).value().x;
   r.loaded_batch = loaded->solve_batch(batch, kMaxBatchRhs).value().x;
+  r.resaved_same_bytes = loaded->serialize().value() == blob.value();
+  EXPECT_TRUE(loaded->update_values(scaled).ok());
+  r.loaded_updated = loaded->solve(b).value().x;
+  if (!upper) {
+    const std::string path =
+        ::testing::TempDir() + "differential_borrowed.plan";
+    EXPECT_TRUE(support::write_file(path, blob.value()));
+    const auto borrowed = core::SolverPlan::load_borrowed(path, scaled, opt);
+    EXPECT_TRUE(borrowed.ok()) << borrowed.message();
+    r.borrowed_scaled = borrowed->solve(b).value().x;
+    std::remove(path.c_str());
+  }
   const auto up = plan->update_values(scaled);
   EXPECT_TRUE(up.ok()) << up.message();
   const auto ru = plan->solve(b);
@@ -247,6 +269,14 @@ TEST(Differential, HostBackendsAgreeAcrossEveryConfiguration) {
                     upper, factor);
         expect_bits(r.loaded_batch, gold.batches.back(), "load+solve_batch",
                     label, m, upper, factor);
+        EXPECT_TRUE(r.resaved_same_bytes) << label << " load+save";
+        expect_bits(r.loaded_updated, gold.updated, "load+update+solve",
+                    label, m, upper, factor);
+        if (!upper) {
+          expect_bits(r.borrowed_scaled, gold.updated,
+                      "borrowed load of scaled values+solve", label, m, upper,
+                      factor);
+        }
         expect_bits(r.updated, gold.updated, "update+solve", label, m, upper,
                     factor);
       }

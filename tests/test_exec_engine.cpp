@@ -92,30 +92,37 @@ TEST(SolveWorkspace, SequentialPlanSolvesReuseOneWorkspace) {
 
 // ---- Fused solve_batch -----------------------------------------------------
 
-/// Fused and looped solve_batch must agree bit-for-bit on every backend.
-/// Host thread counts are pinned to 1 so the floating-point summation
-/// order is deterministic and the comparison can be exact.
+/// A fused solve_batch must agree bit-for-bit with one solve() per rhs
+/// on every backend. Host thread counts are pinned to 1 so the
+/// floating-point summation order is deterministic and the comparison can
+/// be exact.
 TEST(FusedBatch, BitForBitMatchesLoopedOnEveryBackendAndWidth) {
   const sparse::CscMatrix l = test_matrix();
+  const std::size_t n = static_cast<std::size_t>(l.rows);
   for (const core::registry::BackendEntry& e : core::registry::backends()) {
-    core::SolveOptions fused = core::registry::default_options(e.backend);
-    fused.cpu_threads = 1;
-    ASSERT_TRUE(fused.fuse_batch) << e.key << ": registry batch-aware default";
-    core::SolveOptions looped = fused;
-    looped.fuse_batch = false;
-
-    const auto fused_plan = core::SolverPlan::analyze(l, fused);
-    const auto looped_plan = core::SolverPlan::analyze(l, looped);
-    ASSERT_TRUE(fused_plan.ok()) << e.key;
-    ASSERT_TRUE(looped_plan.ok()) << e.key;
+    core::SolveOptions opt = core::registry::default_options(e.backend);
+    opt.cpu_threads = 1;
+    const auto plan = core::SolverPlan::analyze(l, opt);
+    ASSERT_TRUE(plan.ok()) << e.key;
 
     for (index_t num_rhs : {1, 4, 16}) {
       const std::vector<value_t> batch = batch_for(l, num_rhs, 300);
-      const auto rf = fused_plan->solve_batch(batch, num_rhs);
-      const auto rl = looped_plan->solve_batch(batch, num_rhs);
+      const auto rf = plan->solve_batch(batch, num_rhs);
       ASSERT_TRUE(rf.ok()) << e.key;
-      ASSERT_TRUE(rl.ok()) << e.key;
-      EXPECT_EQ(rf.value().x, rl.value().x)
+      // The same rhs, one solve() each.
+      std::vector<value_t> looped_x;
+      double looped_us = 0.0;
+      std::uint64_t looped_launches = 0;
+      for (index_t j = 0; j < num_rhs; ++j) {
+        const auto rj = plan->solve(std::span<const value_t>(batch).subspan(
+            static_cast<std::size_t>(j) * n, n));
+        ASSERT_TRUE(rj.ok()) << e.key;
+        looped_x.insert(looped_x.end(), rj.value().x.begin(),
+                        rj.value().x.end());
+        looped_us += rj.value().report.solve_us;
+        looped_launches += rj.value().report.kernel_launches;
+      }
+      EXPECT_EQ(rf.value().x, looped_x)
           << e.key << " fused vs looped, " << num_rhs << " rhs";
       EXPECT_EQ(rf.value().report.num_rhs, num_rhs) << e.key;
       // A fused batch is one solve.
@@ -123,14 +130,12 @@ TEST(FusedBatch, BitForBitMatchesLoopedOnEveryBackendAndWidth) {
           << e.key;
       if (e.simulated && num_rhs > 1) {
         // The whole point: amortized launch/sync per batch, not per rhs.
-        EXPECT_LT(rf.value().report.solve_us, rl.value().report.solve_us)
+        EXPECT_LT(rf.value().report.solve_us, looped_us)
             << e.key << " at " << num_rhs << " rhs";
-        EXPECT_LT(rf.value().report.kernel_launches,
-                  rl.value().report.kernel_launches)
+        EXPECT_LT(rf.value().report.kernel_launches, looped_launches)
             << e.key;
         EXPECT_EQ(rf.value().report.kernel_launches,
-                  rl.value().report.kernel_launches /
-                      static_cast<std::uint64_t>(num_rhs))
+                  looped_launches / static_cast<std::uint64_t>(num_rhs))
             << e.key << ": one launch per level/task per batch";
       }
     }

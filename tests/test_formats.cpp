@@ -206,20 +206,6 @@ TEST(Serialize, CscRoundTripsThroughBlob) {
   EXPECT_NO_THROW(back.validate());
 }
 
-TEST(Serialize, CsrRoundTripsThroughBlob) {
-  const CsrMatrix m = csr_from_csc(gen_banded(200, 4, 0.7, 3));
-  support::BlobWriter w(1);
-  write_csr(w, m);
-  const std::vector<std::uint8_t> blob = std::move(w).finish();
-
-  support::BlobReader r(blob, 1);
-  const CsrMatrix back = read_csr(r);
-  ASSERT_TRUE(r.ok()) << r.error();
-  EXPECT_EQ(back.row_ptr, m.row_ptr);
-  EXPECT_EQ(back.col_idx, m.col_idx);
-  EXPECT_EQ(back.val, m.val);
-}
-
 TEST(Serialize, EmptyMatrixRoundTrips) {
   const CscMatrix empty;
   support::BlobWriter w(1);

@@ -644,6 +644,19 @@ TEST(NetLoopback, PlanBlobUploadSkipsServerAnalysis) {
   const auto x = client.solve(handle.value(), b);
   ASSERT_TRUE(x.ok());
   EXPECT_EQ(x.value(), want);
+
+  // A blob recording another factor's hash is refused: keyed by that
+  // hash, it would answer other clients' opens of the other factor.
+  core::SnapshotBlob parsed;
+  ASSERT_EQ(core::deserialize_snapshot(plan.value().serialize().value(),
+                                       parsed),
+            "");
+  const auto forged = client.open_plan_blob(
+      core::serialize_snapshot(parsed.snapshot,
+                               sparse::hash_csc(net_matrix(30))),
+      "cpu-levelset");
+  ASSERT_FALSE(forged.ok());
+  EXPECT_EQ(forged.status(), SolveStatus::kBadSnapshot);
   server.stop();
 }
 
@@ -694,6 +707,21 @@ TEST(NetLoopback, HashRefResolvesAgainstSharedBlobDirectory) {
   const auto miss = client.open_by_hash(unknown, "cpu-levelset");
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status(), SolveStatus::kBadSnapshot);
+
+  // Another factor's blob filed under the requested key is refused, not
+  // served as the requested factor's plan (same row count: its solves
+  // would run and answer for the wrong matrix).
+  const auto sopts = core::registry::service_options("cpu-levelset");
+  ASSERT_TRUE(sopts.ok());
+  const sparse::StructuralHash wanted = sparse::hash_csc(net_matrix(41));
+  ASSERT_TRUE(core::SolverPlan::analyze(net_matrix(37), sopts.value())
+                  ->save(dir + "/" +
+                         core::PlanCache::key_of(wanted, sopts.value()) +
+                         ".plan")
+                  .ok());
+  const auto misfiled = client.open_by_hash(wanted, "cpu-levelset");
+  ASSERT_FALSE(misfiled.ok());
+  EXPECT_EQ(misfiled.status(), SolveStatus::kBadSnapshot);
 
   bsrv.stop();
   std::filesystem::remove_all(dir);

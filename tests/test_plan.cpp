@@ -106,9 +106,9 @@ TEST(SolverPlanReuse, GpuLevelsetRespectsIncludeAnalysis) {
 }
 
 TEST(SolverPlanBatch, MatchesLoopedSolveOnEveryBackend) {
-  // Looped mode (fuse_batch = false) keeps the PR 1 accumulate semantics:
-  // num_rhs independent solves whose reports sum. The fused default is
-  // covered by test_exec_engine (bit-for-bit x, amortized timing).
+  // A batch's x is bit-for-bit what one solve() per rhs gives; its report
+  // covers the whole batch. The fused timing is covered by
+  // test_exec_engine (amortized launches and makespan).
   const sparse::CscMatrix l = test_matrix();
   const index_t num_rhs = 5;
   const std::size_t n = static_cast<std::size_t>(l.rows);
@@ -120,8 +120,7 @@ TEST(SolverPlanBatch, MatchesLoopedSolveOnEveryBackend) {
     batch.insert(batch.end(), bj.begin(), bj.end());
   }
 
-  for (core::SolveOptions opt : all_backend_options()) {
-    opt.fuse_batch = false;
+  for (const core::SolveOptions& opt : all_backend_options()) {
     const auto plan = core::SolverPlan::analyze(l, opt);
     ASSERT_TRUE(plan.ok());
     const auto rb = plan->solve_batch(batch, num_rhs);
@@ -130,14 +129,12 @@ TEST(SolverPlanBatch, MatchesLoopedSolveOnEveryBackend) {
     EXPECT_EQ(rb.value().report.num_rhs, num_rhs);
     EXPECT_EQ(rb.value().report.analysis_us, 0.0);
 
-    double summed_solve_us = 0.0;
     for (index_t j = 0; j < num_rhs; ++j) {
       const std::span<const value_t> col =
           std::span<const value_t>(batch).subspan(
               static_cast<std::size_t>(j) * n, n);
       const auto rj = plan->solve(col);
       ASSERT_TRUE(rj.ok());
-      summed_solve_us += rj.value().report.solve_us;
       const std::vector<value_t> batch_col(
           rb.value().x.begin() + static_cast<std::ptrdiff_t>(j) *
                                      static_cast<std::ptrdiff_t>(n),
@@ -146,12 +143,6 @@ TEST(SolverPlanBatch, MatchesLoopedSolveOnEveryBackend) {
       EXPECT_EQ(batch_col, rj.value().x)
           << core::backend_name(opt.backend) << " rhs " << j;
     }
-    EXPECT_DOUBLE_EQ(rb.value().report.solve_us, summed_solve_us)
-        << core::backend_name(opt.backend);
-    if (core::is_simulated(opt.backend)) {
-      EXPECT_GT(rb.value().report.max_solve_us, 0.0);
-      EXPECT_LE(rb.value().report.max_solve_us, rb.value().report.solve_us);
-    }
   }
 }
 
@@ -159,7 +150,7 @@ TEST(SolverPlanBatch, CallerBufferOverloadMatchesAndTakesNoFaultWhenWarm) {
   // 16^3 grid, 16 rhs: a 512 KB x, the size glibc hands back to the OS
   // on free, so an allocating solve faults it in again on every call.
   // Into a caller buffer, warm calls must take no minor fault at all, and
-  // give the allocating overload's bits, fused and looped.
+  // give the allocating overload's bits.
   const sparse::CscMatrix l = sparse::gen_grid3d_lower(16, 16, 16);
   constexpr index_t kRhs = 16;
   std::vector<value_t> rhs;
@@ -168,32 +159,28 @@ TEST(SolverPlanBatch, CallerBufferOverloadMatchesAndTakesNoFaultWhenWarm) {
     rhs.insert(rhs.end(), b.begin(), b.end());
   }
   for (const std::string key : {"serial", "cpu-levelset"}) {
-    for (const bool fuse : {true, false}) {
-      core::SolveOptions opt = core::registry::options_for(key).value();
-      opt.cpu_threads = 1;
-      opt.fuse_batch = fuse;
-      const auto plan = core::SolverPlan::analyze(l, opt);
-      ASSERT_TRUE(plan.ok()) << key << ": " << plan.message();
-      const auto want = plan->solve_batch(rhs, kRhs);
-      ASSERT_TRUE(want.ok()) << key;
+    core::SolveOptions opt = core::registry::options_for(key).value();
+    opt.cpu_threads = 1;
+    const auto plan = core::SolverPlan::analyze(l, opt);
+    ASSERT_TRUE(plan.ok()) << key << ": " << plan.message();
+    const auto want = plan->solve_batch(rhs, kRhs);
+    ASSERT_TRUE(want.ok()) << key;
 
-      std::vector<value_t> x(rhs.size());
-      for (int warm = 0; warm < 3; ++warm) {
-        ASSERT_TRUE(plan->solve_batch(rhs, kRhs, x).ok()) << key;
-      }
-      rusage before{};
-      ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
-      int equal = 0;
-      for (int call = 0; call < 100; ++call) {
-        const auto r = plan->solve_batch(rhs, kRhs, x);
-        equal += r.ok() && r.value().x.empty() && x == want.value().x;
-      }
-      rusage after{};
-      ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
-      EXPECT_EQ(equal, 100) << key << (fuse ? " fused" : " looped");
-      EXPECT_EQ(after.ru_minflt - before.ru_minflt, 0)
-          << key << (fuse ? " fused" : " looped");
+    std::vector<value_t> x(rhs.size());
+    for (int warm = 0; warm < 3; ++warm) {
+      ASSERT_TRUE(plan->solve_batch(rhs, kRhs, x).ok()) << key;
     }
+    rusage before{};
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+    int equal = 0;
+    for (int call = 0; call < 100; ++call) {
+      const auto r = plan->solve_batch(rhs, kRhs, x);
+      equal += r.ok() && r.value().x.empty() && x == want.value().x;
+    }
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+    EXPECT_EQ(equal, 100) << key;
+    EXPECT_EQ(after.ru_minflt - before.ru_minflt, 0) << key;
   }
 }
 

@@ -64,10 +64,13 @@ TEST(PlanCache, KeyCoversContentAndConfiguration) {
   core::SolveOptions two_gpus = opts("mg-zerocopy");
   two_gpus.machine = sim::Machine::dgx1(2);
   ASSERT_TRUE(cache.get_or_analyze(a, two_gpus).ok());
+  // Same content, autotuned instead of an explicit cpu-levelset: miss
+  // (the tuner may pick another backend).
+  ASSERT_TRUE(cache.get_or_analyze(a, opts("auto")).ok());
 
-  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().misses, 6u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.size(), 6u);
 }
 
 TEST(PlanCache, LruEvictionIsBoundedAndOrdered) {
@@ -155,6 +158,53 @@ TEST(PlanCache, DiskDirectoryServesCrossProcessWarmStart) {
     EXPECT_EQ(p->solve(b).value().x, x_first);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(PlanCache, AMisnamedDiskBlobIsAMissAndIsOverwritten) {
+  // A blob is served only for the factor it recorded: A's blob filed
+  // under B's key must not answer for B (same row count, so a solve
+  // would run and silently give A's answers). The lookup is a miss, the
+  // cache re-analyzes B and overwrites the file, fsck then calls it
+  // valid, and it solves to a fresh analysis's bits.
+  namespace fs = std::filesystem;
+  const std::string dir =
+      ::testing::TempDir() + "plan_cache_misnamed_" +
+      std::to_string(static_cast<unsigned>(::getpid()));
+  fs::create_directories(dir);
+  const sparse::CscMatrix a = matrix_seeded(7);
+  const sparse::CscMatrix b = matrix_seeded(8);
+  ASSERT_EQ(a.rows, b.rows);
+  const std::vector<value_t> rhs =
+      sparse::gen_rhs_for_solution(b, sparse::gen_solution(b.rows, 4));
+  for (const char* key : {"cpu-levelset", "serial", "mg-zerocopy"}) {
+    SCOPED_TRACE(key);
+    const core::SolveOptions o = opts(key);
+    const std::string path =
+        dir + "/" + core::PlanCache::key_of(b, o) + ".plan";
+    ASSERT_TRUE(core::SolverPlan::analyze(a, o)->save(path).ok());
+
+    core::PlanCache cache(4);
+    cache.set_disk_directory(dir);
+    EXPECT_EQ(cache.fsck(/*repair=*/false).mismatched, 1);
+    const auto p = cache.get_or_analyze(b, o);
+    ASSERT_TRUE(p.ok()) << p.message();
+    EXPECT_EQ(cache.stats().disk_hits, 0u);
+    EXPECT_EQ(cache.stats().disk_stores, 1u);
+    const core::SolverPlan fresh = core::SolverPlan::analyze(b, o).value();
+    EXPECT_EQ(p->solve(rhs).value().x, fresh.solve(rhs).value().x);
+    const core::PlanCache::FsckReport report = cache.fsck(/*repair=*/false);
+    EXPECT_EQ(report.scanned, 1);
+    EXPECT_EQ(report.valid, 1);
+
+    core::PlanCache cold(4);
+    cold.set_disk_directory(dir);
+    const auto warm = cold.get_or_analyze(b, o);
+    ASSERT_TRUE(warm.ok()) << warm.message();
+    EXPECT_EQ(cold.stats().disk_hits, 1u);
+    EXPECT_EQ(warm->solve(rhs).value().x, fresh.solve(rhs).value().x);
+    fs::remove(path);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(PlanCache, ConcurrentGetOrAnalyzeIsSafe) {

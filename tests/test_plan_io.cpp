@@ -2,13 +2,15 @@
 // plan's solves BIT-FOR-BIT on every backend (lower and upper, single and
 // fused-batch), report analysis_us == 0 with a real load_us, and every
 // way a blob can be wrong -- truncated, corrupted, wrong version, wrong
-// backend, wrong structural hash -- must come back as
-// SolveStatus::kBadSnapshot, never a crash or a silent misload.
+// backend, wrong structural hash, a stored row form no analysis could
+// have built -- must come back as SolveStatus::kBadSnapshot, never a
+// crash or a silent misload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -219,13 +221,14 @@ TEST(PlanIo, EmptyPlanRoundTrips) {
   EXPECT_TRUE(loaded->solve({}).ok());
 }
 
-// ---- v2 layout byte + lean/v1 format compatibility -------------------------
+// ---- the v4 host blob: the row form itself ----------------------------------
 
-TEST(PlanIoLayout, BlobsCarryNoRowFormAndLoadBitForBit) {
-  // No format version stores the row form any more (it duplicates every
-  // factor value, and its execution order follows from the levels): every
-  // version's image parses without one, and the load path rebuilds it in
-  // execution order to solve exactly like the fresh plan, lower and upper.
+TEST(PlanIoLayout, HostBlobsCarryTheRowFormAndLoadBitForBit) {
+  // A host plan's row form is its only copy of the factor: the blob
+  // stores it, in execution order, with cpu-levelset's level boundaries,
+  // and the load path proves it instead of rebuilding it. The loaded plan
+  // holds the very same form and solves exactly like the fresh plan,
+  // lower and upper.
   const sparse::CscMatrix l = test_matrix();
   for (const char* key : {"serial", "cpu-levelset"}) {
     for (const bool upper : {false, true}) {
@@ -237,79 +240,60 @@ TEST(PlanIoLayout, BlobsCarryNoRowFormAndLoadBitForBit) {
                 : core::SolverPlan::analyze(l, opt);
       ASSERT_TRUE(fresh.ok()) << fresh.message();
       ASSERT_NE(fresh->row_form(), nullptr);
+      const core::RowForm& want = *fresh->row_form();
       const std::vector<value_t> b =
           sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 21));
-      const std::vector<value_t> expect = fresh->solve(b).value().x;
 
-      for (const std::uint16_t version : {1, 2, 3}) {
-        SCOPED_TRACE(version);
-        core::SnapshotWriteOptions w;
-        w.format_version = version;
-        const auto blob = fresh->serialize(w);
-        ASSERT_TRUE(blob.ok());
-        core::SnapshotBlob parsed;
-        ASSERT_EQ(core::deserialize_snapshot(blob.value(), parsed), "");
-        EXPECT_FALSE(parsed.snapshot.row_form.has_value());
+      const auto blob = fresh->serialize();
+      ASSERT_TRUE(blob.ok());
+      EXPECT_EQ(blob.value()[4], core::kPlanBlobVersion);
+      core::SnapshotBlob parsed;
+      ASSERT_EQ(core::deserialize_snapshot(blob.value(), parsed), "");
+      ASSERT_TRUE(parsed.snapshot.row_form.has_value());
+      EXPECT_EQ(parsed.snapshot.row_form->row_ptr, want.row_ptr);
+      EXPECT_EQ(parsed.snapshot.row_form->col_idx, want.col_idx);
+      EXPECT_EQ(parsed.snapshot.row_form->val, want.val);
+      EXPECT_EQ(parsed.snapshot.row_form->row_of, want.row_of);
+      EXPECT_EQ(parsed.snapshot.level_ptr.empty(),
+                opt.backend == core::Backend::kSerial);
+      EXPECT_FALSE(parsed.snapshot.levels.has_value());
+      EXPECT_EQ(parsed.factor_hash, sparse::hash_csc(fresh->factor()));
 
-        const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
-        ASSERT_TRUE(loaded.ok()) << loaded.message();
-        ASSERT_NE(loaded->row_form(), nullptr);
-        EXPECT_EQ(loaded->row_form()->row_of, fresh->row_form()->row_of);
-        EXPECT_EQ(loaded->solve(b).value().x, expect);
-      }
+      const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
+      ASSERT_TRUE(loaded.ok()) << loaded.message();
+      ASSERT_NE(loaded->row_form(), nullptr);
+      EXPECT_EQ(loaded->row_form()->row_of, want.row_of);
+      EXPECT_EQ(loaded->solve(b).value().x, fresh->solve(b).value().x);
+      // factor() is the analyzed lower form, rebuilt from the row form.
+      EXPECT_TRUE(sparse::identical(loaded->factor(), fresh->factor()));
+      EXPECT_TRUE(sparse::identical(
+          fresh->factor(),
+          upper ? core::reverse_upper_to_lower(sparse::transpose(l)) : l));
     }
   }
 }
 
-TEST(PlanIoLayout, V1FormatBlobsStillLoad) {
-  // A cache written by the previous binary must outlive the upgrade: the
-  // v1 stream (no layout byte) loads and solves bit-for-bit.
+TEST(PlanIoLayout, OlderFormatVersionsAreRefusedNamingTheVersion) {
+  // v1-v3 blobs stored the factor's CSC and levels; the reader accepts
+  // v4 only and names the version it refuses (the CRC trailer does not
+  // cover the header, so only the version differs).
   const sparse::CscMatrix l = test_matrix();
-  for (const char* key : {"cpu-levelset", "serial"}) {
+  for (const char* key : {"serial", "mg-zerocopy"}) {
     SCOPED_TRACE(key);
-    core::SolveOptions opt = core::registry::options_for(key).value();
-    opt.cpu_threads = 1;
-    const auto fresh = core::SolverPlan::analyze(l, opt);
-    ASSERT_TRUE(fresh.ok());
-
-    core::SnapshotWriteOptions v1;
-    v1.format_version = 1;
-    const auto blob = fresh->serialize(v1);
-    ASSERT_TRUE(blob.ok());
-    // Header bytes 4..5 carry the stored version, little-endian.
-    ASSERT_EQ(blob.value()[4], 1);
-    ASSERT_EQ(blob.value()[5], 0);
-
-    const auto loaded = core::SolverPlan::deserialize(blob.value(), opt);
-    ASSERT_TRUE(loaded.ok()) << loaded.message();
-    const std::vector<value_t> b =
-        sparse::gen_rhs_for_solution(l, sparse::gen_solution(l.rows, 22));
-    EXPECT_EQ(loaded->solve(b).value().x, fresh->solve(b).value().x);
+    const core::SolveOptions opt = core::registry::options_for(key).value();
+    std::vector<std::uint8_t> blob =
+        core::SolverPlan::analyze(l, opt)->serialize().value();
+    for (const std::uint8_t version : {1, 2, 3}) {
+      blob[4] = version;
+      blob[5] = 0;
+      const auto r = core::SolverPlan::deserialize(blob, opt);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
+      EXPECT_NE(r.message().find("version " + std::to_string(version)),
+                std::string::npos)
+          << r.message();
+    }
   }
-}
-
-TEST(PlanIoLayout, UnknownLayoutByteIsBadSnapshot) {
-  // The layout byte sits right after the 8-byte blob header, the backend
-  // key string (u64 length + bytes), tasks (i32), gpus (i32), and the
-  // upper byte. Writers store 1 (column-major); readers accept 0..2 and
-  // must refuse anything else as a corrupt blob, even under a valid CRC.
-  const sparse::CscMatrix l = test_matrix();
-  core::SolveOptions opt = core::registry::options_for("serial").value();
-  const auto fresh = core::SolverPlan::analyze(l, opt);
-  ASSERT_TRUE(fresh.ok());
-  std::vector<std::uint8_t> blob = fresh->serialize().value();
-  const std::size_t at = 8 + 8 + std::string("serial").size() + 4 + 4 + 1;
-  ASSERT_EQ(blob[at], 1);
-  blob[at] = 250;
-  // Re-seal: the CRC-32C trailer covers the payload after the header and
-  // is stored in host byte order, as the writer stores it.
-  const std::uint32_t crc = support::crc32(
-      std::span<const std::uint8_t>(blob).subspan(8, blob.size() - 12));
-  std::memcpy(blob.data() + blob.size() - 4, &crc, sizeof(crc));
-  const auto r = core::SolverPlan::deserialize(blob, opt);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
-  EXPECT_NE(r.message().find("layout"), std::string::npos) << r.message();
 }
 
 // ---- error paths -----------------------------------------------------------
@@ -441,81 +425,222 @@ TEST(PlanIo, InDegreeDriftIsRejectedNotHung) {
   snap.tasks_per_gpu = opt.tasks_per_gpu;
   snap.num_gpus = opt.machine.num_gpus();
   snap.in_degrees = sparse::compute_in_degrees(l);
-  ASSERT_TRUE(core::SolverPlan::deserialize(core::serialize_snapshot(snap, l),
-                                            opt)
+  const sparse::StructuralHash hash = sparse::hash_csc(l);
+  ASSERT_TRUE(core::SolverPlan::deserialize(
+                  core::serialize_snapshot(snap, hash, l), opt)
                   .ok());
   for (index_t& d : snap.in_degrees) d += 1;  // undeliverable dependencies
-  const auto r =
-      core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
+  const auto r = core::SolverPlan::deserialize(
+      core::serialize_snapshot(snap, hash, l), opt);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
   EXPECT_NE(r.message().find("in-degree"), std::string::npos) << r.message();
 }
 
-TEST(PlanIo, NonTopologicalOrUnsolvableStateIsRejectedNotHung) {
-  // Stored levels drive execution: the level-set gang solves the rows of
-  // a level in parallel slices, and every row form follows the stored
-  // order. A CRC-valid blob whose levels put a row beside or before one
-  // of its dependencies would race or read unsolved entries. The load
-  // must reject it -- for every backend that stores levels -- and a
-  // level-less (older) blob whose factor is not a solvable lower factor,
-  // instead of handing either to a solve.
+TEST(PlanIo, NonTopologicalLevelsAreRejectedNotHung) {
+  // A gpu-levelset plan's stored levels drive its level-cost loop, which
+  // assumes the rows of a level are independent. A CRC-valid blob whose
+  // levels put a row beside or before one of its dependencies must be
+  // rejected instead of handed to a solve. (Host blobs store no levels:
+  // PlanIoHostile covers their row forms.)
   const sparse::CscMatrix l = test_matrix();
   const index_t n = l.rows;
-  const auto rejected = [&](const char* key, auto mangle) {
-    SCOPED_TRACE(key);
-    core::SolveOptions opt = core::registry::options_for(key).value();
-    opt.cpu_threads = 2;
+  const sparse::StructuralHash hash = sparse::hash_csc(l);
+  const core::SolveOptions opt =
+      core::registry::options_for("gpu-levelset").value();
+  const auto rejected = [&](auto mangle) {
     core::PlanSnapshot snap;
     snap.backend = opt.backend;
     snap.tasks_per_gpu = opt.tasks_per_gpu;
     snap.num_gpus = opt.machine.num_gpus();
     snap.levels = sparse::analyze_levels(l);
     ASSERT_TRUE(core::SolverPlan::deserialize(
-                    core::serialize_snapshot(snap, l), opt)
+                    core::serialize_snapshot(snap, hash, l), opt)
                     .ok());
     mangle(*snap.levels);
-    const auto r =
-        core::SolverPlan::deserialize(core::serialize_snapshot(snap, l), opt);
+    const auto r = core::SolverPlan::deserialize(
+        core::serialize_snapshot(snap, hash, l), opt);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot);
     EXPECT_NE(r.message().find("level schedule"), std::string::npos)
         << r.message();
   };
-  const auto reversed = [](sparse::LevelAnalysis& a) {
+  rejected([](sparse::LevelAnalysis& a) {
     std::reverse(a.order.begin(), a.order.end());
-  };
-  // One level: the order is still topological, but the gang would solve
-  // every row at once.
-  const auto one_level = [n](sparse::LevelAnalysis& a) {
+  });
+  // One level: the order is still topological, but every row would be
+  // costed as independent.
+  rejected([n](sparse::LevelAnalysis& a) {
     a.num_levels = 1;
     a.level_ptr = {0, n};
-  };
+  });
   // Every position names the same row: the level count and boundaries
   // stay in bounds, so only the schedule check can refuse it.
-  const auto one_row = [n](sparse::LevelAnalysis& a) {
+  rejected([n](sparse::LevelAnalysis& a) {
     std::fill(a.order.begin(), a.order.end(), n - 1);
-  };
-  for (const char* key : {"serial", "cpu-levelset", "gpu-levelset"}) {
-    rejected(key, reversed);
-    rejected(key, one_level);
-    rejected(key, one_row);
-  }
+  });
+}
 
-  // No levels, and column 1 lacks its diagonal.
-  sparse::CscMatrix broken = l;
-  broken.row_idx[static_cast<std::size_t>(broken.col_ptr[1])] = 0;
-  const core::SolveOptions serial_opt =
-      core::registry::options_for("serial").value();
-  core::PlanSnapshot serial;
-  serial.backend = core::Backend::kSerial;
-  serial.tasks_per_gpu = serial_opt.tasks_per_gpu;
-  serial.num_gpus = serial_opt.machine.num_gpus();
-  const auto s = core::SolverPlan::deserialize(
-      core::serialize_snapshot(serial, broken), serial_opt);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.status(), core::SolveStatus::kBadSnapshot);
-  EXPECT_NE(s.message().find("solvable"), std::string::npos) << s.message();
+TEST(PlanIo, HostPlansChargeNoCscAndReadTheSameAfterALoad) {
+  // A host plan holds its factor once, as its row form (plus the gang's
+  // level boundaries): resident_bytes charges no CSC copy and no level
+  // analysis, and a loaded plan holds exactly what the analyzed one did.
+  const sparse::CscMatrix l = test_matrix();
+  for (const char* key : {"serial", "cpu-levelset"}) {
+    for (const bool upper : {false, true}) {
+      SCOPED_TRACE(std::string(key) + (upper ? " upper" : " lower"));
+      const core::SolveOptions opt = core::registry::options_for(key).value();
+      const auto fresh =
+          upper ? core::SolverPlan::analyze_upper(sparse::transpose(l), opt)
+                : core::SolverPlan::analyze(l, opt);
+      ASSERT_TRUE(fresh.ok()) << fresh.message();
+      const core::RowForm& rf = *fresh->row_form();
+      const std::size_t form_bytes =
+          rf.row_ptr.size() * sizeof(offset_t) +
+          rf.col_idx.size() * sizeof(index_t) +
+          rf.val.size() * sizeof(value_t) + rf.row_of.size() * sizeof(index_t);
+      // The form, a few hundred bytes of level boundaries and the plan's
+      // fixed state; a CSC copy alone would add 12 B per nonzero.
+      EXPECT_GE(fresh->resident_bytes(), form_bytes);
+      EXPECT_LT(fresh->resident_bytes(), form_bytes + 4096);
+      const auto loaded =
+          core::SolverPlan::deserialize(fresh->serialize().value(), opt);
+      ASSERT_TRUE(loaded.ok()) << loaded.message();
+      EXPECT_EQ(loaded->resident_bytes(), fresh->resident_bytes());
+    }
+  }
+}
+
+// ---- hostile v4 host blobs -------------------------------------------------
+
+/// `rf` with its rows moved: position p of the result holds position
+/// from[p] of `rf`.
+core::RowForm permuted(const core::RowForm& rf,
+                       const std::vector<std::size_t>& from) {
+  core::RowForm out;
+  out.row_ptr.push_back(0);
+  for (const std::size_t q : from) {
+    out.row_of.push_back(rf.row_of[q]);
+    for (offset_t e = rf.row_ptr[q]; e < rf.row_ptr[q + 1]; ++e) {
+      out.col_idx.push_back(rf.col_idx[static_cast<std::size_t>(e)]);
+      out.val.push_back(rf.val[static_cast<std::size_t>(e)]);
+    }
+    out.row_ptr.push_back(static_cast<offset_t>(out.col_idx.size()));
+  }
+  return out;
+}
+
+TEST(PlanIoHostile, EveryBrokenClauseOfTheRowFormProofIsBadSnapshot) {
+  // A CRC only proves a blob's bytes are the ones written: a resealed
+  // blob can carry any row form. Each case breaks one clause of the load
+  // proof (is_row_schedule) in an otherwise genuine, CRC-valid v4 blob,
+  // and must come back kBadSnapshot -- never an abort, a hang or an
+  // out-of-bounds read (the sanitizer build runs this).
+  const sparse::CscMatrix l = test_matrix();
+  using Mangle = std::function<void(core::PlanSnapshot&)>;
+  for (const char* key : {"serial", "cpu-levelset"}) {
+    for (const bool upper : {false, true}) {
+      SCOPED_TRACE(std::string(key) + (upper ? " upper" : " lower"));
+      core::SolveOptions opt = core::registry::options_for(key).value();
+      opt.cpu_threads = 2;
+      const auto fresh =
+          upper ? core::SolverPlan::analyze_upper(sparse::transpose(l), opt)
+                : core::SolverPlan::analyze(l, opt);
+      ASSERT_TRUE(fresh.ok()) << fresh.message();
+      core::SnapshotBlob genuine;
+      ASSERT_EQ(core::deserialize_snapshot(fresh->serialize().value(),
+                                           genuine),
+                "");
+      const core::RowForm& rf = *genuine.snapshot.row_form;
+      const std::size_t n = rf.row_of.size();
+      const offset_t nnz = rf.nnz();
+      // A row with at least two off-diagonals, and where its entries sit.
+      std::size_t wide = 0;
+      while (rf.row_ptr[wide + 1] - rf.row_ptr[wide] < 3) ++wide;
+      const auto first = static_cast<std::size_t>(rf.row_ptr[wide]);
+      const auto diag = static_cast<std::size_t>(rf.row_ptr[wide + 1]) - 1;
+      const auto swap_entries = [](core::RowForm& f, std::size_t a,
+                                   std::size_t b) {
+        std::swap(f.col_idx[a], f.col_idx[b]);
+        std::swap(f.val[a], f.val[b]);
+      };
+      std::vector<std::size_t> reversed(n);
+      for (std::size_t p = 0; p < n; ++p) reversed[p] = n - 1 - p;
+
+      std::vector<std::pair<std::string, Mangle>> cases = {
+          {"row_of repeats a row",
+           [](core::PlanSnapshot& s) {
+             s.row_form->row_of[1] = s.row_form->row_of[0];
+           }},
+          {"row_of names a missing row",
+           [n](core::PlanSnapshot& s) {
+             s.row_form->row_of[0] = static_cast<index_t>(n);
+           }},
+          {"row_of names a negative row",
+           [](core::PlanSnapshot& s) { s.row_form->row_of[0] = -1; }},
+          {"row_ptr decreases",
+           [n](core::PlanSnapshot& s) {
+             std::vector<offset_t>& p = s.row_form->row_ptr;
+             p[n / 2] = p[n / 2 + 1] + 1;
+           }},
+          {"row_ptr does not start at 0",
+           [](core::PlanSnapshot& s) { s.row_form->row_ptr[0] = 1; }},
+          {"row_ptr overruns nnz",
+           [n, nnz](core::PlanSnapshot& s) {
+             s.row_form->row_ptr[n / 2] = nnz + 1000;
+           }},
+          {"a row does not end with its diagonal",
+           [&](core::PlanSnapshot& s) {
+             swap_entries(*s.row_form, diag - 1, diag);
+           }},
+          {"a diagonal is zero",
+           [diag](core::PlanSnapshot& s) { s.row_form->val[diag] = 0.0; }},
+          {"off-diagonals do not ascend",
+           [&](core::PlanSnapshot& s) {
+             swap_entries(*s.row_form, first, first + 1);
+           }},
+          {"an off-diagonal sits at a later position",
+           [&](core::PlanSnapshot& s) {
+             s.row_form = permuted(*s.row_form, reversed);
+           }},
+      };
+      if (opt.backend == core::Backend::kCpuLevelSet) {
+        cases.push_back({"an off-diagonal sits in the same level",
+                         [](core::PlanSnapshot& s) {
+                           s.level_ptr.erase(s.level_ptr.begin() + 1);
+                         }});
+        cases.push_back({"level_ptr does not start at 0",
+                         [](core::PlanSnapshot& s) { s.level_ptr[0] = 1; }});
+        cases.push_back({"level_ptr stops short of n",
+                         [](core::PlanSnapshot& s) { s.level_ptr.back() -= 1; }});
+        cases.push_back({"level_ptr decreases", [](core::PlanSnapshot& s) {
+                           std::swap(s.level_ptr[1], s.level_ptr[2]);
+                         }});
+        cases.push_back({"no level boundaries",
+                         [](core::PlanSnapshot& s) { s.level_ptr.clear(); }});
+      } else {
+        cases.push_back({"serial with level boundaries",
+                         [n](core::PlanSnapshot& s) {
+                           s.level_ptr = {0, static_cast<offset_t>(n)};
+                         }});
+      }
+      // The genuine snapshot, resealed the same way, loads.
+      ASSERT_TRUE(core::SolverPlan::deserialize(
+                      core::serialize_snapshot(genuine.snapshot,
+                                               genuine.factor_hash),
+                      opt)
+                      .ok());
+      for (const auto& [what, mangle] : cases) {
+        SCOPED_TRACE(what);
+        core::PlanSnapshot snap = genuine.snapshot;
+        mangle(snap);
+        const auto r = core::SolverPlan::deserialize(
+            core::serialize_snapshot(snap, genuine.factor_hash), opt);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status(), core::SolveStatus::kBadSnapshot) << r.message();
+      }
+    }
+  }
 }
 
 TEST(PlanIo, BorrowedLoadOfUpperPlanIsRejected) {

@@ -95,7 +95,6 @@ TEST(Registry, RetiredHostScheduleKeysAreAliasesOfSerial) {
     EXPECT_EQ(opt.value().cpu_threads, serial.cpu_threads);
     EXPECT_EQ(opt.value().numa_policy, serial.numa_policy);
     EXPECT_EQ(opt.value().include_analysis, serial.include_analysis);
-    EXPECT_EQ(opt.value().fuse_batch, serial.fuse_batch);
     EXPECT_EQ(opt.value().use_shared_pool, serial.use_shared_pool);
     EXPECT_EQ(opt.value().time_budget, serial.time_budget);
     EXPECT_EQ(opt.value().autotune, serial.autotune);
